@@ -4,9 +4,11 @@ from them.
 A fiber element at a base point b is stored in the descriptor's fiber-chart
 coordinates, so it automatically lies in the kernel of the source map's
 tangent.  Invariant vector fields come in two flavors: a generic path that
-differentiates curves through the groupoid product, and closed forms per
-descriptor.  The generic path is the oracle; the closed forms are what the
-solvers call.
+differentiates curves through the groupoid product, and the descriptor's own
+lift matrices (``left_lift`` / ``right_lift``) applied to the fiber
+coordinates.  The generic path is the oracle; the lift matrices are what the
+solvers call.  The induced actions of a matched pair read from the matrices
+that ``MatchedPairGroupoid`` differentiates once per arrow.
 """
 from __future__ import annotations
 
@@ -18,8 +20,6 @@ from .groupoids import (
     GroupGroupoid,
     Groupoid,
     MatchedPairGroupoid,
-    PairGroupoid,
-    TrivialGroupoid,
     TrivialDecomposition,
 )
 from .numerics import fd_curve
@@ -99,51 +99,19 @@ def left_invariant(desc, X: AlgebroidVector, g):
     """Value at g of the left invariant vector field extending X."""
     g = desc.check(g)
     _require_base(desc.beta(g), X.b)
-    if isinstance(desc, GroupGroupoid):
-        return desc.G.lift_matrix("left", g) @ X.z
-    if isinstance(desc, PairGroupoid):
-        return np.concatenate([np.zeros(desc.M.dim), X.z])
-    if isinstance(desc, ActionGroupoid):
-        _, garr = desc.split(g)
-        return np.concatenate([np.zeros(desc.M.dim),
-                               desc.G.lift_matrix("left", garr) @ X.z])
-    if isinstance(desc, TrivialGroupoid):
-        _, garr, _ = desc.split(g)
-        xi, Y = X.z[: desc.G.dim], X.z[desc.G.dim:]
-        return np.concatenate([np.zeros(desc.M.dim),
-                               desc.G.lift_matrix("left", garr) @ xi, Y])
-    if isinstance(desc, MatchedPairGroupoid):
-        return matched_left_invariant(desc, X, g)
-    return left_invariant_generic(desc, X, g)
+    return desc.left_lift(g) @ X.z
 
 
 def right_invariant(desc, X: AlgebroidVector, g):
     """Value at g of the right invariant vector field extending X."""
     g = desc.check(g)
     _require_base(desc.alpha(g), X.b)
-    if isinstance(desc, GroupGroupoid):
-        return desc.G.lift_matrix("right", g) @ X.z
-    if isinstance(desc, PairGroupoid):
-        return np.concatenate([-X.z, np.zeros(desc.M.dim)])
-    if isinstance(desc, ActionGroupoid):
-        m, garr = desc.split(g)
-        return np.concatenate([-infinitesimal_action(desc, m, X.z),
-                               desc.G.lift_matrix("right", garr) @ X.z])
-    if isinstance(desc, TrivialGroupoid):
-        _, garr, _ = desc.split(g)
-        xi, Y = X.z[: desc.G.dim], X.z[desc.G.dim:]
-        return np.concatenate([-Y, desc.G.lift_matrix("right", garr) @ xi,
-                               np.zeros(desc.M.dim)])
-    if isinstance(desc, MatchedPairGroupoid):
-        return matched_right_invariant(desc, X, g)
-    return right_invariant_generic(desc, X, g)
+    return desc.right_lift(g) @ X.z
 
 
 def infinitesimal_action(desc: ActionGroupoid, m, xi):
     """Velocity of m under the one-parameter flow of xi through the action."""
-    return fd_curve(lambda t: np.atleast_1d(np.asarray(
-        desc.action(m, desc.G.exp(t * np.asarray(xi, dtype=float))),
-        dtype=float)))
+    return desc.orbit_matrix(m) @ np.asarray(xi, dtype=float)
 
 
 def anchor(desc, X: AlgebroidVector):
@@ -173,9 +141,8 @@ def act_on_fiber_g(md: MatchedPairGroupoid, h, X: AlgebroidVector):
     alpha(h) through the left action."""
     h = np.asarray(h, dtype=float)
     _require_base(md.Hd.beta(h), X.b)
-    b2 = md.Hd.alpha(h)
-    vel = fd_curve(lambda t: md.act_on_g(h, md.Gd.fiber_elem(X.b, t * X.z)))
-    return AlgebroidVector(md.Gd, b2, md.Gd.fiber_coords(b2, vel))
+    return AlgebroidVector(md.Gd, md.Hd.alpha(h),
+                           md.act_on_fiber_g_matrix(h) @ X.z)
 
 
 def dagger_on_h(md: MatchedPairGroupoid, X: AlgebroidVector, h):
@@ -183,7 +150,7 @@ def dagger_on_h(md: MatchedPairGroupoid, X: AlgebroidVector, h):
     G-fiber flow at beta(h)."""
     h = np.asarray(h, dtype=float)
     _require_base(md.Hd.beta(h), X.b)
-    return fd_curve(lambda t: md.act_on_h(h, md.Gd.fiber_elem(X.b, t * X.z)))
+    return md.dagger_on_h_matrix(h) @ X.z
 
 
 def dagger_on_g(md: MatchedPairGroupoid, Y: AlgebroidVector, g):
@@ -191,18 +158,15 @@ def dagger_on_g(md: MatchedPairGroupoid, Y: AlgebroidVector, g):
     flow y_t at alpha(g)."""
     g = np.asarray(g, dtype=float)
     _require_base(md.Gd.alpha(g), Y.b)
-    return fd_curve(lambda t: md.act_on_g(
-        md.Hd.inv(md.Hd.fiber_elem(Y.b, t * Y.z)), g))
+    return md.dagger_on_g_matrix(g) @ Y.z
 
 
 def act_on_fiber_h(md: MatchedPairGroupoid, Y: AlgebroidVector, g):
     """Y <| g: H-fiber vector at beta(g), d/dt (y_t^{-1} <| g)^{-1}."""
     g = np.asarray(g, dtype=float)
     _require_base(md.Gd.alpha(g), Y.b)
-    b2 = md.Gd.beta(g)
-    vel = fd_curve(lambda t: md.Hd.inv(md.act_on_h(
-        md.Hd.inv(md.Hd.fiber_elem(Y.b, t * Y.z)), g)))
-    return AlgebroidVector(md.Hd, b2, md.Hd.fiber_coords(b2, vel))
+    return AlgebroidVector(md.Hd, md.Gd.beta(g),
+                           md.act_on_fiber_h_matrix(g) @ Y.z)
 
 
 # ---------------------------------------------------------------------------
@@ -237,27 +201,10 @@ def target_correction(md: MatchedPairGroupoid, X: AlgebroidVector):
         md.Gd.beta(md.Gd.fiber_elem(X.b, t * X.z))))
 
 
-def matched_left_invariant(md: MatchedPairGroupoid, U: AlgebroidVector, x):
-    """Left invariant field of the matched groupoid:
-    (g, h) -> (left of (h |> X) at g, X^dagger(h) + left of Y at h)."""
-    g, h = md.split(x)
-    _require_base(md.Hd.beta(h), U.b)
-    X, Y = iso_matched_to_sum(md, U)
-    hX = act_on_fiber_g(md, h, X)
-    vg = left_invariant(md.Gd, hX, g)
-    vh = dagger_on_h(md, X, h) + left_invariant(md.Hd, Y, h)
-    return np.concatenate([vg, vh])
-
-
-def matched_right_invariant(md: MatchedPairGroupoid, U: AlgebroidVector, x):
-    """Right invariant field of the matched groupoid:
-    (g, h) -> (right of X at g - Y^dagger(g), right of (Y <| g) at h)."""
-    g, h = md.split(x)
-    _require_base(md.Gd.alpha(g), U.b)
-    X, Y = iso_matched_to_sum(md, U)
-    vg = right_invariant(md.Gd, X, g) - dagger_on_g(md, Y, g)
-    vh = right_invariant(md.Hd, act_on_fiber_h(md, Y, g), h)
-    return np.concatenate([vg, vh])
+# The matched-pair fields need no code of their own: MatchedPairGroupoid
+# assembles its lift matrices from the factor lifts and the induced actions.
+matched_left_invariant = left_invariant
+matched_right_invariant = right_invariant
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import MatchdynError
+from .errors import DomainError, MatchdynError
 from .scenarios import (
     RunReport,
     ScenarioConfig,
@@ -70,16 +70,16 @@ def _load_config(args):
     elif args.scenario:
         config = ScenarioConfig(args.scenario)
     else:
-        raise MatchdynError("either a scenario id or --config is required")
+        raise DomainError("either a scenario id or --config is required")
     if args.seed is not None:
         config.seed = args.seed
     if args.steps is not None:
         if args.steps < 2:
-            raise MatchdynError("--steps must be >= 2")
+            raise DomainError("--steps must be >= 2")
         config.steps = args.steps
     if args.tol is not None:
         if args.tol <= 0:
-            raise MatchdynError("--tol must be positive")
+            raise DomainError("--tol must be positive")
         config.tol = args.tol
     if args.out is not None:
         config.out = args.out
@@ -166,15 +166,10 @@ def main(argv=None):
         return 2
     except MatchdynError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 2 if _is_usage_error(exc) else 1
+        return 2 if isinstance(exc, DomainError) else 1
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-
-
-def _is_usage_error(exc):
-    from .errors import DomainError
-    return isinstance(exc, (DomainError,)) or "required" in str(exc)
 
 
 if __name__ == "__main__":

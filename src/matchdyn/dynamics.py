@@ -1,11 +1,12 @@
 """Discrete variational mechanics on groupoids and matched-pair groups.
 
-The primitive object is the two-arrow junction residual: pair the
-differential of the Lagrangian with the left invariant extension at the
-incoming arrow and the right invariant extension at the outgoing one, over a
-basis of the algebroid fiber at the junction.  Longer trajectories are solved
-junction by junction, and every solve is cross-checked against the
-brute-force variational derivative of the action sum.
+The primitive object is the two-arrow junction residual, two mat-vecs
+left_lift(g_k)^T dL(g_k) - right_lift(g_{k+1})^T dL(g_{k+1}): an incoming half
+at g_k and an outgoing half at g_{k+1}, the matched-group momentum form alike.
+A step solves incoming - outgoing(chart(z)) = 0 with the incoming half fixed.
+Longer trajectories are solved junction by junction, and every solve is
+cross-checked against the brute-force variational derivative of the action
+sum.
 """
 from __future__ import annotations
 
@@ -28,16 +29,15 @@ from .groupoids import (
     Groupoid,
     MatchedPairGroupoid,
 )
-from .errors import SingularJacobian
 from .matched_group import MatchedPairGroup
 from .numerics import (
-    COND_LIMIT,
     DEFAULT_TOL,
     Tolerances,
     fd_gradient,
-    fd_jacobian,
     newton_solve,
 )
+# unused; bench/test_bench.py::test_install_and_uninstall_wrappers wraps it
+from .numerics import fd_jacobian  # noqa: F401
 
 
 class DiscreteLagrangian:
@@ -62,14 +62,13 @@ class DiscreteLagrangian:
 class Trajectory:
     """Ordered arrows with adjacent sources and targets glued to 1e-9."""
 
-    def __init__(self, desc: Groupoid, arrows, residual_norms=None,
-                 tol=COMPOSE_TOL):
+    def __init__(self, desc: Groupoid, arrows, residual_norms=None):
         self.desc = desc
         self.arrows = [desc.check(a) for a in arrows]
         self.gaps = [desc.composability_gap(a, b)
                      for a, b in zip(self.arrows, self.arrows[1:])]
         for a, b, gap in zip(self.arrows, self.arrows[1:], self.gaps):
-            if gap > tol:
+            if gap > COMPOSE_TOL:
                 raise NotComposable(desc.beta(a), desc.alpha(b))
         self.residual_norms = residual_norms
 
@@ -101,28 +100,20 @@ def action_sum(L: DiscreteLagrangian, traj: Trajectory):
 # junction residuals
 # ---------------------------------------------------------------------------
 
-def del_residual(desc: Groupoid, L: DiscreteLagrangian, gk, gk1,
-                 tol=COMPOSE_TOL):
+def del_residual(desc: Groupoid, L: DiscreteLagrangian, gk, gk1):
     """Vector of <dL, left E_i at g_k> - <dL, right E_i at g_{k+1}> over the
     fiber-chart basis at the junction; zero iff the discrete Euler-Lagrange
     condition holds there."""
     gk = desc.check(gk)
     gk1 = desc.check(gk1)
-    if desc.composability_gap(gk, gk1) > tol:
+    if desc.composability_gap(gk, gk1) > COMPOSE_TOL:
         raise NotComposable(desc.beta(gk), desc.alpha(gk1))
-    b = desc.beta(gk)
-    dk = L.gradient(gk)
-    dk1 = L.gradient(gk1)
-    out = np.empty(desc.fiber_dim)
-    for i, e in enumerate(np.eye(desc.fiber_dim)):
-        X = AlgebroidVector(desc, b, e)
-        out[i] = float(dk @ left_invariant(desc, X, gk)
-                       - dk1 @ right_invariant(desc, X, gk1))
-    return out
+    return (desc.left_lift(gk).T @ L.gradient(gk)
+            - desc.right_lift(gk1).T @ L.gradient(gk1))
 
 
 def del_residual_matched(md: MatchedPairGroupoid, L: DiscreteLagrangian,
-                         xk, xk1, tol=COMPOSE_TOL):
+                         xk, xk1):
     """Junction residual of a matched-pair groupoid assembled term by term
     from the induced actions and the single-factor invariant fields.
 
@@ -133,7 +124,7 @@ def del_residual_matched(md: MatchedPairGroupoid, L: DiscreteLagrangian,
     """
     xk = md.check(xk)
     xk1 = md.check(xk1)
-    if md.composability_gap(xk, xk1) > tol:
+    if md.composability_gap(xk, xk1) > COMPOSE_TOL:
         raise NotComposable(md.beta(xk), md.alpha(xk1))
     gk, hk = md.split(xk)
     gk1, hk1 = md.split(xk1)
@@ -169,12 +160,13 @@ MATCHED_GROUP_FORMS = ("full", "generic", "right-trivial", "left-trivial",
 
 def matched_group_momenta(mp: MatchedPairGroup, L: DiscreteLagrangian, u):
     """(mu, nu): the right-translated partial differentials of L at u."""
+    return _momenta(mp, u, L.gradient(u))
+
+
+def _momenta(mp, u, d):
     g, h = mp.split(u)
-    d = L.gradient(u)
-    d1, d2 = d[: mp.G.coord_dim], d[mp.G.coord_dim:]
-    mu = mp.G.cotangent_to_algebra("right", g, d1)
-    nu = mp.H.cotangent_to_algebra("right", h, d2)
-    return mu, nu
+    return (mp.G.cotangent_to_algebra("right", g, d[: mp.G.coord_dim]),
+            mp.H.cotangent_to_algebra("right", h, d[mp.G.coord_dim:]))
 
 
 def del_residual_matched_group(mp: MatchedPairGroup, L: DiscreteLagrangian,
@@ -189,61 +181,59 @@ def del_residual_matched_group(mp: MatchedPairGroup, L: DiscreteLagrangian,
              - g_{k+1} |>* nu_{k+1}
 
     The degenerate forms drop the terms that vanish when one or both of the
-    mutual actions are trivial; "fields" assembles the same residual by
-    pairing dL with the invariant vector fields instead.
+    mutual actions are trivial; "generic" evaluates the full form with the
+    finite-difference transposes of ``mp.generic()``; "fields" assembles the
+    same residual by pairing dL with the invariant vector fields instead.
     """
+    return (_momentum_half(mp, L, uk, form, "left")
+            - _momentum_half(mp, L, uk1, form, "right"))
+
+
+def _momentum_half(mp, L, u, form, side):
+    """The u_k ("left") or u_{k+1} ("right") half of the momentum residual,
+    from one L.gradient call at u."""
     if form not in MATCHED_GROUP_FORMS:
         raise TagError("unknown residual form %r" % (form,))
-    uk = mp.check(uk)
-    uk1 = mp.check(uk1)
+    u = mp.check(u)
     if form == "fields":
-        return _matched_group_fields_residual(mp, L, uk, uk1)
-    gk, hk = mp.split(uk)
-    gk1, hk1 = mp.split(uk1)
-    dk = L.gradient(uk)
-    dk1 = L.gradient(uk1)
-    d2k = dk[mp.G.coord_dim:]
-    d1k1 = dk1[: mp.G.coord_dim]
-    mu_k, nu_k = matched_group_momenta(mp, L, uk)
-    mu_k1, nu_k1 = matched_group_momenta(mp, L, uk1)
-
-    mu_t = mp.G.coAd(gk, mu_k)
-    nu_t = mp.H.coAd(hk, nu_k)
-    if form == "full":
-        xi_part = mp.tr_star(mu_t, hk) + mp.a_star(hk, d2k) - mu_k1
-        eta_part = nu_t - mp.b_star(gk1, d1k1) - mp.g_star(gk1, nu_k1)
-    elif form == "generic":
-        # same formula with all transposes rebuilt from finite differences
-        # of the raw actions; independent of any closed-form overrides
-        xi_part = (mp.tr_star_generic(mu_t, hk)
-                   + mp.a_star_generic(hk, d2k) - mu_k1)
-        eta_part = (nu_t - mp.b_star_generic(gk1, d1k1)
-                    - mp.g_star_generic(gk1, nu_k1))
-    elif form == "right-trivial":
-        xi_part = mp.tr_star(mu_t, hk) - mu_k1
-        eta_part = nu_t - mp.b_star(gk1, d1k1) - nu_k1
-    elif form == "left-trivial":
-        xi_part = mu_t + mp.a_star(hk, d2k) - mu_k1
-        eta_part = nu_t - mp.g_star(gk1, nu_k1)
-    else:
-        xi_part = mu_t - mu_k1
-        eta_part = nu_t - nu_k1
-    return np.concatenate([xi_part, eta_part])
+        return _matched_group_fields_residual(mp, L, u, side)
+    if form == "generic":
+        mp, form = mp.generic(), "full"
+    # which forms keep h |> g (tr*, b*) and h <| g (a*, g*)
+    acts_on_g = form in ("full", "right-trivial")
+    acts_on_h = form in ("full", "left-trivial")
+    g, h = mp.split(u)
+    d = L.gradient(u)
+    mu, nu = _momenta(mp, u, d)
+    if side == "left":
+        xi = mp.G.coAd(g, mu)
+        if acts_on_g:
+            xi = mp.tr_star(xi, h)
+        if acts_on_h:
+            xi = xi + mp.a_star(h, d[mp.G.coord_dim:])
+        return np.concatenate([xi, mp.H.coAd(h, nu)])
+    eta = mp.g_star(g, nu) if acts_on_h else nu
+    if acts_on_g:
+        eta = eta + mp.b_star(g, d[: mp.G.coord_dim])
+    return np.concatenate([mu, eta])
 
 
-def _matched_group_fields_residual(mp, L, uk, uk1):
-    dk = L.gradient(uk)
-    dk1 = L.gradient(uk1)
-    out = np.empty(mp.dim)
-    for i, w in enumerate(np.eye(mp.dim)):
-        out[i] = float(dk @ mp.left_field(uk, w)
-                       - dk1 @ mp.right_field(uk1, w))
-    return out
+def _matched_group_fields_residual(mp, L, u, side):
+    """Half of the field form: dL at u paired with the left (incoming) or
+    right (outgoing) invariant fields of the algebra basis."""
+    return mp.lift_matrix(side, u).T @ L.gradient(u)
 
 
 # ---------------------------------------------------------------------------
 # implicit stepping
 # ---------------------------------------------------------------------------
+
+def _junction_solve(incoming, outgoing, chart, z0, tol: Tolerances):
+    """Newton solve of incoming - outgoing(chart(z)) = 0; returns chart(z).
+    The incoming half is fixed for the whole solve."""
+    z = newton_solve(lambda z: incoming - outgoing(chart(z)), z0, tol)
+    return chart(np.atleast_1d(z))
+
 
 def del_step(desc: Groupoid, L: DiscreteLagrangian, gk, guess=None,
              tol: Tolerances = DEFAULT_TOL):
@@ -252,24 +242,15 @@ def del_step(desc: Groupoid, L: DiscreteLagrangian, gk, guess=None,
     fiber (constant-velocity guess) unless an explicit guess arrow is given."""
     gk = desc.check(gk)
     b = desc.beta(gk)
-    if guess is None:
-        z0 = desc.arrow_coords(gk)
-    else:
-        z0 = desc.arrow_coords(desc.check(guess))
-
-    def F(z):
-        return del_residual(desc, L, gk, desc.fiber_elem(b, z))
-
-    J0 = fd_jacobian(F, z0, tol.fd_step)
-    if not np.all(np.isfinite(J0)) or np.linalg.cond(J0) > COND_LIMIT:
-        raise SingularJacobian("degenerate Lagrangian: junction residual "
-                               "Jacobian condition estimate exceeds limit")
-    z = newton_solve(F, z0, tol)
-    return desc.fiber_elem(b, np.atleast_1d(z))
+    z0 = desc.arrow_coords(gk if guess is None else desc.check(guess))
+    return _junction_solve(
+        desc.left_lift(gk).T @ L.gradient(gk),
+        lambda g: desc.right_lift(g).T @ L.gradient(g),
+        lambda z: desc.fiber_elem(b, z), z0, tol)
 
 
 def solve_trajectory(desc: Groupoid, L: DiscreteLagrangian, g1, n_steps,
-                     tol: Tolerances = DEFAULT_TOL, validate=True):
+                     tol: Tolerances = DEFAULT_TOL):
     """March the junction solve forward from g1 for n_steps arrows total;
     the result is oracle-validated before being returned."""
     arrows = [desc.check(g1)]
@@ -280,12 +261,10 @@ def solve_trajectory(desc: Groupoid, L: DiscreteLagrangian, g1, n_steps,
             del_residual(desc, L, arrows[-1], nxt), np.inf)))
         arrows.append(nxt)
     traj = Trajectory(desc, arrows, residual_norms=norms)
-    if validate and len(arrows) > 1:
-        defect = variational_oracle(desc, L, traj)
-        if defect > 1e-6:
-            raise NoConvergence(
-                "solved trajectory fails the variational check (%.3e)"
-                % defect, residual_norm=defect)
+    defect = variational_oracle(desc, L, traj)
+    if defect > 1e-6:
+        raise NoConvergence("solved trajectory fails the variational check "
+                            "(%.3e)" % defect, residual_norm=defect)
     return traj
 
 
@@ -296,12 +275,9 @@ def del_step_matched_group(mp: MatchedPairGroup, L: DiscreteLagrangian, uk,
     coordinates, warm-started at the previous increment."""
     uk = mp.check(uk)
     z0 = mp.log(uk if guess is None else mp.check(guess))
-
-    def F(z):
-        return del_residual_matched_group(mp, L, uk, mp.exp(z), form=form)
-
-    z = newton_solve(F, z0, tol)
-    return mp.exp(np.atleast_1d(z))
+    return _junction_solve(
+        _momentum_half(mp, L, uk, form, "left"),
+        lambda u: _momentum_half(mp, L, u, form, "right"), mp.exp, z0, tol)
 
 
 def solve_matched_group_trajectory(mp, L, u1, n_steps, form="full",
@@ -370,11 +346,6 @@ def _orbit_forcing(desc: ActionGroupoid, L, xk, xk1):
         return L(np.concatenate([m, g1]))
 
     return fd_gradient(f, np.zeros(desc.G.dim))
-
-
-def matched_group_momentum_records(mp: MatchedPairGroup, L, arrows):
-    return [MomentumRecord(k, *matched_group_momenta(mp, L, u))
-            for k, u in enumerate(arrows)]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,10 @@ descriptor also carries a fiber chart: ``fiber_elem(b, z)`` parameterizes the
 arrows with source b near the unit arrow, with ``fiber_elem(b, 0)`` the unit
 and ``d/dz`` spanning the kernel of the source map's tangent.  That chart is
 what solvers differentiate and solve over.
+
+Each descriptor also owns its lift matrices: ``left_lift(g)`` and
+``right_lift(g)`` are arrow_dim x fiber_dim, with column i the left / right
+invariant vector field at g generated by the fiber-chart basis vector e_i.
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, MatchedAxiomError, NotComposable
 from .groups import Circle, Group, rot2
-from .numerics import fd_curve
+from .numerics import fd_curve_columns
 
 COMPOSE_TOL = 1e-9
 
@@ -78,6 +82,14 @@ class Groupoid:
         inverse of fiber_elem(alpha(x), .) where defined."""
         raise NotImplementedError
 
+    def left_lift(self, g):
+        """Column i = d/dt g . fiber_elem(beta(g), t e_i) at t = 0."""
+        raise NotImplementedError
+
+    def right_lift(self, g):
+        """Column i = -d/dt fiber_elem(alpha(g), t e_i)^{-1} . g at t = 0."""
+        raise NotImplementedError
+
     def check(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.size != self.arrow_dim:
@@ -94,14 +106,12 @@ class Groupoid:
 
     def fiber_tangent_matrix(self, b):
         """arrow_dim x fiber_dim matrix spanning A_b = ker T alpha at eps(b)."""
-        cols = [
-            fd_curve(lambda t, e=e: self.fiber_elem(b, t * e))
-            for e in np.eye(self.fiber_dim)
-        ]
-        return np.column_stack(cols)
+        return fd_curve_columns(lambda z: self.fiber_elem(b, z),
+                                self.fiber_dim)
 
     def fiber_coords(self, b, v):
-        """Fiber-chart coordinates of an ambient tangent vector at eps(b)."""
+        """Fiber-chart coordinates of an ambient tangent vector at eps(b), or
+        of each column of a matrix of them."""
         E = self.fiber_tangent_matrix(b)
         sol, *_ = np.linalg.lstsq(E, np.asarray(v, dtype=float), rcond=None)
         return sol
@@ -199,6 +209,12 @@ class GroupGroupoid(Groupoid):
     def arrow_coords(self, x):
         return self.G.log(x)
 
+    def left_lift(self, g):
+        return self.G.lift_matrix("left", g)
+
+    def right_lift(self, g):
+        return self.G.lift_matrix("right", g)
+
 
 class PairGroupoid(Groupoid):
     """M x M with arrows (m, m') glued along matching middle points."""
@@ -232,6 +248,12 @@ class PairGroupoid(Groupoid):
 
     def arrow_coords(self, x):
         return self.beta(x) - self.alpha(x)
+
+    def left_lift(self, g):
+        return np.eye(self.arrow_dim, self.fiber_dim, -self.M.dim)  # (0; I)
+
+    def right_lift(self, g):
+        return -np.eye(self.arrow_dim, self.fiber_dim)  # (-I; 0)
 
 
 class ActionGroupoid(Groupoid):
@@ -274,6 +296,21 @@ class ActionGroupoid(Groupoid):
 
     def arrow_coords(self, x):
         return self.G.log(self.split(x)[1])
+
+    def orbit_matrix(self, m):
+        """M.dim x G.dim matrix of the infinitesimal action at m: column i is
+        the velocity of m under the flow of e_i."""
+        return fd_curve_columns(lambda xi: np.atleast_1d(np.asarray(
+            self.action(m, self.G.exp(xi)), dtype=float)), self.G.dim)
+
+    def left_lift(self, g):
+        return np.vstack([np.zeros((self.M.dim, self.G.dim)),
+                          self.G.lift_matrix("left", self.split(g)[1])])
+
+    def right_lift(self, g):
+        m, garr = self.split(g)
+        return np.vstack([-self.orbit_matrix(m),
+                          self.G.lift_matrix("right", garr)])
 
 
 class TrivialGroupoid(Groupoid):
@@ -320,6 +357,22 @@ class TrivialGroupoid(Groupoid):
     def arrow_coords(self, x):
         m, g, n = self.split(x)
         return np.concatenate([self.G.log(g), n - m])
+
+    def left_lift(self, g):
+        n, k = self.M.dim, self.G.dim
+        out = np.zeros((self.arrow_dim, self.fiber_dim))
+        out[n:n + self.G.coord_dim, :k] = self.G.lift_matrix(
+            "left", self.split(g)[1])
+        out[n + self.G.coord_dim:, k:] = np.eye(n)
+        return out
+
+    def right_lift(self, g):
+        n, k = self.M.dim, self.G.dim
+        out = np.zeros((self.arrow_dim, self.fiber_dim))
+        out[n:n + self.G.coord_dim, :k] = self.G.lift_matrix(
+            "right", self.split(g)[1])
+        out[:n, k:] = -np.eye(n)
+        return out
 
 
 class MatchedPairGroupoid(Groupoid):
@@ -389,6 +442,53 @@ class MatchedPairGroupoid(Groupoid):
         g, h = self.split(x)
         return np.concatenate([self.Gd.arrow_coords(g),
                                self.Hd.arrow_coords(h)])
+
+    # -- induced infinitesimal actions, as matrices on the factor fibers -----
+
+    def act_on_fiber_g_matrix(self, h):
+        """X -> h |> X: G-fiber at beta(h) to G-fiber at alpha(h)."""
+        b, n = self.Hd.beta(h), self.Gd.fiber_dim
+        return self.Gd.fiber_coords(self.Hd.alpha(h), fd_curve_columns(
+            lambda z: self.act_on_g(h, self.Gd.fiber_elem(b, z)), n))
+
+    def dagger_on_h_matrix(self, h):
+        """X -> X^dagger(h): G-fiber at beta(h) to tangent vectors at h."""
+        b, n = self.Hd.beta(h), self.Gd.fiber_dim
+        return fd_curve_columns(
+            lambda z: self.act_on_h(h, self.Gd.fiber_elem(b, z)), n)
+
+    def dagger_on_g_matrix(self, g):
+        """Y -> Y^dagger(g) = d/dt (y_t^{-1} |> g): H-fiber at alpha(g) to
+        tangent vectors at g."""
+        b, n = self.Gd.alpha(g), self.Hd.fiber_dim
+        return fd_curve_columns(lambda z: self.act_on_g(
+            self.Hd.inv(self.Hd.fiber_elem(b, z)), g), n)
+
+    def act_on_fiber_h_matrix(self, g):
+        """Y -> Y <| g = d/dt (y_t^{-1} <| g)^{-1}: H-fiber at alpha(g) to
+        H-fiber at beta(g)."""
+        b, n = self.Gd.alpha(g), self.Hd.fiber_dim
+        return self.Hd.fiber_coords(self.Gd.beta(g), fd_curve_columns(
+            lambda z: self.Hd.inv(self.act_on_h(
+                self.Hd.inv(self.Hd.fiber_elem(b, z)), g)), n))
+
+    def left_lift(self, x):
+        """(X, Y) at beta(h) -> (left of (h |> X) at g,
+        X^dagger(h) + left of Y at h)."""
+        g, h = self.split(x)
+        return np.block([
+            [self.Gd.left_lift(g) @ self.act_on_fiber_g_matrix(h),
+             np.zeros((self.Gd.arrow_dim, self.Hd.fiber_dim))],
+            [self.dagger_on_h_matrix(h), self.Hd.left_lift(h)]])
+
+    def right_lift(self, x):
+        """(X, Y) at alpha(g) -> (right of X at g - Y^dagger(g),
+        right of (Y <| g) at h)."""
+        g, h = self.split(x)
+        return np.block([
+            [self.Gd.right_lift(g), -self.dagger_on_g_matrix(g)],
+            [np.zeros((self.Hd.arrow_dim, self.Gd.fiber_dim)),
+             self.Hd.right_lift(h) @ self.act_on_fiber_h_matrix(g)]])
 
     def matched_axiom_report(self, rng, n_samples=50):
         """Max deviation of the nine mutual-action compatibility conditions
@@ -508,22 +608,6 @@ def groupoid_action_check(desc, f, action, sampler, rng, n_samples=50,
 # ---------------------------------------------------------------------------
 # the trivial-groupoid decomposition
 # ---------------------------------------------------------------------------
-
-def make_pair_groupoid(M):
-    return PairGroupoid(M)
-
-
-def make_action_groupoid(M, G, action):
-    return ActionGroupoid(M, G, action)
-
-
-def make_trivial_groupoid(M, G):
-    return TrivialGroupoid(M, G)
-
-
-def group_as_groupoid(G):
-    return GroupGroupoid(G)
-
 
 class TrivialDecomposition:
     """The trivial groupoid M x G x M alongside its matched-pair

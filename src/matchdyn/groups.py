@@ -16,7 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, TagError
-from .numerics import DEFAULT_FD_STEP, fd_curve, fd_jacobian
+from .numerics import DEFAULT_FD_STEP, fd_curve, fd_curve_columns
+# unused; bench/test_bench.py::test_install_and_uninstall_wrappers wraps it
+from .numerics import fd_jacobian  # noqa: F401
 
 UNIT_TOL = 1e-9
 
@@ -67,8 +69,7 @@ class Group:
 
     def algebra_tangent_matrix(self):
         """coord_dim x dim matrix whose columns are d/dt exp(t e_i) at t=0."""
-        cols = [fd_curve(lambda t, e=e: self.exp(t * e)) for e in np.eye(self.dim)]
-        return np.column_stack(cols)
+        return fd_curve_columns(self.exp, self.dim)
 
     def Ad(self, g, xi):
         xi = self.algebra_vector(xi)
@@ -92,9 +93,6 @@ class Group:
         sol, *_ = np.linalg.lstsq(E, _vec(v, self.coord_dim), rcond=None)
         return sol
 
-    def algebra_to_tangent(self, xi):
-        return self.algebra_tangent_matrix() @ self.algebra_vector(xi)
-
     def pairing(self, mu, xi):
         return float(np.dot(_vec(mu, self.dim), _vec(xi, self.dim)))
 
@@ -111,30 +109,15 @@ class Group:
     def lift_matrix(self, side, g):
         """coord_dim x dim matrix, column i = d/dt (g exp(t e_i)) (left) or
         d/dt (exp(t e_i) g) (right) at t=0."""
-        cols = []
-        for e in np.eye(self.dim):
-            if side == "left":
-                curve = lambda t, e=e: self.mul(g, self.exp(t * e))
-            else:
-                curve = lambda t, e=e: self.mul(self.exp(t * e), g)
-            cols.append(fd_curve(curve))
-        return np.column_stack(cols)
+        if side == "left":
+            return fd_curve_columns(lambda xi: self.mul(g, self.exp(xi)),
+                                    self.dim)
+        return fd_curve_columns(lambda xi: self.mul(self.exp(xi), g), self.dim)
 
     def cotangent_to_algebra(self, side, g, mu):
         """Pull an ambient covector at g back to the algebra dual: the
         transpose of the translation lift from the identity."""
         return self.lift_matrix(side, g).T @ _vec(mu, self.coord_dim)
-
-    def cotangent_pullback(self, side, g, at, mu):
-        """Transpose of the full coordinate Jacobian of translation by g at
-        the point `at`; maps covectors at the translated point to covectors
-        at `at`."""
-        if side == "left":
-            f = lambda x: self.mul_raw(g, x)
-        else:
-            f = lambda x: self.mul_raw(x, g)
-        J = fd_jacobian(f, _vec(at, self.coord_dim))
-        return J.T @ _vec(mu, self.coord_dim)
 
     def Ad_matrix(self, g):
         return np.column_stack([self.Ad(g, e) for e in np.eye(self.dim)])

@@ -10,9 +10,9 @@ becomes a group under
 All derived objects (infinitesimal actions, dagger vector fields, their
 transposes, the algebra bracket, Ad, invariant vector fields) have generic
 finite-difference implementations on the base class; concrete pairs override
-them with closed forms where available.  The ``*_generic`` aliases always
-route through the finite-difference path so closed forms can be checked
-against it.
+them with closed forms where available.  ``generic()`` returns the same pair
+as a plain ``MatchedPairGroup``, whose operators are all the
+finite-difference ones, so closed forms can be checked against it.
 """
 from __future__ import annotations
 
@@ -144,18 +144,10 @@ class MatchedPairGroup(Group):
         v = fd_curve(lambda t: self.act_on_h(self.H.exp(t * eta), g))
         return self.H.tangent_to_algebra(v)
 
-    # always-generic aliases for cross-validation of closed-form overrides
-    def act_alg_g_generic(self, h, xi):
-        return MatchedPairGroup.act_alg_g(self, h, xi)
-
-    def dagger_h_generic(self, h, xi):
-        return MatchedPairGroup.dagger_h(self, h, xi)
-
-    def dagger_g_generic(self, eta, g):
-        return MatchedPairGroup.dagger_g(self, eta, g)
-
-    def act_alg_h_generic(self, eta, g):
-        return MatchedPairGroup.act_alg_h(self, eta, g)
+    def generic(self):
+        """The same pair without closed-form overrides: every induced
+        operator is the base-class finite-difference one."""
+        return MatchedPairGroup(self.G, self.H, self.act_on_g, self.act_on_h)
 
     # -- transposes feeding the discrete momentum equations ------------------
 
@@ -177,30 +169,6 @@ class MatchedPairGroup(Group):
     def g_star(self, g, nu):
         """g |>* nu: transpose of eta -> eta <| g on the dual of Lie(H)."""
         N = np.column_stack([self.act_alg_h(e, g) for e in np.eye(self.H.dim)])
-        return N.T @ np.asarray(nu, dtype=float)
-
-    def tr_star_generic(self, mu, h):
-        M = np.column_stack(
-            [self.act_alg_g_generic(h, e) for e in np.eye(self.G.dim)]
-        )
-        return M.T @ np.asarray(mu, dtype=float)
-
-    def a_star_generic(self, h, psi):
-        A = np.column_stack(
-            [self.dagger_h_generic(h, e) for e in np.eye(self.G.dim)]
-        )
-        return A.T @ np.asarray(psi, dtype=float)
-
-    def b_star_generic(self, g, phi):
-        B = np.column_stack(
-            [self.dagger_g_generic(e, g) for e in np.eye(self.H.dim)]
-        )
-        return B.T @ np.asarray(phi, dtype=float)
-
-    def g_star_generic(self, g, nu):
-        N = np.column_stack(
-            [self.act_alg_h_generic(e, g) for e in np.eye(self.H.dim)]
-        )
         return N.T @ np.asarray(nu, dtype=float)
 
     # -- algebra bracket and adjoint action ----------------------------------

@@ -25,10 +25,9 @@ class Tolerances:
     fd_step: float = DEFAULT_FD_STEP
     newton_tol: float = 1e-10
     newton_max_iter: int = 50
-    check_tol: float = 1e-8
 
     def __post_init__(self):
-        if not (self.fd_step > 0 and self.newton_tol > 0 and self.check_tol > 0):
+        if not (self.fd_step > 0 and self.newton_tol > 0):
             raise ValueError("tolerances must be positive")
         if self.newton_max_iter < 1:
             raise ValueError("newton_max_iter must be >= 1")
@@ -74,6 +73,13 @@ def fd_curve(c, step=DEFAULT_FD_STEP, scale=1.0):
     return out
 
 
+def fd_curve_columns(f, n):
+    """Jacobian at 0 of f on R^n, column i = fd_curve of t -> f(t e_i);
+    fd_jacobian is left to Newton."""
+    return np.column_stack([fd_curve(lambda t, e=e: f(t * e))
+                            for e in np.eye(n)])
+
+
 def fd_jacobian(F, x, step=DEFAULT_FD_STEP):
     """Jacobian of a vector map, column by column."""
     x = _as_vec(x)
@@ -91,21 +97,22 @@ def fd_jacobian(F, x, step=DEFAULT_FD_STEP):
 def newton_solve(F, x0, tol: Tolerances = DEFAULT_TOL):
     """Damped Newton iteration for F(x) = 0.
 
-    Steps are halved (factor 1/2, at most 30 times) whenever the residual
-    norm does not decrease.  Raises SingularJacobian when the Jacobian
-    condition estimate exceeds 1e14, NoConvergence when the iteration
-    budget runs out.
+    The Jacobian at x0 is built and checked before the first convergence
+    test, so a degenerate problem fails even when x0 solves it.  Steps are
+    halved (factor 1/2, at most 30 times) whenever the residual norm does
+    not decrease.  Raises SingularJacobian when the Jacobian condition
+    estimate exceeds 1e14, NoConvergence when the iteration budget runs out.
     """
     scalar = np.isscalar(x0) or np.ndim(x0) == 0
     x = _as_vec(x0).copy()
     r = _as_vec(F(x))
     rnorm = float(np.linalg.norm(r, np.inf))
     for _ in range(tol.newton_max_iter):
-        if rnorm <= tol.newton_tol:
-            return float(x[0]) if scalar else x
         J = fd_jacobian(F, x, tol.fd_step)
         if not np.all(np.isfinite(J)) or np.linalg.cond(J) > COND_LIMIT:
             raise SingularJacobian("Jacobian condition estimate > %.1e" % COND_LIMIT)
+        if rnorm <= tol.newton_tol:  # only when x0 already solves F
+            break
         dx = np.linalg.solve(J, -r)
         t = 1.0
         x_new = x + dx
@@ -119,6 +126,8 @@ def newton_solve(F, x0, tol: Tolerances = DEFAULT_TOL):
             r_new = _as_vec(F(x_new))
             rn_new = float(np.linalg.norm(r_new, np.inf))
         x, r, rnorm = x_new, r_new, rn_new
+        if rnorm <= tol.newton_tol:
+            break
     if rnorm <= tol.newton_tol:
         return float(x[0]) if scalar else x
     raise NoConvergence("no convergence after %d iterations (residual %.3e)"

@@ -30,6 +30,8 @@ from .matched_group import Su2K
 from .numerics import Tolerances
 
 FMT = "%.17g"
+FORMULA_TOL = 1e-7
+REPRODUCE_TOL = 1e-12
 
 SCENARIOS = ("trivial_groupoid", "sl2c")
 
@@ -265,10 +267,10 @@ def run_trivial_groupoid(config: ScenarioConfig):
     return report, header, rows
 
 
-def run_sl2c(config: ScenarioConfig, formula_tol=1e-7):
+def run_sl2c(config: ScenarioConfig):
     """Solve the SL(2, C) matched-group recursion with the closed-form
     residual and verify the finite-difference assembly agrees at every
-    accepted step; mismatches beyond formula_tol abort with
+    accepted step; mismatches beyond FORMULA_TOL abort with
     FormulaMismatch."""
     t0 = time.perf_counter()
     mp = Su2K()
@@ -291,7 +293,7 @@ def run_sl2c(config: ScenarioConfig, formula_tol=1e-7):
         r_generic = del_residual_matched_group(mp, L, arrows[-1], nxt,
                                                form="generic")
         gap = float(np.max(np.abs(r_closed - r_generic)))
-        if gap > formula_tol:
+        if gap > FORMULA_TOL:
             raise FormulaMismatch(
                 "closed-form and finite-difference residuals disagree by "
                 "%.3e at step %d" % (gap, len(arrows)))
@@ -355,19 +357,19 @@ def read_trajectory_csv(path):
     return ScenarioConfig.from_comment_lines(comments), header, rows
 
 
-def check_residual_file(path, reproduce_tol=1e-12):
+def check_residual_file(path):
     """Re-read an emitted trajectory, recompute every residual norm from the
     arrows alone, and compare against the stored values.  Returns
     (ok, report)."""
     config, header, rows = read_trajectory_csv(path)
     try:
-        return _recheck_rows(config, rows, reproduce_tol)
+        return _recheck_rows(config, rows)
     except MatchdynError:
         # invalid arrow data (e.g. a corrupted quaternion) fails the check
         return False, RunReport(config.scenario, [])
 
 
-def _recheck_rows(config, rows, reproduce_tol):
+def _recheck_rows(config, rows):
     if config.scenario == "trivial_groupoid":
         dec = default_trivial_decomposition()
         L = trivial_groupoid_lagrangian(dec, config)
@@ -390,7 +392,7 @@ def _recheck_rows(config, rows, reproduce_tol):
     repro_gap = max((abs(a - b) for a, b in zip(stored, recomputed)),
                     default=0.0)
     solved = max(recomputed, default=0.0) <= max(config.tol, 1e-9)
-    ok = repro_gap <= reproduce_tol and solved and oracle <= 1e-6
+    ok = repro_gap <= REPRODUCE_TOL and solved and oracle <= 1e-6
     report = RunReport(config.scenario, recomputed, oracle_max=oracle,
                        correspondence_gap=repro_gap)
     return ok, report

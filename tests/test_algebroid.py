@@ -60,6 +60,8 @@ def test_closed_fields_match_curve_formulas(desc):
         X = rand_fiber(desc, desc.alpha(g), rng)
         assert np.allclose(right_invariant(desc, X, g),
                            right_invariant_generic(desc, X, g), atol=1e-7)
+    assert desc.left_lift(g).shape == (desc.arrow_dim, desc.fiber_dim)
+    assert desc.right_lift(g).shape == (desc.arrow_dim, desc.fiber_dim)
 
 
 @pytest.mark.parametrize("desc", ALL_DESCS, ids=lambda d: d.name)

@@ -46,6 +46,20 @@ def smooth_lagrangian(dim, rng):
         lambda x: 0.5 * float(x @ Q @ x) + float(np.sin(c @ x)))
 
 
+def record_gradient_points(L):
+    """Replace L.gradient by a wrapper that logs every point it is asked
+    for; returns the log."""
+    points = []
+    gradient = L.gradient
+
+    def logged(x):
+        points.append(np.array(x, dtype=float))
+        return gradient(x)
+
+    L.gradient = logged
+    return points
+
+
 # -- action sums ------------------------------------------------------------
 
 def test_action_sum_basics():
@@ -201,6 +215,29 @@ def test_matched_group_decoupled_momentum_recursions():
     assert np.allclose(r[3:], mp.H.coAd(hk, nu_k) - nu_k1, atol=1e-10)
 
 
+def test_matched_group_residual_one_gradient_per_arrow():
+    rng = np.random.default_rng(31)
+    mp = Su2K()
+    L = smooth_lagrangian(mp.coord_dim, rng)
+    points = record_gradient_points(L)
+    del_residual_matched_group(mp, L, mp.random(rng), mp.random(rng),
+                               form="full")
+    assert len(points) == 2
+
+
+def test_matched_group_step_evaluates_incoming_half_once():
+    mp = Su2K()
+    e = mp.identity()
+    L = DiscreteLagrangian(lambda u: 0.5 * float(np.sum((u - e) ** 2))
+                           + 0.1 * float(np.sin(u[0] + u[5])))
+    uk = mp.exp(0.05 * np.random.default_rng(32).standard_normal(6))
+    points = record_gradient_points(L)
+    # a guess away from u_k, so no Newton trial point coincides with it
+    del_step_matched_group(mp, L, uk, guess=mp.exp(0.1 * np.ones(6)))
+    assert sum(np.array_equal(p, uk) for p in points) == 1
+    assert len(points) > 1
+
+
 def test_matched_group_identity_critical_point():
     mp = Su2K()
     e = mp.identity()
@@ -240,6 +277,34 @@ def test_del_step_pair_analytic():
         np.sum((arr[2:] - arr[:2]) ** 2)))
     nxt = del_step(desc, L, np.array([0.0, 0.0, 1.0, 0.0]))
     assert np.allclose(nxt, [1.0, 0.0, 2.0, 0.0], atol=1e-9)
+
+
+def test_del_step_builds_one_jacobian_per_newton_iteration(monkeypatch):
+    import matchdyn.dynamics
+    import matchdyn.numerics
+
+    calls = {"jacobian": 0, "solve": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # every namespace that imports fd_jacobian counts; each Newton iteration
+    # solves one linear system
+    jac = counted("jacobian", matchdyn.numerics.fd_jacobian)
+    monkeypatch.setattr(matchdyn.numerics, "fd_jacobian", jac)
+    monkeypatch.setattr(matchdyn.dynamics, "fd_jacobian", jac)
+    monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+    L = DiscreteLagrangian(lambda x: 0.5 * float(np.sum((x[3:] - x[:2]) ** 2))
+                           + 0.5 * float(x[2] ** 2))
+    # the guess is not a root, so Newton iterates at least once
+    nxt = del_step(DEC.trivial, L, np.array([0.0, 0.0, 0.3, 1.0, 0.0]),
+                   guess=np.array([1.0, 0.0, 0.0, 1.5, 0.5]))
+    assert np.allclose(nxt, [1.0, 0.0, 0.3, 2.0, 0.0], atol=1e-9)
+    assert calls["solve"] >= 1
+    assert calls["jacobian"] == calls["solve"]
 
 
 def test_del_step_circle_constant_increment():

@@ -3,6 +3,7 @@ import pytest
 
 from matchdyn.errors import DomainError, MatchedAxiomError, NotComposable
 from matchdyn.groupoids import (
+    ActionGroupoid,
     Chart,
     GroupGroupoid,
     MatchedPairGroupoid,
@@ -10,9 +11,6 @@ from matchdyn.groupoids import (
     compose,
     default_trivial_decomposition,
     groupoid_action_check,
-    make_action_groupoid,
-    make_pair_groupoid,
-    make_trivial_groupoid,
 )
 from matchdyn.groups import SU2, Circle, rot2
 
@@ -92,7 +90,7 @@ def test_trivial_product_example():
 
 def test_action_groupoid_with_trivial_action_is_group_bundle():
     M = Chart(2, name="r2")
-    d = make_action_groupoid(M, Circle(), lambda m, g: np.asarray(m, dtype=float))
+    d = ActionGroupoid(M, Circle(), lambda m, g: np.asarray(m, dtype=float))
     m = RNG.standard_normal(2)
     x = np.concatenate([m, [0.4]])
     y = np.concatenate([m, [0.5]])

@@ -84,23 +84,21 @@ def test_su2k_mul_matches_sl2c_product():
 
 def test_su2k_closed_infinitesimal_actions():
     M = Su2K()
+    F = M.generic()
     for _ in range(5):
         g = M.G.random(RNG)
         h = M.H.random(RNG)
         xi = M.G.random_algebra(RNG)
         eta = M.H.random_algebra(RNG)
-        assert np.allclose(M.act_alg_g(h, xi), M.act_alg_g_generic(h, xi),
-                           atol=1e-8)
-        assert np.allclose(M.dagger_h(h, xi), M.dagger_h_generic(h, xi),
-                           atol=1e-8)
-        assert np.allclose(M.dagger_g(eta, g), M.dagger_g_generic(eta, g),
-                           atol=1e-8)
-        assert np.allclose(M.act_alg_h(eta, g), M.act_alg_h_generic(eta, g),
-                           atol=1e-8)
+        assert np.allclose(M.act_alg_g(h, xi), F.act_alg_g(h, xi), atol=1e-8)
+        assert np.allclose(M.dagger_h(h, xi), F.dagger_h(h, xi), atol=1e-8)
+        assert np.allclose(M.dagger_g(eta, g), F.dagger_g(eta, g), atol=1e-8)
+        assert np.allclose(M.act_alg_h(eta, g), F.act_alg_h(eta, g), atol=1e-8)
 
 
 def test_su2k_closed_transposes():
     M = Su2K()
+    F = M.generic()
     for _ in range(5):
         g = M.G.random(RNG)
         h = M.H.random(RNG)
@@ -108,10 +106,10 @@ def test_su2k_closed_transposes():
         nu = RNG.standard_normal(3)
         phi = RNG.standard_normal(4)
         psi = RNG.standard_normal(3)
-        assert np.allclose(M.tr_star(mu, h), M.tr_star_generic(mu, h), atol=1e-8)
-        assert np.allclose(M.a_star(h, psi), M.a_star_generic(h, psi), atol=1e-8)
-        assert np.allclose(M.b_star(g, phi), M.b_star_generic(g, phi), atol=1e-8)
-        assert np.allclose(M.g_star(g, nu), M.g_star_generic(g, nu), atol=1e-8)
+        assert np.allclose(M.tr_star(mu, h), F.tr_star(mu, h), atol=1e-8)
+        assert np.allclose(M.a_star(h, psi), F.a_star(h, psi), atol=1e-8)
+        assert np.allclose(M.b_star(g, phi), F.b_star(g, phi), atol=1e-8)
+        assert np.allclose(M.g_star(g, nu), F.g_star(g, nu), atol=1e-8)
 
 
 @pytest.mark.parametrize("M", PAIRS, ids=lambda m: m.name)

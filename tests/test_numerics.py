@@ -58,6 +58,13 @@ def test_newton_singular_jacobian():
                      np.array([1.0, 1.0]))
 
 
+def test_newton_singular_jacobian_at_a_root():
+    # x0 already solves F, but the Jacobian there has rank one
+    with pytest.raises(SingularJacobian):
+        newton_solve(lambda x: np.array([x[0] ** 2 - 1.0, x[0] ** 2 - 1.0]),
+                     np.array([1.0, 0.0]))
+
+
 def test_newton_budget_exhausted():
     tol = Tolerances(newton_max_iter=2)
     with pytest.raises(NoConvergence):

@@ -220,6 +220,8 @@ def test_cli_usage_errors(tmp_path):
     assert main(["frobnicate"]) == 2
     assert main(["run"]) == 2
     assert main([]) == 2
+    assert main(["run", "sl2c", "--steps", "1"]) == 2
+    assert main(["run", "sl2c", "--tol", "-1"]) == 2
     bad = tmp_path / "bad.ini"
     bad.write_text("[scenario]\nid = sl2c\nsteps = nope\n")
     assert main(["run", "--config", str(bad)]) == 2
