@@ -34,7 +34,6 @@ def _build_parser():
 
     def add_config_flags(p):
         p.add_argument("--config", help="INI config file")
-        p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--steps", type=int, help="override the step count")
         p.add_argument("--out", help="override the output path")
         p.add_argument("--tol", type=float, help="override the tolerance")
@@ -71,8 +70,6 @@ def _load_config(args):
         config = ScenarioConfig(args.scenario)
     else:
         raise DomainError("either a scenario id or --config is required")
-    if args.seed is not None:
-        config.seed = args.seed
     if args.steps is not None:
         if args.steps < 2:
             raise DomainError("--steps must be >= 2")

@@ -10,6 +10,8 @@ sum.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .algebroid import (
@@ -79,17 +81,11 @@ class Trajectory:
         return iter(self.arrows)
 
 
+@dataclass
 class MomentumRecord:
-    def __init__(self, k, mu, nu=None):
-        self.k = k
-        self.mu = np.asarray(mu, dtype=float)
-        self.nu = None if nu is None else np.asarray(nu, dtype=float)
-
-    def __repr__(self):
-        if self.nu is None:
-            return "MomentumRecord(k=%d, mu=%s)" % (self.k, self.mu)
-        return "MomentumRecord(k=%d, mu=%s, nu=%s)" % (self.k, self.mu,
-                                                       self.nu)
+    k: int
+    mu: np.ndarray
+    nu: np.ndarray | None = None
 
 
 def action_sum(L: DiscreteLagrangian, traj: Trajectory):
@@ -183,7 +179,9 @@ def del_residual_matched_group(mp: MatchedPairGroup, L: DiscreteLagrangian,
     The degenerate forms drop the terms that vanish when one or both of the
     mutual actions are trivial; "generic" evaluates the full form with the
     finite-difference transposes of ``mp.generic()``; "fields" assembles the
-    same residual by pairing dL with the invariant vector fields instead.
+    same residual by pairing dL with the lift matrices of ``mp.groupoid``,
+    which differentiates the actions by finite differences, so for a pair
+    with closed induced actions (``Su2K``) it is a closed-vs-FD check.
     """
     return (_momentum_half(mp, L, uk, form, "left")
             - _momentum_half(mp, L, uk1, form, "right"))

@@ -6,10 +6,9 @@ row-major 3x3 matrices for SO(3), an angle for the circle group, and plain
 vectors for abelian R^n.  Dual spaces are identified with the algebra
 coordinates through the Euclidean dot product.
 
-Tangent lifts of translations and adjoint/coadjoint maps are available
-generically through finite differences of the smooth product extension
-(``mul_raw``); concrete groups override them with closed forms where those
-are cheap.
+Lift matrices of translations and adjoint/coadjoint maps are available
+generically through finite differences of the product; concrete groups
+override them with closed forms where those are cheap.
 """
 from __future__ import annotations
 
@@ -59,10 +58,6 @@ class Group:
 
     # -- overridable ---------------------------------------------------------
 
-    def mul_raw(self, a, b):
-        """Smooth extension of the product used for finite differencing."""
-        return self.mul(a, b)
-
     def check(self, g):
         """Raise DomainError if g is not a valid chart point."""
         _vec(g, self.coord_dim)
@@ -95,16 +90,6 @@ class Group:
 
     def pairing(self, mu, xi):
         return float(np.dot(_vec(mu, self.dim), _vec(xi, self.dim)))
-
-    def tangent_translation(self, side, g, at, v):
-        """Tangent lift of left/right translation by g applied to v at `at`."""
-        if side == "left":
-            curve = lambda t: self.mul_raw(g, at + t * v)
-        else:
-            curve = lambda t: self.mul_raw(at + t * v, g)
-        at = _vec(at, self.coord_dim)
-        v = _vec(v, self.coord_dim)
-        return fd_curve(curve)
 
     def lift_matrix(self, side, g):
         """coord_dim x dim matrix, column i = d/dt (g exp(t e_i)) (left) or
@@ -197,9 +182,6 @@ class SU2(Group):
         q = quat_mul(_vec(a, 4), _vec(b, 4))
         return q / np.linalg.norm(q)
 
-    def mul_raw(self, a, b):
-        return quat_mul(_vec(a, 4), _vec(b, 4))
-
     def inv(self, g):
         return quat_conj(_vec(g, 4))
 
@@ -287,11 +269,6 @@ class KGroup(Group):
     def mul(self, a, b):
         a = self.element(a)
         b = self.element(b)
-        return a * (1.0 + b[2]) + b
-
-    def mul_raw(self, a, b):
-        a = _vec(a, 3)
-        b = _vec(b, 3)
         return a * (1.0 + b[2]) + b
 
     def inv(self, g):

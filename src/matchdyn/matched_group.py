@@ -7,19 +7,22 @@ becomes a group under
 
     (g1, h1)(g2, h2) = (g1 (h1 |> g2), (h1 <| g2) h2).
 
-All derived objects (infinitesimal actions, dagger vector fields, their
-transposes, the algebra bracket, Ad, invariant vector fields) have generic
-finite-difference implementations on the base class; concrete pairs override
-them with closed forms where available.  ``generic()`` returns the same pair
-as a plain ``MatchedPairGroup``, whose operators are all the
-finite-difference ones, so closed forms can be checked against it.
+This is the matched-pair groupoid of the two groups seen as groupoids over a
+point, and ``MatchedPairGroup`` delegates to one: the product, the inverse,
+the lift matrices and the four induced infinitesimal actions (as matrices)
+come from ``self.groupoid``, which differentiates the actions by finite
+differences.  The transposes, the algebra bracket and Ad are derived here
+once from those four matrices; concrete pairs override only the matrices,
+with closed forms where available.  ``generic()`` returns the same pair as a
+plain ``MatchedPairGroup``, so closed forms can be checked against it.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import MatchedAxiomError
-from .groups import SO3, SU2, Abelian, Group, KGroup, quat_mul
+from .groupoids import GroupGroupoid, MatchedPairGroupoid
+from .groups import SO3, SU2, Abelian, Group, KGroup, hat3, quat_mul
 from .numerics import fd_curve
 
 
@@ -43,6 +46,8 @@ class MatchedPairGroup(Group):
             self.act_on_g = act_on_g
         if act_on_h is not None:
             self.act_on_h = act_on_h
+        self.groupoid = MatchedPairGroupoid(
+            GroupGroupoid(G), GroupGroupoid(H), self.act_on_g, self.act_on_h)
 
     # -- mutual actions (h |> g and h <| g) ----------------------------------
 
@@ -81,18 +86,10 @@ class MatchedPairGroup(Group):
         return u
 
     def mul(self, u1, u2):
-        g1, h1 = self.split(u1)
-        g2, h2 = self.split(u2)
-        return self.join(
-            self.G.mul(g1, self.act_on_g(h1, g2)),
-            self.H.mul(self.act_on_h(h1, g2), h2),
-        )
+        return self.groupoid.mul(u1, u2)
 
     def inv(self, u):
-        g, h = self.split(u)
-        gi = self.G.inv(g)
-        hi = self.H.inv(h)
-        return self.join(self.act_on_g(hi, gi), self.act_on_h(hi, gi))
+        return self.groupoid.inv(u)
 
     def exp(self, w):
         xi, eta = self.split_alg(self.algebra_vector(w))
@@ -120,56 +117,54 @@ class MatchedPairGroup(Group):
     def random(self, rng, sigma=0.5):
         return self.join(self.G.random(rng, sigma), self.H.random(rng, sigma))
 
-    # -- induced infinitesimal actions ---------------------------------------
+    # -- induced infinitesimal actions, as matrices ---------------------------
 
-    def act_alg_g(self, h, xi):
-        """h |> xi in the Lie algebra of G."""
-        xi = self.G.algebra_vector(xi)
-        v = fd_curve(lambda t: self.act_on_g(h, self.G.exp(t * xi)))
-        return self.G.tangent_to_algebra(v)
+    def act_alg_g(self, h):
+        """Matrix of xi -> h |> xi on the Lie algebra of G."""
+        return self.groupoid.act_on_fiber_g_matrix(h)
 
-    def dagger_h(self, h, xi):
-        """xi^dagger(h) = h <| xi, a tangent vector at h in H coordinates."""
-        xi = self.G.algebra_vector(xi)
-        return fd_curve(lambda t: self.act_on_h(h, self.G.exp(t * xi)))
+    def dagger_h(self, h):
+        """Matrix of xi -> xi^dagger(h) = h <| xi, a tangent vector at h in
+        H coordinates."""
+        return self.groupoid.dagger_on_h_matrix(h)
 
-    def dagger_g(self, eta, g):
-        """eta^dagger(g) = eta |> g, a tangent vector at g in G coordinates."""
-        eta = self.H.algebra_vector(eta)
-        return fd_curve(lambda t: self.act_on_g(self.H.exp(t * eta), g))
+    def dagger_g(self, g):
+        """Matrix of eta -> eta^dagger(g) = eta |> g, a tangent vector at g
+        in G coordinates.  The groupoid flows y_t^{-1} |> g, hence the
+        sign."""
+        return -self.groupoid.dagger_on_g_matrix(g)
 
-    def act_alg_h(self, eta, g):
-        """eta <| g in the Lie algebra of H."""
-        eta = self.H.algebra_vector(eta)
-        v = fd_curve(lambda t: self.act_on_h(self.H.exp(t * eta), g))
-        return self.H.tangent_to_algebra(v)
+    def act_alg_h(self, g):
+        """Matrix of eta -> eta <| g on the Lie algebra of H."""
+        return self.groupoid.act_on_fiber_h_matrix(g)
 
     def generic(self):
         """The same pair without closed-form overrides: every induced
         operator is the base-class finite-difference one."""
         return MatchedPairGroup(self.G, self.H, self.act_on_g, self.act_on_h)
 
+    def lift_matrix(self, side, u):
+        if side == "left":
+            return self.groupoid.left_lift(u)
+        return self.groupoid.right_lift(u)
+
     # -- transposes feeding the discrete momentum equations ------------------
 
     def tr_star(self, mu, h):
         """mu <|* h: transpose of xi -> h |> xi on the dual of Lie(G)."""
-        M = np.column_stack([self.act_alg_g(h, e) for e in np.eye(self.G.dim)])
-        return M.T @ np.asarray(mu, dtype=float)
+        return self.act_alg_g(h).T @ np.asarray(mu, dtype=float)
 
     def a_star(self, h, psi):
         """Transpose of xi -> xi^dagger(h); maps covectors at h to Lie(G)*."""
-        A = np.column_stack([self.dagger_h(h, e) for e in np.eye(self.G.dim)])
-        return A.T @ np.asarray(psi, dtype=float)
+        return self.dagger_h(h).T @ np.asarray(psi, dtype=float)
 
     def b_star(self, g, phi):
         """Transpose of eta -> eta^dagger(g); maps covectors at g to Lie(H)*."""
-        B = np.column_stack([self.dagger_g(e, g) for e in np.eye(self.H.dim)])
-        return B.T @ np.asarray(phi, dtype=float)
+        return self.dagger_g(g).T @ np.asarray(phi, dtype=float)
 
     def g_star(self, g, nu):
         """g |>* nu: transpose of eta -> eta <| g on the dual of Lie(H)."""
-        N = np.column_stack([self.act_alg_h(e, g) for e in np.eye(self.H.dim)])
-        return N.T @ np.asarray(nu, dtype=float)
+        return self.act_alg_h(g).T @ np.asarray(nu, dtype=float)
 
     # -- algebra bracket and adjoint action ----------------------------------
 
@@ -188,13 +183,13 @@ class MatchedPairGroup(Group):
         """eta |> xi: derivative of h |> xi along h = exp(t eta)."""
         xi = self.G.algebra_vector(xi)
         eta = self.H.algebra_vector(eta)
-        return fd_curve(lambda t: self.act_alg_g(self.H.exp(t * eta), xi))
+        return fd_curve(lambda t: self.act_alg_g(self.H.exp(t * eta)) @ xi)
 
     def act_alg_h_from_xi(self, eta, xi):
         """eta <| xi: derivative of eta <| g along g = exp(t xi)."""
         xi = self.G.algebra_vector(xi)
         eta = self.H.algebra_vector(eta)
-        return fd_curve(lambda t: self.act_alg_h(eta, self.G.exp(t * xi)))
+        return fd_curve(lambda t: self.act_alg_h(self.G.exp(t * xi)) @ eta)
 
     def Ad(self, u, w):
         return self.Ad_of_inverse(self.inv(u), w)
@@ -202,47 +197,21 @@ class MatchedPairGroup(Group):
     def Ad_of_inverse(self, u, w):
         """Ad at the inverse of u, assembled from the component groups:
         the G part is h^-1 |> zeta and the H part combines the dagger field
-        of zeta at h^-1 with Ad_{h^-1}(eta <| g), where
-        zeta = Ad_{g^-1}(xi) + TL_{g^-1}(eta |> g)."""
+        of zeta at h^-1, right-trivialised, with Ad_{h^-1}(eta <| g), where
+        zeta = Ad_{g^-1}(xi) + the left-trivialised eta^dagger(g)."""
         g, h = self.split(u)
         xi, eta = self.split_alg(self.algebra_vector(w))
-        ginv = self.G.inv(g)
         hinv = self.H.inv(h)
-        dg = self.dagger_g(eta, g)
-        zeta = self.G.Ad(ginv, xi) + self.G.tangent_to_algebra(
-            self.G.tangent_translation("left", ginv, g, dg)
-        )
-        part_g = self.act_alg_g(hinv, zeta)
-        v = self.dagger_h(hinv, zeta)
-        part_h = self.H.tangent_to_algebra(
-            self.H.tangent_translation("right", h, hinv, v)
-        ) + self.H.Ad(hinv, self.act_alg_h(eta, g))
-        return self.join_alg(part_g, part_h)
+        zeta = self.G.Ad(self.G.inv(g), xi) + np.linalg.lstsq(
+            self.G.lift_matrix("left", g), self.dagger_g(g) @ eta,
+            rcond=None)[0]
+        part_h = np.linalg.lstsq(self.H.lift_matrix("right", hinv),
+                                 self.dagger_h(hinv) @ zeta, rcond=None)[0]
+        part_h = part_h + self.H.Ad(hinv, self.act_alg_h(g) @ eta)
+        return self.join_alg(self.act_alg_g(hinv) @ zeta, part_h)
 
     def Ad_generic(self, u, w):
         return Group.Ad(self, u, w)
-
-    # -- invariant vector fields ---------------------------------------------
-
-    def left_field(self, u, w):
-        """Value at u of the left-invariant field generated by w."""
-        g, h = self.split(u)
-        xi, eta = self.split_alg(self.algebra_vector(w))
-        vg = self.G.lift_matrix("left", g) @ self.act_alg_g(h, xi)
-        vh = self.dagger_h(h, xi) + self.H.lift_matrix("left", h) @ eta
-        return np.concatenate([vg, vh])
-
-    def right_field(self, u, w):
-        """Value at u of the right-invariant field generated by w."""
-        g, h = self.split(u)
-        xi, eta = self.split_alg(self.algebra_vector(w))
-        vg = self.G.lift_matrix("right", g) @ xi + self.dagger_g(eta, g)
-        vh = self.H.lift_matrix("right", h) @ self.act_alg_h(eta, g)
-        return np.concatenate([vg, vh])
-
-    def lift_matrix(self, side, u):
-        field = self.left_field if side == "left" else self.right_field
-        return np.column_stack([field(u, e) for e in np.eye(self.dim)])
 
     # -- compatibility checks ------------------------------------------------
 
@@ -329,8 +298,8 @@ class Su2K(MatchedPairGroup):
 
     Every product B * A of a triangular factor and a unitary factor
     refactorizes as (B |> A)(B <| A); those two maps are the mutual actions.
-    All induced operators carry closed forms; the generic finite-difference
-    versions remain available for cross-checking.
+    The four induced-action matrices carry closed forms; ``lift_matrix``
+    and ``generic()`` use the finite-difference ones, for cross-checking.
     """
 
     def __init__(self):
@@ -385,42 +354,26 @@ class Su2K(MatchedPairGroup):
 
     # -- closed-form infinitesimal actions -----------------------------------
 
-    def act_alg_g(self, h, xi):
+    def act_alg_g(self, h):
         # B |> X = mat3(B) X
-        return self.H.mat3(h) @ self.G.algebra_vector(xi)
+        return self.H.mat3(h)
 
-    def dagger_h(self, h, xi):
+    def dagger_h(self, h):
         # X^dagger(B) = T r_B (B~ x (B |> X)), with T r_B = (1+c) Id in the
         # (a, b, c) chart
         c = self.H.element(h)[2]
-        return (1.0 + c) * np.cross(self._b_tilde(h), self.act_alg_g(h, xi))
+        return (1.0 + c) * hat3(self._b_tilde(h)) @ self.H.mat3(h)
 
-    def dagger_g(self, eta, g):
-        # Y^dagger(A) = T r_A (Y x (Ad_A e3 - e3)) as a quaternion tangent
-        w = np.cross(self.H.algebra_vector(eta),
-                     self.G.rot_of(g) @ E3 - E3)
-        return quat_mul(np.concatenate(([0.0], 0.5 * w)), g)
+    def dagger_g(self, g):
+        # Y^dagger(A) = T r_A (Y x (Ad_A e3 - e3)); column i of T r_A is the
+        # quaternion (0, e_i / 2) A
+        right = np.column_stack([quat_mul(np.concatenate(([0.0], 0.5 * e)), g)
+                                 for e in np.eye(3)])
+        return right @ -hat3(self.G.rot_of(g) @ E3 - E3)
 
-    def act_alg_h(self, eta, g):
+    def act_alg_h(self, g):
         # Y <| A = rot_of(A)^T Y
-        return self.G.rot_of(g).T @ self.H.algebra_vector(eta)
-
-    # -- closed-form transposes ----------------------------------------------
-
-    def tr_star(self, mu, h):
-        return self.H.mat3(h).T @ np.asarray(mu, dtype=float)
-
-    def a_star(self, h, psi):
-        c = self.H.element(h)[2]
-        return self.H.mat3(h).T @ np.cross(
-            (1.0 + c) * np.asarray(psi, dtype=float), self._b_tilde(h))
-
-    def b_star(self, g, phi):
-        return np.cross(self.G.rot_of(g) @ E3 - E3,
-                        self.G.cotangent_to_algebra("right", g, phi))
-
-    def g_star(self, g, nu):
-        return self.G.rot_of(g) @ np.asarray(nu, dtype=float)
+        return self.G.rot_of(g).T
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import json
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,9 +39,9 @@ SCENARIOS = ("trivial_groupoid", "sl2c")
 
 class ScenarioConfig:
     """Flat scenario description: which system, which built-in Lagrangian
-    with which parameters, initial data, step count, seed, tolerance."""
+    with which parameters, initial data, step count, tolerance."""
 
-    def __init__(self, scenario, steps=10, seed=0, tol=1e-10, out=None,
+    def __init__(self, scenario, steps=10, tol=1e-10, out=None,
                  lagrangian=None, params=None, initial=None):
         if scenario not in SCENARIOS:
             raise DomainError("unknown scenario %r (expected one of %s)"
@@ -51,7 +52,6 @@ class ScenarioConfig:
             raise DomainError("tol must be positive")
         self.scenario = scenario
         self.steps = int(steps)
-        self.seed = int(seed)
         self.tol = float(tol)
         self.out = out
         self.lagrangian = lagrangian or ("spring" if scenario ==
@@ -72,7 +72,6 @@ class ScenarioConfig:
         try:
             scenario = sec.get("id")
             steps = sec.getint("steps", 10)
-            seed = sec.getint("seed", 0)
             tol = sec.getfloat("tol", 1e-10)
             out = sec.get("out", None)
         except ValueError as exc:
@@ -98,14 +97,13 @@ class ScenarioConfig:
             except ValueError:
                 raise DomainError("config %s: [initial] coords must be "
                                   "whitespace-separated numbers" % path)
-        return cls(scenario, steps=steps, seed=seed, tol=tol, out=out,
+        return cls(scenario, steps=steps, tol=tol, out=out,
                    lagrangian=lagrangian, params=params, initial=initial)
 
     def to_comment_lines(self):
         lines = [
             "scenario=%s" % self.scenario,
             "steps=%d" % self.steps,
-            "seed=%d" % self.seed,
             "tol=" + FMT % self.tol,
             "lagrangian=%s" % self.lagrangian,
         ]
@@ -128,29 +126,26 @@ class ScenarioConfig:
         if "initial" in kv:
             initial = [float(t) for t in kv["initial"].split()]
         return cls(kv["scenario"], steps=int(kv.get("steps", 10)),
-                   seed=int(kv.get("seed", 0)),
                    tol=float(kv.get("tol", 1e-10)),
                    lagrangian=kv.get("lagrangian"), params=params,
                    initial=initial)
 
 
+@dataclass
 class RunReport:
     """Numbers recomputed from the emitted trajectory, plus wall-clock."""
 
-    def __init__(self, scenario, residual_norms, oracle_max=None,
-                 momentum_defect=None, correspondence_gap=None,
-                 formula_gap=None, wall_clock=None):
-        self.scenario = scenario
-        self.residual_norms = [float(r) for r in residual_norms]
-        self.oracle_max = oracle_max
-        self.momentum_defect = momentum_defect
-        self.correspondence_gap = correspondence_gap
-        self.formula_gap = formula_gap
-        self.wall_clock = wall_clock
+    scenario: str
+    residual_norms: list
+    oracle_max: float | None = None
+    momentum_defect: float | None = None
+    correspondence_gap: float | None = None
+    formula_gap: float | None = None
+    wall_clock: float | None = None
 
     def as_dict(self):
         d = {"scenario": self.scenario,
-             "residual_norms": self.residual_norms}
+             "residual_norms": [float(r) for r in self.residual_norms]}
         for key in ("oracle_max", "momentum_defect", "correspondence_gap",
                     "formula_gap", "wall_clock"):
             val = getattr(self, key)

@@ -257,20 +257,31 @@ def test_matched_fields_at_unit():
 
 
 def test_matched_fields_reduce_to_group_fields():
+    # the matched groupoid over a point differentiates the actions by finite
+    # differences; the group fields here are assembled from Su2K's closed
+    # induced-action matrices
     mp = Su2K()
-    Gd = GroupGroupoid(mp.G)
-    Hd = GroupGroupoid(mp.H)
+    G, H = mp.G, mp.H
+    Gd = GroupGroupoid(G)
+    Hd = GroupGroupoid(H)
     md = MatchedPairGroupoid(Gd, Hd, act_on_g=mp.act_on_g,
                              act_on_h=mp.act_on_h)
     rng = np.random.default_rng(4)
     for _ in range(5):
         u = mp.random(rng)
         w = mp.random_algebra(rng)
+        g, h = mp.split(u)
+        xi, eta = mp.split_alg(w)
+        left = np.concatenate([
+            G.lift_matrix("left", g) @ mp.act_alg_g(h) @ xi,
+            mp.dagger_h(h) @ xi + H.lift_matrix("left", h) @ eta])
+        right = np.concatenate([
+            G.lift_matrix("right", g) @ xi + mp.dagger_g(g) @ eta,
+            H.lift_matrix("right", h) @ mp.act_alg_h(g) @ eta])
         U = AlgebroidVector(md, np.zeros(0), w)
-        assert np.allclose(matched_left_invariant(md, U, u),
-                           mp.left_field(u, w), atol=1e-6)
-        assert np.allclose(matched_right_invariant(md, U, u),
-                           mp.right_field(u, w), atol=1e-6)
+        assert np.allclose(matched_left_invariant(md, U, u), left, atol=1e-6)
+        assert np.allclose(matched_right_invariant(md, U, u), right,
+                           atol=1e-6)
 
 
 # -- trivial-groupoid correspondence ----------------------------------------

@@ -12,6 +12,7 @@ from matchdyn.dynamics import (
     del_residual_matched_group,
     del_step,
     del_step_matched_group,
+    _momentum_half,
     matched_group_momenta,
     momentum_evolution,
     oracle_directional,
@@ -25,7 +26,7 @@ from matchdyn.groupoids import (
     MatchedPairGroupoid,
     default_trivial_decomposition,
 )
-from matchdyn.groups import SO3, SU2, Circle
+from matchdyn.groups import SO3, SU2, Circle, Group
 from matchdyn.matched_group import (
     Su2K,
     both_trivial_pair,
@@ -223,6 +224,24 @@ def test_matched_group_residual_one_gradient_per_arrow():
     del_residual_matched_group(mp, L, mp.random(rng), mp.random(rng),
                                form="full")
     assert len(points) == 2
+
+
+def test_su2k_outgoing_half_builds_two_lift_matrices(monkeypatch):
+    # mu and nu need the SU(2) and K right lifts at u; the closed b* needs
+    # no third one
+    built = []
+    lift_matrix = Group.lift_matrix
+
+    def counted(self, side, g):
+        built.append((self.name, side))
+        return lift_matrix(self, side, g)
+
+    monkeypatch.setattr(Group, "lift_matrix", counted)
+    rng = np.random.default_rng(33)
+    mp = Su2K()
+    L = smooth_lagrangian(mp.coord_dim, rng)
+    _momentum_half(mp, L, mp.random(rng), "full", "right")
+    assert built == [("su2", "right"), ("k", "right")]
 
 
 def test_matched_group_step_evaluates_incoming_half_once():

@@ -90,10 +90,10 @@ def test_su2k_closed_infinitesimal_actions():
         h = M.H.random(RNG)
         xi = M.G.random_algebra(RNG)
         eta = M.H.random_algebra(RNG)
-        assert np.allclose(M.act_alg_g(h, xi), F.act_alg_g(h, xi), atol=1e-8)
-        assert np.allclose(M.dagger_h(h, xi), F.dagger_h(h, xi), atol=1e-8)
-        assert np.allclose(M.dagger_g(eta, g), F.dagger_g(eta, g), atol=1e-8)
-        assert np.allclose(M.act_alg_h(eta, g), F.act_alg_h(eta, g), atol=1e-8)
+        assert np.allclose(M.act_alg_g(h) @ xi, F.act_alg_g(h) @ xi, atol=1e-8)
+        assert np.allclose(M.dagger_h(h) @ xi, F.dagger_h(h) @ xi, atol=1e-8)
+        assert np.allclose(M.dagger_g(g) @ eta, F.dagger_g(g) @ eta, atol=1e-8)
+        assert np.allclose(M.act_alg_h(g) @ eta, F.act_alg_h(g) @ eta, atol=1e-8)
 
 
 def test_su2k_closed_transposes():
@@ -123,10 +123,10 @@ def test_transpose_duality(M):
         nu = RNG.standard_normal(M.H.dim)
         phi = RNG.standard_normal(M.G.coord_dim)
         psi = RNG.standard_normal(M.H.coord_dim)
-        assert abs(float(mu @ M.act_alg_g(h, xi)) - float(M.tr_star(mu, h) @ xi)) < 1e-8
-        assert abs(float(psi @ M.dagger_h(h, xi)) - float(M.a_star(h, psi) @ xi)) < 1e-8
-        assert abs(float(phi @ M.dagger_g(eta, g)) - float(M.b_star(g, phi) @ eta)) < 1e-8
-        assert abs(float(nu @ M.act_alg_h(eta, g)) - float(M.g_star(g, nu) @ eta)) < 1e-8
+        assert abs(float(mu @ M.act_alg_g(h) @ xi) - float(M.tr_star(mu, h) @ xi)) < 1e-8
+        assert abs(float(psi @ M.dagger_h(h) @ xi) - float(M.a_star(h, psi) @ xi)) < 1e-8
+        assert abs(float(phi @ M.dagger_g(g) @ eta) - float(M.b_star(g, phi) @ eta)) < 1e-8
+        assert abs(float(nu @ M.act_alg_h(g) @ eta) - float(M.g_star(g, nu) @ eta)) < 1e-8
 
 
 @pytest.mark.parametrize("M", PAIRS, ids=lambda m: m.name)
@@ -159,19 +159,21 @@ def test_invariant_fields_translate_correctly(M):
         v = M.random(RNG)
         w = M.random_algebra(RNG)
         J = fd_jacobian(lambda x: M.mul(v, x), u)
-        assert np.allclose(J @ M.left_field(u, w), M.left_field(M.mul(v, u), w),
-                           atol=5e-5)
+        assert np.allclose(J @ M.lift_matrix("left", u) @ w,
+                           M.lift_matrix("left", M.mul(v, u)) @ w, atol=5e-5)
         J = fd_jacobian(lambda x: M.mul(x, v), u)
-        assert np.allclose(J @ M.right_field(u, w),
-                           M.right_field(M.mul(u, v), w), atol=5e-5)
+        assert np.allclose(J @ M.lift_matrix("right", u) @ w,
+                           M.lift_matrix("right", M.mul(u, v)) @ w, atol=5e-5)
 
 
 @pytest.mark.parametrize("M", PAIRS, ids=lambda m: m.name)
 def test_fields_at_identity_equal_generator(M):
     w = M.random_algebra(RNG)
     e = M.identity()
-    assert np.allclose(M.tangent_to_algebra(M.left_field(e, w)), w, atol=1e-7)
-    assert np.allclose(M.tangent_to_algebra(M.right_field(e, w)), w, atol=1e-7)
+    assert np.allclose(M.tangent_to_algebra(M.lift_matrix("left", e) @ w), w,
+                       atol=1e-7)
+    assert np.allclose(M.tangent_to_algebra(M.lift_matrix("right", e) @ w), w,
+                       atol=1e-7)
 
 
 def test_degenerate_pairs_reduce_to_known_products():

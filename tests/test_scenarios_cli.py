@@ -30,7 +30,7 @@ def test_config_from_ini(tmp_path):
                  "coords = 0.1 0 0 0 0.05 0\n")
     cfg = ScenarioConfig.from_ini(str(p))
     assert cfg.scenario == "sl2c"
-    assert cfg.steps == 7 and cfg.seed == 3 and cfg.tol == 1e-11
+    assert cfg.steps == 7 and cfg.tol == 1e-11
     assert cfg.out == "x.csv"
     assert cfg.params == {"coupling": 0.2, "ig1": 2.0}
     assert np.allclose(cfg.initial, [0.1, 0, 0, 0, 0.05, 0])
@@ -55,12 +55,12 @@ def test_config_bad_file(tmp_path):
 
 
 def test_config_comment_roundtrip():
-    cfg = ScenarioConfig("trivial_groupoid", steps=5, seed=9, tol=1e-9,
+    cfg = ScenarioConfig("trivial_groupoid", steps=5, tol=1e-9,
                          params={"k_pos": 2.0},
                          initial=[0.1, 0.2, 0.3, 0.4, 0.5])
     back = ScenarioConfig.from_comment_lines(cfg.to_comment_lines())
     assert back.scenario == cfg.scenario
-    assert back.steps == cfg.steps and back.seed == cfg.seed
+    assert back.steps == cfg.steps
     assert back.tol == cfg.tol
     assert back.params == cfg.params
     assert np.array_equal(back.initial, cfg.initial)
@@ -149,14 +149,20 @@ def test_run_sl2c_formula_mismatch_is_fatal(monkeypatch):
 # -- trajectory files -------------------------------------------------------
 
 def test_csv_roundtrip(tmp_path):
-    cfg = ScenarioConfig("sl2c", steps=4, seed=5)
+    cfg = ScenarioConfig("sl2c", steps=4)
     report, header, rows = run_sl2c(cfg)
     p = tmp_path / "t.csv"
     write_trajectory_csv(str(p), cfg, header, rows)
-    cfg2, header2, rows2 = read_trajectory_csv(str(p))
-    assert cfg2.scenario == "sl2c" and cfg2.steps == 4 and cfg2.seed == 5
-    assert header2 == header
-    assert np.array_equal(np.array(rows2), np.array(rows))
+    # files written before the seed field was dropped still load
+    old = tmp_path / "old.csv"
+    old.write_text(p.read_text().replace("# steps=4\n",
+                                         "# steps=4\n# seed=5\n"))
+    assert "# seed=5\n" in old.read_text()
+    for path in (p, old):
+        cfg2, header2, rows2 = read_trajectory_csv(str(path))
+        assert cfg2.scenario == "sl2c" and cfg2.steps == 4
+        assert header2 == header
+        assert np.array_equal(np.array(rows2), np.array(rows))
 
 
 def test_check_residual_file_detects_corruption(tmp_path):
@@ -222,6 +228,8 @@ def test_cli_usage_errors(tmp_path):
     assert main([]) == 2
     assert main(["run", "sl2c", "--steps", "1"]) == 2
     assert main(["run", "sl2c", "--tol", "-1"]) == 2
+    assert main(["run", "sl2c", "--seed", "3", "--out",
+                 str(tmp_path / "s.csv")]) == 2
     bad = tmp_path / "bad.ini"
     bad.write_text("[scenario]\nid = sl2c\nsteps = nope\n")
     assert main(["run", "--config", str(bad)]) == 2
