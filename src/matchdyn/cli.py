@@ -6,7 +6,7 @@ Subcommands:
   check residual re-verify an emitted trajectory file
   export         run a scenario and write the report as JSON
 
-Exit codes: 0 pass, 1 verification failure, 2 usage or config error.
+Exit codes: 0 pass, 1 verification or solver failure, 2 usage or config error.
 """
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ import sys
 
 from .errors import DomainError, MatchdynError
 from .scenarios import (
-    RunReport,
     ScenarioConfig,
     SCENARIOS,
     check_residual_file,

@@ -23,7 +23,8 @@ from .algebroid import (
     left_invariant,
     right_invariant,
 )
-from .errors import NoConvergence, NotComposable, TagError
+from .errors import (DomainError, EvaluationError, NoConvergence,
+                     NotComposable, TagError)
 from .groupoids import (
     COMPOSE_TOL,
     ActionGroupoid,
@@ -161,8 +162,8 @@ def matched_group_momenta(mp: MatchedPairGroup, L: DiscreteLagrangian, u):
 
 def _momenta(mp, u, d):
     g, h = mp.split(u)
-    return (mp.G.cotangent_to_algebra("right", g, d[: mp.G.coord_dim]),
-            mp.H.cotangent_to_algebra("right", h, d[mp.G.coord_dim:]))
+    return (mp.G.lift_matrix("right", g).T @ d[: mp.G.coord_dim],
+            mp.H.lift_matrix("right", h).T @ d[mp.G.coord_dim:])
 
 
 def del_residual_matched_group(mp: MatchedPairGroup, L: DiscreteLagrangian,
@@ -227,10 +228,16 @@ def _matched_group_fields_residual(mp, L, u, side):
 # ---------------------------------------------------------------------------
 
 def _junction_solve(incoming, outgoing, chart, z0, tol: Tolerances):
-    """Newton solve of incoming - outgoing(chart(z)) = 0; returns chart(z).
-    The incoming half is fixed for the whole solve."""
-    z = newton_solve(lambda z: incoming - outgoing(chart(z)), z0, tol)
-    return chart(np.atleast_1d(z))
+    """Newton solve of incoming() - outgoing(chart(z)) = 0; returns chart(z).
+    The incoming half is evaluated once, for the whole solve.  A solve that
+    leaves a chart or overflows anywhere is a solver failure."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            fixed = incoming()
+            z = newton_solve(lambda z: fixed - outgoing(chart(z)), z0, tol)
+            return chart(np.atleast_1d(z))
+    except (DomainError, EvaluationError, FloatingPointError) as exc:
+        raise NoConvergence("junction solve failed: %s" % exc)
 
 
 def del_step(desc: Groupoid, L: DiscreteLagrangian, gk, guess=None,
@@ -242,7 +249,7 @@ def del_step(desc: Groupoid, L: DiscreteLagrangian, gk, guess=None,
     b = desc.beta(gk)
     z0 = desc.arrow_coords(gk if guess is None else desc.check(guess))
     return _junction_solve(
-        desc.left_lift(gk).T @ L.gradient(gk),
+        lambda: desc.left_lift(gk).T @ L.gradient(gk),
         lambda g: desc.right_lift(g).T @ L.gradient(g),
         lambda z: desc.fiber_elem(b, z), z0, tol)
 
@@ -274,7 +281,7 @@ def del_step_matched_group(mp: MatchedPairGroup, L: DiscreteLagrangian, uk,
     uk = mp.check(uk)
     z0 = mp.log(uk if guess is None else mp.check(guess))
     return _junction_solve(
-        _momentum_half(mp, L, uk, form, "left"),
+        lambda: _momentum_half(mp, L, uk, form, "left"),
         lambda u: _momentum_half(mp, L, u, form, "right"), mp.exp, z0, tol)
 
 
@@ -299,37 +306,25 @@ def momentum_evolution(desc, L: DiscreteLagrangian, traj: Trajectory):
     """Momentum records mu_k along a trajectory and the maximum defect of the
     transport recursion mu_{k+1} = Ad*-transport of mu_k (+ forcing on an
     action groupoid)."""
+    # the group part of an arrow starts at `offset`
     if isinstance(desc, GroupGroupoid):
-        G = desc.G
-        records = []
-        for k, g in enumerate(traj.arrows):
-            d = L.gradient(g)
-            records.append(MomentumRecord(k, G.cotangent_to_algebra(
-                "right", g, d)))
-        defect = 0.0
-        for k in range(len(records) - 1):
-            gap = records[k + 1].mu - G.coAd(traj.arrows[k], records[k].mu)
-            defect = max(defect, float(np.max(np.abs(gap))))
-        return records, defect
-    if isinstance(desc, ActionGroupoid):
-        G = desc.G
-        records = []
-        for k, x in enumerate(traj.arrows):
-            _, g = desc.split(x)
-            d = L.gradient(x)
-            records.append(MomentumRecord(k, G.cotangent_to_algebra(
-                "right", g, d[desc.M.dim:])))
-        defect = 0.0
-        for k in range(len(records) - 1):
-            forcing = _orbit_forcing(desc, L, traj.arrows[k],
-                                     traj.arrows[k + 1])
-            gap = (records[k + 1].mu
-                   - G.coAd(desc.split(traj.arrows[k])[1], records[k].mu)
-                   - forcing)
-            defect = max(defect, float(np.max(np.abs(gap))))
-        return records, defect
-    raise TagError("momentum evolution needs a group or action-groupoid "
-                   "descriptor, got %s" % desc.name)
+        offset, forcing = 0, lambda xk, xk1: 0.0
+    elif isinstance(desc, ActionGroupoid):
+        offset = desc.M.dim
+        forcing = lambda xk, xk1: _orbit_forcing(desc, L, xk, xk1)
+    else:
+        raise TagError("momentum evolution needs a group or action-groupoid "
+                       "descriptor, got %s" % desc.name)
+    G, arrows = desc.G, traj.arrows
+    records = [MomentumRecord(k, G.lift_matrix("right", x[offset:]).T
+                              @ L.gradient(x)[offset:])
+               for k, x in enumerate(arrows)]
+    defect = 0.0
+    for k in range(len(records) - 1):
+        gap = (records[k + 1].mu - G.coAd(arrows[k][offset:], records[k].mu)
+               - forcing(arrows[k], arrows[k + 1]))
+        defect = max(defect, float(np.max(np.abs(gap))))
+    return records, defect
 
 
 def _orbit_forcing(desc: ActionGroupoid, L, xk, xk1):

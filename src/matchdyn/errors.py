@@ -26,7 +26,7 @@ class SingularJacobian(MatchdynError):
 
 
 class NoConvergence(MatchdynError):
-    """Newton iteration budget exhausted."""
+    """Newton solve failed: budget exhausted or a state left its chart."""
 
     def __init__(self, msg, residual_norm=None):
         super().__init__(msg)

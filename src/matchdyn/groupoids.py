@@ -6,7 +6,8 @@ An arrow is a flat numpy array; each descriptor knows how to read it.  Every
 descriptor also carries a fiber chart: ``fiber_elem(b, z)`` parameterizes the
 arrows with source b near the unit arrow, with ``fiber_elem(b, 0)`` the unit
 and ``d/dz`` spanning the kernel of the source map's tangent.  That chart is
-what solvers differentiate and solve over.
+what solvers differentiate and solve over; its inverse ``arrow_coords`` is
+how a curve in a source fiber is read back in fiber coordinates.
 
 Each descriptor also owns its lift matrices: ``left_lift(g)`` and
 ``right_lift(g)`` are arrow_dim x fiber_dim, with column i the left / right
@@ -108,13 +109,6 @@ class Groupoid:
         """arrow_dim x fiber_dim matrix spanning A_b = ker T alpha at eps(b)."""
         return fd_curve_columns(lambda z: self.fiber_elem(b, z),
                                 self.fiber_dim)
-
-    def fiber_coords(self, b, v):
-        """Fiber-chart coordinates of an ambient tangent vector at eps(b), or
-        of each column of a matrix of them."""
-        E = self.fiber_tangent_matrix(b)
-        sol, *_ = np.linalg.lstsq(E, np.asarray(v, dtype=float), rcond=None)
-        return sol
 
     def random_base(self, rng, sigma=1.0):
         return self.base.random(rng, sigma)
@@ -446,10 +440,11 @@ class MatchedPairGroupoid(Groupoid):
     # -- induced infinitesimal actions, as matrices on the factor fibers -----
 
     def act_on_fiber_g_matrix(self, h):
-        """X -> h |> X: G-fiber at beta(h) to G-fiber at alpha(h)."""
+        """X -> h |> X: G-fiber at beta(h) to G-fiber at alpha(h), read by
+        arrow_coords (axiom i keeps the curve in that source fiber)."""
         b, n = self.Hd.beta(h), self.Gd.fiber_dim
-        return self.Gd.fiber_coords(self.Hd.alpha(h), fd_curve_columns(
-            lambda z: self.act_on_g(h, self.Gd.fiber_elem(b, z)), n))
+        return fd_curve_columns(lambda z: self.Gd.arrow_coords(
+            self.act_on_g(h, self.Gd.fiber_elem(b, z))), n)
 
     def dagger_on_h_matrix(self, h):
         """X -> X^dagger(h): G-fiber at beta(h) to tangent vectors at h."""
@@ -466,11 +461,10 @@ class MatchedPairGroupoid(Groupoid):
 
     def act_on_fiber_h_matrix(self, g):
         """Y -> Y <| g = d/dt (y_t^{-1} <| g)^{-1}: H-fiber at alpha(g) to
-        H-fiber at beta(g)."""
+        H-fiber at beta(g), read by arrow_coords (axiom iv)."""
         b, n = self.Gd.alpha(g), self.Hd.fiber_dim
-        return self.Hd.fiber_coords(self.Gd.beta(g), fd_curve_columns(
-            lambda z: self.Hd.inv(self.act_on_h(
-                self.Hd.inv(self.Hd.fiber_elem(b, z)), g)), n))
+        return fd_curve_columns(lambda z: self.Hd.arrow_coords(self.Hd.inv(
+            self.act_on_h(self.Hd.inv(self.Hd.fiber_elem(b, z)), g))), n)
 
     def left_lift(self, x):
         """(X, Y) at beta(h) -> (left of (h |> X) at g,

@@ -6,16 +6,18 @@ row-major 3x3 matrices for SO(3), an angle for the circle group, and plain
 vectors for abelian R^n.  Dual spaces are identified with the algebra
 coordinates through the Euclidean dot product.
 
-Lift matrices of translations and adjoint/coadjoint maps are available
-generically through finite differences of the product; concrete groups
-override them with closed forms where those are cheap.
+Lift matrices of translations and the adjoint map are available generically
+through finite differences of the product; the generic Ad reads its curve in
+algebra coordinates through ``log``, the chart inverse.  No group overrides
+``lift_matrix``; the groups here override ``Ad`` with closed forms, and the
+generic one serves the matched-pair groups.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import DomainError, TagError
-from .numerics import DEFAULT_FD_STEP, fd_curve, fd_curve_columns
+from .numerics import fd_curve, fd_curve_columns
 # unused; bench/test_bench.py::test_install_and_uninstall_wrappers wraps it
 from .numerics import fd_jacobian  # noqa: F401
 
@@ -62,15 +64,12 @@ class Group:
         """Raise DomainError if g is not a valid chart point."""
         _vec(g, self.coord_dim)
 
-    def algebra_tangent_matrix(self):
-        """coord_dim x dim matrix whose columns are d/dt exp(t e_i) at t=0."""
-        return fd_curve_columns(self.exp, self.dim)
-
     def Ad(self, g, xi):
+        """d/dt log(g exp(t xi) g^-1) at t=0; log is the chart inverse."""
         xi = self.algebra_vector(xi)
         ginv = self.inv(g)
-        curve = lambda t: self.mul(self.mul(g, self.exp(t * xi)), ginv)
-        return self.tangent_to_algebra(fd_curve(curve))
+        return fd_curve(lambda t: self.log(
+            self.mul(self.mul(g, self.exp(t * xi)), ginv)))
 
     # -- derived helpers -----------------------------------------------------
 
@@ -82,12 +81,6 @@ class Group:
         self.check(g)
         return g
 
-    def tangent_to_algebra(self, v):
-        """Coordinates of an ambient tangent vector at the identity."""
-        E = self.algebra_tangent_matrix()
-        sol, *_ = np.linalg.lstsq(E, _vec(v, self.coord_dim), rcond=None)
-        return sol
-
     def pairing(self, mu, xi):
         return float(np.dot(_vec(mu, self.dim), _vec(xi, self.dim)))
 
@@ -98,11 +91,6 @@ class Group:
             return fd_curve_columns(lambda xi: self.mul(g, self.exp(xi)),
                                     self.dim)
         return fd_curve_columns(lambda xi: self.mul(self.exp(xi), g), self.dim)
-
-    def cotangent_to_algebra(self, side, g, mu):
-        """Pull an ambient covector at g back to the algebra dual: the
-        transpose of the translation lift from the identity."""
-        return self.lift_matrix(side, g).T @ _vec(mu, self.coord_dim)
 
     def Ad_matrix(self, g):
         return np.column_stack([self.Ad(g, e) for e in np.eye(self.dim)])
@@ -211,12 +199,6 @@ class SU2(Group):
         # ad*_X(Phi) = X x Phi on su(2)* ~ R^3
         return np.cross(self.algebra_vector(xi), _vec(mu, 3))
 
-    def algebra_tangent_matrix(self):
-        return np.vstack([np.zeros(3), 0.5 * np.eye(3)])
-
-    def tangent_to_algebra(self, v):
-        return 2.0 * _vec(v, 4)[1:]
-
     def rot_of(self, g):
         self.check(g)
         return rotation_matrix_of_quaternion(_vec(g, 4))
@@ -301,12 +283,6 @@ class KGroup(Group):
         Psi = _vec(mu, 3)
         k = np.array([0.0, 0.0, 1.0])
         return Y[2] * Psi - float(Psi @ Y) * k
-
-    def algebra_tangent_matrix(self):
-        return np.eye(3)
-
-    def tangent_to_algebra(self, v):
-        return _vec(v, 3)
 
     def mat3(self, g):
         a, b, c = self.element(g)
@@ -431,9 +407,6 @@ class SO3(Group):
     def Ad(self, g, xi):
         return _vec(g, 9).reshape(3, 3) @ self.algebra_vector(xi)
 
-    def algebra_tangent_matrix(self):
-        return np.column_stack([hat3(e).ravel() for e in np.eye(3)])
-
 
 class Circle(Group):
     """The circle group in its angle chart (kept on the real line)."""
@@ -462,9 +435,6 @@ class Circle(Group):
 
     def Ad(self, g, xi):
         return self.algebra_vector(xi).copy()
-
-    def algebra_tangent_matrix(self):
-        return np.eye(1)
 
 
 class Abelian(Group):
@@ -497,9 +467,6 @@ class Abelian(Group):
 
     def Ad(self, g, xi):
         return self.algebra_vector(xi).copy()
-
-    def algebra_tangent_matrix(self):
-        return np.eye(self.dim)
 
 
 def rot2(theta):

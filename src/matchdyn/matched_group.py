@@ -11,10 +11,11 @@ This is the matched-pair groupoid of the two groups seen as groupoids over a
 point, and ``MatchedPairGroup`` delegates to one: the product, the inverse,
 the lift matrices and the four induced infinitesimal actions (as matrices)
 come from ``self.groupoid``, which differentiates the actions by finite
-differences.  The transposes, the algebra bracket and Ad are derived here
-once from those four matrices; concrete pairs override only the matrices,
-with closed forms where available.  ``generic()`` returns the same pair as a
-plain ``MatchedPairGroup``, so closed forms can be checked against it.
+differences.  The transposes and the algebra bracket are derived here once
+from those four matrices; concrete pairs override only the matrices, with
+closed forms where available.  Ad is the generic ``Group.Ad`` on the product,
+read through the componentwise ``log``.  ``generic()`` returns the same pair
+as a plain ``MatchedPairGroup``, so closed forms can be checked against it.
 """
 from __future__ import annotations
 
@@ -99,21 +100,6 @@ class MatchedPairGroup(Group):
         g, h = self.split(u)
         return self.join_alg(self.G.log(g), self.H.log(h))
 
-    def algebra_tangent_matrix(self):
-        EG = self.G.algebra_tangent_matrix()
-        EH = self.H.algebra_tangent_matrix()
-        E = np.zeros((self.coord_dim, self.dim))
-        E[: EG.shape[0], : EG.shape[1]] = EG
-        E[EG.shape[0]:, EG.shape[1]:] = EH
-        return E
-
-    def tangent_to_algebra(self, v):
-        v = np.asarray(v, dtype=float)
-        return self.join_alg(
-            self.G.tangent_to_algebra(v[: self.G.coord_dim]),
-            self.H.tangent_to_algebra(v[self.G.coord_dim:]),
-        )
-
     def random(self, rng, sigma=0.5):
         return self.join(self.G.random(rng, sigma), self.H.random(rng, sigma))
 
@@ -166,7 +152,7 @@ class MatchedPairGroup(Group):
         """g |>* nu: transpose of eta -> eta <| g on the dual of Lie(H)."""
         return self.act_alg_h(g).T @ np.asarray(nu, dtype=float)
 
-    # -- algebra bracket and adjoint action ----------------------------------
+    # -- algebra bracket -----------------------------------------------------
 
     def bracket(self, w1, w2):
         xi1, eta1 = self.split_alg(self.algebra_vector(w1))
@@ -190,28 +176,6 @@ class MatchedPairGroup(Group):
         xi = self.G.algebra_vector(xi)
         eta = self.H.algebra_vector(eta)
         return fd_curve(lambda t: self.act_alg_h(self.G.exp(t * xi)) @ eta)
-
-    def Ad(self, u, w):
-        return self.Ad_of_inverse(self.inv(u), w)
-
-    def Ad_of_inverse(self, u, w):
-        """Ad at the inverse of u, assembled from the component groups:
-        the G part is h^-1 |> zeta and the H part combines the dagger field
-        of zeta at h^-1, right-trivialised, with Ad_{h^-1}(eta <| g), where
-        zeta = Ad_{g^-1}(xi) + the left-trivialised eta^dagger(g)."""
-        g, h = self.split(u)
-        xi, eta = self.split_alg(self.algebra_vector(w))
-        hinv = self.H.inv(h)
-        zeta = self.G.Ad(self.G.inv(g), xi) + np.linalg.lstsq(
-            self.G.lift_matrix("left", g), self.dagger_g(g) @ eta,
-            rcond=None)[0]
-        part_h = np.linalg.lstsq(self.H.lift_matrix("right", hinv),
-                                 self.dagger_h(hinv) @ zeta, rcond=None)[0]
-        part_h = part_h + self.H.Ad(hinv, self.act_alg_h(g) @ eta)
-        return self.join_alg(self.act_alg_g(hinv) @ zeta, part_h)
-
-    def Ad_generic(self, u, w):
-        return Group.Ad(self, u, w)
 
     # -- compatibility checks ------------------------------------------------
 

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationError, NoConvergence, SingularJacobian
+from .errors import (DomainError, EvaluationError, NoConvergence,
+                     SingularJacobian)
 
 # cube root of machine epsilon, ~6.06e-6: balances truncation vs roundoff
 # for central differences
@@ -94,14 +95,26 @@ def fd_jacobian(F, x, step=DEFAULT_FD_STEP):
     return np.column_stack(cols)
 
 
+def _trial(F, x):
+    """F(x) and its inf-norm, inf where F leaves its domain or overflows."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            r = _as_vec(F(x))
+            rnorm = float(np.linalg.norm(r, np.inf))
+    except (DomainError, EvaluationError, FloatingPointError):
+        return None, np.inf
+    return r, rnorm if np.isfinite(rnorm) else np.inf
+
+
 def newton_solve(F, x0, tol: Tolerances = DEFAULT_TOL):
     """Damped Newton iteration for F(x) = 0.
 
     The Jacobian at x0 is built and checked before the first convergence
     test, so a degenerate problem fails even when x0 solves it.  Steps are
-    halved (factor 1/2, at most 30 times) whenever the residual norm does
-    not decrease.  Raises SingularJacobian when the Jacobian condition
-    estimate exceeds 1e14, NoConvergence when the iteration budget runs out.
+    halved (at most 30 times) until the residual norm decreases; a trial
+    point outside F's domain or with an overflowing residual counts as an
+    infinite one.  Raises SingularJacobian when the Jacobian condition
+    estimate exceeds 1e14, NoConvergence when halvings or iterations run out.
     """
     scalar = np.isscalar(x0) or np.ndim(x0) == 0
     x = _as_vec(x0).copy()
@@ -114,17 +127,15 @@ def newton_solve(F, x0, tol: Tolerances = DEFAULT_TOL):
         if rnorm <= tol.newton_tol:  # only when x0 already solves F
             break
         dx = np.linalg.solve(J, -r)
-        t = 1.0
-        x_new = x + dx
-        r_new = _as_vec(F(x_new))
-        rn_new = float(np.linalg.norm(r_new, np.inf))
-        halvings = 0
-        while rn_new >= rnorm and halvings < MAX_HALVINGS:
-            t *= 0.5
-            halvings += 1
-            x_new = x + t * dx
-            r_new = _as_vec(F(x_new))
-            rn_new = float(np.linalg.norm(r_new, np.inf))
+        for halvings in range(MAX_HALVINGS + 1):
+            x_new = x + 0.5 ** halvings * dx
+            r_new, rn_new = _trial(F, x_new)
+            if rn_new < rnorm:
+                break
+        else:
+            raise NoConvergence("line search failed after %d halvings "
+                                "(residual %.3e)" % (MAX_HALVINGS, rnorm),
+                                residual_norm=rnorm)
         x, r, rnorm = x_new, r_new, rn_new
         if rnorm <= tol.newton_tol:
             break

@@ -25,7 +25,7 @@ from .dynamics import (
     matched_group_momenta,
     variational_oracle,
 )
-from .errors import DomainError, FormulaMismatch, MatchdynError
+from .errors import DomainError, FormulaMismatch, MatchdynError, NoConvergence
 from .groupoids import default_trivial_decomposition
 from .matched_group import Su2K
 from .numerics import Tolerances
@@ -120,13 +120,17 @@ class ScenarioConfig:
             if "=" in line:
                 key, _, val = line.partition("=")
                 kv[key.strip()] = val.strip()
-        params = {k[len("param."):]: float(v) for k, v in kv.items()
-                  if k.startswith("param.")}
-        initial = None
-        if "initial" in kv:
-            initial = [float(t) for t in kv["initial"].split()]
-        return cls(kv["scenario"], steps=int(kv.get("steps", 10)),
-                   tol=float(kv.get("tol", 1e-10)),
+        if "scenario" not in kv:
+            raise DomainError("trajectory header has no scenario= line")
+        try:
+            params = {k[len("param."):]: float(v) for k, v in kv.items()
+                      if k.startswith("param.")}
+            initial = ([float(t) for t in kv["initial"].split()]
+                       if "initial" in kv else None)
+            steps, tol = int(kv.get("steps", 10)), float(kv.get("tol", 1e-10))
+        except ValueError as exc:
+            raise DomainError("trajectory header: %s" % exc)
+        return cls(kv["scenario"], steps=steps, tol=tol,
                    lagrangian=kv.get("lagrangian"), params=params,
                    initial=initial)
 
@@ -278,7 +282,10 @@ def run_sl2c(config: ScenarioConfig):
                           "(su(2) then K), got %d" % (mp.dim, w0.size))
     tols = Tolerances(newton_tol=config.tol)
 
-    arrows = [mp.exp(np.asarray(w0, dtype=float))]
+    try:  # exp(-38 e_c) has c = expm1(-38), which rounds onto c = -1
+        arrows = [mp.check(mp.exp(np.asarray(w0, dtype=float)))]
+    except DomainError as exc:
+        raise NoConvergence("sl2c initial data leave the chart: %s" % exc)
     res_norms = []
     formula_gap = 0.0
     for _ in range(config.steps - 1):
@@ -346,7 +353,10 @@ def read_trajectory_csv(path):
             elif header is None:
                 header = line.split(",")
             else:
-                rows.append([float(t) for t in line.split(",")])
+                try:
+                    rows.append([float(t) for t in line.split(",")])
+                except ValueError as exc:
+                    raise DomainError("trajectory file %s: %s" % (path, exc))
     if header is None:
         raise DomainError("trajectory file %s has no header row" % path)
     return ScenarioConfig.from_comment_lines(comments), header, rows

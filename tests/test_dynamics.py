@@ -23,6 +23,7 @@ from matchdyn.dynamics import (
 from matchdyn.errors import NoConvergence, NotComposable, SingularJacobian, TagError
 from matchdyn.groupoids import (
     GroupGroupoid,
+    Groupoid,
     MatchedPairGroupoid,
     default_trivial_decomposition,
 )
@@ -111,8 +112,8 @@ def test_group_residual_equals_momentum_form():
         g1 = G.random(RNG)
         g2 = G.random(RNG)
         r = del_residual(desc, L, g1, g2)
-        m = (G.cotangent_to_algebra("left", g1, L.gradient(g1))
-             - G.cotangent_to_algebra("right", g2, L.gradient(g2)))
+        m = (G.lift_matrix("left", g1).T @ L.gradient(g1)
+             - G.lift_matrix("right", g2).T @ L.gradient(g2))
         assert np.allclose(r, m, atol=1e-9)
 
 
@@ -242,6 +243,26 @@ def test_su2k_outgoing_half_builds_two_lift_matrices(monkeypatch):
     L = smooth_lagrangian(mp.coord_dim, rng)
     _momentum_half(mp, L, mp.random(rng), "full", "right")
     assert built == [("su2", "right"), ("k", "right")]
+
+
+def test_matched_groupoid_step_builds_no_fiber_tangent_matrix(monkeypatch):
+    # the induced-action matrices read their curves through arrow_coords,
+    # so a junction solve never differentiates the fiber chart itself
+    built = []
+    fiber_tangent_matrix = Groupoid.fiber_tangent_matrix
+
+    def counted(self, b):
+        built.append(self.name)
+        return fiber_tangent_matrix(self, b)
+
+    def spring(u):
+        m, g, n = DEC.trivial.split(DEC.phi_inv(u))
+        return 0.5 * float(np.sum((n - m) ** 2)) + 0.5 * float(g[0] ** 2)
+
+    monkeypatch.setattr(Groupoid, "fiber_tangent_matrix", counted)
+    del_step(DEC.matched, DiscreteLagrangian(spring),
+             DEC.phi(np.array([0.0, 0.0, 0.3, 1.0, 0.0])))
+    assert built == []
 
 
 def test_matched_group_step_evaluates_incoming_half_once():

@@ -141,14 +141,6 @@ def test_bracket_matches_ad_derivative(M):
 
 
 @pytest.mark.parametrize("M", PAIRS, ids=lambda m: m.name)
-def test_closed_ad_matches_generic(M):
-    for _ in range(3):
-        u = M.random(RNG)
-        w = M.random_algebra(RNG)
-        assert np.allclose(M.Ad(u, w), M.Ad_generic(u, w), atol=1e-6)
-
-
-@pytest.mark.parametrize("M", PAIRS, ids=lambda m: m.name)
 def test_invariant_fields_translate_correctly(M):
     # left field pushes forward under left translation, right field under
     # right translation
@@ -168,12 +160,13 @@ def test_invariant_fields_translate_correctly(M):
 
 @pytest.mark.parametrize("M", PAIRS, ids=lambda m: m.name)
 def test_fields_at_identity_equal_generator(M):
+    from matchdyn.numerics import fd_curve
+
     w = M.random_algebra(RNG)
     e = M.identity()
-    assert np.allclose(M.tangent_to_algebra(M.lift_matrix("left", e) @ w), w,
-                       atol=1e-7)
-    assert np.allclose(M.tangent_to_algebra(M.lift_matrix("right", e) @ w), w,
-                       atol=1e-7)
+    generator = fd_curve(lambda t: M.exp(t * w))
+    assert np.allclose(M.lift_matrix("left", e) @ w, generator, atol=1e-7)
+    assert np.allclose(M.lift_matrix("right", e) @ w, generator, atol=1e-7)
 
 
 def test_degenerate_pairs_reduce_to_known_products():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from matchdyn.errors import NoConvergence, SingularJacobian
+from matchdyn.errors import DomainError, NoConvergence, SingularJacobian
 from matchdyn.numerics import (
     DEFAULT_FD_STEP,
     Tolerances,
@@ -70,6 +70,33 @@ def test_newton_budget_exhausted():
     with pytest.raises(NoConvergence):
         newton_solve(lambda x: np.array([np.exp(x[0]) + 1.0]),
                      np.array([0.0]), tol)
+
+
+def test_newton_halves_a_trial_point_outside_the_domain():
+    # the full Newton step from 1.5 lands at -1.69, outside |x| < 1.6
+    def F(x):
+        if abs(x[0]) >= 1.6:
+            raise DomainError("outside the chart")
+        return np.arctan(x)
+
+    assert abs(newton_solve(F, np.array([1.5]))[0]) < 1e-10
+
+
+def test_newton_never_accepts_a_nan_residual():
+    F = lambda x: np.arctan(x) if abs(x[0]) < 1.6 else np.full(1, np.nan)
+    assert abs(newton_solve(F, np.array([1.5]))[0]) < 1e-10
+
+
+def test_newton_line_search_running_out_is_no_convergence():
+    # every point along the Newton direction (1, 1) leaves the domain, while
+    # the axis-aligned Jacobian stencil at the origin stays inside
+    def F(x):
+        if x[0] > 0 and x[1] > 0:
+            raise DomainError("outside the chart")
+        return x - 5.0
+
+    with pytest.raises(NoConvergence):
+        newton_solve(F, np.zeros(2))
 
 
 def test_tolerance_validation():

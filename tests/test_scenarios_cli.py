@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from matchdyn.cli import main
 from matchdyn.dynamics import matched_group_momenta
@@ -178,6 +179,29 @@ def test_check_residual_file_detects_corruption(tmp_path):
     assert not ok
 
 
+def _write_small_csv(path):
+    cfg = ScenarioConfig("sl2c", steps=2)
+    write_trajectory_csv(str(path), cfg, ["k", "x"], [[0.0, 1.0], [1.0, 2.0]])
+
+
+def test_read_trajectory_csv_rejects_a_non_numeric_field(tmp_path):
+    p = tmp_path / "t.csv"
+    _write_small_csv(p)
+    p.write_text(p.read_text().replace("1,2\n", "1,two\n"))
+    with pytest.raises(DomainError):
+        read_trajectory_csv(str(p))
+    assert main(["check", "residual", str(p)]) == 2
+
+
+def test_read_trajectory_csv_rejects_a_missing_scenario_line(tmp_path):
+    p = tmp_path / "t.csv"
+    _write_small_csv(p)
+    p.write_text(p.read_text().replace("# scenario=sl2c\n", ""))
+    with pytest.raises(DomainError):
+        read_trajectory_csv(str(p))
+    assert main(["check", "residual", str(p)]) == 2
+
+
 def test_run_scenario_dispatch():
     report, _, _ = run_scenario(ScenarioConfig("sl2c", steps=3))
     assert report.scenario == "sl2c"
@@ -234,3 +258,27 @@ def test_cli_usage_errors(tmp_path):
     bad.write_text("[scenario]\nid = sl2c\nsteps = nope\n")
     assert main(["run", "--config", str(bad)]) == 2
     assert main(["check", "residual", str(tmp_path / "missing.csv")]) == 2
+
+
+@settings(max_examples=10, deadline=None)
+@given(amplitude=st.floats(0.0, 40.0),
+       direction=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6)
+       .filter(lambda v: np.linalg.norm(v) > 0.1))
+# K's c = expm1(38) has an inverse that rounds onto the chart edge c = -1,
+# and c = expm1(-38) rounds onto it at once
+@example(amplitude=38.0, direction=[0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+@example(amplitude=38.0, direction=[0.0, 0.0, 0.0, 0.0, 0.0, -1.0])
+def test_cli_sl2c_large_initial_data_is_a_solver_failure(
+        tmp_path_factory, amplitude, direction):
+    # a Newton trial point may leave the K chart or overflow; that is a
+    # solver failure (exit 1), never a usage error (exit 2)
+    d = tmp_path_factory.mktemp("sl2c")
+    w0 = amplitude * np.asarray(direction) / np.linalg.norm(direction)
+    cfg = d / "cfg.ini"
+    cfg.write_text("[scenario]\nid = sl2c\nsteps = 2\n\n[initial]\n"
+                   "coords = %s\n" % " ".join(repr(float(v)) for v in w0))
+    out = str(d / "run.csv")
+    code = main(["run", "--config", str(cfg), "--out", out])
+    assert code in (0, 1)
+    if code == 0:
+        assert main(["check", "residual", out]) == 0
