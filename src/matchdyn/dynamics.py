@@ -2,14 +2,18 @@
 
 The primitive object is the two-arrow junction residual, two mat-vecs
 left_lift(g_k)^T dL(g_k) - right_lift(g_{k+1})^T dL(g_{k+1}): an incoming half
-at g_k and an outgoing half at g_{k+1}, the matched-group momentum form alike.
-A step solves incoming - outgoing(chart(z)) = 0 with the incoming half fixed.
+at g_k and an outgoing half at g_{k+1}.  A step solves
+incoming - outgoing(chart(z)) = 0 with the incoming half fixed.  A matched
+pair of groups steps as its group groupoid, through the same ``del_step``;
+its momentum forms (the paper's transported-and-forced momenta and their
+degenerate reductions) are references, evaluated only at solved junctions.
 Longer trajectories are solved junction by junction, and every solve is
 cross-checked against the brute-force variational derivative of the action
 sum.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +90,6 @@ class Trajectory:
 class MomentumRecord:
     k: int
     mu: np.ndarray
-    nu: np.ndarray | None = None
 
 
 def action_sum(L: DiscreteLagrangian, traj: Trajectory):
@@ -179,10 +182,10 @@ def del_residual_matched_group(mp: MatchedPairGroup, L: DiscreteLagrangian,
 
     The degenerate forms drop the terms that vanish when one or both of the
     mutual actions are trivial; "generic" evaluates the full form with the
-    finite-difference transposes of ``mp.generic()``; "fields" assembles the
-    same residual by pairing dL with the lift matrices of ``mp.groupoid``,
-    which differentiates the actions by finite differences, so for a pair
-    with closed induced actions (``Su2K``) it is a closed-vs-FD check.
+    finite-difference induced actions of ``mp.generic()``; "fields" is the
+    two-mat-vec residual that ``del_step`` solves, dL paired with
+    ``mp.lift_matrix``.  None of these is solved: they are references,
+    evaluated at the junctions ``del_step`` has solved.
     """
     return (_momentum_half(mp, L, uk, form, "left")
             - _momentum_half(mp, L, uk1, form, "right"))
@@ -191,14 +194,13 @@ def del_residual_matched_group(mp: MatchedPairGroup, L: DiscreteLagrangian,
 def _momentum_half(mp, L, u, form, side):
     """The u_k ("left") or u_{k+1} ("right") half of the momentum residual,
     from one L.gradient call at u."""
-    if form not in MATCHED_GROUP_FORMS:
-        raise TagError("unknown residual form %r" % (form,))
+    _require_form(form)
     u = mp.check(u)
     if form == "fields":
         return _matched_group_fields_residual(mp, L, u, side)
     if form == "generic":
         mp, form = mp.generic(), "full"
-    # which forms keep h |> g (tr*, b*) and h <| g (a*, g*)
+    # h |> g enters via act_alg_g, dagger_g; h <| g via dagger_h, act_alg_h
     acts_on_g = form in ("full", "right-trivial")
     acts_on_h = form in ("full", "left-trivial")
     g, h = mp.split(u)
@@ -207,14 +209,19 @@ def _momentum_half(mp, L, u, form, side):
     if side == "left":
         xi = mp.G.coAd(g, mu)
         if acts_on_g:
-            xi = mp.tr_star(xi, h)
+            xi = mp.act_alg_g(h).T @ xi
         if acts_on_h:
-            xi = xi + mp.a_star(h, d[mp.G.coord_dim:])
+            xi = xi + mp.dagger_h(h).T @ d[mp.G.coord_dim:]
         return np.concatenate([xi, mp.H.coAd(h, nu)])
-    eta = mp.g_star(g, nu) if acts_on_h else nu
+    eta = mp.act_alg_h(g).T @ nu if acts_on_h else nu
     if acts_on_g:
-        eta = eta + mp.b_star(g, d[: mp.G.coord_dim])
+        eta = eta + mp.dagger_g(g).T @ d[: mp.G.coord_dim]
     return np.concatenate([mu, eta])
+
+
+def _require_form(form):
+    if form not in MATCHED_GROUP_FORMS:
+        raise TagError("unknown residual form %r" % (form,))
 
 
 def _matched_group_fields_residual(mp, L, u, side):
@@ -227,31 +234,36 @@ def _matched_group_fields_residual(mp, L, u, side):
 # implicit stepping
 # ---------------------------------------------------------------------------
 
-def _junction_solve(incoming, outgoing, chart, z0, tol: Tolerances):
-    """Newton solve of incoming() - outgoing(chart(z)) = 0; returns chart(z).
-    The incoming half is evaluated once, for the whole solve.  A solve that
-    leaves a chart or overflows anywhere is a solver failure."""
+@contextmanager
+def solver_failure(what):
+    """Run a block in which leaving a chart or overflowing anywhere is a
+    solver failure: it raises NoConvergence instead."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            fixed = incoming()
-            z = newton_solve(lambda z: fixed - outgoing(chart(z)), z0, tol)
-            return chart(np.atleast_1d(z))
+            yield
     except (DomainError, EvaluationError, FloatingPointError) as exc:
-        raise NoConvergence("junction solve failed: %s" % exc)
+        raise NoConvergence("%s failed: %s" % (what, exc))
 
 
 def del_step(desc: Groupoid, L: DiscreteLagrangian, gk, guess=None,
              tol: Tolerances = DEFAULT_TOL):
     """Solve the junction residual for the next arrow in the source fiber at
-    beta(g_k).  The warm start transports the previous arrow to the new
-    fiber (constant-velocity guess) unless an explicit guess arrow is given."""
+    beta(g_k): a Newton solve of incoming - outgoing(fiber_elem(b, z)) = 0
+    with the incoming half evaluated once.  The warm start transports the
+    previous arrow to the new fiber (constant-velocity guess) unless an
+    explicit guess arrow is given."""
     gk = desc.check(gk)
     b = desc.beta(gk)
     z0 = desc.arrow_coords(gk if guess is None else desc.check(guess))
-    return _junction_solve(
-        lambda: desc.left_lift(gk).T @ L.gradient(gk),
-        lambda g: desc.right_lift(g).T @ L.gradient(g),
-        lambda z: desc.fiber_elem(b, z), z0, tol)
+
+    def outgoing(z):
+        g = desc.fiber_elem(b, z)
+        return desc.right_lift(g).T @ L.gradient(g)
+
+    with solver_failure("junction solve"):
+        incoming = desc.left_lift(gk).T @ L.gradient(gk)
+        z = newton_solve(lambda z: incoming - outgoing(z), z0, tol)
+        return desc.fiber_elem(b, np.atleast_1d(z))
 
 
 def solve_trajectory(desc: Groupoid, L: DiscreteLagrangian, g1, n_steps,
@@ -274,26 +286,26 @@ def solve_trajectory(desc: Groupoid, L: DiscreteLagrangian, g1, n_steps,
 
 
 def del_step_matched_group(mp: MatchedPairGroup, L: DiscreteLagrangian, uk,
-                           guess=None, form="full",
-                           tol: Tolerances = DEFAULT_TOL):
-    """Implicit step of the matched-group recursion in exponential
-    coordinates, warm-started at the previous increment."""
-    uk = mp.check(uk)
-    z0 = mp.log(uk if guess is None else mp.check(guess))
-    return _junction_solve(
-        lambda: _momentum_half(mp, L, uk, form, "left"),
-        lambda u: _momentum_half(mp, L, u, form, "right"), mp.exp, z0, tol)
+                           guess=None, tol: Tolerances = DEFAULT_TOL):
+    """Implicit step of a matched pair of groups: ``del_step`` on its group
+    groupoid, in exponential coordinates, warm-started at the previous
+    increment.  The arrows are checked against the pair's chart first."""
+    guess = None if guess is None else mp.check(guess)
+    return del_step(GroupGroupoid(mp), L, mp.check(uk), guess=guess, tol=tol)
 
 
 def solve_matched_group_trajectory(mp, L, u1, n_steps, form="full",
                                    tol: Tolerances = DEFAULT_TOL):
+    """March ``del_step_matched_group`` from u1 for n_steps arrows; the
+    returned norms are those of the reference momentum form ``form``."""
+    _require_form(form)
     arrows = [mp.check(u1)]
     norms = []
     for _ in range(n_steps - 1):
-        nxt = del_step_matched_group(mp, L, arrows[-1], form=form, tol=tol)
-        norms.append(float(np.linalg.norm(
-            del_residual_matched_group(mp, L, arrows[-1], nxt, form=form),
-            np.inf)))
+        nxt = del_step_matched_group(mp, L, arrows[-1], tol=tol)
+        with solver_failure("reference residual"):
+            r = del_residual_matched_group(mp, L, arrows[-1], nxt, form=form)
+        norms.append(float(np.linalg.norm(r, np.inf)))
         arrows.append(nxt)
     return arrows, norms
 
@@ -362,7 +374,7 @@ def oracle_directional(desc: Groupoid, L: DiscreteLagrangian, gk, gk1,
 
 
 def variational_oracle(desc: Groupoid, L: DiscreteLagrangian,
-                       traj: Trajectory, directions=None):
+                       traj: Trajectory):
     """Max absolute directional derivative of the action sum over
     product-preserving variations at the interior junctions.  A discrete
     Euler-Lagrange solution must push this below 1e-6."""
@@ -370,12 +382,7 @@ def variational_oracle(desc: Groupoid, L: DiscreteLagrangian,
     for k in range(len(traj.arrows) - 1):
         gk, gk1 = traj.arrows[k], traj.arrows[k + 1]
         b = desc.beta(gk)
-        if directions is None:
-            dirs = [AlgebroidVector(desc, b, e)
-                    for e in np.eye(desc.fiber_dim)]
-        else:
-            dirs = [X for X in directions
-                    if np.allclose(X.b, b, atol=1e-9)]
-        for X in dirs:
+        for e in np.eye(desc.fiber_dim):
+            X = AlgebroidVector(desc, b, e)
             worst = max(worst, abs(oracle_directional(desc, L, gk, gk1, X)))
     return worst

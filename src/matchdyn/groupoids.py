@@ -15,6 +15,8 @@ invariant vector field at g generated by the fiber-chart basis vector e_i.
 """
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .errors import DomainError, MatchedAxiomError, NotComposable
@@ -46,6 +48,15 @@ class Chart:
 
 
 POINT = Chart(0, name="point")
+
+
+def record_deviation(dev, key, a, b):
+    """Raise dev[key] to max |a - b|; empty arrays (the base point of a group
+    seen as a groupoid over a point) deviate by nothing."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    if a.size or b.size:
+        dev[key] = max(dev[key], float(np.max(np.abs(a - b))))
 
 
 class Groupoid:
@@ -130,12 +141,7 @@ class Groupoid:
             "inverse_source_target": 0.0,
             "inverse_laws": 0.0,
         }
-
-        def upd(key, a, b):
-            a = np.atleast_1d(np.asarray(a, dtype=float))
-            b = np.atleast_1d(np.asarray(b, dtype=float))
-            if a.size or b.size:
-                dev[key] = max(dev[key], float(np.max(np.abs(a - b))))
+        upd = partial(record_deviation, dev)
 
         for _ in range(n_samples):
             x = self.random_arrow(rng)
@@ -369,6 +375,19 @@ class TrivialGroupoid(Groupoid):
         return out
 
 
+def matched_lift(side, lift_g, lift_h, act, dagger):
+    """Matched lift block from the factor lifts of one side: left is
+    [[lift_g @ (h |>), 0], [X^dagger(h), lift_h]], right is
+    [[lift_g, -Y^dagger(g)], [0, lift_h @ (<| g)]]."""
+    if side == "left":
+        return np.block([[lift_g @ act,
+                          np.zeros((lift_g.shape[0], lift_h.shape[1]))],
+                         [dagger, lift_h]])
+    return np.block([[lift_g, dagger],
+                     [np.zeros((lift_h.shape[0], lift_g.shape[1])),
+                      lift_h @ act]])
+
+
 class MatchedPairGroupoid(Groupoid):
     """Groupoid on pairs (g, h) with beta_G(g) = alpha_H(h), multiplied
     through the mutual actions:
@@ -470,19 +489,18 @@ class MatchedPairGroupoid(Groupoid):
         """(X, Y) at beta(h) -> (left of (h |> X) at g,
         X^dagger(h) + left of Y at h)."""
         g, h = self.split(x)
-        return np.block([
-            [self.Gd.left_lift(g) @ self.act_on_fiber_g_matrix(h),
-             np.zeros((self.Gd.arrow_dim, self.Hd.fiber_dim))],
-            [self.dagger_on_h_matrix(h), self.Hd.left_lift(h)]])
+        return matched_lift("left", self.Gd.left_lift(g), self.Hd.left_lift(h),
+                            self.act_on_fiber_g_matrix(h),
+                            self.dagger_on_h_matrix(h))
 
     def right_lift(self, x):
         """(X, Y) at alpha(g) -> (right of X at g - Y^dagger(g),
         right of (Y <| g) at h)."""
         g, h = self.split(x)
-        return np.block([
-            [self.Gd.right_lift(g), -self.dagger_on_g_matrix(g)],
-            [np.zeros((self.Hd.arrow_dim, self.Gd.fiber_dim)),
-             self.Hd.right_lift(h) @ self.act_on_fiber_h_matrix(g)]])
+        return matched_lift("right", self.Gd.right_lift(g),
+                            self.Hd.right_lift(h),
+                            self.act_on_fiber_h_matrix(g),
+                            -self.dagger_on_g_matrix(g))
 
     def matched_axiom_report(self, rng, n_samples=50):
         """Max deviation of the nine mutual-action compatibility conditions
@@ -501,10 +519,7 @@ class MatchedPairGroupoid(Groupoid):
             "act_units_map_to_units": 0.0,
             "act2_units_act_trivially": 0.0,
         }
-
-        def upd(key, a, b):
-            dev[key] = max(dev[key], float(np.max(np.abs(
-                np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))))
+        upd = partial(record_deviation, dev)
 
         for _ in range(n_samples):
             h = Hd.random_arrow(rng)
@@ -558,44 +573,23 @@ class MatchedPairGroupoid(Groupoid):
         return report
 
 
-def axiom_check_matched(Gd, Hd, act_on_g, act_on_h, rng, n_samples=50):
-    """Compatibility report for a candidate matched pair of groupoids
-    without committing to the product descriptor."""
-    return MatchedPairGroupoid(Gd, Hd, act_on_g, act_on_h)\
-        .matched_axiom_report(rng, n_samples)
-
-
-def groupoid_action_check(desc, f, action, sampler, rng, n_samples=50,
-                          side="right"):
-    """Check that `action` is a groupoid action of desc on the map f.
+def groupoid_action_check(desc, f, action, sampler, rng, n_samples=50):
+    """Check that `action` is a right groupoid action of desc on the map f.
 
     sampler(rng) must yield points p of the acted-on space; arrows are drawn
-    with the matching source (right action) or target (left action).
-    Reports max violations of the moment-map condition, the mixed
-    associativity, and the unit law.
+    with source f(p).  Reports max violations of the moment-map condition,
+    the mixed associativity, and the unit law.
     """
     dev = {"moment_map": 0.0, "mixed_associativity": 0.0, "unit_law": 0.0}
-
-    def upd(key, a, b):
-        dev[key] = max(dev[key], float(np.max(np.abs(
-            np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))))
-
+    upd = partial(record_deviation, dev)
     for _ in range(n_samples):
         p = sampler(rng)
-        if side == "right":
-            g = desc.random_with_source(f(p), rng)
-            g2 = desc.random_with_source(desc.beta(g), rng)
-            upd("moment_map", f(action(p, g)), desc.beta(g))
-            upd("mixed_associativity",
-                action(action(p, g), g2), action(p, desc.mul(g, g2)))
-            upd("unit_law", action(p, desc.eps(f(p))), p)
-        else:
-            h = desc.inv(desc.random_with_source(f(p), rng))
-            h2 = desc.inv(desc.random_with_source(desc.alpha(h), rng))
-            upd("moment_map", f(action(h, p)), desc.alpha(h))
-            upd("mixed_associativity",
-                action(h2, action(h, p)), action(desc.mul(h2, h), p))
-            upd("unit_law", action(desc.eps(f(p)), p), p)
+        g = desc.random_with_source(f(p), rng)
+        g2 = desc.random_with_source(desc.beta(g), rng)
+        upd("moment_map", f(action(p, g)), desc.beta(g))
+        upd("mixed_associativity",
+            action(action(p, g), g2), action(p, desc.mul(g, g2)))
+        upd("unit_law", action(p, desc.eps(f(p))), p)
     return dev
 
 

@@ -1,5 +1,5 @@
 """Matched pairs of Lie groups: mutual actions, the product group they
-induce, and the transpose operators used by the discrete momentum equations.
+induce, and the induced infinitesimal actions used by the discrete dynamics.
 
 A matched pair consists of groups G and H acting on each other, written
 ``h |> g`` (H on G) and ``h <| g`` (G on H), compatibly enough that G x H
@@ -9,22 +9,27 @@ becomes a group under
 
 This is the matched-pair groupoid of the two groups seen as groupoids over a
 point, and ``MatchedPairGroup`` delegates to one: the product, the inverse,
-the lift matrices and the four induced infinitesimal actions (as matrices)
-come from ``self.groupoid``, which differentiates the actions by finite
-differences.  The transposes and the algebra bracket are derived here once
-from those four matrices; concrete pairs override only the matrices, with
-closed forms where available.  Ad is the generic ``Group.Ad`` on the product,
-read through the componentwise ``log``.  ``generic()`` returns the same pair
-as a plain ``MatchedPairGroup``, so closed forms can be checked against it.
+the compatibility axioms and, by default, the four induced infinitesimal
+actions (as matrices) come from ``self.groupoid``, which differentiates the
+actions by finite differences.  Concrete pairs override only the four
+matrices, with closed forms where available; ``lift_matrix`` assembles the
+matched lift block from the factor lifts and those four matrices, and the
+algebra bracket is derived from them too.  Ad is the generic ``Group.Ad`` on
+the product, read through the componentwise ``log``.  ``generic()`` returns
+the same pair as a plain ``MatchedPairGroup``, so closed forms can be checked
+against it.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import MatchedAxiomError
-from .groupoids import GroupGroupoid, MatchedPairGroupoid
+from .groupoids import (GroupGroupoid, MatchedPairGroupoid, matched_lift,
+                        record_deviation)
 from .groups import SO3, SU2, Abelian, Group, KGroup, hat3, quat_mul
 from .numerics import fd_curve
+
+POINT_BASE = np.zeros(0)  # the base point of a group seen as a groupoid
 
 
 class MatchedPairGroup(Group):
@@ -58,26 +63,19 @@ class MatchedPairGroup(Group):
     def act_on_h(self, h, g):
         raise NotImplementedError
 
-    # -- element plumbing ----------------------------------------------------
+    # -- element plumbing and group structure, read off the groupoid ----------
 
     def split(self, u):
-        u = np.asarray(u, dtype=float)
-        return u[: self.G.coord_dim], u[self.G.coord_dim:]
+        return self.groupoid.split(u)
 
     def join(self, g, h):
-        return np.concatenate([np.atleast_1d(g), np.atleast_1d(h)])
+        return self.groupoid.join(g, h)
 
     def split_alg(self, w):
-        w = np.asarray(w, dtype=float)
-        return w[: self.G.dim], w[self.G.dim:]
-
-    def join_alg(self, xi, eta):
-        return np.concatenate([np.atleast_1d(xi), np.atleast_1d(eta)])
-
-    # -- group structure -----------------------------------------------------
+        return self.groupoid.split_fiber(w)
 
     def identity(self):
-        return self.join(self.G.identity(), self.H.identity())
+        return self.groupoid.eps(POINT_BASE)
 
     def check(self, u):
         u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -93,12 +91,10 @@ class MatchedPairGroup(Group):
         return self.groupoid.inv(u)
 
     def exp(self, w):
-        xi, eta = self.split_alg(self.algebra_vector(w))
-        return self.join(self.G.exp(xi), self.H.exp(eta))
+        return self.groupoid.fiber_elem(POINT_BASE, self.algebra_vector(w))
 
     def log(self, u):
-        g, h = self.split(u)
-        return self.join_alg(self.G.log(g), self.H.log(h))
+        return self.groupoid.arrow_coords(u)
 
     def random(self, rng, sigma=0.5):
         return self.join(self.G.random(rng, sigma), self.H.random(rng, sigma))
@@ -130,27 +126,13 @@ class MatchedPairGroup(Group):
         return MatchedPairGroup(self.G, self.H, self.act_on_g, self.act_on_h)
 
     def lift_matrix(self, side, u):
-        if side == "left":
-            return self.groupoid.left_lift(u)
-        return self.groupoid.right_lift(u)
-
-    # -- transposes feeding the discrete momentum equations ------------------
-
-    def tr_star(self, mu, h):
-        """mu <|* h: transpose of xi -> h |> xi on the dual of Lie(G)."""
-        return self.act_alg_g(h).T @ np.asarray(mu, dtype=float)
-
-    def a_star(self, h, psi):
-        """Transpose of xi -> xi^dagger(h); maps covectors at h to Lie(G)*."""
-        return self.dagger_h(h).T @ np.asarray(psi, dtype=float)
-
-    def b_star(self, g, phi):
-        """Transpose of eta -> eta^dagger(g); maps covectors at g to Lie(H)*."""
-        return self.dagger_g(g).T @ np.asarray(phi, dtype=float)
-
-    def g_star(self, g, nu):
-        """g |>* nu: transpose of eta -> eta <| g on the dual of Lie(H)."""
-        return self.act_alg_h(g).T @ np.asarray(nu, dtype=float)
+        """The matched lift block at u from the factor lifts and the four
+        induced-action matrices (closed ones where a pair has them)."""
+        g, h = self.split(u)
+        act, dagger = ((self.act_alg_g(h), self.dagger_h(h)) if side == "left"
+                       else (self.act_alg_h(g), self.dagger_g(g)))
+        return matched_lift(side, self.G.lift_matrix(side, g),
+                            self.H.lift_matrix(side, h), act, dagger)
 
     # -- algebra bracket -----------------------------------------------------
 
@@ -163,7 +145,7 @@ class MatchedPairGroup(Group):
         bh = (self.H.bracket(eta1, eta2)
               + self.act_alg_h_from_xi(eta1, xi2)
               - self.act_alg_h_from_xi(eta2, xi1))
-        return self.join_alg(bg, bh)
+        return self.join(bg, bh)
 
     def act_alg_g_from_eta(self, eta, xi):
         """eta |> xi: derivative of h |> xi along h = exp(t eta)."""
@@ -180,63 +162,18 @@ class MatchedPairGroup(Group):
     # -- compatibility checks ------------------------------------------------
 
     def axiom_report(self, rng, n_samples=20):
-        """Max deviation of each matched-pair compatibility condition over
-        random samples.  Keys name the condition."""
-        G, H = self.G, self.H
-        eG, eH = G.identity(), H.identity()
-        dev = {
-            "left_action_cocycle": 0.0,
-            "right_action_cocycle": 0.0,
-            "left_action_of_identity": 0.0,
-            "right_action_on_identity": 0.0,
-            "left_action_on_identity": 0.0,
-            "right_action_of_identity": 0.0,
-            "left_action_compose": 0.0,
-            "right_action_compose": 0.0,
-            "product_associative": 0.0,
-            "product_inverse": 0.0,
-            "bracket_jacobi": 0.0,
-        }
-
-        def upd(key, a, b):
-            dev[key] = max(dev[key], float(np.max(np.abs(
-                np.asarray(a) - np.asarray(b)))))
-
+        """Max deviation of each compatibility condition over random
+        samples: the matched-pair groupoid's action laws and groupoid axioms
+        over a point, plus the Jacobi identity of the algebra bracket."""
+        dev = self.groupoid.matched_axiom_report(rng, n_samples)
+        dev.update(self.groupoid.axiom_report(rng, n_samples))
+        dev["bracket_jacobi"] = 0.0
         for _ in range(n_samples):
-            g, g1, g2 = G.random(rng), G.random(rng), G.random(rng)
-            h, h1, h2 = H.random(rng), H.random(rng), H.random(rng)
-            upd("left_action_cocycle",
-                self.act_on_g(h, G.mul(g1, g2)),
-                G.mul(self.act_on_g(h, g1),
-                      self.act_on_g(self.act_on_h(h, g1), g2)))
-            upd("right_action_cocycle",
-                self.act_on_h(H.mul(h1, h2), g),
-                H.mul(self.act_on_h(h1, self.act_on_g(h2, g)),
-                      self.act_on_h(h2, g)))
-            upd("left_action_of_identity", self.act_on_g(eH, g), g)
-            upd("right_action_on_identity", self.act_on_h(h, eG), h)
-            upd("left_action_on_identity", self.act_on_g(h, eG), eG)
-            upd("right_action_of_identity", self.act_on_h(eH, g), eH)
-            upd("left_action_compose",
-                self.act_on_g(h1, self.act_on_g(h2, g)),
-                self.act_on_g(H.mul(h1, h2), g))
-            upd("right_action_compose",
-                self.act_on_h(self.act_on_h(h, g1), g2),
-                self.act_on_h(h, G.mul(g1, g2)))
-            u1 = self.join(g1, h1)
-            u2 = self.join(g2, h2)
-            u3 = self.join(g, h)
-            upd("product_associative",
-                self.mul(self.mul(u1, u2), u3),
-                self.mul(u1, self.mul(u2, u3)))
-            upd("product_inverse", self.mul(u1, self.inv(u1)), self.identity())
-            x = self.random_algebra(rng)
-            y = self.random_algebra(rng)
-            z = self.random_algebra(rng)
+            x, y, z = (self.random_algebra(rng) for _ in range(3))
             jac = (self.bracket(x, self.bracket(y, z))
                    + self.bracket(y, self.bracket(z, x))
                    + self.bracket(z, self.bracket(x, y)))
-            upd("bracket_jacobi", jac, np.zeros(self.dim))
+            record_deviation(dev, "bracket_jacobi", jac, np.zeros(self.dim))
         return dev
 
     def axiom_check(self, rng, n_samples=20, tol=1e-8):
@@ -262,8 +199,9 @@ class Su2K(MatchedPairGroup):
 
     Every product B * A of a triangular factor and a unitary factor
     refactorizes as (B |> A)(B <| A); those two maps are the mutual actions.
-    The four induced-action matrices carry closed forms; ``lift_matrix``
-    and ``generic()`` use the finite-difference ones, for cross-checking.
+    The four induced-action matrices carry closed forms, so ``lift_matrix``
+    and every solve use them; ``generic()`` and ``self.groupoid`` keep the
+    finite-difference ones, for cross-checking.
     """
 
     def __init__(self):

@@ -23,12 +23,11 @@ MAX_HALVINGS = 30
 
 @dataclass(frozen=True)
 class Tolerances:
-    fd_step: float = DEFAULT_FD_STEP
     newton_tol: float = 1e-10
     newton_max_iter: int = 50
 
     def __post_init__(self):
-        if not (self.fd_step > 0 and self.newton_tol > 0):
+        if not self.newton_tol > 0:
             raise ValueError("tolerances must be positive")
         if self.newton_max_iter < 1:
             raise ValueError("newton_max_iter must be >= 1")
@@ -63,12 +62,11 @@ def fd_gradient(f, x, step=DEFAULT_FD_STEP):
     return g
 
 
-def fd_curve(c, step=DEFAULT_FD_STEP, scale=1.0):
+def fd_curve(c, step=DEFAULT_FD_STEP):
     """Derivative at t=0 of a vector-valued curve c(t)."""
-    h = step * scale
-    cp = np.asarray(c(h), dtype=float)
-    cm = np.asarray(c(-h), dtype=float)
-    out = (cp - cm) / (2.0 * h)
+    cp = np.asarray(c(step), dtype=float)
+    cm = np.asarray(c(-step), dtype=float)
+    out = (cp - cm) / (2.0 * step)
     if not np.all(np.isfinite(out)):
         raise EvaluationError("non-finite curve value", point=None)
     return out
@@ -121,7 +119,7 @@ def newton_solve(F, x0, tol: Tolerances = DEFAULT_TOL):
     r = _as_vec(F(x))
     rnorm = float(np.linalg.norm(r, np.inf))
     for _ in range(tol.newton_max_iter):
-        J = fd_jacobian(F, x, tol.fd_step)
+        J = fd_jacobian(F, x)
         if not np.all(np.isfinite(J)) or np.linalg.cond(J) > COND_LIMIT:
             raise SingularJacobian("Jacobian condition estimate > %.1e" % COND_LIMIT)
         if rnorm <= tol.newton_tol:  # only when x0 already solves F

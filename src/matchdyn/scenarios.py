@@ -23,9 +23,10 @@ from .dynamics import (
     del_step,
     del_step_matched_group,
     matched_group_momenta,
+    solver_failure,
     variational_oracle,
 )
-from .errors import DomainError, FormulaMismatch, MatchdynError, NoConvergence
+from .errors import DomainError, FormulaMismatch, MatchdynError
 from .groupoids import default_trivial_decomposition
 from .matched_group import Su2K
 from .numerics import Tolerances
@@ -35,6 +36,14 @@ FORMULA_TOL = 1e-7
 REPRODUCE_TOL = 1e-12
 
 SCENARIOS = ("trivial_groupoid", "sl2c")
+
+# trajectory-file columns of each scenario
+HEADERS = {
+    "trivial_groupoid": "k m1 m2 theta n1 n2 res_direct res_matched phi_gap"
+                        .split(),
+    "sl2c": ("k A_w A_x A_y A_z B_a B_b B_c Phi_1 Phi_2 Phi_3 Psi_1 Psi_2 "
+             "Psi_3 res_norm formula_gap").split(),
+}
 
 
 class ScenarioConfig:
@@ -248,8 +257,7 @@ def run_trivial_groupoid(config: ScenarioConfig):
     oracle_m = variational_oracle(
         dec.matched, Lm, Trajectory(dec.matched, matched))
 
-    header = ["k", "m1", "m2", "theta", "n1", "n2", "res_direct",
-              "res_matched", "phi_gap"]
+    header = HEADERS["trivial_groupoid"]
     rows = []
     for k, x in enumerate(direct):
         rd = res_direct[k] if k < len(res_direct) else 0.0
@@ -267,9 +275,10 @@ def run_trivial_groupoid(config: ScenarioConfig):
 
 
 def run_sl2c(config: ScenarioConfig):
-    """Solve the SL(2, C) matched-group recursion with the closed-form
-    residual and verify the finite-difference assembly agrees at every
-    accepted step; mismatches beyond FORMULA_TOL abort with
+    """Solve the SL(2, C) matched-group recursion through the closed-form
+    lift matrices, then evaluate the closed momentum form and its
+    finite-difference assembly at every solved junction; the closed form's
+    norms are stored, and mismatches beyond FORMULA_TOL abort with
     FormulaMismatch."""
     t0 = time.perf_counter()
     mp = Su2K()
@@ -282,18 +291,18 @@ def run_sl2c(config: ScenarioConfig):
                           "(su(2) then K), got %d" % (mp.dim, w0.size))
     tols = Tolerances(newton_tol=config.tol)
 
-    try:  # exp(-38 e_c) has c = expm1(-38), which rounds onto c = -1
+    # exp(-38 e_c) has c = expm1(-38), which rounds onto c = -1
+    with solver_failure("sl2c initial data"):
         arrows = [mp.check(mp.exp(np.asarray(w0, dtype=float)))]
-    except DomainError as exc:
-        raise NoConvergence("sl2c initial data leave the chart: %s" % exc)
     res_norms = []
     formula_gap = 0.0
     for _ in range(config.steps - 1):
-        nxt = del_step_matched_group(mp, L, arrows[-1], form="full", tol=tols)
-        r_closed = del_residual_matched_group(mp, L, arrows[-1], nxt,
-                                              form="full")
-        r_generic = del_residual_matched_group(mp, L, arrows[-1], nxt,
-                                               form="generic")
+        nxt = del_step_matched_group(mp, L, arrows[-1], tol=tols)
+        with solver_failure("reference residual"):
+            r_closed = del_residual_matched_group(mp, L, arrows[-1], nxt,
+                                                  form="full")
+            r_generic = del_residual_matched_group(mp, L, arrows[-1], nxt,
+                                                   form="generic")
         gap = float(np.max(np.abs(r_closed - r_generic)))
         if gap > FORMULA_TOL:
             raise FormulaMismatch(
@@ -303,10 +312,7 @@ def run_sl2c(config: ScenarioConfig):
         res_norms.append(float(np.linalg.norm(r_closed, np.inf)))
         arrows.append(nxt)
 
-    header = (["k", "A_w", "A_x", "A_y", "A_z", "B_a", "B_b", "B_c"]
-              + ["Phi_%d" % i for i in (1, 2, 3)]
-              + ["Psi_%d" % i for i in (1, 2, 3)]
-              + ["res_norm", "formula_gap"])
+    header = HEADERS["sl2c"]
     rows = []
     for k, u in enumerate(arrows):
         mu, nu = matched_group_momenta(mp, L, u)
@@ -367,6 +373,10 @@ def check_residual_file(path):
     arrows alone, and compare against the stored values.  Returns
     (ok, report)."""
     config, header, rows = read_trajectory_csv(path)
+    width = len(HEADERS[config.scenario])
+    if any(len(row) < width for row in rows):
+        raise DomainError("trajectory file %s: %s rows need %d fields"
+                          % (path, config.scenario, width))
     try:
         return _recheck_rows(config, rows)
     except MatchdynError:

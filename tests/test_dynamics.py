@@ -294,6 +294,21 @@ def test_matched_group_unknown_form():
                                    form="nope")
 
 
+def test_matched_group_trajectory_rejects_unknown_form_before_stepping(
+        monkeypatch):
+    import matchdyn.dynamics as dynamics
+
+    steps = []
+    for name in ("del_step", "del_step_matched_group"):
+        monkeypatch.setattr(dynamics, name,
+                            lambda *a, name=name, **kw: steps.append(name))
+    mp = Su2K()
+    L = DiscreteLagrangian(lambda u: 0.5 * float(np.sum(u ** 2)))
+    with pytest.raises(TagError):
+        solve_matched_group_trajectory(mp, L, mp.identity(), 3, form="nope")
+    assert steps == []
+
+
 def test_matched_group_step_drives_residual_to_zero():
     mp = Su2K()
     e = mp.identity()

@@ -7,7 +7,6 @@ from matchdyn.groupoids import (
     Chart,
     GroupGroupoid,
     MatchedPairGroupoid,
-    axiom_check_matched,
     compose,
     default_trivial_decomposition,
     groupoid_action_check,
@@ -124,9 +123,9 @@ def test_matched_axioms_negative_control():
 
 
 def test_axiom_check_matched_function():
-    report = axiom_check_matched(DEC.actiond, DEC.paird, DEC._act_on_g,
-                                 DEC._act_on_h, np.random.default_rng(0),
-                                 n_samples=10)
+    report = MatchedPairGroupoid(DEC.actiond, DEC.paird, DEC._act_on_g,
+                                 DEC._act_on_h).matched_axiom_report(
+        np.random.default_rng(0), n_samples=10)
     assert max(report.values()) < 1e-9
 
 

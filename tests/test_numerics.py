@@ -101,7 +101,7 @@ def test_newton_line_search_running_out_is_no_convergence():
 
 def test_tolerance_validation():
     with pytest.raises(ValueError):
-        Tolerances(fd_step=-1.0)
+        Tolerances(newton_tol=-1.0)
     with pytest.raises(ValueError):
         Tolerances(newton_max_iter=0)
 

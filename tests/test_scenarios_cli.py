@@ -9,6 +9,7 @@ from matchdyn.dynamics import matched_group_momenta
 from matchdyn.errors import DomainError, FormulaMismatch, SingularJacobian
 from matchdyn.matched_group import Su2K
 from matchdyn.scenarios import (
+    HEADERS,
     ScenarioConfig,
     check_residual_file,
     read_trajectory_csv,
@@ -134,15 +135,16 @@ def test_run_sl2c_zero_coupling_momentum_recursion():
         mu_k, _ = matched_group_momenta(mp, L, uk)
         mu_k1, _ = matched_group_momenta(mp, L, uk1)
         d2k = L.gradient(uk)[mp.G.coord_dim:]
-        predicted = (mp.tr_star(mp.G.coAd(gk, mu_k), hk)
-                     + mp.a_star(hk, d2k))
+        predicted = (mp.act_alg_g(hk).T @ mp.G.coAd(gk, mu_k)
+                     + mp.dagger_h(hk).T @ d2k)
         defect = max(defect, float(np.max(np.abs(predicted - mu_k1))))
     assert defect < 1e-7
 
 
 def test_run_sl2c_formula_mismatch_is_fatal(monkeypatch):
-    monkeypatch.setattr(Su2K, "tr_star", lambda self, mu, h: 2.0 * np.asarray(
-        mu, dtype=float))
+    act_alg_g = Su2K.act_alg_g
+    monkeypatch.setattr(Su2K, "act_alg_g",
+                        lambda self, h: 2.0 * act_alg_g(self, h))
     with pytest.raises(FormulaMismatch):
         run_sl2c(ScenarioConfig("sl2c", steps=3))
 
@@ -199,6 +201,18 @@ def test_read_trajectory_csv_rejects_a_missing_scenario_line(tmp_path):
     p.write_text(p.read_text().replace("# scenario=sl2c\n", ""))
     with pytest.raises(DomainError):
         read_trajectory_csv(str(p))
+    assert main(["check", "residual", str(p)]) == 2
+
+
+@pytest.mark.parametrize("scenario,width", [("sl2c", 16),
+                                            ("trivial_groupoid", 9)])
+def test_check_residual_rejects_short_rows(tmp_path, scenario, width):
+    assert len(HEADERS[scenario]) == width
+    p = tmp_path / "t.csv"
+    write_trajectory_csv(str(p), ScenarioConfig(scenario, steps=2), ["k", "x"],
+                         [[0.0, 1.0], [1.0, 2.0]])
+    with pytest.raises(DomainError):
+        check_residual_file(str(p))
     assert main(["check", "residual", str(p)]) == 2
 
 
