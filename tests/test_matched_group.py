@@ -94,6 +94,23 @@ def test_su2k_closed_infinitesimal_actions():
         assert np.allclose(M.act_alg_h(g), F.act_alg_h(g), atol=1e-8)
 
 
+def test_su2k_closed_transposes():
+    # the dual actions on covectors, as the momentum recursion applies them
+    M = Su2K()
+    F = M.generic()
+    for _ in range(5):
+        g = M.G.random(RNG)
+        h = M.H.random(RNG)
+        mu = RNG.standard_normal(3)
+        nu = RNG.standard_normal(3)
+        phi = RNG.standard_normal(4)
+        psi = RNG.standard_normal(3)
+        assert np.allclose(M.act_alg_g(h).T @ mu, F.act_alg_g(h).T @ mu, atol=1e-8)
+        assert np.allclose(M.dagger_h(h).T @ psi, F.dagger_h(h).T @ psi, atol=1e-8)
+        assert np.allclose(M.dagger_g(g).T @ phi, F.dagger_g(g).T @ phi, atol=1e-8)
+        assert np.allclose(M.act_alg_h(g).T @ nu, F.act_alg_h(g).T @ nu, atol=1e-8)
+
+
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_su2k_lift_matrix_uses_closed_actions(side, monkeypatch):
     # the matched lift block is assembled from the factor lifts and the
