@@ -379,13 +379,17 @@ def matched_lift(side, lift_g, lift_h, act, dagger):
     """Matched lift block from the factor lifts of one side: left is
     [[lift_g @ (h |>), 0], [X^dagger(h), lift_h]], right is
     [[lift_g, -Y^dagger(g)], [0, lift_h @ (<| g)]]."""
+    n, k = lift_g.shape
+    out = np.zeros((n + lift_h.shape[0], k + lift_h.shape[1]))
     if side == "left":
-        return np.block([[lift_g @ act,
-                          np.zeros((lift_g.shape[0], lift_h.shape[1]))],
-                         [dagger, lift_h]])
-    return np.block([[lift_g, dagger],
-                     [np.zeros((lift_h.shape[0], lift_g.shape[1])),
-                      lift_h @ act]])
+        out[:n, :k] = lift_g @ act
+        out[n:, :k] = dagger
+        out[n:, k:] = lift_h
+    else:
+        out[:n, :k] = lift_g
+        out[:n, k:] = dagger
+        out[n:, k:] = lift_h @ act
+    return out
 
 
 class MatchedPairGroupoid(Groupoid):
@@ -646,6 +650,12 @@ class TrivialDecomposition:
         m, g = self.actiond.split(garr)
         n = self.paird.beta(harr)
         return np.concatenate([m, g, n])
+
+    def phi_inv_transpose(self, d):
+        """Pull a covector at phi_inv(y) back to y: phi_inv drops the middle
+        point, so its transpose puts zeros there."""
+        m, g, n = self.trivial.split(d)
+        return np.concatenate([m, g, np.zeros_like(n), n])
 
 
 def default_trivial_decomposition():

@@ -8,9 +8,12 @@ coordinates through the Euclidean dot product.
 
 Lift matrices of translations and the adjoint map are available generically
 through finite differences of the product; the generic Ad reads its curve in
-algebra coordinates through ``log``, the chart inverse.  No group overrides
-``lift_matrix``; the groups here override ``Ad`` with closed forms, and the
-generic one serves the matched-pair groups.
+algebra coordinates through ``log``, the chart inverse.  Every group here
+overrides ``lift_matrix`` and ``Ad`` with closed forms, so the finite-difference
+``Group.lift_matrix`` is the oracle that tests compare them against, and the
+generic Ad serves the matched-pair groups.  SU(2) and K also give the
+Jacobian of their ``log`` in chart coordinates (``dlog``), from which the
+built-in Lagrangians take their closed gradients.
 """
 from __future__ import annotations
 
@@ -86,7 +89,8 @@ class Group:
 
     def lift_matrix(self, side, g):
         """coord_dim x dim matrix, column i = d/dt (g exp(t e_i)) (left) or
-        d/dt (exp(t e_i) g) (right) at t=0."""
+        d/dt (exp(t e_i) g) (right) at t=0, by finite differences: the oracle
+        of the closed forms that the concrete groups override it with."""
         if side == "left":
             return fd_curve_columns(lambda xi: self.mul(g, self.exp(xi)),
                                     self.dim)
@@ -189,8 +193,32 @@ class SU2(Group):
         theta = 2.0 * np.arctan2(vn, g[0])
         return theta * g[1:] / vn
 
+    def dlog(self, g):
+        """3 x 4 Jacobian of log(w, v) = 2 atan2(|v|, w) v / |v| in all four
+        quaternion coordinates, off the unit sphere too."""
+        g = _vec(g, 4)
+        w, v = g[0], g[1:]
+        vn = np.linalg.norm(v)
+        if vn < 1e-14:
+            # log is 0 on this ball; curves through it see the smooth limit
+            return np.column_stack([np.zeros(3), 2.0 / w * np.eye(3)])
+        r2 = w * w + vn * vn
+        s = 2.0 * np.arctan2(vn, w) / vn
+        u = v / vn
+        return np.column_stack([-2.0 * v / r2, s * np.eye(3)
+                                + (2.0 * w / r2 - s) * np.outer(u, u)])
+
     def bracket(self, x, y):
         return np.cross(self.algebra_vector(x), self.algebra_vector(y))
+
+    def lift_matrix(self, side, g):
+        # column i is the quaternion g (0, e_i/2) (left) or (0, e_i/2) g
+        w, x, y, z = _vec(g, 4)
+        if side == "left":
+            return 0.5 * np.array([[-x, -y, -z], [w, -z, y], [z, w, -x],
+                                   [-y, x, w]])
+        return 0.5 * np.array([[-x, -y, -z], [w, z, -y], [-z, w, x],
+                               [y, -x, w]])
 
     def Ad(self, g, xi):
         return self.rot_of(g) @ self.algebra_vector(xi)
@@ -268,9 +296,30 @@ class KGroup(Group):
         f = C / c if abs(c) > 1e-8 else 1.0 + 0.5 * c
         return np.array([A / f, B / f, c])
 
+    def dlog(self, g):
+        """3 x 3 Jacobian of log(A, B, C) = (A phi(C), B phi(C), log1p(C)),
+        phi(C) = log1p(C) / C."""
+        A, B, C = self.element(g)
+        c = np.log1p(C)
+        phi = c / C if abs(c) > 1e-8 else 1.0 / (1.0 + 0.5 * c)
+        if abs(C) > 1e-4:
+            dphi = (C / (1.0 + C) - c) / C**2
+        else:  # Taylor series: the quotient above cancels to C^2 / 2
+            dphi = -0.5 + C * (2.0 / 3.0 - 0.75 * C)
+        return np.array([[phi, 0.0, A * dphi],
+                         [0.0, phi, B * dphi],
+                         [0.0, 0.0, 1.0 / (1.0 + C)]])
+
     def bracket(self, x, y):
         k = np.array([0.0, 0.0, 1.0])
         return np.cross(k, np.cross(self.algebra_vector(x), self.algebra_vector(y)))
+
+    def lift_matrix(self, side, g):
+        # a b = a (1 + c_b) + b, and exp has derivative 1 at 0
+        g = self.element(g)
+        if side == "left":
+            return np.eye(3) + np.outer(g, [0.0, 0.0, 1.0])
+        return (1.0 + g[2]) * np.eye(3)
 
     def Ad(self, g, xi):
         M = self.mat3(g)
@@ -328,30 +377,6 @@ class KGroup(Group):
         ])
 
 
-def k_convert(rep_from, rep_to, value, kind="group"):
-    """Transport a K element or algebra vector between its representations
-    ('vector' chart, 'mat3', 'mat2')."""
-    K = KGroup()
-    group = {
-        "vector": (lambda v: K.element(v), lambda v: v),
-        "mat3": (K.from_mat3, K.mat3),
-        "mat2": (K.from_mat2, K.mat2),
-    }
-    algebra = {
-        "vector": (lambda v: K.algebra_vector(v), lambda v: v),
-        "mat3": (K.alg_from_mat3, K.alg_mat3),
-        "mat2": (
-            lambda M: np.array([M[1, 0].real, M[1, 0].imag, 2.0 * M[0, 0].real]),
-            K.alg_mat2,
-        ),
-    }
-    table = group if kind == "group" else algebra
-    if rep_from not in table or rep_to not in table:
-        raise TagError("unknown K representation")
-    to_vec, from_vec = table[rep_from][0], table[rep_to][1]
-    return from_vec(to_vec(value))
-
-
 def hat3(xi):
     x, y, z = xi
     return np.array([
@@ -359,6 +384,9 @@ def hat3(xi):
         [z, 0.0, -x],
         [-y, x, 0.0],
     ])
+
+
+HATS = [hat3(e) for e in np.eye(3)]
 
 
 class SO3(Group):
@@ -404,6 +432,13 @@ class SO3(Group):
     def bracket(self, x, y):
         return np.cross(self.algebra_vector(x), self.algebra_vector(y))
 
+    def lift_matrix(self, side, g):
+        # column i is g hat(e_i) (left) or hat(e_i) g (right), row-major
+        M = _vec(g, 9).reshape(3, 3)
+        if side == "left":
+            return np.column_stack([(M @ E).ravel() for E in HATS])
+        return np.column_stack([(E @ M).ravel() for E in HATS])
+
     def Ad(self, g, xi):
         return _vec(g, 9).reshape(3, 3) @ self.algebra_vector(xi)
 
@@ -432,6 +467,9 @@ class Circle(Group):
 
     def bracket(self, x, y):
         return np.zeros(1)
+
+    def lift_matrix(self, side, g):
+        return np.eye(self.dim)
 
     def Ad(self, g, xi):
         return self.algebra_vector(xi).copy()
@@ -464,6 +502,9 @@ class Abelian(Group):
 
     def bracket(self, x, y):
         return np.zeros(self.dim)
+
+    def lift_matrix(self, side, g):
+        return np.eye(self.dim)
 
     def Ad(self, g, xi):
         return self.algebra_vector(xi).copy()

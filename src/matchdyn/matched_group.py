@@ -227,13 +227,6 @@ class Su2K(MatchedPairGroup):
         R = self.G.rot_of(self.act_on_g(h, g))
         return s * E3 + R.T @ (B - s * E3)
 
-    def act_on_g_decomp(self, h, g):
-        """B |> A through the explicit matrix refactorization."""
-        return self.decompose(self.H.mat2(h) @ self.G.mat2(g))[0]
-
-    def act_on_h_decomp(self, h, g):
-        return self.decompose(self.H.mat2(h) @ self.G.mat2(g))[1]
-
     def decompose(self, M):
         """Split M in SL(2, C) as (SU(2) chart point, K chart point) with
         M = mat2(A) @ mat2(B)."""

@@ -4,11 +4,16 @@ the SL(2, C) matched-pair group, plus config parsing and trajectory I/O.
 Config files are INI; trajectory files are CSV whose leading '#' comment
 lines embed the full config, so a trajectory can be re-verified without the
 original config file.  Reals are serialized with 17 significant digits to
-keep the round trip bit-stable.
+keep the round trip bit-stable.  The comment lines also record how the
+writer took derivatives (``derivatives=exact``: closed gradients and lift
+matrices); a file without that line was written with finite differences, and
+is re-verified the same way, because the two disagree in the last digits
+that the stored residual norms keep.
 """
 from __future__ import annotations
 
 import configparser
+import functools
 import json
 import time
 from dataclasses import dataclass
@@ -28,6 +33,7 @@ from .dynamics import (
 )
 from .errors import DomainError, FormulaMismatch, MatchdynError
 from .groupoids import default_trivial_decomposition
+from .groups import Group
 from .matched_group import Su2K
 from .numerics import Tolerances
 
@@ -36,6 +42,9 @@ FORMULA_TOL = 1e-7
 REPRODUCE_TOL = 1e-12
 
 SCENARIOS = ("trivial_groupoid", "sl2c")
+# how the derivatives in a trajectory file were taken: this writer takes the
+# first; a file without the derivatives= line took the second
+DERIVATIVES = ("exact", "fd")
 
 # trajectory-file columns of each scenario
 HEADERS = {
@@ -68,6 +77,8 @@ class ScenarioConfig:
         self.params = dict(params or {})
         self.initial = None if initial is None else np.asarray(initial,
                                                                dtype=float)
+        # not an option: set only when a trajectory file is read back
+        self.derivatives = DERIVATIVES[0]
 
     @classmethod
     def from_ini(cls, path):
@@ -120,6 +131,7 @@ class ScenarioConfig:
             lines.append("param.%s=%s" % (key, FMT % self.params[key]))
         if self.initial is not None:
             lines.append("initial=" + " ".join(FMT % v for v in self.initial))
+        lines.append("derivatives=" + DERIVATIVES[0])
         return lines
 
     @classmethod
@@ -139,9 +151,15 @@ class ScenarioConfig:
             steps, tol = int(kv.get("steps", 10)), float(kv.get("tol", 1e-10))
         except ValueError as exc:
             raise DomainError("trajectory header: %s" % exc)
-        return cls(kv["scenario"], steps=steps, tol=tol,
-                   lagrangian=kv.get("lagrangian"), params=params,
-                   initial=initial)
+        derivatives = kv.get("derivatives", "fd")
+        if derivatives not in DERIVATIVES:
+            raise DomainError("trajectory header: unknown derivatives=%s"
+                              % derivatives)
+        config = cls(kv["scenario"], steps=steps, tol=tol,
+                     lagrangian=kv.get("lagrangian"), params=params,
+                     initial=initial)
+        config.derivatives = derivatives
+        return config
 
 
 @dataclass
@@ -187,7 +205,19 @@ def trivial_groupoid_lagrangian(dec, config: ScenarioConfig):
         return (0.5 * k_pos * float(np.sum((n - m) ** 2))
                 + 0.5 * k_rot * float(g[0] ** 2))
 
-    return DiscreteLagrangian(evaluate, name="spring")
+    def gradient(x):
+        m, g, n = dec.trivial.split(x)
+        return np.concatenate([k_pos * (m - n), k_rot * g, k_pos * (n - m)])
+
+    return DiscreteLagrangian(evaluate, gradient, name="spring")
+
+
+def matched_lagrangian(dec, L: DiscreteLagrangian):
+    """L o phi_inv on the matched presentation, with the exact chain rule."""
+    return DiscreteLagrangian(
+        lambda u: L(dec.phi_inv(u)),
+        lambda u: dec.phi_inv_transpose(L.gradient(dec.phi_inv(u))),
+        name=L.name + "_matched")
 
 
 def sl2c_lagrangian(mp: Su2K, config: ScenarioConfig):
@@ -207,7 +237,23 @@ def sl2c_lagrangian(mp: Su2K, config: ScenarioConfig):
         return (0.5 * float(x @ (ig * x)) + 0.5 * float(y @ (ih * y))
                 + coupling * float(x @ y))
 
-    return DiscreteLagrangian(evaluate, name="quadratic")
+    def gradient(u):
+        g, h = mp.split(u)
+        x = mp.G.log(g)
+        y = mp.H.log(h)
+        return np.concatenate([mp.G.dlog(g).T @ (ig * x + coupling * y),
+                               mp.H.dlog(h).T @ (ih * y + coupling * x)])
+
+    return DiscreteLagrangian(evaluate, gradient, name="quadratic")
+
+
+def _fd_derivatives(L: DiscreteLagrangian, *groups):
+    """L without its closed gradient, and the groups switched to the
+    finite-difference ``Group.lift_matrix``: the derivatives of a trajectory
+    file that has no derivatives= line."""
+    for G in groups:
+        G.lift_matrix = functools.partial(Group.lift_matrix, G)
+    return DiscreteLagrangian(L.evaluate, name=L.name)
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +271,7 @@ def run_trivial_groupoid(config: ScenarioConfig):
     t0 = time.perf_counter()
     dec = default_trivial_decomposition()
     L = trivial_groupoid_lagrangian(dec, config)
-    Lm = DiscreteLagrangian(lambda u: L(dec.phi_inv(u)),
-                            name=L.name + "_matched")
+    Lm = matched_lagrangian(dec, L)
     x0 = config.initial
     if x0 is None:
         x0 = np.array([0.0, 0.0, 0.3, 1.0, 0.0])
@@ -385,9 +430,12 @@ def check_residual_file(path):
 
 
 def _recheck_rows(config, rows):
+    fd = config.derivatives == "fd"
     if config.scenario == "trivial_groupoid":
         dec = default_trivial_decomposition()
         L = trivial_groupoid_lagrangian(dec, config)
+        if fd:
+            L = _fd_derivatives(L, dec.G)
         arrows = [np.array(row[1:6]) for row in rows]
         stored = [row[6] for row in rows[:-1]]
         recomputed = [float(np.linalg.norm(
@@ -398,6 +446,8 @@ def _recheck_rows(config, rows):
     else:
         mp = Su2K()
         L = sl2c_lagrangian(mp, config)
+        if fd:
+            L = _fd_derivatives(L, mp.G, mp.H)
         arrows = [np.array(row[1:8]) for row in rows]
         stored = [row[14] for row in rows[:-1]]
         recomputed = [float(np.linalg.norm(

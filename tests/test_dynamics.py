@@ -27,12 +27,17 @@ from matchdyn.groupoids import (
     MatchedPairGroupoid,
     default_trivial_decomposition,
 )
-from matchdyn.groups import SO3, SU2, Circle, Group
+from matchdyn.groups import SO3, SU2, Circle, Group, KGroup
 from matchdyn.matched_group import (
     Su2K,
     both_trivial_pair,
     left_trivial_pair,
     right_trivial_pair,
+)
+from matchdyn.scenarios import (
+    ScenarioConfig,
+    sl2c_lagrangian,
+    trivial_groupoid_lagrangian,
 )
 
 RNG = np.random.default_rng(20240821)
@@ -231,18 +236,41 @@ def test_su2k_outgoing_half_builds_two_lift_matrices(monkeypatch):
     # mu and nu need the SU(2) and K right lifts at u; the closed b* needs
     # no third one
     built = []
-    lift_matrix = Group.lift_matrix
+    for cls in (SU2, KGroup):
+        def counted(self, side, g, lift_matrix=cls.lift_matrix):
+            built.append((self.name, side))
+            return lift_matrix(self, side, g)
 
-    def counted(self, side, g):
-        built.append((self.name, side))
-        return lift_matrix(self, side, g)
-
-    monkeypatch.setattr(Group, "lift_matrix", counted)
+        monkeypatch.setattr(cls, "lift_matrix", counted)
     rng = np.random.default_rng(33)
     mp = Su2K()
     L = smooth_lagrangian(mp.coord_dim, rng)
     _momentum_half(mp, L, mp.random(rng), "full", "right")
     assert built == [("su2", "right"), ("k", "right")]
+
+
+def test_default_junction_solves_take_no_finite_difference_derivatives(
+        monkeypatch):
+    # the built-in Lagrangians and the groups carry closed derivatives, so
+    # finite differences are left to the oracles (and the Newton Jacobian)
+    import matchdyn.dynamics as dynamics
+
+    def oracle_only(*args):
+        raise AssertionError("finite-difference derivative in a junction "
+                             "solve")
+
+    monkeypatch.setattr(dynamics, "fd_gradient", oracle_only)
+    monkeypatch.setattr(Group, "lift_matrix", oracle_only)
+    mp = Su2K()
+    L = sl2c_lagrangian(mp, ScenarioConfig("sl2c"))
+    uk = mp.exp([0.2, -0.1, 0.15, 0.1, 0.05, -0.1])
+    uk1 = del_step_matched_group(mp, L, uk)
+    assert np.max(np.abs(del_residual(GroupGroupoid(mp), L, uk, uk1))) < 1e-10
+    dec = default_trivial_decomposition()
+    L = trivial_groupoid_lagrangian(dec, ScenarioConfig("trivial_groupoid"))
+    xk = np.array([0.0, 0.0, 0.3, 1.0, 0.0])
+    xk1 = del_step(dec.trivial, L, xk)
+    assert np.max(np.abs(del_residual(dec.trivial, L, xk, xk1))) < 1e-10
 
 
 def test_matched_groupoid_step_builds_no_fiber_tangent_matrix(monkeypatch):

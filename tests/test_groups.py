@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from matchdyn.errors import DomainError
+from matchdyn.errors import DomainError, TagError
 from matchdyn.groups import (
     SO3,
     SU2,
     Abelian,
     Circle,
+    Group,
     KGroup,
     hat3,
-    k_convert,
     rot2,
 )
 
@@ -101,6 +101,15 @@ def test_lift_matrix_and_cotangent(G):
             assert abs(float(mu @ lifted) - G.pairing(pulled, xi)) < 1e-8
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("G", ALL_GROUPS, ids=lambda g: g.name)
+def test_closed_lift_matrix_matches_finite_differences(G, side):
+    for g in [G.identity()] + [G.random(RNG, sigma=1.0) for _ in range(5)]:
+        closed = G.lift_matrix(side, g)
+        assert closed.shape == (G.coord_dim, G.dim)
+        assert np.max(np.abs(closed - Group.lift_matrix(G, side, g))) <= 1e-9
+
+
 # -- SU(2) specifics --------------------------------------------------------
 
 
@@ -182,6 +191,30 @@ def test_k_mat2_homomorphism():
         a, b = G.random(RNG), G.random(RNG)
         assert np.allclose(G.mat2(G.mul(a, b)), G.mat2(a) @ G.mat2(b), atol=1e-10)
         assert np.allclose(G.from_mat2(G.mat2(a)), a, atol=1e-12)
+
+
+def k_convert(rep_from, rep_to, value, kind="group"):
+    """Transport a K element or algebra vector between its representations
+    ('vector' chart, 'mat3', 'mat2')."""
+    K = KGroup()
+    group = {
+        "vector": (lambda v: K.element(v), lambda v: v),
+        "mat3": (K.from_mat3, K.mat3),
+        "mat2": (K.from_mat2, K.mat2),
+    }
+    algebra = {
+        "vector": (lambda v: K.algebra_vector(v), lambda v: v),
+        "mat3": (K.alg_from_mat3, K.alg_mat3),
+        "mat2": (
+            lambda M: np.array([M[1, 0].real, M[1, 0].imag, 2.0 * M[0, 0].real]),
+            K.alg_mat2,
+        ),
+    }
+    table = group if kind == "group" else algebra
+    if rep_from not in table or rep_to not in table:
+        raise TagError("unknown K representation")
+    to_vec, from_vec = table[rep_from][0], table[rep_to][1]
+    return from_vec(to_vec(value))
 
 
 def test_k_convert_example():

@@ -1,25 +1,34 @@
 import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from matchdyn.cli import main
-from matchdyn.dynamics import matched_group_momenta
+from matchdyn.dynamics import DiscreteLagrangian, matched_group_momenta
 from matchdyn.errors import DomainError, FormulaMismatch, SingularJacobian
+from matchdyn.groupoids import default_trivial_decomposition
 from matchdyn.matched_group import Su2K
+from matchdyn.numerics import fd_gradient
 from matchdyn.scenarios import (
     HEADERS,
     ScenarioConfig,
     check_residual_file,
+    matched_lagrangian,
     read_trajectory_csv,
     run_axiom_suites,
     run_scenario,
     run_sl2c,
     run_trivial_groupoid,
     sl2c_lagrangian,
+    trivial_groupoid_lagrangian,
     write_trajectory_csv,
 )
+
+# trajectory files written with finite-difference derivatives, before files
+# recorded how they were written: default configs, 4 steps
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 # -- config -----------------------------------------------------------------
@@ -66,6 +75,52 @@ def test_config_comment_roundtrip():
     assert back.tol == cfg.tol
     assert back.params == cfg.params
     assert np.array_equal(back.initial, cfg.initial)
+    assert back.derivatives == "exact"
+
+
+# -- closed gradients against their finite-difference oracle ---------------
+
+def fd_reference(L, x):
+    """The gradient=None path, which is plain finite differences of L."""
+    fd = DiscreteLagrangian(L.evaluate).gradient(x)
+    assert np.array_equal(fd, fd_gradient(L.evaluate, x))
+    return fd
+
+
+SL2C_PARAMS = ["ig1", "ig2", "ig3", "ih1", "ih2", "ih3"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(inertia=st.lists(st.floats(0.1, 5.0), min_size=6, max_size=6),
+       coupling=st.floats(-1.0, 1.0),
+       # nearer K's chart edge c = -1 the finite differences lose accuracy
+       w=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6))
+# the identity, SU(2) inside log's |v| < 1e-14 ball, K inside |c| <= 1e-8
+@example(inertia=[1.0] * 6, coupling=0.3, w=[0.0] * 6)
+@example(inertia=[2.0, 1.0, 0.5, 1.0, 3.0, 1.0], coupling=0.7,
+         w=[1e-15, 0.0, 0.0, 0.4, -0.3, 0.2])
+@example(inertia=[2.0, 1.0, 0.5, 1.0, 3.0, 1.0], coupling=-0.4,
+         w=[0.3, -0.2, 0.5, 0.8, -0.6, 1e-9])
+def test_quadratic_gradient_matches_finite_differences(inertia, coupling, w):
+    params = dict(zip(SL2C_PARAMS, inertia), coupling=coupling)
+    mp = Su2K()
+    L = sl2c_lagrangian(mp, ScenarioConfig("sl2c", params=params))
+    u = mp.exp(np.array(w))
+    assert np.max(np.abs(L.gradient(u) - fd_reference(L, u))) <= 1e-7
+
+
+@settings(max_examples=40, deadline=None)
+@given(k_pos=st.floats(0.0, 5.0), k_rot=st.floats(0.0, 5.0),
+       y=st.lists(st.floats(-3.0, 3.0), min_size=7, max_size=7))
+def test_spring_gradients_match_finite_differences(k_pos, k_rot, y):
+    dec = default_trivial_decomposition()
+    L = trivial_groupoid_lagrangian(dec, ScenarioConfig(
+        "trivial_groupoid", params={"k_pos": k_pos, "k_rot": k_rot}))
+    Lm = matched_lagrangian(dec, L)
+    y = np.array(y)
+    x = dec.phi_inv(y)
+    assert np.max(np.abs(L.gradient(x) - fd_reference(L, x))) <= 1e-7
+    assert np.max(np.abs(Lm.gradient(y) - fd_reference(Lm, y))) <= 1e-7
 
 
 # -- trivial groupoid scenario ----------------------------------------------
@@ -190,6 +245,49 @@ def test_read_trajectory_csv_rejects_a_non_numeric_field(tmp_path):
     p = tmp_path / "t.csv"
     _write_small_csv(p)
     p.write_text(p.read_text().replace("1,2\n", "1,two\n"))
+    with pytest.raises(DomainError):
+        read_trajectory_csv(str(p))
+    assert main(["check", "residual", str(p)]) == 2
+
+
+# the tampered field is a free chart coordinate (B_a, theta), so the
+# recomputed residuals, not a chart or composability check, have to catch it
+@pytest.mark.parametrize("name,field", [("sl2c_fd.csv", 5),
+                                        ("trivial_groupoid_fd.csv", 3)])
+def test_finite_difference_files_recheck_with_gap_zero(tmp_path, name, field):
+    # no derivatives= line: the recheck takes finite-difference derivatives,
+    # as the writer did, and reproduces the stored norms exactly
+    path = os.path.join(DATA, name)
+    lines = open(path).read().splitlines()
+    assert not any(line.startswith("# derivatives=") for line in lines)
+    ok, report = check_residual_file(path)
+    assert ok and report.correspondence_gap == 0.0
+    assert main(["check", "residual", path]) == 0
+    k = next(i for i, line in enumerate(lines) if line.startswith("1,"))
+    fields = lines[k].split(",")
+    fields[field] = repr(float(fields[field]) + 1e-4)
+    lines[k] = ",".join(fields)
+    tampered = tmp_path / name
+    tampered.write_text("\n".join(lines) + "\n")
+    assert main(["check", "residual", str(tampered)]) == 1
+
+
+@pytest.mark.parametrize("scenario", ["sl2c", "trivial_groupoid"])
+def test_fresh_files_record_exact_derivatives(tmp_path, scenario):
+    p = str(tmp_path / "t.csv")
+    assert main(["run", scenario, "--steps", "3", "--out", p]) == 0
+    assert "# derivatives=exact\n" in open(p).read()
+    cfg, _, _ = read_trajectory_csv(p)
+    assert cfg.derivatives == "exact"
+    ok, report = check_residual_file(p)
+    assert ok and report.correspondence_gap == 0.0
+
+
+def test_read_trajectory_csv_rejects_unknown_derivatives(tmp_path):
+    p = tmp_path / "t.csv"
+    _write_small_csv(p)
+    p.write_text(p.read_text().replace("# derivatives=exact\n",
+                                       "# derivatives=symbolic\n"))
     with pytest.raises(DomainError):
         read_trajectory_csv(str(p))
     assert main(["check", "residual", str(p)]) == 2
