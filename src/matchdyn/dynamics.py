@@ -4,9 +4,10 @@ The primitive object is the two-arrow junction residual, two mat-vecs
 left_lift(g_k)^T dL(g_k) - right_lift(g_{k+1})^T dL(g_{k+1}): an incoming half
 at g_k and an outgoing half at g_{k+1}.  A step solves
 incoming - outgoing(chart(z)) = 0 with the incoming half fixed.  A matched
-pair of groups steps as its group groupoid, through the same ``del_step``;
-its momentum forms (the paper's transported-and-forced momenta and their
-degenerate reductions) are references, evaluated only at solved junctions.
+pair of groups is a matched-pair groupoid over a point and steps through the
+same ``del_step``; its momentum forms (the paper's transported-and-forced
+momenta and their degenerate reductions) are references, evaluated only at
+solved junctions.
 Longer trajectories are solved junction by junction, and every solve is
 cross-checked against the brute-force variational derivative of the action
 sum.
@@ -154,7 +155,7 @@ def del_residual_matched(md: MatchedPairGroupoid, L: DiscreteLagrangian,
 # matched-pair groups: momentum form of the residual
 # ---------------------------------------------------------------------------
 
-MATCHED_GROUP_FORMS = ("full", "generic", "right-trivial", "left-trivial",
+MATCHED_GROUP_FORMS = ("full", "right-trivial", "left-trivial",
                        "both-trivial", "fields")
 
 
@@ -181,11 +182,11 @@ def del_residual_matched_group(mp: MatchedPairGroup, L: DiscreteLagrangian,
              - g_{k+1} |>* nu_{k+1}
 
     The degenerate forms drop the terms that vanish when one or both of the
-    mutual actions are trivial; "generic" evaluates the full form with the
-    finite-difference induced actions of ``mp.generic()``; "fields" is the
-    two-mat-vec residual that ``del_step`` solves, dL paired with
-    ``mp.lift_matrix``.  None of these is solved: they are references,
-    evaluated at the junctions ``del_step`` has solved.
+    mutual actions are trivial; "fields" is the two-mat-vec residual that
+    ``del_step`` solves, dL paired with ``mp.lift_matrix``.  None of these
+    is solved: they are references, evaluated at the junctions ``del_step``
+    has solved.  The full form of ``mp.generic()`` is the same residual
+    through the finite-difference induced actions.
     """
     return (_momentum_half(mp, L, uk, form, "left")
             - _momentum_half(mp, L, uk1, form, "right"))
@@ -198,9 +199,8 @@ def _momentum_half(mp, L, u, form, side):
     u = mp.check(u)
     if form == "fields":
         return _matched_group_fields_residual(mp, L, u, side)
-    if form == "generic":
-        mp, form = mp.generic(), "full"
-    # h |> g enters via act_alg_g, dagger_g; h <| g via dagger_h, act_alg_h
+    # h |> g enters via act_on_fiber_g_matrix, dagger_on_g_matrix; h <| g
+    # via dagger_on_h_matrix, act_on_fiber_h_matrix
     acts_on_g = form in ("full", "right-trivial")
     acts_on_h = form in ("full", "left-trivial")
     g, h = mp.split(u)
@@ -209,13 +209,14 @@ def _momentum_half(mp, L, u, form, side):
     if side == "left":
         xi = mp.G.coAd(g, mu)
         if acts_on_g:
-            xi = mp.act_alg_g(h).T @ xi
+            xi = mp.act_on_fiber_g_matrix(h).T @ xi
         if acts_on_h:
-            xi = xi + mp.dagger_h(h).T @ d[mp.G.coord_dim:]
+            xi = xi + mp.dagger_on_h_matrix(h).T @ d[mp.G.coord_dim:]
         return np.concatenate([xi, mp.H.coAd(h, nu)])
-    eta = mp.act_alg_h(g).T @ nu if acts_on_h else nu
+    eta = mp.act_on_fiber_h_matrix(g).T @ nu if acts_on_h else nu
     if acts_on_g:
-        eta = eta + mp.dagger_g(g).T @ d[: mp.G.coord_dim]
+        # the groupoid's dagger on g flows y_t^{-1} |> g, hence the sign
+        eta = eta - mp.dagger_on_g_matrix(g).T @ d[: mp.G.coord_dim]
     return np.concatenate([mu, eta])
 
 
@@ -287,11 +288,10 @@ def solve_trajectory(desc: Groupoid, L: DiscreteLagrangian, g1, n_steps,
 
 def del_step_matched_group(mp: MatchedPairGroup, L: DiscreteLagrangian, uk,
                            guess=None, tol: Tolerances = DEFAULT_TOL):
-    """Implicit step of a matched pair of groups: ``del_step`` on its group
-    groupoid, in exponential coordinates, warm-started at the previous
-    increment.  The arrows are checked against the pair's chart first."""
-    guess = None if guess is None else mp.check(guess)
-    return del_step(GroupGroupoid(mp), L, mp.check(uk), guess=guess, tol=tol)
+    """Implicit step of a matched pair of groups: ``del_step`` on the pair,
+    the matched-pair groupoid over a point, in its fiber chart (exponential
+    coordinates), warm-started at the previous increment."""
+    return del_step(mp, L, uk, guess=guess, tol=tol)
 
 
 def solve_matched_group_trajectory(mp, L, u1, n_steps, form="full",

@@ -149,6 +149,17 @@ def rotation_matrix_of_quaternion(q):
     ])
 
 
+def su2_lift(side, q):
+    """Closed SU(2) lift matrix at the unit quaternion q: column i is
+    q (0, e_i/2) (left) or (0, e_i/2) q (right)."""
+    w, x, y, z = _vec(q, 4)
+    if side == "left":
+        return 0.5 * np.array([[-x, -y, -z], [w, -z, y], [z, w, -x],
+                               [-y, x, w]])
+    return 0.5 * np.array([[-x, -y, -z], [w, z, -y], [-z, w, x],
+                           [y, -x, w]])
+
+
 class SU2(Group):
     """SU(2) stored as unit quaternions; the 2x2 complex view is on demand.
 
@@ -212,13 +223,7 @@ class SU2(Group):
         return np.cross(self.algebra_vector(x), self.algebra_vector(y))
 
     def lift_matrix(self, side, g):
-        # column i is the quaternion g (0, e_i/2) (left) or (0, e_i/2) g
-        w, x, y, z = _vec(g, 4)
-        if side == "left":
-            return 0.5 * np.array([[-x, -y, -z], [w, -z, y], [z, w, -x],
-                                   [-y, x, w]])
-        return 0.5 * np.array([[-x, -y, -z], [w, z, -y], [-z, w, x],
-                               [y, -x, w]])
+        return su2_lift(side, g)
 
     def Ad(self, g, xi):
         return self.rot_of(g) @ self.algebra_vector(xi)

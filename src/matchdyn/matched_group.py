@@ -8,74 +8,55 @@ becomes a group under
     (g1, h1)(g2, h2) = (g1 (h1 |> g2), (h1 <| g2) h2).
 
 This is the matched-pair groupoid of the two groups seen as groupoids over a
-point, and ``MatchedPairGroup`` delegates to one: the product, the inverse,
-the compatibility axioms and, by default, the four induced infinitesimal
-actions (as matrices) come from ``self.groupoid``, which differentiates the
-actions by finite differences.  Concrete pairs override only the four
-matrices, with closed forms where available; ``lift_matrix`` assembles the
-matched lift block from the factor lifts and those four matrices, and the
-algebra bracket is derived from them too.  Ad is the generic ``Group.Ad`` on
-the product, read through the componentwise ``log``.  ``generic()`` returns
-the same pair as a plain ``MatchedPairGroup``, so closed forms can be checked
-against it.
+point, and ``MatchedPairGroup`` is one: it subclasses ``MatchedPairGroupoid``
+over ``GroupGroupoid(G)`` and ``GroupGroupoid(H)``, so the product, the
+inverse, the lift matrices, the compatibility axioms and, by default, the
+four induced infinitesimal actions (as matrices, by finite differences) are
+the groupoid's.  Concrete pairs override only those four matrices, with
+closed forms where available; the algebra bracket is derived from them too.
+Ad is the generic ``Group.Ad`` on the product, read through the
+componentwise ``log``.  ``generic()`` returns the same pair as a plain
+``MatchedPairGroup``, so closed forms can be checked against it.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import MatchedAxiomError
-from .groupoids import (GroupGroupoid, MatchedPairGroupoid, matched_lift,
+from .groupoids import (GroupGroupoid, Groupoid, MatchedPairGroupoid,
                         record_deviation)
-from .groups import SO3, SU2, Abelian, Group, KGroup, hat3, quat_mul
+from .groups import SO3, SU2, Abelian, Group, KGroup, hat3, su2_lift
 from .numerics import fd_curve
 
 POINT_BASE = np.zeros(0)  # the base point of a group seen as a groupoid
 
 
-class MatchedPairGroup(Group):
-    """Product group G x H built from a matched pair of mutual actions.
+class MatchedPairGroup(MatchedPairGroupoid, Group):
+    """Product group G x H built from a matched pair of mutual actions: the
+    matched-pair groupoid of G and H over a point.
 
-    Elements are the concatenation of a G chart point and an H chart point.
-    The exp/log pair is the componentwise retraction (exp_G, exp_H); it is a
-    chart around the identity with the correct derivative, which is all the
-    downstream finite differencing needs.
+    The actions ``act_on_g(h, g)`` (h |> g) and ``act_on_h(h, g)`` (h <| g)
+    are passed in or defined by a subclass.  Elements are the concatenation
+    of a G chart point and an H chart point.  The exp/log pair is the fiber
+    chart, the componentwise retraction (exp_G, exp_H); it is a chart around
+    the identity with the correct derivative, which is all the downstream
+    finite differencing needs.
     """
 
     def __init__(self, G: Group, H: Group, act_on_g=None, act_on_h=None,
                  name=None):
         self.G = G
         self.H = H
-        self.dim = G.dim + H.dim
-        self.coord_dim = G.coord_dim + H.coord_dim
-        self.name = name or ("%s_bowtie_%s" % (G.name, H.name))
-        if act_on_g is not None:
-            self.act_on_g = act_on_g
-        if act_on_h is not None:
-            self.act_on_h = act_on_h
-        self.groupoid = MatchedPairGroupoid(
-            GroupGroupoid(G), GroupGroupoid(H), self.act_on_g, self.act_on_h)
+        super().__init__(GroupGroupoid(G), GroupGroupoid(H),
+                         act_on_g or self.act_on_g, act_on_h or self.act_on_h,
+                         name=name or "%s_bowtie_%s" % (G.name, H.name))
+        self.dim = self.fiber_dim
+        self.coord_dim = self.arrow_dim
 
-    # -- mutual actions (h |> g and h <| g) ----------------------------------
-
-    def act_on_g(self, h, g):
-        raise NotImplementedError
-
-    def act_on_h(self, h, g):
-        raise NotImplementedError
-
-    # -- element plumbing and group structure, read off the groupoid ----------
-
-    def split(self, u):
-        return self.groupoid.split(u)
-
-    def join(self, g, h):
-        return self.groupoid.join(g, h)
-
-    def split_alg(self, w):
-        return self.groupoid.split_fiber(w)
+    # -- group structure over the point --------------------------------------
 
     def identity(self):
-        return self.groupoid.eps(POINT_BASE)
+        return self.eps(POINT_BASE)
 
     def check(self, u):
         u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -84,41 +65,14 @@ class MatchedPairGroup(Group):
         self.H.check(h)
         return u
 
-    def mul(self, u1, u2):
-        return self.groupoid.mul(u1, u2)
-
-    def inv(self, u):
-        return self.groupoid.inv(u)
-
     def exp(self, w):
-        return self.groupoid.fiber_elem(POINT_BASE, self.algebra_vector(w))
+        return self.fiber_elem(POINT_BASE, self.algebra_vector(w))
 
     def log(self, u):
-        return self.groupoid.arrow_coords(u)
+        return self.arrow_coords(u)
 
     def random(self, rng, sigma=0.5):
         return self.join(self.G.random(rng, sigma), self.H.random(rng, sigma))
-
-    # -- induced infinitesimal actions, as matrices ---------------------------
-
-    def act_alg_g(self, h):
-        """Matrix of xi -> h |> xi on the Lie algebra of G."""
-        return self.groupoid.act_on_fiber_g_matrix(h)
-
-    def dagger_h(self, h):
-        """Matrix of xi -> xi^dagger(h) = h <| xi, a tangent vector at h in
-        H coordinates."""
-        return self.groupoid.dagger_on_h_matrix(h)
-
-    def dagger_g(self, g):
-        """Matrix of eta -> eta^dagger(g) = eta |> g, a tangent vector at g
-        in G coordinates.  The groupoid flows y_t^{-1} |> g, hence the
-        sign."""
-        return -self.groupoid.dagger_on_g_matrix(g)
-
-    def act_alg_h(self, g):
-        """Matrix of eta -> eta <| g on the Lie algebra of H."""
-        return self.groupoid.act_on_fiber_h_matrix(g)
 
     def generic(self):
         """The same pair without closed-form overrides: every induced
@@ -126,19 +80,13 @@ class MatchedPairGroup(Group):
         return MatchedPairGroup(self.G, self.H, self.act_on_g, self.act_on_h)
 
     def lift_matrix(self, side, u):
-        """The matched lift block at u from the factor lifts and the four
-        induced-action matrices (closed ones where a pair has them)."""
-        g, h = self.split(u)
-        act, dagger = ((self.act_alg_g(h), self.dagger_h(h)) if side == "left"
-                       else (self.act_alg_h(g), self.dagger_g(g)))
-        return matched_lift(side, self.G.lift_matrix(side, g),
-                            self.H.lift_matrix(side, h), act, dagger)
+        return self.left_lift(u) if side == "left" else self.right_lift(u)
 
     # -- algebra bracket -----------------------------------------------------
 
     def bracket(self, w1, w2):
-        xi1, eta1 = self.split_alg(self.algebra_vector(w1))
-        xi2, eta2 = self.split_alg(self.algebra_vector(w2))
+        xi1, eta1 = self.split_fiber(self.algebra_vector(w1))
+        xi2, eta2 = self.split_fiber(self.algebra_vector(w2))
         bg = (self.G.bracket(xi1, xi2)
               + self.act_alg_g_from_eta(eta1, xi2)
               - self.act_alg_g_from_eta(eta2, xi1))
@@ -151,22 +99,24 @@ class MatchedPairGroup(Group):
         """eta |> xi: derivative of h |> xi along h = exp(t eta)."""
         xi = self.G.algebra_vector(xi)
         eta = self.H.algebra_vector(eta)
-        return fd_curve(lambda t: self.act_alg_g(self.H.exp(t * eta)) @ xi)
+        return fd_curve(
+            lambda t: self.act_on_fiber_g_matrix(self.H.exp(t * eta)) @ xi)
 
     def act_alg_h_from_xi(self, eta, xi):
         """eta <| xi: derivative of eta <| g along g = exp(t xi)."""
         xi = self.G.algebra_vector(xi)
         eta = self.H.algebra_vector(eta)
-        return fd_curve(lambda t: self.act_alg_h(self.G.exp(t * xi)) @ eta)
+        return fd_curve(
+            lambda t: self.act_on_fiber_h_matrix(self.G.exp(t * xi)) @ eta)
 
     # -- compatibility checks ------------------------------------------------
 
     def axiom_report(self, rng, n_samples=20):
         """Max deviation of each compatibility condition over random
-        samples: the matched-pair groupoid's action laws and groupoid axioms
-        over a point, plus the Jacobi identity of the algebra bracket."""
-        dev = self.groupoid.matched_axiom_report(rng, n_samples)
-        dev.update(self.groupoid.axiom_report(rng, n_samples))
+        samples: the matched-pair action laws and groupoid axioms over a
+        point, plus the Jacobi identity of the algebra bracket."""
+        dev = self.matched_axiom_report(rng, n_samples)
+        dev.update(Groupoid.axiom_report(self, rng, n_samples))
         dev["bracket_jacobi"] = 0.0
         for _ in range(n_samples):
             x, y, z = (self.random_algebra(rng) for _ in range(3))
@@ -199,8 +149,8 @@ class Su2K(MatchedPairGroup):
 
     Every product B * A of a triangular factor and a unitary factor
     refactorizes as (B |> A)(B <| A); those two maps are the mutual actions.
-    The four induced-action matrices carry closed forms, so ``lift_matrix``
-    and every solve use them; ``generic()`` and ``self.groupoid`` keep the
+    The four induced-action matrices carry closed forms, so the lift
+    matrices and every solve use them; ``generic()`` keeps the
     finite-difference ones, for cross-checking.
     """
 
@@ -249,24 +199,23 @@ class Su2K(MatchedPairGroup):
 
     # -- closed-form infinitesimal actions -----------------------------------
 
-    def act_alg_g(self, h):
+    def act_on_fiber_g_matrix(self, h):
         # B |> X = mat3(B) X
         return self.H.mat3(h)
 
-    def dagger_h(self, h):
+    def dagger_on_h_matrix(self, h):
         # X^dagger(B) = T r_B (B~ x (B |> X)), with T r_B = (1+c) Id in the
         # (a, b, c) chart
         c = self.H.element(h)[2]
         return (1.0 + c) * hat3(self._b_tilde(h)) @ self.H.mat3(h)
 
-    def dagger_g(self, g):
-        # Y^dagger(A) = T r_A (Y x (Ad_A e3 - e3)); column i of T r_A is the
-        # quaternion (0, e_i / 2) A
-        right = np.column_stack([quat_mul(np.concatenate(([0.0], 0.5 * e)), g)
-                                 for e in np.eye(3)])
-        return right @ -hat3(self.G.rot_of(g) @ E3 - E3)
+    def dagger_on_g_matrix(self, g):
+        # d/dt (exp(tY)^{-1} |> A) = -Y^dagger(A) = T r_A ((Ad_A e3 - e3) x Y)
+        # with T r_A from su2_lift: it stays closed when a re-check of an
+        # FD-written file swaps G.lift_matrix for finite differences
+        return su2_lift("right", g) @ hat3(self.G.rot_of(g) @ E3 - E3)
 
-    def act_alg_h(self, g):
+    def act_on_fiber_h_matrix(self, g):
         # Y <| A = rot_of(A)^T Y
         return self.G.rot_of(g).T
 

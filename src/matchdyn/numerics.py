@@ -40,11 +40,11 @@ def _as_vec(x):
     return np.atleast_1d(np.asarray(x, dtype=float))
 
 
-def fd_directional(f, x, v, step=DEFAULT_FD_STEP):
-    """Central difference (f(x+hv) - f(x-hv)) / 2h with h = step*(1+||x||)."""
+def fd_directional(f, x, v):
+    """Central difference (f(x+hv) - f(x-hv)) / 2h, h scaled by 1+||x||."""
     x = _as_vec(x)
     v = _as_vec(v)
-    h = step * (1.0 + np.linalg.norm(x))
+    h = DEFAULT_FD_STEP * (1.0 + np.linalg.norm(x))
     fp = float(f(x + h * v))
     fm = float(f(x - h * v))
     if not (np.isfinite(fp) and np.isfinite(fm)):
@@ -52,21 +52,21 @@ def fd_directional(f, x, v, step=DEFAULT_FD_STEP):
     return (fp - fm) / (2.0 * h)
 
 
-def fd_gradient(f, x, step=DEFAULT_FD_STEP):
+def fd_gradient(f, x):
     x = _as_vec(x)
     n = x.size
     g = np.empty(n)
     eye = np.eye(n)
     for i in range(n):
-        g[i] = fd_directional(f, x, eye[i], step)
+        g[i] = fd_directional(f, x, eye[i])
     return g
 
 
-def fd_curve(c, step=DEFAULT_FD_STEP):
+def fd_curve(c):
     """Derivative at t=0 of a vector-valued curve c(t)."""
-    cp = np.asarray(c(step), dtype=float)
-    cm = np.asarray(c(-step), dtype=float)
-    out = (cp - cm) / (2.0 * step)
+    cp = np.asarray(c(DEFAULT_FD_STEP), dtype=float)
+    cm = np.asarray(c(-DEFAULT_FD_STEP), dtype=float)
+    out = (cp - cm) / (2.0 * DEFAULT_FD_STEP)
     if not np.all(np.isfinite(out)):
         raise EvaluationError("non-finite curve value", point=None)
     return out
@@ -79,11 +79,11 @@ def fd_curve_columns(f, n):
                             for e in np.eye(n)])
 
 
-def fd_jacobian(F, x, step=DEFAULT_FD_STEP):
+def fd_jacobian(F, x):
     """Jacobian of a vector map, column by column."""
     x = _as_vec(x)
     n = x.size
-    h = step * (1.0 + np.linalg.norm(x))
+    h = DEFAULT_FD_STEP * (1.0 + np.linalg.norm(x))
     cols = []
     eye = np.eye(n)
     for i in range(n):

@@ -271,13 +271,13 @@ def test_matched_fields_reduce_to_group_fields():
         u = mp.random(rng)
         w = mp.random_algebra(rng)
         g, h = mp.split(u)
-        xi, eta = mp.split_alg(w)
+        xi, eta = mp.split_fiber(w)
         left = np.concatenate([
-            G.lift_matrix("left", g) @ mp.act_alg_g(h) @ xi,
-            mp.dagger_h(h) @ xi + H.lift_matrix("left", h) @ eta])
+            G.lift_matrix("left", g) @ mp.act_on_fiber_g_matrix(h) @ xi,
+            mp.dagger_on_h_matrix(h) @ xi + H.lift_matrix("left", h) @ eta])
         right = np.concatenate([
-            G.lift_matrix("right", g) @ xi + mp.dagger_g(g) @ eta,
-            H.lift_matrix("right", h) @ mp.act_alg_h(g) @ eta])
+            G.lift_matrix("right", g) @ xi - mp.dagger_on_g_matrix(g) @ eta,
+            H.lift_matrix("right", h) @ mp.act_on_fiber_h_matrix(g) @ eta])
         U = AlgebroidVector(md, np.zeros(0), w)
         assert np.allclose(matched_left_invariant(md, U, u), left, atol=1e-6)
         assert np.allclose(matched_right_invariant(md, U, u), right,

@@ -191,6 +191,26 @@ def test_matched_group_momentum_form_equals_field_form():
         assert np.allclose(r1, r2, atol=1e-7)
 
 
+def test_matched_group_is_its_matched_pair_groupoid():
+    # over a point the paper's six-term residual is the two-mat-vec one, and
+    # the pair steps exactly as its group groupoid does
+    rng = np.random.default_rng(34)
+    for mp in (Su2K(), right_trivial_pair(), left_trivial_pair(),
+               both_trivial_pair()):
+        L = smooth_lagrangian(mp.coord_dim, rng)
+        for _ in range(5):
+            uk, uk1 = mp.random(rng), mp.random(rng)
+            gap = (del_residual_matched(mp, L, uk, uk1)
+                   - del_residual(mp, L, uk, uk1))
+            assert np.max(np.abs(gap)) <= 1e-12
+        e = mp.identity()
+        L = DiscreteLagrangian(lambda u: 0.5 * float(np.sum((u - e) ** 2))
+                               + 0.1 * float(np.sin(u[0] + u[-1])))
+        uk = mp.exp(0.05 * rng.standard_normal(mp.dim))
+        assert np.array_equal(del_step_matched_group(mp, L, uk),
+                              del_step(GroupGroupoid(mp), L, uk))
+
+
 @pytest.mark.parametrize("builder,form", [
     (right_trivial_pair, "right-trivial"),
     (left_trivial_pair, "left-trivial"),

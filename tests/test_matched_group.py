@@ -97,10 +97,14 @@ def test_su2k_closed_infinitesimal_actions():
     for _ in range(5):
         g = M.G.random(RNG)
         h = M.H.random(RNG)
-        assert np.allclose(M.act_alg_g(h), F.act_alg_g(h), atol=1e-8)
-        assert np.allclose(M.dagger_h(h), F.dagger_h(h), atol=1e-8)
-        assert np.allclose(M.dagger_g(g), F.dagger_g(g), atol=1e-8)
-        assert np.allclose(M.act_alg_h(g), F.act_alg_h(g), atol=1e-8)
+        assert np.allclose(M.act_on_fiber_g_matrix(h),
+                           F.act_on_fiber_g_matrix(h), atol=1e-8)
+        assert np.allclose(M.dagger_on_h_matrix(h), F.dagger_on_h_matrix(h),
+                           atol=1e-8)
+        assert np.allclose(M.dagger_on_g_matrix(g), F.dagger_on_g_matrix(g),
+                           atol=1e-8)
+        assert np.allclose(M.act_on_fiber_h_matrix(g),
+                           F.act_on_fiber_h_matrix(g), atol=1e-8)
 
 
 def test_su2k_closed_transposes():
@@ -114,10 +118,14 @@ def test_su2k_closed_transposes():
         nu = RNG.standard_normal(3)
         phi = RNG.standard_normal(4)
         psi = RNG.standard_normal(3)
-        assert np.allclose(M.act_alg_g(h).T @ mu, F.act_alg_g(h).T @ mu, atol=1e-8)
-        assert np.allclose(M.dagger_h(h).T @ psi, F.dagger_h(h).T @ psi, atol=1e-8)
-        assert np.allclose(M.dagger_g(g).T @ phi, F.dagger_g(g).T @ phi, atol=1e-8)
-        assert np.allclose(M.act_alg_h(g).T @ nu, F.act_alg_h(g).T @ nu, atol=1e-8)
+        assert np.allclose(M.act_on_fiber_g_matrix(h).T @ mu,
+                           F.act_on_fiber_g_matrix(h).T @ mu, atol=1e-8)
+        assert np.allclose(M.dagger_on_h_matrix(h).T @ psi,
+                           F.dagger_on_h_matrix(h).T @ psi, atol=1e-8)
+        assert np.allclose(M.dagger_on_g_matrix(g).T @ phi,
+                           F.dagger_on_g_matrix(g).T @ phi, atol=1e-8)
+        assert np.allclose(M.act_on_fiber_h_matrix(g).T @ nu,
+                           F.act_on_fiber_h_matrix(g).T @ nu, atol=1e-8)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -126,7 +134,8 @@ def test_su2k_lift_matrix_uses_closed_actions(side, monkeypatch):
     # closed induced actions, not from the groupoid's finite differences
     M = Su2K()
     called = []
-    for name in ("act_alg_g", "dagger_h", "dagger_g", "act_alg_h"):
+    for name in ("act_on_fiber_g_matrix", "dagger_on_h_matrix",
+                 "dagger_on_g_matrix", "act_on_fiber_h_matrix"):
         closed = getattr(Su2K, name)
 
         def counted(self, x, name=name, closed=closed):
@@ -141,20 +150,22 @@ def test_su2k_lift_matrix_uses_closed_actions(side, monkeypatch):
     z34 = np.zeros((4, 3))
     z33 = np.zeros((3, 3))
     if side == "left":
-        assert sorted(called) == ["act_alg_g", "dagger_h"]
-        block = np.block([[lg @ Su2K.act_alg_g(M, h), z34],
-                          [Su2K.dagger_h(M, h), lh]])
+        assert sorted(called) == ["act_on_fiber_g_matrix",
+                                  "dagger_on_h_matrix"]
+        block = np.block([[lg @ Su2K.act_on_fiber_g_matrix(M, h), z34],
+                          [Su2K.dagger_on_h_matrix(M, h), lh]])
     else:
-        assert sorted(called) == ["act_alg_h", "dagger_g"]
-        block = np.block([[lg, Su2K.dagger_g(M, g)],
-                          [z33, lh @ Su2K.act_alg_h(M, g)]])
+        assert sorted(called) == ["act_on_fiber_h_matrix",
+                                  "dagger_on_g_matrix"]
+        block = np.block([[lg, -Su2K.dagger_on_g_matrix(M, g)],
+                          [z33, lh @ Su2K.act_on_fiber_h_matrix(M, g)]])
     assert np.allclose(lift, block, rtol=0.0, atol=1e-13)
 
 
 def test_su2k_groupoid_runs_the_matched_axiom_suite():
     # over a point the source and target checks compare empty arrays
-    report = Su2K().groupoid.matched_axiom_report(np.random.default_rng(4),
-                                                  n_samples=5)
+    report = Su2K().matched_axiom_report(np.random.default_rng(4),
+                                         n_samples=5)
     assert report["i_source_of_left_action"] == 0.0
     assert max(report.values()) < 1e-9
 

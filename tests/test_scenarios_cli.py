@@ -190,16 +190,16 @@ def test_run_sl2c_zero_coupling_momentum_recursion():
         mu_k, _ = matched_group_momenta(mp, L, uk)
         mu_k1, _ = matched_group_momenta(mp, L, uk1)
         d2k = L.gradient(uk)[mp.G.coord_dim:]
-        predicted = (mp.act_alg_g(hk).T @ mp.G.coAd(gk, mu_k)
-                     + mp.dagger_h(hk).T @ d2k)
+        predicted = (mp.act_on_fiber_g_matrix(hk).T @ mp.G.coAd(gk, mu_k)
+                     + mp.dagger_on_h_matrix(hk).T @ d2k)
         defect = max(defect, float(np.max(np.abs(predicted - mu_k1))))
     assert defect < 1e-7
 
 
 def test_run_sl2c_formula_mismatch_is_fatal(monkeypatch):
-    act_alg_g = Su2K.act_alg_g
-    monkeypatch.setattr(Su2K, "act_alg_g",
-                        lambda self, h: 2.0 * act_alg_g(self, h))
+    act = Su2K.act_on_fiber_g_matrix
+    monkeypatch.setattr(Su2K, "act_on_fiber_g_matrix",
+                        lambda self, h: 2.0 * act(self, h))
     with pytest.raises(FormulaMismatch):
         run_sl2c(ScenarioConfig("sl2c", steps=3))
 
