@@ -40,7 +40,6 @@ from .algebroid import (
 )
 from .dynamics import (
     DiscreteLagrangian,
-    MomentumRecord,
     Trajectory,
     action_sum,
     del_residual,

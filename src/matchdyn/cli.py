@@ -11,6 +11,7 @@ Exit codes: 0 pass, 1 verification or solver failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .errors import DomainError, MatchdynError
@@ -69,17 +70,9 @@ def _load_config(args):
         config = ScenarioConfig(args.scenario)
     else:
         raise DomainError("either a scenario id or --config is required")
-    if args.steps is not None:
-        if args.steps < 2:
-            raise DomainError("--steps must be >= 2")
-        config.steps = args.steps
-    if args.tol is not None:
-        if args.tol <= 0:
-            raise DomainError("--tol must be positive")
-        config.tol = args.tol
-    if args.out is not None:
-        config.out = args.out
-    return config
+    return dataclasses.replace(config, **{
+        key: getattr(args, key) for key in ("steps", "tol", "out")
+        if getattr(args, key) is not None})
 
 
 def _cmd_run(args):

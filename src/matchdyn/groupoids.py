@@ -27,11 +27,10 @@ COMPOSE_TOL = 1e-9
 
 
 class Chart:
-    """Flat R^n base chart with an optional validity predicate."""
+    """Flat R^n base chart."""
 
-    def __init__(self, dim, valid=None, name="chart"):
+    def __init__(self, dim, name="chart"):
         self.dim = dim
-        self.valid = valid
         self.name = name
 
     def check(self, m):
@@ -39,8 +38,6 @@ class Chart:
         if m.size != self.dim:
             raise DomainError("base point has size %d, expected %d"
                               % (m.size, self.dim))
-        if self.valid is not None and not self.valid(m):
-            raise DomainError("base point %s outside chart" % m)
         return m
 
     def random(self, rng, sigma=1.0):

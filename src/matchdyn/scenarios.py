@@ -16,7 +16,7 @@ import configparser
 import functools
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,9 +25,9 @@ from .dynamics import (
     Trajectory,
     del_residual,
     del_residual_matched_group,
-    del_step,
     del_step_matched_group,
     matched_group_momenta,
+    solve_trajectory,
     solver_failure,
     variational_oracle,
 )
@@ -55,70 +55,78 @@ HEADERS = {
 }
 
 
+@dataclass(eq=False)
 class ScenarioConfig:
     """Flat scenario description: which system, which built-in Lagrangian
-    with which parameters, initial data, step count, tolerance."""
+    with which parameters, initial data, step count, tolerance.  Validated on
+    construction, ``dataclasses.replace`` included.  The INI and trajectory
+    header readers share one converter of header fields."""
 
-    def __init__(self, scenario, steps=10, tol=1e-10, out=None,
-                 lagrangian=None, params=None, initial=None):
-        if scenario not in SCENARIOS:
+    scenario: str
+    steps: int = 10
+    tol: float = 1e-10
+    out: str | None = None
+    lagrangian: str | None = None
+    params: dict | None = None
+    initial: np.ndarray | None = None
+    # not an option: set only when a trajectory file is read back
+    derivatives: str = field(default=DERIVATIVES[0], init=False)
+
+    def __post_init__(self):
+        if self.scenario not in SCENARIOS:
             raise DomainError("unknown scenario %r (expected one of %s)"
-                              % (scenario, ", ".join(SCENARIOS)))
-        if steps < 2:
-            raise DomainError("steps must be >= 2, got %d" % steps)
-        if tol <= 0:
+                              % (self.scenario, ", ".join(SCENARIOS)))
+        if self.steps < 2:
+            raise DomainError("steps must be >= 2, got %d" % self.steps)
+        if self.tol <= 0:
             raise DomainError("tol must be positive")
-        self.scenario = scenario
-        self.steps = int(steps)
-        self.tol = float(tol)
-        self.out = out
-        self.lagrangian = lagrangian or ("spring" if scenario ==
-                                         "trivial_groupoid" else "quadratic")
-        self.params = dict(params or {})
-        self.initial = None if initial is None else np.asarray(initial,
-                                                               dtype=float)
-        # not an option: set only when a trajectory file is read back
-        self.derivatives = DERIVATIVES[0]
+        self.steps = int(self.steps)
+        self.tol = float(self.tol)
+        self.lagrangian = self.lagrangian or (
+            "spring" if self.scenario == "trivial_groupoid" else "quadratic")
+        self.params = dict(self.params or {})
+        if self.initial is not None:
+            self.initial = np.asarray(self.initial, dtype=float)
+
+    @classmethod
+    def _from_fields(cls, kv, where):
+        """The config of the trajectory header's string fields ``kv``."""
+        if "scenario" not in kv:
+            raise DomainError("%s names no scenario" % where)
+        try:
+            params = {k[len("param."):]: float(v) for k, v in kv.items()
+                      if k.startswith("param.")}
+            initial = ([float(t) for t in kv["initial"].split()]
+                       if "initial" in kv else None)
+            steps, tol = int(kv.get("steps", 10)), float(kv.get("tol", 1e-10))
+        except ValueError as exc:
+            raise DomainError("%s: %s" % (where, exc))
+        return cls(kv["scenario"], steps=steps, tol=tol, out=kv.get("out"),
+                   lagrangian=kv.get("lagrangian"), params=params,
+                   initial=initial)
 
     @classmethod
     def from_ini(cls, path):
+        """[scenario] id, steps, tol and out, [lagrangian] name and
+        parameters, and [initial] coords; any other key is ignored."""
         cp = configparser.ConfigParser()
-        read = cp.read(path)
-        if not read:
-            raise DomainError("config file %s not found or unreadable" % path)
+        try:
+            if not cp.read(path):
+                raise DomainError("config file %s not found or unreadable"
+                                  % path)
+        except configparser.Error as exc:
+            raise DomainError("config %s: %s" % (path, exc))
         if "scenario" not in cp:
             raise DomainError("config %s: missing [scenario] section" % path)
-        sec = cp["scenario"]
-        try:
-            scenario = sec.get("id")
-            steps = sec.getint("steps", 10)
-            tol = sec.getfloat("tol", 1e-10)
-            out = sec.get("out", None)
-        except ValueError as exc:
-            raise DomainError("config %s: bad [scenario] field: %s"
-                              % (path, exc))
-        lagrangian = None
-        params = {}
+        kv = {key: cp["scenario"][name] for key, name in (
+            ("scenario", "id"), ("steps", "steps"), ("tol", "tol"),
+            ("out", "out")) if name in cp["scenario"]}
         if "lagrangian" in cp:
-            lagrangian = cp["lagrangian"].get("name", None)
             for key, val in cp["lagrangian"].items():
-                if key == "name":
-                    continue
-                try:
-                    params[key] = float(val)
-                except ValueError:
-                    raise DomainError("config %s: parameter %s=%r is not a "
-                                      "number" % (path, key, val))
-        initial = None
+                kv["lagrangian" if key == "name" else "param." + key] = val
         if "initial" in cp and cp["initial"].get("coords"):
-            try:
-                initial = [float(t)
-                           for t in cp["initial"]["coords"].split()]
-            except ValueError:
-                raise DomainError("config %s: [initial] coords must be "
-                                  "whitespace-separated numbers" % path)
-        return cls(scenario, steps=steps, tol=tol, out=out,
-                   lagrangian=lagrangian, params=params, initial=initial)
+            kv["initial"] = cp["initial"]["coords"]
+        return cls._from_fields(kv, "config %s" % path)
 
     def to_comment_lines(self):
         lines = [
@@ -141,24 +149,11 @@ class ScenarioConfig:
             if "=" in line:
                 key, _, val = line.partition("=")
                 kv[key.strip()] = val.strip()
-        if "scenario" not in kv:
-            raise DomainError("trajectory header has no scenario= line")
-        try:
-            params = {k[len("param."):]: float(v) for k, v in kv.items()
-                      if k.startswith("param.")}
-            initial = ([float(t) for t in kv["initial"].split()]
-                       if "initial" in kv else None)
-            steps, tol = int(kv.get("steps", 10)), float(kv.get("tol", 1e-10))
-        except ValueError as exc:
-            raise DomainError("trajectory header: %s" % exc)
-        derivatives = kv.get("derivatives", "fd")
-        if derivatives not in DERIVATIVES:
+        config = cls._from_fields(kv, "trajectory header")
+        config.derivatives = kv.get("derivatives", "fd")
+        if config.derivatives not in DERIVATIVES:
             raise DomainError("trajectory header: unknown derivatives=%s"
-                              % derivatives)
-        config = cls(kv["scenario"], steps=steps, tol=tol,
-                     lagrangian=kv.get("lagrangian"), params=params,
-                     initial=initial)
-        config.derivatives = derivatives
+                              % config.derivatives)
         return config
 
 
@@ -261,8 +256,9 @@ def _fd_derivatives(L: DiscreteLagrangian, *groups):
 # ---------------------------------------------------------------------------
 
 def run_trivial_groupoid(config: ScenarioConfig):
-    """Solve the matched-pair presentation of the plane-with-rotations
-    system and cross-check it against the direct solve on M x G x M.
+    """Solve the plane-with-rotations system in both presentations, direct
+    on M x G x M and matched-pair, with ``solve_trajectory``, and
+    cross-check them.
 
     Returns (report, header, rows); each row holds the direct arrow
     (m, theta, n), the junction residual norms of both presentations, and
@@ -281,36 +277,22 @@ def run_trivial_groupoid(config: ScenarioConfig):
                           % (dec.trivial.arrow_dim, x0.size))
     tols = Tolerances(newton_tol=config.tol)
 
-    direct = [dec.trivial.check(x0)]
-    matched = [dec.phi(x0)]
-    res_direct = []
-    res_matched = []
-    phi_gap = 0.0
-    for _ in range(config.steps - 1):
-        nxt = del_step(dec.trivial, L, direct[-1], tol=tols)
-        res_direct.append(float(np.linalg.norm(
-            del_residual(dec.trivial, L, direct[-1], nxt), np.inf)))
-        direct.append(nxt)
-        nxtm = del_step(dec.matched, Lm, matched[-1], tol=tols)
-        res_matched.append(float(np.linalg.norm(
-            del_residual(dec.matched, Lm, matched[-1], nxtm), np.inf)))
-        matched.append(nxtm)
-        phi_gap = max(phi_gap, float(np.max(np.abs(nxtm - dec.phi(nxt)))))
-
-    traj = Trajectory(dec.trivial, direct, residual_norms=res_direct)
-    oracle = variational_oracle(dec.trivial, L, traj)
-    oracle_m = variational_oracle(
-        dec.matched, Lm, Trajectory(dec.matched, matched))
+    direct = solve_trajectory(dec.trivial, L, x0, config.steps, tol=tols)
+    matched = solve_trajectory(dec.matched, Lm, dec.phi(x0), config.steps,
+                               tol=tols)
+    res_direct = direct.residual_norms
+    res_matched = matched.residual_norms
+    phi_gap = max(float(np.max(np.abs(m - dec.phi(x))))
+                  for x, m in zip(direct, matched))
 
     header = HEADERS["trivial_groupoid"]
     rows = []
-    for k, x in enumerate(direct):
-        rd = res_direct[k] if k < len(res_direct) else 0.0
-        rm = res_matched[k] if k < len(res_matched) else 0.0
+    for k, (x, rd, rm) in enumerate(zip(direct, res_direct + [0.0],
+                                        res_matched + [0.0])):
         rows.append([float(k)] + [float(v) for v in x] + [rd, rm, phi_gap])
 
     report = RunReport("trivial_groupoid", res_direct,
-                       oracle_max=max(oracle, oracle_m),
+                       oracle_max=max(direct.oracle, matched.oracle),
                        correspondence_gap=max(
                            phi_gap,
                            max(abs(a - b) for a, b in
@@ -358,9 +340,8 @@ def run_sl2c(config: ScenarioConfig):
 
     header = HEADERS["sl2c"]
     rows = []
-    for k, u in enumerate(arrows):
+    for k, (u, rn) in enumerate(zip(arrows, res_norms + [0.0])):
         mu, nu = matched_group_momenta(mp, L, u)
-        rn = res_norms[k] if k < len(res_norms) else 0.0
         rows.append([float(k)] + [float(v) for v in u]
                     + [float(v) for v in mu] + [float(v) for v in nu]
                     + [rn, formula_gap])

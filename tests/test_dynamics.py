@@ -4,7 +4,6 @@ import pytest
 from matchdyn.algebroid import AlgebroidVector, a_phi
 from matchdyn.dynamics import (
     DiscreteLagrangian,
-    MomentumRecord,
     Trajectory,
     action_sum,
     del_residual,
@@ -187,7 +186,7 @@ def test_matched_group_momentum_form_equals_field_form():
         uk = mp.random(RNG)
         uk1 = mp.random(RNG)
         r1 = del_residual_matched_group(mp, L, uk, uk1, form="full")
-        r2 = del_residual_matched_group(mp, L, uk, uk1, form="fields")
+        r2 = del_residual(mp, L, uk, uk1)
         assert np.allclose(r1, r2, atol=1e-7)
 
 
@@ -366,9 +365,9 @@ def test_matched_group_step_drives_residual_to_zero():
     arrows, norms = solve_matched_group_trajectory(mp, L, u1, 4)
     assert len(arrows) == 4
     assert max(norms) < 1e-9
-    # the field form agrees at the solved junctions
+    # the two-mat-vec residual that del_step solves agrees
     for uk, uk1 in zip(arrows, arrows[1:]):
-        rf = del_residual_matched_group(mp, L, uk, uk1, form="fields")
+        rf = del_residual(mp, L, uk, uk1)
         assert np.max(np.abs(rf)) < 1e-6
 
 
@@ -436,6 +435,15 @@ def test_solve_trajectory_so3_momentum_defect():
     records, defect = momentum_evolution(desc, L, traj)
     assert len(records) == 8
     assert defect < 1e-8
+
+
+def test_solve_trajectory_records_its_variational_oracle():
+    L = trivial_groupoid_lagrangian(DEC, ScenarioConfig("trivial_groupoid"))
+    x0 = np.array([0.0, 0.0, 0.3, 1.0, 0.0])
+    traj = solve_trajectory(DEC.trivial, L, x0, 5)
+    assert traj.oracle == variational_oracle(DEC.trivial, L, traj)
+    assert traj.oracle <= 1e-6
+    assert Trajectory(DEC.trivial, traj.arrows).oracle is None
 
 
 def test_momentum_evolution_action_groupoid_forcing():

@@ -63,6 +63,29 @@ def test_config_bad_file(tmp_path):
         ScenarioConfig.from_ini(str(p))
     with pytest.raises(DomainError):
         ScenarioConfig.from_ini(str(tmp_path / "missing.ini"))
+    # no section header: a configparser syntax error
+    p.write_text("steps = 3\n")
+    with pytest.raises(DomainError):
+        ScenarioConfig.from_ini(str(p))
+    assert main(["run", "--config", str(p)]) == 2
+
+
+def test_ini_config_and_its_csv_header_read_back_the_same(tmp_path):
+    out = tmp_path / "t.csv"
+    p = tmp_path / "cfg.ini"
+    # an INI derivatives line is not an option, and is ignored
+    p.write_text("[scenario]\nid = trivial_groupoid\nsteps = 3\n"
+                 "tol = 1e-9\nderivatives = fd\nout = %s\n\n[lagrangian]\n"
+                 "name = spring\nk_pos = 2.0\n\n[initial]\n"
+                 "coords = 0 0 0.3 1 0\n" % out)
+    assert main(["run", "--config", str(p)]) == 0
+    ini = ScenarioConfig.from_ini(str(p))
+    csv, _, _ = read_trajectory_csv(str(out))
+    assert ini.derivatives == csv.derivatives == "exact"
+    assert ((ini.steps, ini.tol, ini.lagrangian, ini.params)
+            == (csv.steps, csv.tol, csv.lagrangian, csv.params)
+            == (3, 1e-9, "spring", {"k_pos": 2.0}))
+    assert np.array_equal(ini.initial, csv.initial)
 
 
 def test_config_comment_roundtrip():
