@@ -28,7 +28,7 @@ from .algebroid import (
     right_invariant,
 )
 from .errors import (DomainError, EvaluationError, NoConvergence,
-                     NotComposable, TagError)
+                     NotComposable, SolverFailure, TagError)
 from .groupoids import (
     COMPOSE_TOL,
     ActionGroupoid,
@@ -234,6 +234,17 @@ def solver_failure(what):
         raise NoConvergence("%s failed: %s" % (what, exc))
 
 
+@contextmanager
+def at_step(k):
+    """Name arrow k, the one being solved for, in a solver failure raised
+    in the block."""
+    try:
+        yield
+    except SolverFailure as exc:
+        exc.step = k
+        raise
+
+
 def del_step(desc: Groupoid, L: DiscreteLagrangian, gk, guess=None,
              tol: Tolerances = DEFAULT_TOL):
     """Solve the junction residual for the next arrow in the source fiber at
@@ -261,8 +272,9 @@ def solve_trajectory(desc: Groupoid, L: DiscreteLagrangian, g1, n_steps,
     the result is oracle-validated before being returned."""
     arrows = [desc.check(g1)]
     norms = []
-    for _ in range(n_steps - 1):
-        nxt = del_step(desc, L, arrows[-1], tol=tol)
+    for k in range(1, n_steps):
+        with at_step(k):
+            nxt = del_step(desc, L, arrows[-1], tol=tol)
         norms.append(float(np.linalg.norm(
             del_residual(desc, L, arrows[-1], nxt), np.inf)))
         arrows.append(nxt)
@@ -285,10 +297,12 @@ def solve_matched_group_trajectory(mp, L, u1, n_steps, form="full",
     _require_form(form)
     arrows = [mp.check(u1)]
     norms = []
-    for _ in range(n_steps - 1):
-        nxt = del_step(mp, L, arrows[-1], tol=tol)
-        with solver_failure("reference residual"):
-            r = del_residual_matched_group(mp, L, arrows[-1], nxt, form=form)
+    for k in range(1, n_steps):
+        with at_step(k):
+            nxt = del_step(mp, L, arrows[-1], tol=tol)
+            with solver_failure("reference residual"):
+                r = del_residual_matched_group(mp, L, arrows[-1], nxt,
+                                               form=form)
         norms.append(float(np.linalg.norm(r, np.inf)))
         arrows.append(nxt)
     return arrows, norms

@@ -21,16 +21,28 @@ class EvaluationError(MatchdynError):
         self.point = point
 
 
-class SingularJacobian(MatchdynError):
+class SolverFailure(MatchdynError):
+    """A Newton solve failed.  Carries the last residual norm and Jacobian
+    condition estimate the solver computed, and ``step``, the index of the
+    arrow being solved, once a trajectory loop has named it."""
+
+    def __init__(self, msg, residual_norm=None, cond=None):
+        super().__init__(msg)
+        self.residual_norm = residual_norm
+        self.cond = cond
+        self.step = None
+
+    def __str__(self):
+        text = super().__str__()
+        return text if self.step is None else "step %d: %s" % (self.step, text)
+
+
+class SingularJacobian(SolverFailure):
     """Newton Jacobian is numerically singular (condition estimate > 1e14)."""
 
 
-class NoConvergence(MatchdynError):
+class NoConvergence(SolverFailure):
     """Newton solve failed: budget exhausted or a state left its chart."""
-
-    def __init__(self, msg, residual_norm=None):
-        super().__init__(msg)
-        self.residual_norm = residual_norm
 
 
 class NotComposable(MatchdynError):

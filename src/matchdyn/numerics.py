@@ -1,8 +1,11 @@
-"""Dense small-matrix numerics: finite differences and a damped Newton solver.
+"""Dense small-matrix numerics: finite differences and a quasi-Newton solver.
 
 Everything downstream differentiates along curves with the central-difference
 helpers here, so the step-size convention (cube root of machine epsilon,
 scaled by 1 + the norm of the expansion point) lives in exactly one place.
+The solver builds one finite-difference Jacobian per solve and carries it
+along by Broyden's rank-one secant update (Dennis & Schnabel 1983, ch. 8),
+rebuilding it only when an updated step stalls.
 """
 from __future__ import annotations
 
@@ -104,40 +107,88 @@ def _trial(F, x):
     return r, rnorm if np.isfinite(rnorm) else np.inf
 
 
+def _failure(cls, what, rnorm, cond):
+    return cls("%s (residual %.3e, condition estimate %.3e)"
+               % (what, rnorm, cond), residual_norm=rnorm, cond=cond)
+
+
+def _fresh_jacobian(F, x, rnorm):
+    """fd_jacobian at x and its condition estimate; SingularJacobian when
+    that exceeds COND_LIMIT."""
+    J = fd_jacobian(F, x)
+    cond = float(np.linalg.cond(J)) if np.all(np.isfinite(J)) else np.inf
+    if cond > COND_LIMIT:
+        raise _failure(SingularJacobian, "Jacobian condition estimate > %.1e"
+                       % COND_LIMIT, rnorm, cond)
+    return J, cond
+
+
+def _secant_step(F, J, x, r, rnorm):
+    """The full step on an updated J and J's condition estimate, or None
+    when J is unusable or the step fails to halve the residual norm."""
+    cond = float(np.linalg.cond(J)) if np.all(np.isfinite(J)) else np.inf
+    if cond > COND_LIMIT:
+        return None
+    try:
+        dx = np.linalg.solve(J, -r)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(dx)):
+        return None
+    r_new, rn_new = _trial(F, x + dx)
+    if not rn_new <= 0.5 * rnorm:
+        return None
+    return (x + dx, r_new, rn_new), cond
+
+
 def newton_solve(F, x0, tol: Tolerances = DEFAULT_TOL):
-    """Damped Newton iteration for F(x) = 0.
+    """Quasi-Newton iteration for F(x) = 0 over one finite-difference
+    Jacobian.
 
     The Jacobian at x0 is built and checked before the first convergence
-    test, so a degenerate problem fails even when x0 solves it.  Steps are
-    halved (at most 30 times) until the residual norm decreases; a trial
-    point outside F's domain or with an overflowing residual counts as an
-    infinite one.  Raises SingularJacobian when the Jacobian condition
-    estimate exceeds 1e14, NoConvergence when halvings or iterations run out.
+    test, so a degenerate problem fails even when x0 solves it.  Every
+    accepted step s updates J by Broyden's rank-one secant rule,
+    J += outer(F(x + s) - F(x) - J s, s) / (s . s), and the full step on the
+    updated J is kept if it at least halves the residual norm.  Otherwise,
+    or when the updated J is non-finite, has a condition estimate above 1e14
+    or cannot be solved, J is rebuilt at the current point (as it is at x0)
+    and the step is halved, at most 30 times, until the residual norm
+    decreases; a trial point outside F's domain or with an overflowing
+    residual counts as an infinite one.  Raises SingularJacobian when a
+    freshly built Jacobian has a condition estimate above 1e14,
+    NoConvergence when halvings or iterations run out; both carry the last
+    residual norm and condition estimate.
     """
     scalar = np.isscalar(x0) or np.ndim(x0) == 0
     x = _as_vec(x0).copy()
     r = _as_vec(F(x))
     rnorm = float(np.linalg.norm(r, np.inf))
-    for _ in range(tol.newton_max_iter):
-        J = fd_jacobian(F, x)
-        if not np.all(np.isfinite(J)) or np.linalg.cond(J) > COND_LIMIT:
-            raise SingularJacobian("Jacobian condition estimate > %.1e" % COND_LIMIT)
-        if rnorm <= tol.newton_tol:  # only when x0 already solves F
-            break
-        dx = np.linalg.solve(J, -r)
-        for halvings in range(MAX_HALVINGS + 1):
-            x_new = x + 0.5 ** halvings * dx
-            r_new, rn_new = _trial(F, x_new)
-            if rn_new < rnorm:
-                break
-        else:
-            raise NoConvergence("line search failed after %d halvings "
-                                "(residual %.3e)" % (MAX_HALVINGS, rnorm),
-                                residual_norm=rnorm)
-        x, r, rnorm = x_new, r_new, rn_new
+    J, cond = _fresh_jacobian(F, x, rnorm)
+    for it in range(tol.newton_max_iter):
         if rnorm <= tol.newton_tol:
             break
+        # J has had a secant update from the second iteration on
+        secant = _secant_step(F, J, x, r, rnorm) if it else None
+        if secant is not None:
+            (x_new, r_new, rn_new), cond = secant
+        else:
+            if it:
+                J, cond = _fresh_jacobian(F, x, rnorm)
+            dx = np.linalg.solve(J, -r)
+            for halvings in range(MAX_HALVINGS + 1):
+                x_new = x + 0.5 ** halvings * dx
+                r_new, rn_new = _trial(F, x_new)
+                if rn_new < rnorm:
+                    break
+            else:
+                raise _failure(NoConvergence, "line search failed after %d "
+                               "halvings" % MAX_HALVINGS, rnorm, cond)
+        s = x_new - x
+        # _secant_step refreshes a J that this makes non-finite
+        with np.errstate(all="ignore"):
+            J = J + np.outer(r_new - r - J @ s, s) / (s @ s)
+        x, r, rnorm = x_new, r_new, rn_new
     if rnorm <= tol.newton_tol:
         return float(x[0]) if scalar else x
-    raise NoConvergence("no convergence after %d iterations (residual %.3e)"
-                        % (tol.newton_max_iter, rnorm), residual_norm=rnorm)
+    raise _failure(NoConvergence, "no convergence after %d iterations"
+                   % tol.newton_max_iter, rnorm, cond)

@@ -381,7 +381,7 @@ def test_del_step_pair_analytic():
     assert np.allclose(nxt, [1.0, 0.0, 2.0, 0.0], atol=1e-9)
 
 
-def test_del_step_builds_one_jacobian_per_newton_iteration(monkeypatch):
+def test_del_step_reuses_one_jacobian_across_newton_iterations(monkeypatch):
     import matchdyn.dynamics
     import matchdyn.numerics
 
@@ -394,7 +394,7 @@ def test_del_step_builds_one_jacobian_per_newton_iteration(monkeypatch):
         return wrapper
 
     # every namespace that imports fd_jacobian counts; each Newton iteration
-    # solves one linear system
+    # solves one linear system, the second on the Broyden-updated Jacobian
     jac = counted("jacobian", matchdyn.numerics.fd_jacobian)
     monkeypatch.setattr(matchdyn.numerics, "fd_jacobian", jac)
     monkeypatch.setattr(matchdyn.dynamics, "fd_jacobian", jac)
@@ -405,8 +405,19 @@ def test_del_step_builds_one_jacobian_per_newton_iteration(monkeypatch):
     nxt = del_step(DEC.trivial, L, np.array([0.0, 0.0, 0.3, 1.0, 0.0]),
                    guess=np.array([1.0, 0.0, 0.0, 1.5, 0.5]))
     assert np.allclose(nxt, [1.0, 0.0, 0.3, 2.0, 0.0], atol=1e-9)
-    assert calls["solve"] >= 1
-    assert calls["jacobian"] == calls["solve"]
+    assert calls["jacobian"] == 1
+    assert calls["solve"] == 2
+
+
+def test_trajectory_loops_name_the_step_of_a_solver_failure():
+    # a constant Lagrangian has a zero Jacobian at the first junction
+    L = DiscreteLagrangian(lambda arr: 1.0)
+    with pytest.raises(SingularJacobian, match="^step 1: ") as info:
+        solve_trajectory(DEC.paird, L, np.array([0.0, 0.0, 1.0, 0.0]), 3)
+    assert info.value.step == 1
+    mp = Su2K()
+    with pytest.raises(SingularJacobian, match="^step 1: "):
+        solve_matched_group_trajectory(mp, L, mp.identity(), 3)
 
 
 def test_del_step_circle_constant_increment():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import matchdyn.numerics
 from matchdyn.errors import DomainError, NoConvergence, SingularJacobian
 from matchdyn.numerics import (
     DEFAULT_FD_STEP,
@@ -97,6 +98,77 @@ def test_newton_line_search_running_out_is_no_convergence():
 
     with pytest.raises(NoConvergence):
         newton_solve(F, np.zeros(2))
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Counts of fd_jacobian and np.linalg.solve calls; ``fail_solve`` maps
+    a solve call number to what that call returns or raises instead."""
+    calls = {"jacobian": 0, "solve": 0, "fail_solve": {}}
+    jacobian, solve = matchdyn.numerics.fd_jacobian, np.linalg.solve
+
+    def counted_jacobian(*args):
+        calls["jacobian"] += 1
+        return jacobian(*args)
+
+    def counted_solve(*args):
+        calls["solve"] += 1
+        failure = calls["fail_solve"].get(calls["solve"])
+        if isinstance(failure, Exception):
+            raise failure
+        return solve(*args) if failure is None else failure
+
+    monkeypatch.setattr(matchdyn.numerics, "fd_jacobian", counted_jacobian)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    return calls
+
+
+def _system(x):
+    return np.array([x[0] + 0.1 * x[1] ** 2 - 1.0,
+                     x[1] + 0.1 * np.sin(x[0])])
+
+
+def test_newton_reuses_one_jacobian_on_a_nonlinear_system(solver_calls):
+    x = newton_solve(_system, np.zeros(2))
+    assert np.max(np.abs(_system(x))) <= 1e-10
+    assert solver_calls["jacobian"] == 1
+    assert solver_calls["solve"] > solver_calls["jacobian"]
+
+
+def test_newton_refreshes_the_jacobian_when_a_step_fails_to_halve(
+        solver_calls):
+    # the first secant step lowers the residual norm, but by less than half,
+    # so J is rebuilt once; accepting any decrease would keep it
+    x = newton_solve(lambda x: x ** 3 - 8.0, np.array([1.0]))
+    assert abs(x[0] - 2.0) < 1e-10
+    assert solver_calls["jacobian"] == 2
+
+
+@pytest.mark.parametrize("failure", [np.linalg.LinAlgError("singular"),
+                                     np.full(2, np.nan)],
+                         ids=["LinAlgError", "non-finite"])
+def test_newton_refreshes_when_an_updated_jacobian_cannot_be_solved(
+        solver_calls, failure):
+    # solve call 1 is the damped step on the fresh Jacobian, call 2 the
+    # first full step on the updated one
+    solver_calls["fail_solve"][2] = failure
+    x = newton_solve(_system, np.zeros(2))
+    assert np.max(np.abs(_system(x))) <= 1e-10
+    assert solver_calls["jacobian"] == 2
+
+
+def test_newton_failures_carry_the_last_residual_and_condition():
+    with pytest.raises(NoConvergence) as info:
+        newton_solve(lambda x: np.array([np.exp(x[0]) + 1.0]),
+                     np.array([0.0]), Tolerances(newton_max_iter=2))
+    assert info.value.residual_norm > 1.0
+    assert info.value.cond == pytest.approx(1.0)
+    assert "condition estimate 1.000e+00" in str(info.value)
+    with pytest.raises(SingularJacobian) as info:
+        newton_solve(lambda x: np.array([x[0] ** 2 + 1.0, x[0] ** 2 + 1.0]),
+                     np.array([1.0, 1.0]))
+    assert info.value.residual_norm == 2.0
+    assert info.value.cond > 1e14
 
 
 def test_tolerance_validation():

@@ -219,6 +219,25 @@ def test_run_sl2c_zero_coupling_momentum_recursion():
     assert defect < 1e-7
 
 
+def test_run_sl2c_builds_at_most_one_jacobian_per_junction(monkeypatch):
+    import matchdyn.dynamics
+    import matchdyn.groups
+    import matchdyn.numerics
+
+    calls = []
+    jacobian = matchdyn.numerics.fd_jacobian
+
+    def counted(*args):
+        calls.append(1)
+        return jacobian(*args)
+
+    for module in (matchdyn.numerics, matchdyn.dynamics, matchdyn.groups):
+        monkeypatch.setattr(module, "fd_jacobian", counted)
+    report, _, _ = run_sl2c(ScenarioConfig("sl2c", steps=10))
+    assert max(report.residual_norms) <= 1e-10
+    assert len(calls) <= len(report.residual_norms) == 9
+
+
 def test_run_sl2c_formula_mismatch_is_fatal(monkeypatch):
     act = Su2K.act_on_fiber_g_matrix
     monkeypatch.setattr(Su2K, "act_on_fiber_g_matrix",
@@ -393,6 +412,18 @@ def test_cli_usage_errors(tmp_path):
     bad.write_text("[scenario]\nid = sl2c\nsteps = nope\n")
     assert main(["run", "--config", str(bad)]) == 2
     assert main(["check", "residual", str(tmp_path / "missing.csv")]) == 2
+
+
+def test_cli_sl2c_solver_failure_names_the_step(tmp_path, capsys):
+    # the default initial direction x10 has no solution at arrow 7
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[scenario]\nid = sl2c\nsteps = 10\n\n[initial]\n"
+                   "coords = 2.0 -1.0 1.5 1.0 0.5 -1.0\n")
+    assert main(["run", "--config", str(cfg),
+                 "--out", str(tmp_path / "run.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: step 7: line search failed after 30 "
+                          "halvings (residual 6.588e+02, condition estimate ")
 
 
 @settings(max_examples=10, deadline=None)
