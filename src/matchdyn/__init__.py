@@ -13,7 +13,6 @@ from .errors import (
     SingularJacobian,
     TagError,
 )
-from .numerics import Tolerances
 from .groups import SO3, SU2, Abelian, Circle, Group, KGroup
 from .matched_group import MatchedPairGroup, Su2K
 from .groupoids import (
@@ -47,6 +46,7 @@ from .dynamics import (
     del_residual_matched_group,
     del_step,
     del_step_matched_group,
+    march,
     momentum_evolution,
     solve_trajectory,
     variational_oracle,

@@ -7,9 +7,9 @@ incoming - outgoing(chart(z)) = 0 with the incoming half fixed.  A matched
 pair of groups is a matched-pair groupoid over a point and steps through the
 same ``del_step``; its momentum forms (the paper's transported-and-forced
 momenta and their degenerate reductions) are references, evaluated only at
-solved junctions.
-Longer trajectories are solved junction by junction in one loop,
-``solve_trajectory``, and every solve is cross-checked against the
+solved junctions by ``momentum_residuals``.  Trajectories are solved in one
+loop, ``march``, which keeps the residual each ``del_step`` stopped at (bit
+for bit ``del_residual``); ``solve_trajectory`` checks it against the
 brute-force variational derivative of the action sum.
 """
 from __future__ import annotations
@@ -37,12 +37,7 @@ from .groupoids import (
     MatchedPairGroupoid,
 )
 from .matched_group import MatchedPairGroup
-from .numerics import (
-    DEFAULT_TOL,
-    Tolerances,
-    fd_gradient,
-    newton_solve,
-)
+from .numerics import DEFAULT_TOL, fd_directional, fd_gradient, newton_solve
 # unused; bench/test_bench.py::test_install_and_uninstall_wrappers wraps it
 from .numerics import fd_jacobian  # noqa: F401
 
@@ -246,12 +241,13 @@ def at_step(k):
 
 
 def del_step(desc: Groupoid, L: DiscreteLagrangian, gk, guess=None,
-             tol: Tolerances = DEFAULT_TOL):
+             tol=DEFAULT_TOL):
     """Solve the junction residual for the next arrow in the source fiber at
     beta(g_k): a Newton solve of incoming - outgoing(fiber_elem(b, z)) = 0
     with the incoming half evaluated once.  The warm start transports the
     previous arrow to the new fiber (constant-velocity guess) unless an
-    explicit guess arrow is given."""
+    explicit guess arrow is given.  Returns (g_{k+1}, r), r the residual
+    Newton stopped at: bit for bit ``del_residual(desc, L, g_k, g_{k+1})``."""
     gk = desc.check(gk)
     b = desc.beta(gk)
     z0 = desc.arrow_coords(gk if guess is None else desc.check(guess))
@@ -262,23 +258,29 @@ def del_step(desc: Groupoid, L: DiscreteLagrangian, gk, guess=None,
 
     with solver_failure("junction solve"):
         incoming = desc.left_lift(gk).T @ L.gradient(gk)
-        z = newton_solve(lambda z: incoming - outgoing(z), z0, tol)
-        return desc.fiber_elem(b, np.atleast_1d(z))
+        z, r = newton_solve(lambda z: incoming - outgoing(z), z0, tol)
+        return desc.fiber_elem(b, z), r
 
 
-def solve_trajectory(desc: Groupoid, L: DiscreteLagrangian, g1, n_steps,
-                     tol: Tolerances = DEFAULT_TOL):
-    """March the junction solve forward from g1 for n_steps arrows total;
-    the result is oracle-validated before being returned."""
+def march(desc: Groupoid, L: DiscreteLagrangian, g1, n_steps,
+          tol=DEFAULT_TOL):
+    """Solve the junctions forward from g1 for n_steps arrows in all.
+    Returns the arrows and the inf-norm of the residual each junction solve
+    stopped at; a solver failure names the arrow it was solving for."""
     arrows = [desc.check(g1)]
     norms = []
     for k in range(1, n_steps):
         with at_step(k):
-            nxt = del_step(desc, L, arrows[-1], tol=tol)
-        norms.append(float(np.linalg.norm(
-            del_residual(desc, L, arrows[-1], nxt), np.inf)))
+            nxt, r = del_step(desc, L, arrows[-1], tol=tol)
         arrows.append(nxt)
-    traj = Trajectory(desc, arrows, residual_norms=norms)
+        norms.append(float(np.linalg.norm(r, np.inf)))
+    return arrows, norms
+
+
+def solve_trajectory(desc: Groupoid, L: DiscreteLagrangian, g1, n_steps,
+                     tol=DEFAULT_TOL):
+    """``march``, validated by the variational oracle before it returns."""
+    traj = Trajectory(desc, *march(desc, L, g1, n_steps, tol))
     traj.oracle = variational_oracle(desc, L, traj)
     if traj.oracle > 1e-6:
         raise NoConvergence("solved trajectory fails the variational check "
@@ -290,22 +292,25 @@ def solve_trajectory(desc: Groupoid, L: DiscreteLagrangian, g1, n_steps,
 del_step_matched_group = del_step
 
 
+def momentum_residuals(mp, L, arrows, form="full"):
+    """The momentum form ``form`` of the residual at every junction of the
+    solved ``arrows``; a solver failure names the junction's later arrow."""
+    out = []
+    for k in range(1, len(arrows)):
+        with at_step(k), solver_failure("reference residual"):
+            out.append(del_residual_matched_group(mp, L, arrows[k - 1],
+                                                  arrows[k], form=form))
+    return out
+
+
 def solve_matched_group_trajectory(mp, L, u1, n_steps, form="full",
-                                   tol: Tolerances = DEFAULT_TOL):
-    """March ``del_step`` from u1 for n_steps arrows; the returned norms are
-    those of the reference momentum form ``form``."""
+                                   tol=DEFAULT_TOL):
+    """``march`` from u1 for n_steps arrows; the returned norms are those of
+    the reference momentum form ``form``."""
     _require_form(form)
-    arrows = [mp.check(u1)]
-    norms = []
-    for k in range(1, n_steps):
-        with at_step(k):
-            nxt = del_step(mp, L, arrows[-1], tol=tol)
-            with solver_failure("reference residual"):
-                r = del_residual_matched_group(mp, L, arrows[-1], nxt,
-                                               form=form)
-        norms.append(float(np.linalg.norm(r, np.inf)))
-        arrows.append(nxt)
-    return arrows, norms
+    arrows, _ = march(mp, L, u1, n_steps, tol)
+    return arrows, [float(np.linalg.norm(r, np.inf))
+                    for r in momentum_residuals(mp, L, arrows, form)]
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +364,6 @@ def oracle_directional(desc: Groupoid, L: DiscreteLagrangian, gk, gk1,
     """Directional derivative of L(g_k c(t)) + L(c(t)^{-1} g_{k+1}) at t = 0
     for the fiber curve c tangent to X: the product-preserving variation of
     the two arrows meeting at the junction."""
-    from .numerics import fd_directional
-
     b = desc.beta(gk)
 
     def f(t):

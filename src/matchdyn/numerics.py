@@ -5,11 +5,11 @@ helpers here, so the step-size convention (cube root of machine epsilon,
 scaled by 1 + the norm of the expansion point) lives in exactly one place.
 The solver builds one finite-difference Jacobian per solve and carries it
 along by Broyden's rank-one secant update (Dennis & Schnabel 1983, ch. 8),
-rebuilding it only when an updated step stalls.
+rebuilding it only when an updated step stalls.  It takes one tolerance, on
+the inf-norm of the residual, and returns the root together with the
+residual it stopped at, so a caller never re-evaluates it.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,22 +21,9 @@ from .errors import (DomainError, EvaluationError, NoConvergence,
 DEFAULT_FD_STEP = float(np.cbrt(np.finfo(float).eps))
 
 COND_LIMIT = 1e14
+DEFAULT_TOL = 1e-10
+MAX_ITER = 50
 MAX_HALVINGS = 30
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 50
-
-    def __post_init__(self):
-        if not self.newton_tol > 0:
-            raise ValueError("tolerances must be positive")
-        if self.newton_max_iter < 1:
-            raise ValueError("newton_max_iter must be >= 1")
-
-
-DEFAULT_TOL = Tolerances()
 
 
 def _as_vec(x):
@@ -141,9 +128,9 @@ def _secant_step(F, J, x, r, rnorm):
     return (x + dx, r_new, rn_new), cond
 
 
-def newton_solve(F, x0, tol: Tolerances = DEFAULT_TOL):
+def newton_solve(F, x0, tol=DEFAULT_TOL):
     """Quasi-Newton iteration for F(x) = 0 over one finite-difference
-    Jacobian.
+    Jacobian; returns (x, F(x)) once the inf-norm of F(x) is at most tol.
 
     The Jacobian at x0 is built and checked before the first convergence
     test, so a degenerate problem fails even when x0 solves it.  Every
@@ -156,16 +143,15 @@ def newton_solve(F, x0, tol: Tolerances = DEFAULT_TOL):
     decreases; a trial point outside F's domain or with an overflowing
     residual counts as an infinite one.  Raises SingularJacobian when a
     freshly built Jacobian has a condition estimate above 1e14,
-    NoConvergence when halvings or iterations run out; both carry the last
-    residual norm and condition estimate.
+    NoConvergence when the halvings or the MAX_ITER iterations run out;
+    both carry the last residual norm and condition estimate.
     """
-    scalar = np.isscalar(x0) or np.ndim(x0) == 0
     x = _as_vec(x0).copy()
     r = _as_vec(F(x))
     rnorm = float(np.linalg.norm(r, np.inf))
     J, cond = _fresh_jacobian(F, x, rnorm)
-    for it in range(tol.newton_max_iter):
-        if rnorm <= tol.newton_tol:
+    for it in range(MAX_ITER):
+        if rnorm <= tol:
             break
         # J has had a secant update from the second iteration on
         secant = _secant_step(F, J, x, r, rnorm) if it else None
@@ -188,7 +174,7 @@ def newton_solve(F, x0, tol: Tolerances = DEFAULT_TOL):
         with np.errstate(all="ignore"):
             J = J + np.outer(r_new - r - J @ s, s) / (s @ s)
         x, r, rnorm = x_new, r_new, rn_new
-    if rnorm <= tol.newton_tol:
-        return float(x[0]) if scalar else x
+    if rnorm <= tol:
+        return x, r
     raise _failure(NoConvergence, "no convergence after %d iterations"
-                   % tol.newton_max_iter, rnorm, cond)
+                   % MAX_ITER, rnorm, cond)

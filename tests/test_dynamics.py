@@ -12,6 +12,7 @@ from matchdyn.dynamics import (
     del_step,
     del_step_matched_group,
     _momentum_half,
+    march,
     matched_group_momenta,
     momentum_evolution,
     oracle_directional,
@@ -35,6 +36,9 @@ from matchdyn.matched_group import (
 )
 from matchdyn.scenarios import (
     ScenarioConfig,
+    matched_lagrangian,
+    run_sl2c,
+    run_trivial_groupoid,
     sl2c_lagrangian,
     trivial_groupoid_lagrangian,
 )
@@ -206,8 +210,9 @@ def test_matched_group_is_its_matched_pair_groupoid():
         L = DiscreteLagrangian(lambda u: 0.5 * float(np.sum((u - e) ** 2))
                                + 0.1 * float(np.sin(u[0] + u[-1])))
         uk = mp.exp(0.05 * rng.standard_normal(mp.dim))
-        assert np.array_equal(del_step_matched_group(mp, L, uk),
-                              del_step(GroupGroupoid(mp), L, uk))
+        for a, b in zip(del_step_matched_group(mp, L, uk),
+                        del_step(GroupGroupoid(mp), L, uk)):
+            assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("builder,form", [
@@ -283,12 +288,12 @@ def test_default_junction_solves_take_no_finite_difference_derivatives(
     mp = Su2K()
     L = sl2c_lagrangian(mp, ScenarioConfig("sl2c"))
     uk = mp.exp([0.2, -0.1, 0.15, 0.1, 0.05, -0.1])
-    uk1 = del_step_matched_group(mp, L, uk)
+    uk1, _ = del_step_matched_group(mp, L, uk)
     assert np.max(np.abs(del_residual(GroupGroupoid(mp), L, uk, uk1))) < 1e-10
     dec = default_trivial_decomposition()
     L = trivial_groupoid_lagrangian(dec, ScenarioConfig("trivial_groupoid"))
     xk = np.array([0.0, 0.0, 0.3, 1.0, 0.0])
-    xk1 = del_step(dec.trivial, L, xk)
+    xk1, _ = del_step(dec.trivial, L, xk)
     assert np.max(np.abs(del_residual(dec.trivial, L, xk, xk1))) < 1e-10
 
 
@@ -377,7 +382,7 @@ def test_del_step_pair_analytic():
     desc = DEC.paird
     L = DiscreteLagrangian(lambda arr: 0.5 * float(
         np.sum((arr[2:] - arr[:2]) ** 2)))
-    nxt = del_step(desc, L, np.array([0.0, 0.0, 1.0, 0.0]))
+    nxt, _ = del_step(desc, L, np.array([0.0, 0.0, 1.0, 0.0]))
     assert np.allclose(nxt, [1.0, 0.0, 2.0, 0.0], atol=1e-9)
 
 
@@ -402,11 +407,70 @@ def test_del_step_reuses_one_jacobian_across_newton_iterations(monkeypatch):
     L = DiscreteLagrangian(lambda x: 0.5 * float(np.sum((x[3:] - x[:2]) ** 2))
                            + 0.5 * float(x[2] ** 2))
     # the guess is not a root, so Newton iterates at least once
-    nxt = del_step(DEC.trivial, L, np.array([0.0, 0.0, 0.3, 1.0, 0.0]),
+    nxt, _ = del_step(DEC.trivial, L, np.array([0.0, 0.0, 0.3, 1.0, 0.0]),
                    guess=np.array([1.0, 0.0, 0.0, 1.5, 0.5]))
     assert np.allclose(nxt, [1.0, 0.0, 0.3, 2.0, 0.0], atol=1e-9)
     assert calls["jacobian"] == 1
     assert calls["solve"] == 2
+
+
+def _bent_spring(u):
+    # the spring plus a term that keeps the junction residual off zero
+    m, g, n = DEC.trivial.split(u)
+    return (0.5 * float(np.sum((n - m) ** 2)) + 0.5 * float(g[0] ** 2)
+            + 0.1 * float(np.sin(n[0] + g[0])))
+
+
+@pytest.mark.parametrize("case", ["so3", "trivial", "matched", "su2k"])
+def test_del_step_returns_the_residual_del_residual_computes(case):
+    # bit for bit, so no trajectory loop needs to recompute it
+    so3 = GroupGroupoid(SO3())
+    x0 = np.array([0.0, 0.0, 0.3, 1.0, 0.0])
+    mp = Su2K()
+    Lt = DiscreteLagrangian(_bent_spring)
+    desc, L, gk = {
+        "so3": (so3, DiscreteLagrangian(lambda g: 0.5 * float(
+            so3.G.log(g) @ np.diag([1.0, 2.0, 3.0]) @ so3.G.log(g))),
+                so3.G.exp(np.array([0.2, -0.1, 0.15]))),
+        "trivial": (DEC.trivial, Lt, x0),
+        "matched": (DEC.matched, matched_lagrangian(DEC, Lt), DEC.phi(x0)),
+        "su2k": (mp, sl2c_lagrangian(mp, ScenarioConfig("sl2c", params={
+            "coupling": 0.25})), mp.exp([0.2, -0.1, 0.15, 0.1, 0.05, -0.1])),
+    }[case]
+    nxt, r = del_step(desc, L, gk)
+    assert np.array_equal(r, del_residual(desc, L, gk, nxt))
+    assert 0.0 < np.max(np.abs(r)) <= 1e-10
+
+
+def test_trajectories_march_once_and_never_recompute_the_residual(
+        monkeypatch):
+    import matchdyn.dynamics as dynamics
+    import matchdyn.scenarios as scenarios
+
+    def recompute(*args, **kwargs):
+        raise AssertionError("junction residual recomputed after its solve")
+
+    marched = []
+
+    def counted(desc, *args, **kwargs):
+        marched.append(desc.name)
+        return march(desc, *args, **kwargs)
+
+    for module in (dynamics, scenarios):
+        monkeypatch.setattr(module, "del_residual", recompute)
+        monkeypatch.setattr(module, "march", counted)
+    so3 = GroupGroupoid(SO3())
+    L = DiscreteLagrangian(lambda g: 0.5 * float(so3.G.log(g) @ so3.G.log(g)))
+    assert len(solve_trajectory(so3, L, so3.G.exp([0.2, -0.1, 0.15]), 4)) == 4
+    mp = both_trivial_pair()
+    L = DiscreteLagrangian(lambda u: 0.5 * float(mp.log(u) @ mp.log(u)))
+    arrows, _ = solve_matched_group_trajectory(mp, L, mp.exp(0.1 * np.ones(6)),
+                                               4)
+    assert len(arrows) == 4 and marched == [so3.name, mp.name]
+    run_trivial_groupoid(ScenarioConfig("trivial_groupoid", steps=4))
+    assert marched[2:] == [DEC.trivial.name, DEC.matched.name]
+    run_sl2c(ScenarioConfig("sl2c", steps=4))
+    assert marched[4:] == [Su2K().name]
 
 
 def test_trajectory_loops_name_the_step_of_a_solver_failure():

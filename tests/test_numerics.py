@@ -5,7 +5,6 @@ import matchdyn.numerics
 from matchdyn.errors import DomainError, NoConvergence, SingularJacobian
 from matchdyn.numerics import (
     DEFAULT_FD_STEP,
-    Tolerances,
     fd_curve,
     fd_directional,
     fd_gradient,
@@ -43,14 +42,14 @@ def test_fd_jacobian():
 def test_newton_affine_one_step():
     A = np.array([[3.0, 1.0], [0.0, 2.0]])
     b = np.array([1.0, -4.0])
-    x = newton_solve(lambda x: A @ x - b, np.zeros(2))
+    x, _ = newton_solve(lambda x: A @ x - b, np.zeros(2))
     assert np.allclose(A @ x, b, atol=1e-10)
 
 
 def test_newton_scalar_roundtrip():
-    root = newton_solve(lambda x: x * x - 2.0, 1.0)
-    assert isinstance(root, float)
-    assert abs(root - np.sqrt(2.0)) < 1e-10
+    root, r = newton_solve(lambda x: x * x - 2.0, np.array([1.0]))
+    assert root.shape == (1,) and r[0] == root[0] * root[0] - 2.0
+    assert abs(root[0] - np.sqrt(2.0)) < 1e-10
 
 
 def test_newton_singular_jacobian():
@@ -66,11 +65,11 @@ def test_newton_singular_jacobian_at_a_root():
                      np.array([1.0, 0.0]))
 
 
-def test_newton_budget_exhausted():
-    tol = Tolerances(newton_max_iter=2)
+def test_newton_budget_exhausted(monkeypatch):
+    monkeypatch.setattr(matchdyn.numerics, "MAX_ITER", 2)
     with pytest.raises(NoConvergence):
         newton_solve(lambda x: np.array([np.exp(x[0]) + 1.0]),
-                     np.array([0.0]), tol)
+                     np.array([0.0]))
 
 
 def test_newton_halves_a_trial_point_outside_the_domain():
@@ -80,12 +79,12 @@ def test_newton_halves_a_trial_point_outside_the_domain():
             raise DomainError("outside the chart")
         return np.arctan(x)
 
-    assert abs(newton_solve(F, np.array([1.5]))[0]) < 1e-10
+    assert abs(newton_solve(F, np.array([1.5]))[0][0]) < 1e-10
 
 
 def test_newton_never_accepts_a_nan_residual():
     F = lambda x: np.arctan(x) if abs(x[0]) < 1.6 else np.full(1, np.nan)
-    assert abs(newton_solve(F, np.array([1.5]))[0]) < 1e-10
+    assert abs(newton_solve(F, np.array([1.5]))[0][0]) < 1e-10
 
 
 def test_newton_line_search_running_out_is_no_convergence():
@@ -129,7 +128,7 @@ def _system(x):
 
 
 def test_newton_reuses_one_jacobian_on_a_nonlinear_system(solver_calls):
-    x = newton_solve(_system, np.zeros(2))
+    x, _ = newton_solve(_system, np.zeros(2))
     assert np.max(np.abs(_system(x))) <= 1e-10
     assert solver_calls["jacobian"] == 1
     assert solver_calls["solve"] > solver_calls["jacobian"]
@@ -139,7 +138,7 @@ def test_newton_refreshes_the_jacobian_when_a_step_fails_to_halve(
         solver_calls):
     # the first secant step lowers the residual norm, but by less than half,
     # so J is rebuilt once; accepting any decrease would keep it
-    x = newton_solve(lambda x: x ** 3 - 8.0, np.array([1.0]))
+    x, _ = newton_solve(lambda x: x ** 3 - 8.0, np.array([1.0]))
     assert abs(x[0] - 2.0) < 1e-10
     assert solver_calls["jacobian"] == 2
 
@@ -152,15 +151,16 @@ def test_newton_refreshes_when_an_updated_jacobian_cannot_be_solved(
     # solve call 1 is the damped step on the fresh Jacobian, call 2 the
     # first full step on the updated one
     solver_calls["fail_solve"][2] = failure
-    x = newton_solve(_system, np.zeros(2))
+    x, _ = newton_solve(_system, np.zeros(2))
     assert np.max(np.abs(_system(x))) <= 1e-10
     assert solver_calls["jacobian"] == 2
 
 
-def test_newton_failures_carry_the_last_residual_and_condition():
+def test_newton_failures_carry_the_last_residual_and_condition(monkeypatch):
+    monkeypatch.setattr(matchdyn.numerics, "MAX_ITER", 2)
     with pytest.raises(NoConvergence) as info:
         newton_solve(lambda x: np.array([np.exp(x[0]) + 1.0]),
-                     np.array([0.0]), Tolerances(newton_max_iter=2))
+                     np.array([0.0]))
     assert info.value.residual_norm > 1.0
     assert info.value.cond == pytest.approx(1.0)
     assert "condition estimate 1.000e+00" in str(info.value)
@@ -169,13 +169,6 @@ def test_newton_failures_carry_the_last_residual_and_condition():
                      np.array([1.0, 1.0]))
     assert info.value.residual_norm == 2.0
     assert info.value.cond > 1e14
-
-
-def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        Tolerances(newton_tol=-1.0)
-    with pytest.raises(ValueError):
-        Tolerances(newton_max_iter=0)
 
 
 def test_default_step_value():

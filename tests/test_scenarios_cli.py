@@ -378,6 +378,25 @@ def test_cli_run_and_check_roundtrip(tmp_path):
     assert main(["check", "residual", out]) == 0
 
 
+def test_check_residual_reports_an_oracle_only_where_there_is_one(
+        tmp_path, capsys):
+    # sl2c files have no independent variational oracle, so none is printed;
+    # the recomputed residuals still decide, and catch a tampered arrow
+    for scenario, has_oracle in (("sl2c", False), ("trivial_groupoid", True)):
+        out = str(tmp_path / (scenario + ".csv"))
+        assert main(["run", scenario, "--steps", "4", "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["check", "residual", out]) == 0
+        text = capsys.readouterr().out
+        assert ("variational oracle max: " in text) == has_oracle
+        assert (check_residual_file(out)[1].oracle_max is None) != has_oracle
+    cfg, header, rows = read_trajectory_csv(str(tmp_path / "sl2c.csv"))
+    rows[2][5] += 1e-4  # B_a, a free chart coordinate
+    tampered = str(tmp_path / "tampered.csv")
+    write_trajectory_csv(tampered, cfg, header, rows)
+    assert main(["check", "residual", tampered]) == 1
+
+
 def test_cli_determinism(tmp_path):
     cfgp = tmp_path / "cfg.ini"
     cfgp.write_text("[scenario]\nid = trivial_groupoid\nsteps = 5\n"
