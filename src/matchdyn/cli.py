@@ -89,10 +89,7 @@ def _cmd_run(args):
         print("closed-vs-generic residual gap: %.3e" % report.formula_gap)
     if report.correspondence_gap is not None:
         print("correspondence gap: %.3e" % report.correspondence_gap)
-    ok = worst <= max(config.tol, 1e-9)
-    if report.oracle_max is not None:
-        ok = ok and report.oracle_max <= 1e-6
-    return 0 if ok else 1
+    return 0 if report.passes(config.tol) else 1
 
 
 def _cmd_check_axioms(args):
@@ -129,7 +126,7 @@ def _cmd_export(args):
         print("wrote %s" % args.report)
     else:
         print(text)
-    return 0
+    return 0 if report.passes(config.tol) else 1
 
 
 def main(argv=None):

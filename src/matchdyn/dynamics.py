@@ -41,6 +41,9 @@ from .numerics import DEFAULT_TOL, fd_directional, fd_gradient, newton_solve
 # unused; bench/test_bench.py::test_install_and_uninstall_wrappers wraps it
 from .numerics import fd_jacobian  # noqa: F401
 
+# the bound of the variational oracle on a solved trajectory
+ORACLE_TOL = 1e-6
+
 
 class DiscreteLagrangian:
     """Real function on the arrows of a groupoid, with an optional closed
@@ -240,17 +243,15 @@ def at_step(k):
         raise
 
 
-def del_step(desc: Groupoid, L: DiscreteLagrangian, gk, guess=None,
-             tol=DEFAULT_TOL):
+def del_step(desc: Groupoid, L: DiscreteLagrangian, gk, tol=DEFAULT_TOL):
     """Solve the junction residual for the next arrow in the source fiber at
     beta(g_k): a Newton solve of incoming - outgoing(fiber_elem(b, z)) = 0
-    with the incoming half evaluated once.  The warm start transports the
-    previous arrow to the new fiber (constant-velocity guess) unless an
-    explicit guess arrow is given.  Returns (g_{k+1}, r), r the residual
-    Newton stopped at: bit for bit ``del_residual(desc, L, g_k, g_{k+1})``."""
+    with the incoming half evaluated once, warm-started at g_k transported
+    to the new fiber.  Returns (g_{k+1}, r), r the residual Newton stopped
+    at: bit for bit ``del_residual(desc, L, g_k, g_{k+1})``."""
     gk = desc.check(gk)
     b = desc.beta(gk)
-    z0 = desc.arrow_coords(gk if guess is None else desc.check(guess))
+    z0 = desc.arrow_coords(gk)
 
     def outgoing(z):
         g = desc.fiber_elem(b, z)
@@ -282,7 +283,7 @@ def solve_trajectory(desc: Groupoid, L: DiscreteLagrangian, g1, n_steps,
     """``march``, validated by the variational oracle before it returns."""
     traj = Trajectory(desc, *march(desc, L, g1, n_steps, tol))
     traj.oracle = variational_oracle(desc, L, traj)
-    if traj.oracle > 1e-6:
+    if traj.oracle > ORACLE_TOL:
         raise NoConvergence("solved trajectory fails the variational check "
                             "(%.3e)" % traj.oracle, residual_norm=traj.oracle)
     return traj
@@ -377,7 +378,7 @@ def variational_oracle(desc: Groupoid, L: DiscreteLagrangian,
                        traj: Trajectory):
     """Max absolute directional derivative of the action sum over
     product-preserving variations at the interior junctions.  A discrete
-    Euler-Lagrange solution must push this below 1e-6."""
+    Euler-Lagrange solution must push this below ORACLE_TOL."""
     worst = 0.0
     for k in range(len(traj.arrows) - 1):
         gk, gk1 = traj.arrows[k], traj.arrows[k + 1]

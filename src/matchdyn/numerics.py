@@ -3,11 +3,9 @@
 Everything downstream differentiates along curves with the central-difference
 helpers here, so the step-size convention (cube root of machine epsilon,
 scaled by 1 + the norm of the expansion point) lives in exactly one place.
-The solver builds one finite-difference Jacobian per solve and carries it
-along by Broyden's rank-one secant update (Dennis & Schnabel 1983, ch. 8),
-rebuilding it only when an updated step stalls.  It takes one tolerance, on
-the inf-norm of the residual, and returns the root together with the
-residual it stopped at, so a caller never re-evaluates it.
+The solver runs at most MAX_ITER passes of one finite-difference Jacobian
+and its Broyden secant updates (Dennis & Schnabel 1983, ch. 8), and returns
+the root with the residual it stopped at.
 """
 from __future__ import annotations
 
@@ -99,82 +97,69 @@ def _failure(cls, what, rnorm, cond):
                % (what, rnorm, cond), residual_norm=rnorm, cond=cond)
 
 
-def _fresh_jacobian(F, x, rnorm):
-    """fd_jacobian at x and its condition estimate; SingularJacobian when
-    that exceeds COND_LIMIT."""
-    J = fd_jacobian(F, x)
+def _step(J, r):
+    """The full step -J^-1 r and J's condition estimate; the step is None
+    when J is non-finite, above COND_LIMIT or gives no finite solution."""
     cond = float(np.linalg.cond(J)) if np.all(np.isfinite(J)) else np.inf
     if cond > COND_LIMIT:
-        raise _failure(SingularJacobian, "Jacobian condition estimate > %.1e"
-                       % COND_LIMIT, rnorm, cond)
-    return J, cond
-
-
-def _secant_step(F, J, x, r, rnorm):
-    """The full step on an updated J and J's condition estimate, or None
-    when J is unusable or the step fails to halve the residual norm."""
-    cond = float(np.linalg.cond(J)) if np.all(np.isfinite(J)) else np.inf
-    if cond > COND_LIMIT:
-        return None
+        return None, cond
     try:
         dx = np.linalg.solve(J, -r)
     except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(dx)):
-        return None
-    r_new, rn_new = _trial(F, x + dx)
-    if not rn_new <= 0.5 * rnorm:
-        return None
-    return (x + dx, r_new, rn_new), cond
+        return None, cond
+    return (dx if np.all(np.isfinite(dx)) else None), cond
 
 
 def newton_solve(F, x0, tol=DEFAULT_TOL):
-    """Quasi-Newton iteration for F(x) = 0 over one finite-difference
-    Jacobian; returns (x, F(x)) once the inf-norm of F(x) is at most tol.
+    """Quasi-Newton solve of F(x) = 0; returns (x, F(x)) once the inf-norm
+    of F(x) is at most tol.
 
-    The Jacobian at x0 is built and checked before the first convergence
-    test, so a degenerate problem fails even when x0 solves it.  Every
-    accepted step s updates J by Broyden's rank-one secant rule,
-    J += outer(F(x + s) - F(x) - J s, s) / (s . s), and the full step on the
-    updated J is kept if it at least halves the residual norm.  Otherwise,
-    or when the updated J is non-finite, has a condition estimate above 1e14
-    or cannot be solved, J is rebuilt at the current point (as it is at x0)
-    and the step is halved, at most 30 times, until the residual norm
-    decreases; a trial point outside F's domain or with an overflowing
-    residual counts as an infinite one.  Raises SingularJacobian when a
-    freshly built Jacobian has a condition estimate above 1e14,
-    NoConvergence when the halvings or the MAX_ITER iterations run out;
-    both carry the last residual norm and condition estimate.
+    Each of at most MAX_ITER passes builds a finite-difference Jacobian J at
+    the current point and raises SingularJacobian when its condition
+    estimate is above 1e14, before the convergence test, so a degenerate
+    problem fails even when x0 solves it.  The Newton step on J is halved,
+    at most 30 times, until the residual norm decreases; a trial point
+    outside F's domain or with an overflowing residual counts as infinite.
+    After every accepted step s, Broyden's update J += outer(F(x + s) - F(x)
+    - J s, s) / (s . s) gives the next full step, kept while it halves the
+    residual norm and J is usable; otherwise the next pass starts.
+    NoConvergence (the halvings or the passes ran out) and SingularJacobian
+    carry the last residual norm and condition estimate.
     """
     x = _as_vec(x0).copy()
     r = _as_vec(F(x))
     rnorm = float(np.linalg.norm(r, np.inf))
-    J, cond = _fresh_jacobian(F, x, rnorm)
-    for it in range(MAX_ITER):
+    for _ in range(MAX_ITER):
+        J = fd_jacobian(F, x)
+        dx, cond = _step(J, r)
+        if cond > COND_LIMIT:
+            raise _failure(SingularJacobian, "Jacobian condition estimate > "
+                           "%.1e" % COND_LIMIT, rnorm, cond)
         if rnorm <= tol:
-            break
-        # J has had a secant update from the second iteration on
-        secant = _secant_step(F, J, x, r, rnorm) if it else None
-        if secant is not None:
-            (x_new, r_new, rn_new), cond = secant
+            return x, r
+        if dx is None:  # F(x) itself is not finite
+            raise _failure(NoConvergence, "no finite Newton step", rnorm, cond)
+        for halvings in range(MAX_HALVINGS + 1):
+            x_new = x + 0.5 ** halvings * dx
+            r_new, rn_new = _trial(F, x_new)
+            if rn_new < rnorm:
+                break
         else:
-            if it:
-                J, cond = _fresh_jacobian(F, x, rnorm)
-            dx = np.linalg.solve(J, -r)
-            for halvings in range(MAX_HALVINGS + 1):
-                x_new = x + 0.5 ** halvings * dx
-                r_new, rn_new = _trial(F, x_new)
-                if rn_new < rnorm:
-                    break
-            else:
-                raise _failure(NoConvergence, "line search failed after %d "
-                               "halvings" % MAX_HALVINGS, rnorm, cond)
-        s = x_new - x
-        # _secant_step refreshes a J that this makes non-finite
-        with np.errstate(all="ignore"):
-            J = J + np.outer(r_new - r - J @ s, s) / (s @ s)
-        x, r, rnorm = x_new, r_new, rn_new
-    if rnorm <= tol:
-        return x, r
-    raise _failure(NoConvergence, "no convergence after %d iterations"
+            raise _failure(NoConvergence, "line search failed after %d "
+                           "halvings" % MAX_HALVINGS, rnorm, cond)
+        while True:
+            s = x_new - x
+            with np.errstate(all="ignore"):  # _step rejects a non-finite J
+                J = J + np.outer(r_new - r - J @ s, s) / (s @ s)
+            x, r, rnorm = x_new, r_new, rn_new
+            if rnorm <= tol:
+                return x, r
+            dx, cond = _step(J, r)
+            if dx is None:
+                break
+            x_new = x + dx
+            r_new, rn_new = _trial(F, x_new)
+            if not rn_new <= 0.5 * rnorm:
+                break
+    raise _failure(NoConvergence, "no convergence after %d Jacobians"
                    % MAX_ITER, rnorm, cond)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import (
+    ORACLE_TOL,
     DiscreteLagrangian,
     Trajectory,
     del_residual,
@@ -167,6 +168,14 @@ class RunReport:
     correspondence_gap: float | None = None
     formula_gap: float | None = None
     wall_clock: float | None = None
+
+    def passes(self, tol):
+        """The verdict of ``run``, ``export`` and ``check residual``: every
+        residual norm within max(tol, 1e-9), and the variational oracle, or
+        the residuals where there is none, within ORACLE_TOL."""
+        worst = max(self.residual_norms, default=0.0)
+        oracle = worst if self.oracle_max is None else self.oracle_max
+        return worst <= max(tol, 1e-9) and oracle <= ORACLE_TOL
 
     def as_dict(self):
         d = {"scenario": self.scenario,
@@ -426,12 +435,9 @@ def _recheck_rows(config, rows):
         oracle = None
     repro_gap = max((abs(a - b) for a, b in zip(stored, recomputed)),
                     default=0.0)
-    worst = max(recomputed, default=0.0)
-    ok = (repro_gap <= REPRODUCE_TOL and worst <= max(config.tol, 1e-9)
-          and (worst if oracle is None else oracle) <= 1e-6)
     report = RunReport(config.scenario, recomputed, oracle_max=oracle,
                        correspondence_gap=repro_gap)
-    return ok, report
+    return repro_gap <= REPRODUCE_TOL and report.passes(config.tol), report
 
 
 def run_axiom_suites(seed=0, n_samples=200, tol=1e-9):

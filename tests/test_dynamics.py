@@ -324,10 +324,12 @@ def test_matched_group_step_evaluates_incoming_half_once():
                            + 0.1 * float(np.sin(u[0] + u[5])))
     uk = mp.exp(0.05 * np.random.default_rng(32).standard_normal(6))
     points = record_gradient_points(L)
-    # a guess away from u_k, so no Newton trial point coincides with it
-    del_step_matched_group(mp, L, uk, guess=mp.exp(0.1 * np.ones(6)))
-    assert sum(np.array_equal(p, uk) for p in points) == 1
-    assert len(points) > 1
+    # the warm start is u_k itself, so u_k is visited twice: by the incoming
+    # half and by Newton's first residual; an incoming half evaluated inside
+    # the residual would be visited again at every Jacobian column and trial
+    del_step_matched_group(mp, L, uk)
+    assert sum(np.array_equal(p, uk) for p in points) == 2
+    assert len(points) > 2
 
 
 def test_matched_group_identity_critical_point():
@@ -404,12 +406,12 @@ def test_del_step_reuses_one_jacobian_across_newton_iterations(monkeypatch):
     monkeypatch.setattr(matchdyn.numerics, "fd_jacobian", jac)
     monkeypatch.setattr(matchdyn.dynamics, "fd_jacobian", jac)
     monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+    # a constant force 0.5 on n_1 adds 0.5 to the velocity at each step, so
+    # the constant-velocity warm start is not a root and Newton iterates
     L = DiscreteLagrangian(lambda x: 0.5 * float(np.sum((x[3:] - x[:2]) ** 2))
-                           + 0.5 * float(x[2] ** 2))
-    # the guess is not a root, so Newton iterates at least once
-    nxt, _ = del_step(DEC.trivial, L, np.array([0.0, 0.0, 0.3, 1.0, 0.0]),
-                   guess=np.array([1.0, 0.0, 0.0, 1.5, 0.5]))
-    assert np.allclose(nxt, [1.0, 0.0, 0.3, 2.0, 0.0], atol=1e-9)
+                           + 0.5 * float(x[2] ** 2) + 0.5 * float(x[3]))
+    nxt, _ = del_step(DEC.trivial, L, np.array([0.0, 0.0, 0.3, 1.0, 0.0]))
+    assert np.allclose(nxt, [1.0, 0.0, 0.3, 2.5, 0.0], atol=1e-9)
     assert calls["jacobian"] == 1
     assert calls["solve"] == 2
 

@@ -87,6 +87,16 @@ def test_newton_never_accepts_a_nan_residual():
     assert abs(newton_solve(F, np.array([1.5]))[0][0]) < 1e-10
 
 
+def test_newton_a_non_finite_first_residual_is_no_convergence():
+    # F(0) is 0/0, while the Jacobian stencil around 0 is finite and regular
+    def F(x):
+        with np.errstate(invalid="ignore"):
+            return np.sin(x) / x + x - 0.5
+
+    with pytest.raises(NoConvergence):
+        newton_solve(F, np.zeros(1))
+
+
 def test_newton_line_search_running_out_is_no_convergence():
     # every point along the Newton direction (1, 1) leaves the domain, while
     # the axis-aligned Jacobian stencil at the origin stays inside
@@ -132,6 +142,16 @@ def test_newton_reuses_one_jacobian_on_a_nonlinear_system(solver_calls):
     assert np.max(np.abs(_system(x))) <= 1e-10
     assert solver_calls["jacobian"] == 1
     assert solver_calls["solve"] > solver_calls["jacobian"]
+
+
+def test_newton_budget_counts_jacobians(monkeypatch, solver_calls):
+    # _system takes several steps on its one Jacobian, so a budget of one
+    # pass is enough; a budget of one step would stop after the first
+    monkeypatch.setattr(matchdyn.numerics, "MAX_ITER", 1)
+    x, _ = newton_solve(_system, np.zeros(2))
+    assert np.max(np.abs(_system(x))) <= 1e-10
+    assert solver_calls["jacobian"] == 1
+    assert solver_calls["solve"] > 1
 
 
 def test_newton_refreshes_the_jacobian_when_a_step_fails_to_halve(

@@ -419,6 +419,21 @@ def test_cli_export(tmp_path, capsys):
     assert len(data["residual_norms"]) == 2
 
 
+@pytest.mark.parametrize("command", ["run", "export", "check residual"])
+def test_run_export_and_check_give_one_verdict(tmp_path, command):
+    # at --tol 1e-3 every sl2c residual is within tol but not within the
+    # 1e-6 bound that stands in for the oracle sl2c lacks
+    for tol, code in ((["--tol", "1e-3"], 1), ([], 0)):
+        out = str(tmp_path / "sl2c.csv")
+        argv = ["sl2c", "--out", out] + tol
+        if command == "check residual":
+            main(["run"] + argv)
+            argv = ["check", "residual", out]
+        else:
+            argv = [command] + argv
+        assert main(argv) == code
+
+
 def test_cli_usage_errors(tmp_path):
     assert main(["frobnicate"]) == 2
     assert main(["run"]) == 2
