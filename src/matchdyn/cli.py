@@ -7,6 +7,7 @@ Subcommands:
   export         run a scenario and write the report as JSON
 
 Exit codes: 0 pass, 1 verification or solver failure, 2 usage or config error.
+A failed verdict prints one ``FAIL:`` line per bound broken on stderr.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ def _build_parser():
         prog="matchdyn",
         description="Discrete Euler-Lagrange dynamics on groupoids and "
                     "matched-pair groups.")
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(required=True)
 
     def add_config_flags(p):
         p.add_argument("--config", help="INI config file")
@@ -43,16 +44,19 @@ def _build_parser():
     runp.add_argument("scenario", nargs="?", choices=SCENARIOS,
                       help="scenario id when no config file is given")
     add_config_flags(runp)
+    runp.set_defaults(func=_cmd_run)
 
     checkp = sub.add_parser("check", help="verification suites")
-    checksub = checkp.add_subparsers(dest="what")
+    checksub = checkp.add_subparsers(required=True)
     axp = checksub.add_parser("axioms", help="randomized axiom suites")
     axp.add_argument("--seed", type=int, default=0)
     axp.add_argument("--samples", type=int, default=200)
     axp.add_argument("--tol", type=float, default=1e-9)
+    axp.set_defaults(func=_cmd_check_axioms)
     resp = checksub.add_parser("residual",
                                help="re-verify a trajectory file")
     resp.add_argument("trajectory", help="CSV file emitted by run")
+    resp.set_defaults(func=_cmd_check_residual)
 
     exp = sub.add_parser("export", help="run a scenario and write the "
                                         "report as JSON")
@@ -60,6 +64,7 @@ def _build_parser():
     add_config_flags(exp)
     exp.add_argument("--report", help="path for the JSON report "
                                       "(default: stdout)")
+    exp.set_defaults(func=_cmd_export)
     return parser
 
 
@@ -89,7 +94,7 @@ def _cmd_run(args):
         print("closed-vs-generic residual gap: %.3e" % report.formula_gap)
     if report.correspondence_gap is not None:
         print("correspondence gap: %.3e" % report.correspondence_gap)
-    return 0 if report.passes(config.tol) else 1
+    return _verdict(report.failures(config.tol))
 
 
 def _cmd_check_axioms(args):
@@ -102,16 +107,16 @@ def _cmd_check_axioms(args):
 
 
 def _cmd_check_residual(args):
-    ok, report = check_residual_file(args.trajectory)
+    failures, report = check_residual_file(args.trajectory)
     worst = max(report.residual_norms, default=0.0)
     print("recomputed %d residuals, max %.3e" % (len(report.residual_norms),
                                                  worst))
-    if report.correspondence_gap is not None:
-        print("stored-vs-recomputed gap: %.3e" % report.correspondence_gap)
+    if report.reproduce_gap is not None:
+        print("stored-vs-recomputed gap: %.3e" % report.reproduce_gap)
     if report.oracle_max is not None:
         print("variational oracle max: %.3e" % report.oracle_max)
-    print("trajectory check:", "pass" if ok else "FAIL")
-    return 0 if ok else 1
+    print("trajectory check:", "FAIL" if failures else "pass")
+    return _verdict(failures)
 
 
 def _cmd_export(args):
@@ -126,7 +131,14 @@ def _cmd_export(args):
         print("wrote %s" % args.report)
     else:
         print(text)
-    return 0 if report.passes(config.tol) else 1
+    return _verdict(report.failures(config.tol))
+
+
+def _verdict(failures):
+    """Exit code of ``run``, ``export`` and ``check residual``."""
+    for line in failures:
+        print("FAIL: %s" % line, file=sys.stderr)
+    return 1 if failures else 0
 
 
 def main(argv=None):
@@ -136,20 +148,7 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "check":
-            if args.what == "axioms":
-                return _cmd_check_axioms(args)
-            if args.what == "residual":
-                return _cmd_check_residual(args)
-            print("usage: matchdyn check {axioms,residual} ...",
-                  file=sys.stderr)
-            return 2
-        if args.command == "export":
-            return _cmd_export(args)
-        parser.print_usage(sys.stderr)
-        return 2
+        return args.func(args)
     except MatchdynError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2 if isinstance(exc, DomainError) else 1

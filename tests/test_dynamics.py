@@ -29,6 +29,7 @@ from matchdyn.groupoids import (
 )
 from matchdyn.groups import SO3, SU2, Circle, Group, KGroup
 from matchdyn.matched_group import (
+    MatchedPairGroup,
     Su2K,
     both_trivial_pair,
     left_trivial_pair,
@@ -295,6 +296,30 @@ def test_default_junction_solves_take_no_finite_difference_derivatives(
     xk = np.array([0.0, 0.0, 0.3, 1.0, 0.0])
     xk1, _ = del_step(dec.trivial, L, xk)
     assert np.max(np.abs(del_residual(dec.trivial, L, xk, xk1))) < 1e-10
+
+
+def test_junction_solve_calls_no_reference(monkeypatch):
+    # the six-term residual, the momentum form, the finite-difference
+    # fields, lifts and pair, and the oracle are references for the tests
+    # and `matchdyn check`; one junction solve runs without them
+    import matchdyn.algebroid as algebroid
+    import matchdyn.dynamics as dynamics
+
+    def reference(*args, **kwargs):
+        raise AssertionError("reference called in a junction solve")
+
+    for owner, name in ((dynamics, "del_residual_matched"),
+                        (dynamics, "del_residual_matched_group"),
+                        (dynamics, "variational_oracle"),
+                        (algebroid, "left_invariant_generic"),
+                        (algebroid, "right_invariant_generic"),
+                        (MatchedPairGroup, "generic"),
+                        (Group, "lift_matrix")):
+        monkeypatch.setattr(owner, name, reference)
+    mp = Su2K()
+    L = sl2c_lagrangian(mp, ScenarioConfig("sl2c"))
+    _, r = del_step(mp, L, mp.exp([0.2, -0.1, 0.15, 0.1, 0.05, -0.1]))
+    assert np.max(np.abs(r)) < 1e-10
 
 
 def test_matched_groupoid_step_builds_no_fiber_tangent_matrix(monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -270,12 +271,13 @@ def test_check_residual_file_detects_corruption(tmp_path):
     _, header, rows = run_sl2c(cfg)
     p = tmp_path / "t.csv"
     write_trajectory_csv(str(p), cfg, header, rows)
-    ok, _ = check_residual_file(str(p))
-    assert ok
+    failures, _ = check_residual_file(str(p))
+    assert failures == []
     rows[1][1] += 0.05
     write_trajectory_csv(str(p), cfg, header, rows)
-    ok, report = check_residual_file(str(p))
-    assert not ok
+    failures, report = check_residual_file(str(p))
+    assert len(failures) == 1
+    assert failures[0].startswith("invalid arrow data: ")
 
 
 def _write_small_csv(path):
@@ -302,8 +304,8 @@ def test_finite_difference_files_recheck_with_gap_zero(tmp_path, name, field):
     path = os.path.join(DATA, name)
     lines = open(path).read().splitlines()
     assert not any(line.startswith("# derivatives=") for line in lines)
-    ok, report = check_residual_file(path)
-    assert ok and report.correspondence_gap == 0.0
+    failures, report = check_residual_file(path)
+    assert failures == [] and report.reproduce_gap == 0.0
     assert main(["check", "residual", path]) == 0
     k = next(i for i, line in enumerate(lines) if line.startswith("1,"))
     fields = lines[k].split(",")
@@ -321,8 +323,8 @@ def test_fresh_files_record_exact_derivatives(tmp_path, scenario):
     assert "# derivatives=exact\n" in open(p).read()
     cfg, _, _ = read_trajectory_csv(p)
     assert cfg.derivatives == "exact"
-    ok, report = check_residual_file(p)
-    assert ok and report.correspondence_gap == 0.0
+    failures, report = check_residual_file(p)
+    assert failures == [] and report.reproduce_gap == 0.0
 
 
 def test_read_trajectory_csv_rejects_unknown_derivatives(tmp_path):
@@ -354,6 +356,32 @@ def test_check_residual_rejects_short_rows(tmp_path, scenario, width):
     with pytest.raises(DomainError):
         check_residual_file(str(p))
     assert main(["check", "residual", str(p)]) == 2
+
+
+# a file that is not laid out as its scenario writes it: by position, each
+# of these re-checks with a clean verdict
+LAYOUT_EDITS = {
+    "swapped_residual_columns": ("trivial_groupoid", lambda header, rows: (
+        [{"res_direct": "res_matched", "res_matched": "res_direct"}.get(c, c)
+         for c in header], rows)),
+    "extra_field": ("trivial_groupoid", lambda header, rows: (
+        header, [row + [0.0] for row in rows])),
+    "foreign_header": ("sl2c", lambda header, rows: (
+        HEADERS["trivial_groupoid"], rows)),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(LAYOUT_EDITS))
+def test_check_residual_reads_the_file_by_its_layout(tmp_path, edit):
+    scenario, change = LAYOUT_EDITS[edit]
+    p = str(tmp_path / "t.csv")
+    assert main(["run", scenario, "--steps", "3", "--out", p]) == 0
+    cfg, header, rows = read_trajectory_csv(p)
+    assert header == HEADERS[scenario]
+    write_trajectory_csv(p, cfg, *change(header, rows))
+    with pytest.raises(DomainError):
+        check_residual_file(p)
+    assert main(["check", "residual", p]) == 2
 
 
 def test_run_scenario_dispatch():
@@ -420,7 +448,7 @@ def test_cli_export(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "export", "check residual"])
-def test_run_export_and_check_give_one_verdict(tmp_path, command):
+def test_run_export_and_check_give_one_verdict(tmp_path, capsys, command):
     # at --tol 1e-3 every sl2c residual is within tol but not within the
     # 1e-6 bound that stands in for the oracle sl2c lacks
     for tol, code in ((["--tol", "1e-3"], 1), ([], 0)):
@@ -431,13 +459,23 @@ def test_run_export_and_check_give_one_verdict(tmp_path, command):
             argv = ["check", "residual", out]
         else:
             argv = [command] + argv
+        capsys.readouterr()
         assert main(argv) == code
+        err = capsys.readouterr().err
+        if code:
+            # the quantity, its value and the bound it broke
+            found = re.fullmatch(r"FAIL: max residual norm, no oracle "
+                                 r"(\S+) above 1e-06\n", err)
+            assert found and 1e-6 < float(found.group(1)) <= 1e-3
+        else:
+            assert "FAIL:" not in err
 
 
 def test_cli_usage_errors(tmp_path):
     assert main(["frobnicate"]) == 2
     assert main(["run"]) == 2
     assert main([]) == 2
+    assert main(["check"]) == 2
     assert main(["run", "sl2c", "--steps", "1"]) == 2
     assert main(["run", "sl2c", "--tol", "-1"]) == 2
     assert main(["run", "sl2c", "--seed", "3", "--out",
@@ -446,6 +484,26 @@ def test_cli_usage_errors(tmp_path):
     bad.write_text("[scenario]\nid = sl2c\nsteps = nope\n")
     assert main(["run", "--config", str(bad)]) == 2
     assert main(["check", "residual", str(tmp_path / "missing.csv")]) == 2
+
+
+@pytest.mark.parametrize("command,text", [
+    ("run", "[lagrangian]\nname = spring\n"),
+    ("run", "[scenario]\nid = sl2c\n\n[lagrangian]\nname = spring\n"),
+    ("run", "[scenario]\nid = trivial_groupoid\n\n[lagrangian]\n"
+            "name = quadratic\n"),
+    ("run", "[scenario]\nid = sl2c\n\n[initial]\ncoords = 0.1 0 0 0 0.05\n"),
+    ("check residual", "# scenario=sl2c\n# steps=2\n"),
+], ids=["no_scenario_section", "sl2c_spring", "trivial_groupoid_quadratic",
+        "sl2c_five_coords", "no_header_row"])
+def test_config_and_file_errors_exit_2(tmp_path, capsys, command, text):
+    p = tmp_path / "input"
+    p.write_text(text)
+    if command == "run":
+        argv = ["run", "--config", str(p), "--out", str(tmp_path / "t.csv")]
+    else:
+        argv = ["check", "residual", str(p)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_sl2c_solver_failure_names_the_step(tmp_path, capsys):
