@@ -8,9 +8,14 @@ pair of groups is a matched-pair groupoid over a point and steps through the
 same ``del_step``; its momentum forms (the paper's transported-and-forced
 momenta and their degenerate reductions) are references, evaluated only at
 solved junctions by ``momentum_residuals``.  Trajectories are solved in one
-loop, ``march``, which keeps the residual each ``del_step`` stopped at (bit
-for bit ``del_residual``); ``solve_trajectory`` checks it against the
-brute-force variational derivative of the action sum.
+loop, ``march``, which keeps the residual each ``del_step`` stopped at;
+``solve_trajectory`` checks it against the brute-force variational derivative
+of the action sum.
+
+The halves pair dL with the lift columns only
+(``DiscreteLagrangian.pullback``): through a closed gradient, bit for bit as
+``del_residual``, and otherwise by one central difference of L per column,
+where the references take the ambient finite-difference gradient.
 """
 from __future__ import annotations
 
@@ -62,6 +67,16 @@ class DiscreteLagrangian:
         if self._gradient is not None:
             return np.asarray(self._gradient(x), dtype=float)
         return fd_gradient(self.evaluate, x)
+
+    def pullback(self, x, lift):
+        """lift^T dL(x) for a matrix of tangent vectors at x: the closed
+        gradient paired with the columns, or else one central difference
+        of L along each column."""
+        x = np.asarray(x, dtype=float)
+        if self._gradient is not None:
+            return lift.T @ self.gradient(x)
+        return np.array([fd_directional(self.evaluate, x, c)
+                         for c in lift.T])
 
 
 class Trajectory:
@@ -247,18 +262,20 @@ def del_step(desc: Groupoid, L: DiscreteLagrangian, gk, tol=DEFAULT_TOL):
     """Solve the junction residual for the next arrow in the source fiber at
     beta(g_k): a Newton solve of incoming - outgoing(fiber_elem(b, z)) = 0
     with the incoming half evaluated once, warm-started at g_k transported
-    to the new fiber.  Returns (g_{k+1}, r), r the residual Newton stopped
-    at: bit for bit ``del_residual(desc, L, g_k, g_{k+1})``."""
+    to the new fiber.  Both halves go through ``L.pullback``.  Returns
+    (g_{k+1}, r), r the residual Newton stopped at: bit for bit
+    ``del_residual(desc, L, g_k, g_{k+1})`` when L has a closed gradient,
+    and otherwise the residual of its fiber-directional differences."""
     gk = desc.check(gk)
     b = desc.beta(gk)
     z0 = desc.arrow_coords(gk)
 
     def outgoing(z):
         g = desc.fiber_elem(b, z)
-        return desc.right_lift(g).T @ L.gradient(g)
+        return L.pullback(g, desc.right_lift(g))
 
     with solver_failure("junction solve"):
-        incoming = desc.left_lift(gk).T @ L.gradient(gk)
+        incoming = L.pullback(gk, desc.left_lift(gk))
         z, r = newton_solve(lambda z: incoming - outgoing(z), z0, tol)
         return desc.fiber_elem(b, z), r
 

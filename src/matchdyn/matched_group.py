@@ -12,8 +12,9 @@ point, and ``MatchedPairGroup`` is one: it subclasses ``MatchedPairGroupoid``
 over ``GroupGroupoid(G)`` and ``GroupGroupoid(H)``, so the product, the
 inverse, the lift matrices, the compatibility axioms and, by default, the
 four induced infinitesimal actions (as matrices, by finite differences) are
-the groupoid's.  Concrete pairs override only those four matrices, with
-closed forms where available; the algebra bracket is derived from them too.
+the groupoid's.  Concrete pairs (``Su2K`` and the degenerate pairs) override
+only those four matrices, with closed forms; the algebra bracket is derived
+from them too.
 Ad is the generic ``Group.Ad`` on the product, read through the
 componentwise ``log``.  ``generic()`` returns the same pair as a plain
 ``MatchedPairGroup``, so closed forms can be checked against it.
@@ -224,36 +225,79 @@ class Su2K(MatchedPairGroup):
 # degenerate matched pairs (one or both actions trivial)
 # ---------------------------------------------------------------------------
 
+class DegeneratePair(MatchedPairGroup):
+    """G x H whose mutual actions are trivial unless a subclass defines one.
+    A trivial action's induced matrices are an identity and a zero block,
+    so all four are closed; ``generic()`` keeps the finite-difference
+    ones."""
+
+    def act_on_g(self, h, g):
+        return np.asarray(g, dtype=float)
+
+    def act_on_h(self, h, g):
+        return np.asarray(h, dtype=float)
+
+    def act_on_fiber_g_matrix(self, h):
+        return np.eye(self.G.dim)
+
+    def dagger_on_h_matrix(self, h):
+        return np.zeros((self.H.coord_dim, self.G.dim))
+
+    def dagger_on_g_matrix(self, g):
+        return np.zeros((self.G.coord_dim, self.H.dim))
+
+    def act_on_fiber_h_matrix(self, g):
+        return np.eye(self.H.dim)
+
+
+class RotatedTranslations(DegeneratePair):
+    """R^3 x| SO(3): h |> x = R_h x, and the action of G on H is trivial."""
+
+    def __init__(self):
+        super().__init__(Abelian(3), SO3(), name="r3_rtimes_so3")
+
+    def act_on_g(self, h, g):
+        return np.asarray(h).reshape(3, 3) @ np.asarray(g)
+
+    def act_on_fiber_g_matrix(self, h):
+        return np.asarray(h, dtype=float).reshape(3, 3)
+
+    def dagger_on_g_matrix(self, g):
+        # d/dt exp(tY)^{-1} g = -Y x g = g x Y
+        return hat3(g)
+
+
+class CarriedTranslations(DegeneratePair):
+    """SO(3) |x R^3: h <| g = R_g^T h, and the action of H on G is
+    trivial."""
+
+    def __init__(self):
+        super().__init__(SO3(), Abelian(3), name="so3_ltimes_r3")
+
+    def act_on_h(self, h, g):
+        return np.asarray(g).reshape(3, 3).T @ np.asarray(h)
+
+    def dagger_on_h_matrix(self, h):
+        # d/dt exp(tX)^T h = -X x h = h x X
+        return hat3(h)
+
+    def act_on_fiber_h_matrix(self, g):
+        # (y_t^{-1} <| g)^{-1} = R_g^T y_t
+        return np.asarray(g, dtype=float).reshape(3, 3).T
+
+
 def right_trivial_pair():
     """Translations of R^3 matched with SO(3) rotating them: the action of
     G on H is trivial, giving a semidirect product R^3 x| SO(3)."""
-    so3 = SO3()
-    return MatchedPairGroup(
-        Abelian(3), so3,
-        act_on_g=lambda h, g: np.asarray(h).reshape(3, 3) @ np.asarray(g),
-        act_on_h=lambda h, g: np.asarray(h, dtype=float),
-        name="r3_rtimes_so3",
-    )
+    return RotatedTranslations()
 
 
 def left_trivial_pair():
     """SO(3) matched with R^3 carried along by the inverse rotation: the
     action of H on G is trivial, giving a semidirect product SO(3) |x R^3."""
-    so3 = SO3()
-    return MatchedPairGroup(
-        so3, Abelian(3),
-        act_on_g=lambda h, g: np.asarray(g, dtype=float),
-        act_on_h=lambda h, g: np.asarray(g).reshape(3, 3).T @ np.asarray(h),
-        name="so3_ltimes_r3",
-    )
+    return CarriedTranslations()
 
 
 def both_trivial_pair():
     """Direct product of two copies of SO(3)."""
-    so3a, so3b = SO3(), SO3()
-    return MatchedPairGroup(
-        so3a, so3b,
-        act_on_g=lambda h, g: np.asarray(g, dtype=float),
-        act_on_h=lambda h, g: np.asarray(h, dtype=float),
-        name="so3_times_so3",
-    )
+    return DegeneratePair(SO3(), SO3(), name="so3_times_so3")

@@ -407,6 +407,9 @@ def check_residual_file(path):
         raise DomainError("trajectory file %s: a %s file has the header %s "
                           "and one field per column in every row"
                           % (path, config.scenario, ",".join(columns)))
+    if len(rows) != config.steps:
+        raise DomainError("trajectory file %s: steps=%d but %d rows"
+                          % (path, config.steps, len(rows)))
     try:
         report = _recheck_rows(config, rows)
     except MatchdynError as exc:

@@ -57,17 +57,17 @@ def smooth_lagrangian(dim, rng):
         lambda x: 0.5 * float(x @ Q @ x) + float(np.sin(c @ x)))
 
 
-def record_gradient_points(L):
-    """Replace L.gradient by a wrapper that logs every point it is asked
+def record_points(L, method):
+    """Replace L.<method> by a wrapper that logs every point it is asked
     for; returns the log."""
     points = []
-    gradient = L.gradient
+    inner = getattr(L, method)
 
-    def logged(x):
+    def logged(x, *args):
         points.append(np.array(x, dtype=float))
-        return gradient(x)
+        return inner(x, *args)
 
-    L.gradient = logged
+    setattr(L, method, logged)
     return points
 
 
@@ -251,7 +251,7 @@ def test_matched_group_residual_one_gradient_per_arrow():
     rng = np.random.default_rng(31)
     mp = Su2K()
     L = smooth_lagrangian(mp.coord_dim, rng)
-    points = record_gradient_points(L)
+    points = record_points(L, "gradient")
     del_residual_matched_group(mp, L, mp.random(rng), mp.random(rng),
                                form="full")
     assert len(points) == 2
@@ -322,6 +322,59 @@ def test_junction_solve_calls_no_reference(monkeypatch):
     assert np.max(np.abs(r)) < 1e-10
 
 
+def log_quadratic(mp, rng):
+    """0.5 log(u)^T Q log(u) with a random SPD Q: no closed gradient."""
+    A = rng.standard_normal((mp.dim, mp.dim))
+    Q = A @ A.T / mp.dim + np.eye(mp.dim)
+    return DiscreteLagrangian(lambda u: 0.5 * float(mp.log(u) @ Q
+                                                    @ mp.log(u)))
+
+
+def test_outgoing_half_differentiates_l_along_the_fiber_only():
+    # so3_times_so3 has 18 arrow coordinates and 6 fiber directions
+    mp = both_trivial_pair()
+    rng = np.random.default_rng(36)
+    L = log_quadratic(mp, rng)
+    evaluate = L.evaluate
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return evaluate(x)
+
+    L.evaluate = counted
+    u = mp.random(rng)
+    lift = mp.right_lift(u)
+    half = L.pullback(u, lift)
+    assert len(calls) == 2 * mp.fiber_dim == 12
+    calls.clear()
+    assert np.max(np.abs(half - lift.T @ L.gradient(u))) <= 1e-9
+    assert len(calls) == 2 * mp.arrow_dim == 36
+
+
+@pytest.mark.parametrize("builder", [right_trivial_pair, left_trivial_pair,
+                                     both_trivial_pair])
+def test_degenerate_pair_step_takes_closed_actions_and_no_gradient(
+        builder, monkeypatch):
+    # the induced actions are closed and L is differentiated along the
+    # lift columns: the groupoid's finite-difference matrices and the
+    # ambient gradient stay with the references
+    import matchdyn.dynamics as dynamics
+
+    def reference(*args, **kwargs):
+        raise AssertionError("reference called in a junction solve")
+
+    monkeypatch.setattr(dynamics, "fd_gradient", reference)
+    for name in ("act_on_fiber_g_matrix", "dagger_on_h_matrix",
+                 "dagger_on_g_matrix", "act_on_fiber_h_matrix"):
+        monkeypatch.setattr(MatchedPairGroupoid, name, reference)
+    mp = builder()
+    rng = np.random.default_rng(37)
+    _, r = del_step(mp, log_quadratic(mp, rng),
+                    mp.exp(0.3 * rng.standard_normal(mp.dim)))
+    assert np.max(np.abs(r)) <= 1e-10
+
+
 def test_matched_groupoid_step_builds_no_fiber_tangent_matrix(monkeypatch):
     # the induced-action matrices read their curves through arrow_coords,
     # so a junction solve never differentiates the fiber chart itself
@@ -348,7 +401,7 @@ def test_matched_group_step_evaluates_incoming_half_once():
     L = DiscreteLagrangian(lambda u: 0.5 * float(np.sum((u - e) ** 2))
                            + 0.1 * float(np.sin(u[0] + u[5])))
     uk = mp.exp(0.05 * np.random.default_rng(32).standard_normal(6))
-    points = record_gradient_points(L)
+    points = record_points(L, "pullback")
     # the warm start is u_k itself, so u_k is visited twice: by the incoming
     # half and by Newton's first residual; an incoming half evaluated inside
     # the residual would be visited again at every Jacobian column and trial
@@ -450,7 +503,8 @@ def _bent_spring(u):
 
 @pytest.mark.parametrize("case", ["so3", "trivial", "matched", "su2k"])
 def test_del_step_returns_the_residual_del_residual_computes(case):
-    # bit for bit, so no trajectory loop needs to recompute it
+    # bit for bit where L has a closed gradient, so no trajectory loop
+    # needs to recompute it
     so3 = GroupGroupoid(SO3())
     x0 = np.array([0.0, 0.0, 0.3, 1.0, 0.0])
     mp = Su2K()
@@ -465,7 +519,16 @@ def test_del_step_returns_the_residual_del_residual_computes(case):
             "coupling": 0.25})), mp.exp([0.2, -0.1, 0.15, 0.1, 0.05, -0.1])),
     }[case]
     nxt, r = del_step(desc, L, gk)
-    assert np.array_equal(r, del_residual(desc, L, gk, nxt))
+    if case == "so3":
+        # L has no closed gradient, so del_step differentiates it along the
+        # lift columns while del_residual pairs them with its ambient
+        # finite-difference gradient; on the trivial groupoid the columns
+        # are signed coordinate axes and the two agree bit for bit
+        assert np.array_equal(r, L.pullback(gk, desc.left_lift(gk))
+                              - L.pullback(nxt, desc.right_lift(nxt)))
+        assert np.max(np.abs(r - del_residual(desc, L, gk, nxt))) <= 1e-9
+    else:
+        assert np.array_equal(r, del_residual(desc, L, gk, nxt))
     assert 0.0 < np.max(np.abs(r)) <= 1e-10
 
 

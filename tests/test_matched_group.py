@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from matchdyn.errors import MatchedAxiomError
+from matchdyn.groupoids import MatchedPairGroupoid
 from matchdyn.groups import Abelian, SO3
 from matchdyn.matched_group import (
     MatchedPairGroup,
@@ -105,6 +106,25 @@ def test_su2k_closed_infinitesimal_actions():
                            atol=1e-8)
         assert np.allclose(M.act_on_fiber_h_matrix(g),
                            F.act_on_fiber_h_matrix(g), atol=1e-8)
+
+
+DEGENERATE = [right_trivial_pair(), left_trivial_pair(), both_trivial_pair()]
+INDUCED = ("act_on_fiber_g_matrix", "dagger_on_h_matrix",
+           "dagger_on_g_matrix", "act_on_fiber_h_matrix")
+
+
+@pytest.mark.parametrize("M", DEGENERATE, ids=lambda m: m.name)
+def test_degenerate_pairs_closed_infinitesimal_actions(M):
+    # against the groupoid's finite differences, on the points each matrix
+    # takes: h for the first two, g for the last two
+    rng = np.random.default_rng(35)
+    for _ in range(10):
+        g, h = M.split(M.random(rng, sigma=1.0))
+        for name, x in zip(INDUCED, (h, h, g, g)):
+            closed = getattr(M, name)(x)
+            fd = getattr(MatchedPairGroupoid, name)(M, x)
+            assert closed.shape == fd.shape
+            assert np.max(np.abs(closed - fd)) <= 1e-9
 
 
 def test_su2k_closed_transposes():

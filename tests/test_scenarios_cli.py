@@ -384,6 +384,21 @@ def test_check_residual_reads_the_file_by_its_layout(tmp_path, edit):
     assert main(["check", "residual", p]) == 2
 
 
+# cut down to its header row, or to its k=0 row, a file has no junction left
+# to re-check; its steps= line says how many rows are missing
+@pytest.mark.parametrize("scenario", ["sl2c", "trivial_groupoid"])
+@pytest.mark.parametrize("kept", [0, 1])
+def test_check_residual_rejects_a_truncated_file(tmp_path, scenario, kept):
+    p = str(tmp_path / "t.csv")
+    assert main(["run", scenario, "--steps", "3", "--out", p]) == 0
+    cfg, header, rows = read_trajectory_csv(p)
+    write_trajectory_csv(p, cfg, header, rows[:kept])
+    assert "# steps=3\n" in open(p).read()
+    with pytest.raises(DomainError):
+        check_residual_file(p)
+    assert main(["check", "residual", p]) == 2
+
+
 def test_run_scenario_dispatch():
     report, _, _ = run_scenario(ScenarioConfig("sl2c", steps=3))
     assert report.scenario == "sl2c"
