@@ -21,7 +21,9 @@ from .groupoids import (
     GroupGroupoid,
     Groupoid,
     MatchedPairGroupoid,
+    OrbitPair,
     PairGroupoid,
+    RotatedPlane,
     TrivialDecomposition,
     TrivialGroupoid,
     compose,

@@ -12,6 +12,13 @@ how a curve in a source fiber is read back in fiber coordinates.
 Each descriptor also owns its lift matrices: ``left_lift(g)`` and
 ``right_lift(g)`` are arrow_dim x fiber_dim, with column i the left / right
 invariant vector field at g generated by the fiber-chart basis vector e_i.
+The matched-pair groupoid assembles its lifts from the factor lifts and four
+induced-action matrices, which it takes by finite differences of the two
+actions; a subclass with closed ones keeps those as its oracle.  The trivial
+decomposition's ``OrbitPair`` is one: its matrices are identities and the
+orbit and push matrices of the action groupoid, which ``RotatedPlane`` has
+in closed form and a general action takes by finite differences of
+``action`` alone.
 """
 from __future__ import annotations
 
@@ -272,9 +279,12 @@ class ActionGroupoid(Groupoid):
     def alpha(self, x):
         return self.split(x)[0]
 
-    def beta(self, x):
-        m, g = self.split(x)
+    def act(self, m, g):
+        """The point m acted on by g, as a flat array."""
         return np.atleast_1d(np.asarray(self.action(m, g), dtype=float))
+
+    def beta(self, x):
+        return self.act(*self.split(x))
 
     def eps(self, b):
         return np.concatenate([self.M.check(b), self.G.identity()])
@@ -297,8 +307,13 @@ class ActionGroupoid(Groupoid):
     def orbit_matrix(self, m):
         """M.dim x G.dim matrix of the infinitesimal action at m: column i is
         the velocity of m under the flow of e_i."""
-        return fd_curve_columns(lambda xi: np.atleast_1d(np.asarray(
-            self.action(m, self.G.exp(xi)), dtype=float)), self.G.dim)
+        return fd_curve_columns(lambda xi: self.act(m, self.G.exp(xi)),
+                                self.G.dim)
+
+    def push_matrix(self, m, g):
+        """M.dim x M.dim derivative in m of the point m acted on by g."""
+        m = np.asarray(m, dtype=float)
+        return fd_curve_columns(lambda dm: self.act(m + dm, g), self.M.dim)
 
     def left_lift(self, g):
         return np.vstack([np.zeros((self.M.dim, self.G.dim)),
@@ -308,6 +323,25 @@ class ActionGroupoid(Groupoid):
         m, garr = self.split(g)
         return np.vstack([-self.orbit_matrix(m),
                           self.G.lift_matrix("right", garr)])
+
+
+def _rotate_plane(m, g):
+    return rot2(float(np.atleast_1d(g)[0])) @ np.asarray(m)
+
+
+class RotatedPlane(ActionGroupoid):
+    """R^2 with SO(2) rotating it, its orbit and push matrices closed; the
+    ActionGroupoid ones are their finite-difference oracle."""
+
+    def __init__(self):
+        super().__init__(Chart(2, name="r2"), Circle(), _rotate_plane)
+
+    def orbit_matrix(self, m):
+        # d/dt rot2(t) m at t = 0 is m turned a quarter
+        return np.array([[-m[1]], [m[0]]], dtype=float)
+
+    def push_matrix(self, m, g):
+        return rot2(float(np.atleast_1d(g)[0]))
 
 
 class TrivialGroupoid(Groupoid):
@@ -581,24 +615,49 @@ def groupoid_action_check(desc, f, action, sampler, rng, n_samples=50):
 # the trivial-groupoid decomposition
 # ---------------------------------------------------------------------------
 
+class OrbitPair(MatchedPairGroupoid):
+    """The matched presentation (M x G) bowtie (M x M) of a trivial
+    decomposition, its four induced-action matrices closed in the orbit and
+    push matrices of the action groupoid; the MatchedPairGroupoid ones are
+    their finite-difference oracle.  Below, h = (m', m) and g = (m, theta)."""
+
+    def act_on_fiber_g_matrix(self, h):
+        # (m', m) |> exp z = (m', exp z), read back by log
+        return np.eye(self.Gd.fiber_dim)
+
+    def dagger_on_h_matrix(self, h):
+        # (m', m) <| exp z = (m' exp z, m exp z)
+        return np.vstack([self.Gd.orbit_matrix(self.Hd.alpha(h)),
+                          self.Gd.orbit_matrix(self.Hd.beta(h))])
+
+    def dagger_on_g_matrix(self, g):
+        # (m + z, m) |> (m, theta) = (m + z, theta)
+        return np.eye(self.Gd.arrow_dim, self.Hd.fiber_dim)
+
+    def act_on_fiber_h_matrix(self, g):
+        # (m + z, m) <| (m, theta), inverted, runs from m theta to
+        # (m + z) theta
+        return self.Gd.push_matrix(*self.Gd.split(g))
+
+
 class TrivialDecomposition:
-    """The trivial groupoid M x G x M alongside its matched-pair
-    presentation (M x G) bowtie (M x M), with the identification map.
+    """The trivial groupoid M x G x M of an action groupoid M x G,
+    alongside its matched-pair presentation (M x G) bowtie (M x M), with
+    the identification map.
 
     The pair groupoid acts on the action groupoid by replacing the base
     point, (m', m) |> (m, g) = (m', g); the action groupoid pushes the pair
     groupoid along the orbit, (m', m) <| (m, g) = (m' g, m g).
     """
 
-    def __init__(self, M: Chart, G: Group, action):
-        self.M = M
-        self.G = G
-        self.action = action
+    def __init__(self, actiond: ActionGroupoid):
+        self.actiond = actiond
+        self.M = M = actiond.M
+        self.G = G = actiond.G
         self.trivial = TrivialGroupoid(M, G)
-        self.actiond = ActionGroupoid(M, G, action)
         self.paird = PairGroupoid(M)
-        self.matched = MatchedPairGroupoid(
-            self.actiond, self.paird,
+        self.matched = OrbitPair(
+            actiond, self.paird,
             act_on_g=self._act_on_g, act_on_h=self._act_on_h,
             name="triv_%s_%s" % (M.name, G.name),
         )
@@ -610,13 +669,10 @@ class TrivialDecomposition:
         return np.concatenate([mprime, gg])
 
     def _act_on_h(self, h, g):
-        # (m', m) |> (m, g) lands at (m' g, m g)
-        mprime = self.paird.alpha(h)
-        m2 = self.paird.beta(h)
+        # (m', m) <| (m, g) = (m' g, m g)
         _, gg = self.actiond.split(g)
-        a = np.atleast_1d(np.asarray(self.action(mprime, gg), dtype=float))
-        b = np.atleast_1d(np.asarray(self.action(m2, gg), dtype=float))
-        return np.concatenate([a, b])
+        return np.concatenate([self.actiond.act(self.paird.alpha(h), gg),
+                               self.actiond.act(self.paird.beta(h), gg)])
 
     def phi(self, x):
         """(m, g, n) -> ((m, g), (mg, n))."""
@@ -640,7 +696,4 @@ class TrivialDecomposition:
 
 def default_trivial_decomposition():
     """The desk-scale instance: M = R^2 with SO(2) rotating it."""
-    M = Chart(2, name="r2")
-    G = Circle()
-    action = lambda m, g: rot2(float(np.atleast_1d(g)[0])) @ np.asarray(m)
-    return TrivialDecomposition(M, G, action)
+    return TrivialDecomposition(RotatedPlane())

@@ -399,8 +399,9 @@ def read_trajectory_csv(path):
 
 def check_residual_file(path):
     """Re-read an emitted trajectory laid out as HEADERS says, recompute
-    every residual norm from the arrows alone, and compare against the
-    stored values.  Returns (failures, report) as ``RunReport.failures``."""
+    every residual norm, and for sl2c every momentum, from the arrows alone,
+    and compare against the stored values.  Returns (failures, report) as
+    ``RunReport.failures``."""
     config, header, rows = read_trajectory_csv(path)
     columns = HEADERS[config.scenario]
     if header != columns or any(len(row) != len(columns) for row in rows):
@@ -432,6 +433,8 @@ def _recheck_rows(config, rows):
         recomputed = [float(np.linalg.norm(
             del_residual(dec.trivial, L, a, b), np.inf))
             for a, b in zip(arrows, arrows[1:])]
+        # res_matched and phi_gap would need the matched solve
+        momentum_gap = 0.0
         oracle = variational_oracle(dec.trivial, L,
                                     Trajectory(dec.trivial, arrows))
     else:
@@ -443,9 +446,15 @@ def _recheck_rows(config, rows):
         stored = [row[col("res_norm")] for row in rows[:-1]]
         recomputed = [float(np.linalg.norm(r, np.inf))
                       for r in momentum_residuals(mp, L, arrows)]
+        # formula_gap would need the finite-difference pair
+        momentum_gap = max(float(np.max(np.abs(
+            np.concatenate(matched_group_momenta(mp, L, u))
+            - row[col("Phi_1"):col("Psi_3") + 1])))
+            for u, row in zip(arrows, rows))
         # no independent oracle: the residuals themselves take its bound
         oracle = None
-    gap = max((abs(a - b) for a, b in zip(stored, recomputed)), default=0.0)
+    gap = max([momentum_gap] + [abs(a - b) for a, b in zip(stored,
+                                                          recomputed)])
     return RunReport(config.scenario, recomputed, oracle_max=oracle,
                      reproduce_gap=gap)
 

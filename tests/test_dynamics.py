@@ -395,6 +395,22 @@ def test_matched_groupoid_step_builds_no_fiber_tangent_matrix(monkeypatch):
     assert built == []
 
 
+def test_trivial_matched_step_differentiates_no_induced_action(monkeypatch):
+    # OrbitPair closes the four induced-action matrices, so a junction solve
+    # on the matched presentation takes no curve derivative in groupoids
+    import matchdyn.groupoids as groupoids
+
+    def reference(*args, **kwargs):
+        raise AssertionError("finite-difference curve in a junction solve")
+
+    monkeypatch.setattr(groupoids, "fd_curve_columns", reference)
+    L = matched_lagrangian(DEC, trivial_groupoid_lagrangian(
+        DEC, ScenarioConfig("trivial_groupoid")))
+    _, r = del_step(DEC.matched, L,
+                    DEC.phi(np.array([0.0, 0.0, 0.3, 1.0, 0.0])))
+    assert np.max(np.abs(r)) <= 1e-10
+
+
 def test_matched_group_step_evaluates_incoming_half_once():
     mp = Su2K()
     e = mp.identity()

@@ -1,17 +1,24 @@
 import numpy as np
 import pytest
 
+from matchdyn.dynamics import del_step
 from matchdyn.errors import DomainError, MatchedAxiomError, NotComposable
 from matchdyn.groupoids import (
     ActionGroupoid,
     Chart,
     GroupGroupoid,
     MatchedPairGroupoid,
+    TrivialDecomposition,
     compose,
     default_trivial_decomposition,
     groupoid_action_check,
 )
 from matchdyn.groups import SU2, Circle, rot2
+from matchdyn.scenarios import (
+    ScenarioConfig,
+    matched_lagrangian,
+    trivial_groupoid_lagrangian,
+)
 
 RNG = np.random.default_rng(20240819)
 
@@ -258,3 +265,72 @@ def test_source_target_laws_matched():
         xy = compose(d, x, y)
         assert np.max(np.abs(d.alpha(xy) - d.alpha(x))) < 1e-10
         assert np.max(np.abs(d.beta(xy) - d.beta(y))) < 1e-10
+
+
+# -- closed induced actions of the trivial decomposition ----------------------
+
+def general_action_decomposition():
+    """The rotation of the plane as a plain action: every matrix is taken by
+    finite differences of ``action`` alone."""
+    return TrivialDecomposition(ActionGroupoid(
+        Chart(2, name="r2"), Circle(),
+        lambda m, g: rot2(float(g[0])) @ np.asarray(m)))
+
+
+INDUCED_ACTIONS = (("act_on_fiber_g_matrix", "h"), ("dagger_on_h_matrix", "h"),
+                   ("dagger_on_g_matrix", "g"), ("act_on_fiber_h_matrix", "g"))
+
+
+@pytest.mark.parametrize("name,arg", INDUCED_ACTIONS)
+def test_orbit_pair_matches_the_finite_difference_induced_actions(name, arg):
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        x = (DEC.paird if arg == "h" else DEC.actiond).random_arrow(
+            rng, sigma=2.0)
+        closed = getattr(DEC.matched, name)(x)
+        fd = getattr(MatchedPairGroupoid, name)(DEC.matched, x)
+        assert closed.shape == fd.shape
+        assert np.max(np.abs(closed - fd)) <= 1e-9
+
+
+def test_rotated_plane_matches_the_finite_difference_action_derivatives():
+    rng = np.random.default_rng(42)
+    d = DEC.actiond
+    for _ in range(20):
+        m, theta = 2.0 * rng.standard_normal(2), 4.0 * rng.standard_normal(1)
+        assert np.max(np.abs(d.orbit_matrix(m)
+                             - ActionGroupoid.orbit_matrix(d, m))) <= 1e-9
+        assert np.max(np.abs(d.push_matrix(m, theta)
+                             - ActionGroupoid.push_matrix(d, m, theta))) \
+            <= 1e-9
+
+
+def test_general_action_takes_the_finite_difference_matrices():
+    general = general_action_decomposition()
+    rng = np.random.default_rng(43)
+    for _ in range(10):
+        h = DEC.paird.random_arrow(rng)
+        g = DEC.actiond.random_arrow(rng)
+        for name, arg in INDUCED_ACTIONS:
+            x = h if arg == "h" else g
+            assert np.max(np.abs(getattr(general.matched, name)(x)
+                                 - getattr(DEC.matched, name)(x))) <= 1e-9
+
+
+def test_general_action_step_matches_the_closed_one():
+    general = general_action_decomposition()
+    x0 = np.array([0.3, -0.2, 0.5, 1.1, 0.4])
+    config = ScenarioConfig("trivial_groupoid",
+                            params={"k_pos": 1.3, "k_rot": 0.7})
+    steps = []
+    for dec in (DEC, general):
+        L = matched_lagrangian(dec, trivial_groupoid_lagrangian(dec, config))
+        steps.append(del_step(dec.matched, L, dec.phi(x0))[0])
+    assert np.max(np.abs(steps[0] - steps[1])) <= 1e-9
+
+
+def test_trivial_decomposition_shares_its_group():
+    # the finite-difference re-check of old files swaps dec.G's lift matrix,
+    # and the direct presentation has to see it
+    assert DEC.trivial.G is DEC.G is DEC.actiond.G
+    assert DEC.trivial.M is DEC.M is DEC.actiond.M

@@ -158,6 +158,24 @@ def test_run_trivial_groupoid_solves_and_corresponds():
     assert report.correspondence_gap < 1e-6
 
 
+# the bench's trivial_groupoid inputs: the default arrow at 0.5-2x plus
+# noise of scale 0.05 (here up to 4 sigma), k_pos and k_rot in 0.5-2
+@settings(max_examples=15, deadline=None)
+@given(amplitude=st.floats(0.5, 2.0),
+       noise=st.lists(st.floats(-0.2, 0.2), min_size=5, max_size=5),
+       k_pos=st.floats(0.5, 2.0), k_rot=st.floats(0.5, 2.0),
+       steps=st.sampled_from([2, 3, 4]))
+def test_run_trivial_groupoid_solves_the_bench_inputs(amplitude, noise, k_pos,
+                                                      k_rot, steps):
+    initial = amplitude * np.array([0.0, 0.0, 0.3, 1.0, 0.0]) + noise
+    report, _, _ = run_trivial_groupoid(ScenarioConfig(
+        "trivial_groupoid", steps=steps, initial=initial,
+        params={"k_pos": k_pos, "k_rot": k_rot}))
+    assert max(report.residual_norms) < 1e-9
+    assert report.oracle_max < 1e-7
+    assert report.correspondence_gap < 1e-6
+
+
 def test_run_trivial_groupoid_stationary_at_unit():
     cfg = ScenarioConfig("trivial_groupoid", steps=4,
                          initial=[0.2, -0.4, 0.0, 0.2, -0.4])
@@ -438,6 +456,20 @@ def test_check_residual_reports_an_oracle_only_where_there_is_one(
     tampered = str(tmp_path / "tampered.csv")
     write_trajectory_csv(tampered, cfg, header, rows)
     assert main(["check", "residual", tampered]) == 1
+
+
+def test_check_residual_rederives_the_sl2c_momenta(tmp_path, capsys):
+    # the momentum columns are recomputed from the arrow of their row
+    out = str(tmp_path / "sl2c.csv")
+    assert main(["run", "sl2c", "--steps", "4", "--out", out]) == 0
+    cfg, header, rows = read_trajectory_csv(out)
+    rows[2][header.index("Phi_1")] = 77.0
+    rows[2][header.index("formula_gap")] = 9.0
+    tampered = str(tmp_path / "tampered.csv")
+    write_trajectory_csv(tampered, cfg, header, rows)
+    capsys.readouterr()
+    assert main(["check", "residual", tampered]) == 1
+    assert "FAIL: stored-vs-recomputed gap" in capsys.readouterr().err
 
 
 def test_cli_determinism(tmp_path):
