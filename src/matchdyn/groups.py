@@ -11,9 +11,11 @@ through finite differences of the product; the generic Ad reads its curve in
 algebra coordinates through ``log``, the chart inverse.  Every group here
 overrides ``lift_matrix`` and ``Ad`` with closed forms, so the finite-difference
 ``Group.lift_matrix`` is the oracle that tests compare them against, and the
-generic Ad serves the matched-pair groups.  SU(2) and K also give the
-Jacobian of their ``log`` in chart coordinates (``dlog``), from which the
-built-in Lagrangians take their closed gradients.
+generic Ad serves the matched-pair groups.  SU(2) and K also carry closed
+``Ad_matrix`` forms, so ``coAd`` builds one matrix; the column-stacked
+``Group.Ad_matrix`` is their test reference.  Both give the Jacobian of their
+``log`` in chart coordinates (``dlog``), from which the built-in Lagrangians
+take their closed gradients.
 """
 from __future__ import annotations
 
@@ -228,6 +230,9 @@ class SU2(Group):
     def Ad(self, g, xi):
         return self.rot_of(g) @ self.algebra_vector(xi)
 
+    def Ad_matrix(self, g):
+        return self.rot_of(g)
+
     def coad(self, xi, mu):
         # ad*_X(Phi) = X x Phi on su(2)* ~ R^3
         return np.cross(self.algebra_vector(xi), _vec(mu, 3))
@@ -330,6 +335,12 @@ class KGroup(Group):
         M = self.mat3(g)
         N = self.alg_mat3(xi)
         return self.alg_from_mat3(M @ N @ self.mat3(self.inv(g)))
+
+    def Ad_matrix(self, g):
+        # mat3(g) alg_mat3(xi) mat3(g)^-1, read as a matrix on (a, b, c)
+        a, b, c = self.element(g)
+        f = 1.0 / (1.0 + c)
+        return np.array([[f, 0.0, a * f], [0.0, f, b * f], [0.0, 0.0, 1.0]])
 
     def coad(self, xi, mu):
         # ad*_Y(Psi) = (k.Y) Psi - (Psi.Y) k on K* ~ R^3

@@ -26,7 +26,8 @@ import numpy as np
 from .errors import MatchedAxiomError
 from .groupoids import (GroupGroupoid, Groupoid, MatchedPairGroupoid,
                         record_deviation)
-from .groups import SO3, SU2, Abelian, Group, KGroup, hat3, su2_lift
+from .groups import (SO3, SU2, Abelian, Group, KGroup, _vec, hat3,
+                     rotation_matrix_of_quaternion, su2_lift)
 from .numerics import fd_curve
 
 POINT_BASE = np.zeros(0)  # the base point of a group seen as a groupoid
@@ -139,8 +140,6 @@ class MatchedPairGroup(MatchedPairGroupoid, Group):
 # SU(2) bowtie K: the matched pair underlying SL(2, C)
 # ---------------------------------------------------------------------------
 
-E11 = np.diag([1.0, 0.0]).astype(complex)
-E22 = np.diag([0.0, 1.0]).astype(complex)
 E3 = np.array([0.0, 0.0, 1.0])
 
 
@@ -150,9 +149,11 @@ class Su2K(MatchedPairGroup):
 
     Every product B * A of a triangular factor and a unitary factor
     refactorizes as (B |> A)(B <| A); those two maps are the mutual actions.
-    The four induced-action matrices carry closed forms, so the lift
-    matrices and every solve use them; ``generic()`` keeps the
-    finite-difference ones, for cross-checking.
+    B |> A is read off one column of that product, with no complex matrix,
+    and B <| A rotates by it; the SL(2, C) matrices (``compose``,
+    ``decompose``) are their test reference.  The four induced-action
+    matrices carry closed forms, so the lift matrices and every solve use
+    them; ``generic()`` keeps the finite-difference ones, for cross-checking.
     """
 
     def __init__(self):
@@ -161,13 +162,19 @@ class Su2K(MatchedPairGroup):
     # -- group-level actions -------------------------------------------------
 
     def act_on_g(self, h, g):
-        """B |> A: the unitary factor of mat2(B) @ mat2(A)."""
-        Bm = self.H.mat2(h)
-        Am = self.G.mat2(g)
-        T1 = Bm @ Am @ E22
-        T2 = np.linalg.inv(Bm.conj().T) @ Am @ E11
-        n = np.sqrt(np.trace(T1.conj().T @ T1).real)
-        return self.G.from_mat2(T1 / n + T2 / n)
+        """B |> A, read off the second column of mat2(B) @ mat2(A).
+
+        The triangular factor only scales that column by its positive corner
+        entry, so it is a positive multiple of the unitary factor's second
+        column (-y' - ix', w' + iz').  Times s = sqrt(1 + c), with mat2(B) =
+        [[s, 0], [(a + ib)/s, 1/s]] and mat2(A)'s column (-y - ix, w + iz),
+        it is (-(1 + c)(y + ix), w + iz - (a + ib)(y + ix)), whose real and
+        imaginary parts give (w', x', y', z') up to one normalization."""
+        a, b, c = self.H.element(h)
+        w, x, y, z = _vec(g, 4)
+        q = np.array([w - a * y + b * x, (1.0 + c) * x, (1.0 + c) * y,
+                      z - a * x - b * y])
+        return q / np.sqrt(q @ q)
 
     def act_on_h(self, h, g):
         """B <| A: the triangular factor of mat2(B) @ mat2(A), in the
@@ -175,7 +182,7 @@ class Su2K(MatchedPairGroup):
         the rest rotates by the inverse of rot_of(B |> A)."""
         B = self.H.element(h)
         s = float(B @ B) / (2.0 * (1.0 + B[2]))
-        R = self.G.rot_of(self.act_on_g(h, g))
+        R = rotation_matrix_of_quaternion(self.act_on_g(h, g))
         return s * E3 + R.T @ (B - s * E3)
 
     def decompose(self, M):

@@ -43,6 +43,8 @@ def test_ad_matches_generic(G):
         xi = G.random_algebra(RNG)
         generic = super(type(G), G).Ad(g, xi) if type(G).Ad is not None else None
         assert np.allclose(G.Ad(g, xi), generic, atol=1e-6)
+        # the closed Ad matrix against the column-stacked Ad
+        assert np.max(np.abs(G.Ad_matrix(g) - Group.Ad_matrix(G, g))) <= 1e-13
 
 
 @pytest.mark.parametrize("G", ALL_GROUPS, ids=lambda g: g.name)

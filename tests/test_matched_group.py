@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from matchdyn.errors import MatchedAxiomError
+from matchdyn.errors import DomainError, MatchedAxiomError, TagError
 from matchdyn.groupoids import MatchedPairGroupoid
 from matchdyn.groups import Abelian, SO3
 from matchdyn.matched_group import (
@@ -81,6 +82,57 @@ def test_su2k_closed_actions_match_decomposition():
         h = M.H.random(RNG)
         assert np.allclose(M.act_on_g(h, g), act_on_g_decomp(M, h, g), atol=1e-10)
         assert np.allclose(M.act_on_h(h, g), act_on_h_decomp(M, h, g), atol=1e-10)
+
+
+def act_on_g_matrix_reference(M, h, g):
+    """B |> A through SL(2, C) matrices: the second column of
+    mat2(B) @ mat2(A) and the first column of mat2(B)^-H @ mat2(A), both over
+    the norm of the former, are the unitary factor's columns."""
+    Bm = M.H.mat2(h)
+    Am = M.G.mat2(g)
+    T1 = Bm @ Am @ np.diag([0.0, 1.0])
+    T2 = np.linalg.inv(Bm.conj().T) @ Am @ np.diag([1.0, 0.0])
+    n = np.sqrt(np.trace(T1.conj().T @ T1).real)
+    return M.G.from_mat2(T1 / n + T2 / n)
+
+
+def act_on_h_matrix_reference(M, h, g):
+    """B <| A from act_on_g_matrix_reference's rotation."""
+    B = M.H.element(h)
+    e3 = np.array([0.0, 0.0, 1.0])
+    s = float(B @ B) / (2.0 * (1.0 + B[2]))
+    R = M.G.rot_of(act_on_g_matrix_reference(M, h, g))
+    return s * e3 + R.T @ (B - s * e3)
+
+
+UNIT_AXES = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
+    lambda v: np.linalg.norm(v) > 0.1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(angle=st.floats(0.0, 2.0 * np.pi), axis=UNIT_AXES,
+       a=st.floats(-5.0, 5.0), b=st.floats(-5.0, 5.0),
+       c=st.floats(-0.95, 20.0))
+def test_su2k_column_actions_match_matrix_reference(angle, axis, a, b, c):
+    # over the whole K chart and every rotation angle
+    M = Su2K()
+    g = M.G.exp(angle * np.asarray(axis) / np.linalg.norm(axis))
+    h = np.array([a, b, c])
+    assert np.max(np.abs(M.act_on_g(h, g)
+                         - act_on_g_matrix_reference(M, h, g))) <= 1e-14
+    assert (np.max(np.abs(M.act_on_h(h, g) - act_on_h_matrix_reference(M, h, g)))
+            <= 1e-13 * (1.0 + np.max(np.abs(h))))
+
+
+@pytest.mark.parametrize("c", [-1.0, -1.5, -20.0])
+def test_su2k_actions_reject_points_off_the_k_chart(c):
+    M = Su2K()
+    g = M.G.exp([0.3, -0.2, 0.1])
+    for act in (M.act_on_g, M.act_on_h):
+        with pytest.raises(DomainError):
+            act(np.array([0.1, 0.2, c]), g)
+        with pytest.raises(TagError):
+            act(np.array([0.1, 0.2, 0.3]), g[:3])
 
 
 def test_su2k_mul_matches_sl2c_product():

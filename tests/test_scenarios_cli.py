@@ -257,6 +257,20 @@ def test_run_sl2c_builds_at_most_one_jacobian_per_junction(monkeypatch):
     assert len(calls) <= len(report.residual_norms) == 9
 
 
+def test_run_sl2c_runs_no_matrix_inverse_or_stacked_ad(monkeypatch):
+    # Su2K's actions come off one column and SU2, K carry closed Ad
+    # matrices; the SL(2, C) inverse and the column-stacked Ad are references
+    from matchdyn.groups import Group
+
+    def reference(*args, **kwargs):
+        raise AssertionError("reference called in run sl2c")
+
+    monkeypatch.setattr(np.linalg, "inv", reference)
+    monkeypatch.setattr(Group, "Ad_matrix", reference)
+    report, _, _ = run_sl2c(ScenarioConfig("sl2c", steps=4))
+    assert max(report.residual_norms) <= 1e-10
+
+
 def test_run_sl2c_formula_mismatch_is_fatal(monkeypatch):
     act = Su2K.act_on_fiber_g_matrix
     monkeypatch.setattr(Su2K, "act_on_fiber_g_matrix",
