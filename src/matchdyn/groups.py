@@ -16,8 +16,21 @@ generic Ad serves the matched-pair groups.  SU(2) and K also carry closed
 ``Group.Ad_matrix`` is their test reference.  Both give the Jacobian of their
 ``log`` in chart coordinates (``dlog``), from which the built-in Lagrangians
 take their closed gradients.
+
+The per-point chart maps on the solver's hot path (``_vec``, ``check`` and
+``element``, SU(2)'s ``mul``/``exp``/``log``/``dlog``, SO(3)'s ``check`` and
+``log``) convert a point once and work on its entries as Python floats.  They
+keep numpy's transcendental ufuncs (``np.arccos``, ``np.arctan2``,
+``np.sin``, ``np.cos``) and take norms as ``sqrt(q @ q)``, so they return the
+same bits as the matrix forms they replaced, which the tests keep as
+references; SO(3)'s ``log`` differs from them only above pi - 5e-4, where it
+reads the axis off the symmetric part.  Python-float arithmetic ignores
+``np.errstate``, so these maps reject a non-finite point with DomainError
+themselves.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -27,13 +40,26 @@ from .numerics import fd_curve, fd_curve_columns
 from .numerics import fd_jacobian  # noqa: F401
 
 UNIT_TOL = 1e-9
+# SO3.log reads the axis off the symmetric part above pi - 5e-4
+NEAR_PI_COS = -math.cos(5e-4)
 
 
 def _vec(x, n=None):
-    v = np.atleast_1d(np.asarray(x, dtype=float))
+    v = np.asarray(x, dtype=float)
+    if v.ndim == 0:
+        v = v.reshape(1)
     if n is not None and v.size != n:
         raise TagError("expected vector of length %d, got %d" % (n, v.size))
     return v
+
+
+def _finite(values):
+    """values, a list of Python floats, or DomainError if one is not finite:
+    Python-float arithmetic ignores np.errstate, so it would pass a NaN or
+    an inf on without the floating-point error that numpy raises."""
+    if not all(map(math.isfinite, values)):
+        raise DomainError("chart point is not finite: %s" % values)
+    return values
 
 
 class Group:
@@ -66,8 +92,8 @@ class Group:
     # -- overridable ---------------------------------------------------------
 
     def check(self, g):
-        """Raise DomainError if g is not a valid chart point."""
-        _vec(g, self.coord_dim)
+        """g as an array; DomainError if it is not a valid chart point."""
+        return _vec(g, self.coord_dim)
 
     def Ad(self, g, xi):
         """d/dt log(g exp(t xi) g^-1) at t=0; log is the chart inverse."""
@@ -82,9 +108,7 @@ class Group:
         return _vec(xi, self.dim)
 
     def element(self, g):
-        g = _vec(g, self.coord_dim)
-        self.check(g)
-        return g
+        return self.check(g)
 
     def pairing(self, mu, xi):
         return float(np.dot(_vec(mu, self.dim), _vec(xi, self.dim)))
@@ -180,38 +204,45 @@ class SU2(Group):
 
     def check(self, g):
         g = _vec(g, 4)
-        if abs(np.linalg.norm(g) - 1.0) > UNIT_TOL:
-            raise DomainError("quaternion norm %.3e is not 1" % np.linalg.norm(g))
+        norm = math.sqrt(g @ g)
+        if not abs(norm - 1.0) <= UNIT_TOL:
+            raise DomainError("quaternion norm %.3e is not 1" % norm)
+        return g
 
     def mul(self, a, b):
         q = quat_mul(_vec(a, 4), _vec(b, 4))
-        return q / np.linalg.norm(q)
+        return q / math.sqrt(q @ q)
 
     def inv(self, g):
         return quat_conj(_vec(g, 4))
 
     def exp(self, xi):
         xi = self.algebra_vector(xi)
-        theta = np.linalg.norm(xi)
-        half = 0.5 * theta
+        x, y, z = _finite(xi.tolist())
+        theta = math.sqrt(xi @ xi)
         if theta < 1e-100:
             return self.identity()
-        return np.concatenate(([np.cos(half)], np.sin(half) * xi / theta))
+        half = 0.5 * theta
+        s = float(np.sin(half))
+        return np.array([float(np.cos(half)), s * x / theta, s * y / theta,
+                         s * z / theta])
 
     def log(self, g):
         g = _vec(g, 4)
-        vn = np.linalg.norm(g[1:])
+        w, x, y, z = _finite(g.tolist())
+        v = g[1:]
+        vn = math.sqrt(v @ v)
         if vn < 1e-14:
             return np.zeros(3)
-        theta = 2.0 * np.arctan2(vn, g[0])
-        return theta * g[1:] / vn
+        theta = 2.0 * float(np.arctan2(vn, w))
+        return np.array([theta * x / vn, theta * y / vn, theta * z / vn])
 
     def dlog(self, g):
         """3 x 4 Jacobian of log(w, v) = 2 atan2(|v|, w) v / |v| in all four
         quaternion coordinates, off the unit sphere too."""
         g = _vec(g, 4)
         w, v = g[0], g[1:]
-        vn = np.linalg.norm(v)
+        vn = math.sqrt(v @ v)
         if vn < 1e-14:
             # log is 0 on this ball; curves through it see the smooth limit
             return np.column_stack([np.zeros(3), 2.0 / w * np.eye(3)])
@@ -283,8 +314,10 @@ class KGroup(Group):
 
     def check(self, g):
         g = _vec(g, 3)
-        if g[2] <= -1.0:
-            raise DomainError("K coordinate c = %.6g <= -1" % g[2])
+        a, b, c = _finite(g.tolist())
+        if not c > -1.0:
+            raise DomainError("K coordinate c = %.6g <= -1" % c)
+        return g
 
     def mul(self, a, b):
         a = self.element(a)
@@ -402,7 +435,8 @@ def hat3(xi):
     ])
 
 
-HATS = [hat3(e) for e in np.eye(3)]
+I3 = np.eye(3)
+HATS = [hat3(e) for e in I3]
 
 
 class SO3(Group):
@@ -416,9 +450,21 @@ class SO3(Group):
         return np.eye(3).ravel()
 
     def check(self, g):
-        M = _vec(g, 9).reshape(3, 3)
-        if np.linalg.norm(M.T @ M - np.eye(3)) > 1e-8 or np.linalg.det(M) < 0:
+        # |M^T M - I| (Frobenius) within 1e-8 and det M >= 0, on the columns
+        g = _vec(g, 9)
+        a, b, c, d, e, f, p, q, r = _finite(g.tolist())
+        n0 = a * a + d * d + p * p - 1.0
+        n1 = b * b + e * e + q * q - 1.0
+        n2 = c * c + f * f + r * r - 1.0
+        o01 = a * b + d * e + p * q
+        o02 = a * c + d * f + p * r
+        o12 = b * c + e * f + q * r
+        dev = math.sqrt(n0 * n0 + n1 * n1 + n2 * n2
+                        + 2.0 * (o01 * o01 + o02 * o02 + o12 * o12))
+        det = a * (e * r - f * q) - b * (d * r - f * p) + c * (d * q - e * p)
+        if not (dev <= 1e-8 and det >= 0.0):
             raise DomainError("matrix is not a rotation")
+        return g
 
     def mul(self, a, b):
         return (_vec(a, 9).reshape(3, 3) @ _vec(b, 9).reshape(3, 3)).ravel()
@@ -428,22 +474,43 @@ class SO3(Group):
 
     def exp(self, xi):
         xi = self.algebra_vector(xi)
-        theta = np.linalg.norm(xi)
+        theta = np.sqrt(xi @ xi)
+        if not math.isfinite(theta):
+            raise DomainError("algebra vector is not finite: %s" % xi)
         K = hat3(xi)
         if theta < 1e-12:
-            return (np.eye(3) + K + 0.5 * K @ K).ravel()
+            return (I3 + K + 0.5 * K @ K).ravel()
         A = np.sin(theta) / theta
         B = (1.0 - np.cos(theta)) / theta**2
-        return (np.eye(3) + A * K + B * K @ K).ravel()
+        return (I3 + A * K + B * K @ K).ravel()
 
     def log(self, g):
-        M = _vec(g, 9).reshape(3, 3)
-        cos_t = np.clip(0.5 * (np.trace(M) - 1.0), -1.0, 1.0)
-        theta = np.arccos(cos_t)
-        w = 0.5 * np.array([M[2, 1] - M[1, 2], M[0, 2] - M[2, 0], M[1, 0] - M[0, 1]])
+        m00, m01, m02, m10, m11, m12, m20, m21, m22 = _finite(
+            _vec(g, 9).tolist())
+        cos_t = min(max(0.5 * ((m00 + m11) + m22 - 1.0), -1.0), 1.0)
+        # w = sin(theta) u, for the rotation by theta about the unit axis u
+        w = [0.5 * (m21 - m12), 0.5 * (m02 - m20), 0.5 * (m10 - m01)]
+        if cos_t < NEAR_PI_COS:
+            # w vanishes with sin(theta): read u off the largest row of
+            # M + M^T - 2 cos(theta) I = 2 (1 - cos(theta)) u u^T instead,
+            # with the sign that w gives it
+            c2, s01, s02, s12 = 2.0 * cos_t, m01 + m10, m02 + m20, m12 + m21
+            rows = [[m00 + m00 - c2, s01, s02], [s01, m11 + m11 - c2, s12],
+                    [s02, s12, m22 + m22 - c2]]
+            u = max(rows, key=lambda r: abs(r[0]) + abs(r[1]) + abs(r[2]))
+            n = math.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
+            if not n > 0.0:
+                raise DomainError("matrix is not a rotation")
+            sin_t = (u[0] * w[0] + u[1] * w[1] + u[2] * w[2]) / n
+            if sin_t < 0.0:
+                n, sin_t = -n, -sin_t
+            f = float(np.arctan2(sin_t, cos_t)) / n
+            return np.array([f * u[0], f * u[1], f * u[2]])
+        theta = float(np.arccos(cos_t))
         if theta < 1e-8:
-            return w
-        return theta / np.sin(theta) * w
+            return np.array(w)
+        f = theta / float(np.sin(theta))
+        return np.array([f * w[0], f * w[1], f * w[2]])
 
     def bracket(self, x, y):
         return np.cross(self.algebra_vector(x), self.algebra_vector(y))

@@ -53,6 +53,8 @@ HEADERS = {
     "sl2c": ("k A_w A_x A_y A_z B_a B_b B_c Phi_1 Phi_2 Phi_3 Psi_1 Psi_2 "
              "Psi_3 res_norm formula_gap").split(),
 }
+# first and last arrow column of each scenario's files
+ARROW_COLUMNS = {"trivial_groupoid": ("m1", "n2"), "sl2c": ("A_w", "B_c")}
 
 
 @dataclass(eq=False)
@@ -171,13 +173,19 @@ class RunReport:
     reproduce_gap: float | None = None
     wall_clock: float | None = None
 
+    @property
+    def max_residual(self):
+        """The largest residual norm, NaN if one is: Python's max keeps a
+        NaN only when it comes first."""
+        return float(np.max(self.residual_norms, initial=0.0))
+
     def failures(self, tol):
         """The verdict of ``run``, ``export`` and ``check residual``: one
         line per bound broken, none on a pass.  Every residual norm within
         max(tol, 1e-9); the variational oracle, or the residuals where there
         is none, within ORACLE_TOL; a file's reproduce gap within
         REPRODUCE_TOL."""
-        worst = max(self.residual_norms, default=0.0)
+        worst = self.max_residual
         bounds = [("max residual norm", worst, max(tol, 1e-9)),
                   ("max residual norm, no oracle", worst, ORACLE_TOL)
                   if self.oracle_max is None else
@@ -423,12 +431,15 @@ def check_residual_file(path):
 def _recheck_rows(config, rows):
     fd = config.derivatives == "fd"
     col = HEADERS[config.scenario].index
+    first, last = ARROW_COLUMNS[config.scenario]
+    arrows = [np.array(row[col(first):col(last) + 1]) for row in rows]
+    if not np.all(np.isfinite(arrows)):
+        raise DomainError("an arrow coordinate is not finite")
     if config.scenario == "trivial_groupoid":
         dec = default_trivial_decomposition()
         L = trivial_groupoid_lagrangian(dec, config)
         if fd:
             L = _fd_derivatives(L, dec.G)
-        arrows = [np.array(row[col("m1"):col("n2") + 1]) for row in rows]
         stored = [row[col("res_direct")] for row in rows[:-1]]
         recomputed = [float(np.linalg.norm(
             del_residual(dec.trivial, L, a, b), np.inf))
@@ -442,19 +453,19 @@ def _recheck_rows(config, rows):
         L = sl2c_lagrangian(mp, config)
         if fd:
             L = _fd_derivatives(L, mp.G, mp.H)
-        arrows = [np.array(row[col("A_w"):col("B_c") + 1]) for row in rows]
         stored = [row[col("res_norm")] for row in rows[:-1]]
         recomputed = [float(np.linalg.norm(r, np.inf))
                       for r in momentum_residuals(mp, L, arrows)]
         # formula_gap would need the finite-difference pair
-        momentum_gap = max(float(np.max(np.abs(
+        momentum_gap = np.max([np.abs(
             np.concatenate(matched_group_momenta(mp, L, u))
-            - row[col("Phi_1"):col("Psi_3") + 1])))
-            for u, row in zip(arrows, rows))
+            - row[col("Phi_1"):col("Psi_3") + 1])
+            for u, row in zip(arrows, rows)])
         # no independent oracle: the residuals themselves take its bound
         oracle = None
-    gap = max([momentum_gap] + [abs(a - b) for a, b in zip(stored,
-                                                          recomputed)])
+    # np.max, not max: a NaN anywhere is the gap
+    gap = float(np.max([momentum_gap] + [abs(a - b) for a, b in
+                                         zip(stored, recomputed)]))
     return RunReport(config.scenario, recomputed, oracle_max=oracle,
                      reproduce_gap=gap)
 

@@ -1,17 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from matchdyn.errors import DomainError, TagError
+from matchdyn.dynamics import solver_failure
+from matchdyn.errors import DomainError, MatchdynError, TagError
 from matchdyn.groups import (
+    NEAR_PI_COS,
     SO3,
     SU2,
     Abelian,
     Circle,
     Group,
     KGroup,
+    _vec,
     hat3,
     rot2,
 )
+from matchdyn.matched_group import Su2K
 
 RNG = np.random.default_rng(20240817)
 
@@ -241,6 +246,118 @@ def test_k_check_rejects_boundary():
 
 
 # -- SO(3) and misc ---------------------------------------------------------
+
+
+def so3_log_reference(g):
+    """SO3.log in matrix form: np.trace, np.clip and the skew part."""
+    M = _vec(g, 9).reshape(3, 3)
+    cos_t = np.clip(0.5 * (np.trace(M) - 1.0), -1.0, 1.0)
+    theta = np.arccos(cos_t)
+    w = 0.5 * np.array([M[2, 1] - M[1, 2], M[0, 2] - M[2, 0],
+                        M[1, 0] - M[0, 1]])
+    if theta < 1e-8:
+        return w
+    return theta / np.sin(theta) * w
+
+
+def vec_reference(x, n=None):
+    v = np.atleast_1d(np.asarray(x, dtype=float))
+    if n is not None and v.size != n:
+        raise TagError("expected vector of length %d, got %d" % (n, v.size))
+    return v
+
+
+unit_axes = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array).filter(
+    lambda v: np.linalg.norm(v) > 1e-3).map(lambda v: v / np.linalg.norm(v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta=st.floats(0.0, np.pi - 1e-3), axis=unit_axes,
+       noise=st.floats(-1e-7, 1e-7))
+def test_so3_log_matches_its_matrix_form_bit_for_bit(theta, axis, noise):
+    # on and just off the rotation group, below the near-pi branch
+    R = SO3().exp(theta * axis) + noise * np.arange(9)
+    assume(0.5 * (np.trace(R.reshape(3, 3)) - 1.0) >= NEAR_PI_COS)
+    assert np.array_equal(SO3().log(R), so3_log_reference(R))
+
+
+def test_chart_maps_convert_a_point_once(monkeypatch):
+    import matchdyn.groups as groups
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("matrix-form call in a scalar chart map")
+
+    R = SO3().exp([0.3, -1.2, 0.5])
+    reference = so3_log_reference(R)
+    monkeypatch.setattr(np, "trace", forbidden)
+    monkeypatch.setattr(np, "clip", forbidden)
+    assert np.array_equal(SO3().log(R), reference)
+    calls = []
+    monkeypatch.setattr(groups, "_vec",
+                        lambda x, n=None: calls.append(n) or _vec(x, n))
+    for G in ALL_GROUPS:
+        g = G.random(RNG)
+        del calls[:]
+        assert np.array_equal(G.element(g), g)
+        assert calls == [G.coord_dim]
+
+
+@pytest.mark.parametrize("gap", [4e-4, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9,
+                                 0.0])
+def test_so3_log_keeps_the_rotation_near_pi(gap):
+    G = SO3()
+    rng = np.random.default_rng(17)
+    assert 0.5 * (np.trace(G.exp([np.pi - gap, 0, 0]).reshape(3, 3)) - 1.0) \
+        < NEAR_PI_COS
+    for _ in range(200):
+        axis = rng.standard_normal(3)
+        xi = (np.pi - gap) * axis / np.linalg.norm(axis)
+        out = G.log(G.exp(xi))
+        if gap == 0.0:  # the rotation by pi about u is the one about -u
+            out = out if out @ xi > 0 else -out
+        # measured 1.3e-15; the matrix form is 2.4 off at gap 1e-9
+        assert np.max(np.abs(out - xi)) <= 1e-13
+
+
+@pytest.mark.parametrize("x", [3.5, np.float64(2.0), [1.0], np.arange(3.0),
+                               np.ones((3, 3)), np.ones((2, 1))],
+                         ids=["float", "0d", "list", "1d", "3x3", "2x1"])
+def test_vec_matches_its_atleast_1d_form(x):
+    new, ref = _vec(x), vec_reference(x)
+    assert new.shape == ref.shape and np.array_equal(new, ref)
+    n = np.size(x)
+    assert np.array_equal(_vec(x, n), vec_reference(x, n))
+    for bad in (n - 1, n + 1):
+        with pytest.raises(TagError):
+            _vec(x, bad)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("G", [SU2(), KGroup(), SO3(), Su2K()],
+                         ids=lambda g: g.name)
+def test_check_rejects_a_non_finite_point(G, value):
+    base = G.identity()
+    for i in range(base.size):
+        g = base.copy()
+        g[i] = value
+        with pytest.raises(DomainError):
+            G.check(g)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("G, method", [
+    (SO3(), "log"), (SO3(), "exp"), (SU2(), "log"), (SU2(), "exp"),
+    (KGroup(), "log")], ids=lambda x: getattr(x, "name", x))
+def test_non_finite_points_fail_typed_inside_solver_failure(G, method, value):
+    # scalar arithmetic sees no np.errstate: a non-finite point must still
+    # end as a solver failure, never a bare ValueError or a finite value
+    base = G.identity() if method == "log" else np.full(G.dim, 0.3)
+    for i in range(base.size):
+        x = base.copy()
+        x[i] = value
+        with pytest.raises(MatchdynError):
+            with solver_failure("chart map"):
+                getattr(G, method)(x)
 
 
 def test_so3_exp_rodrigues():

@@ -13,7 +13,9 @@ from matchdyn.groupoids import default_trivial_decomposition
 from matchdyn.matched_group import Su2K
 from matchdyn.numerics import fd_gradient
 from matchdyn.scenarios import (
+    ARROW_COLUMNS,
     HEADERS,
+    RunReport,
     ScenarioConfig,
     check_residual_file,
     matched_lagrangian,
@@ -484,6 +486,42 @@ def test_check_residual_rederives_the_sl2c_momenta(tmp_path, capsys):
     capsys.readouterr()
     assert main(["check", "residual", tampered]) == 1
     assert "FAIL: stored-vs-recomputed gap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("scenario", sorted(ARROW_COLUMNS))
+def test_check_residual_rejects_a_non_finite_arrow(tmp_path, scenario, value):
+    out = str(tmp_path / "fresh.csv")
+    assert main(["run", scenario, "--out", out]) == 0
+    cfg, header, rows = read_trajectory_csv(out)
+    first, last = ARROW_COLUMNS[scenario]
+    for col in range(header.index(first), header.index(last) + 1):
+        edited = [list(row) for row in rows]
+        edited[len(rows) // 2][col] = value
+        tampered = str(tmp_path / "tampered.csv")
+        write_trajectory_csv(tampered, cfg, header, edited)
+        assert main(["check", "residual", tampered]) in (1, 2), header[col]
+
+
+@pytest.mark.parametrize("scenario, column", [("sl2c", "res_norm"),
+                                              ("trivial_groupoid",
+                                               "res_direct")])
+def test_check_residual_fails_a_nan_stored_residual(tmp_path, scenario,
+                                                     column):
+    out = str(tmp_path / "fresh.csv")
+    assert main(["run", scenario, "--out", out]) == 0
+    cfg, header, rows = read_trajectory_csv(out)
+    rows[len(rows) // 2][header.index(column)] = np.nan
+    tampered = str(tmp_path / "tampered.csv")
+    write_trajectory_csv(tampered, cfg, header, rows)
+    assert main(["check", "residual", tampered]) == 1
+
+
+def test_failures_keep_a_nan_that_is_not_first():
+    report = RunReport("sl2c", [1e-12, np.nan, 1e-12], reproduce_gap=0.0)
+    assert report.failures(1e-10) == [
+        "max residual norm nan above 1e-09",
+        "max residual norm, no oracle nan above 1e-06"]
 
 
 def test_cli_determinism(tmp_path):
