@@ -6,11 +6,12 @@ at g_k and an outgoing half at g_{k+1}.  A step solves
 incoming - outgoing(chart(z)) = 0 with the incoming half fixed.  A matched
 pair of groups is a matched-pair groupoid over a point and steps through the
 same ``del_step``; its momentum forms (the paper's transported-and-forced
-momenta and their degenerate reductions) are references, evaluated only at
-solved junctions by ``momentum_residuals``.  Trajectories are solved in one
-loop, ``march``, which keeps the residual each ``del_step`` stopped at;
-``solve_trajectory`` checks it against the brute-force variational derivative
-of the action sum.
+momenta and their degenerate reductions) are references at solved junctions
+that pair the records (dL, mu, nu) of adjacent arrows: each arrow's discrete
+Legendre transform, from one ``L.gradient`` call by ``arrow_momenta``.
+Trajectories are solved in one loop, ``march``, which keeps the residual each
+``del_step`` stopped at; ``solve_trajectory`` checks it against the
+brute-force variational derivative of the action sum.
 
 The halves pair dL with the lift columns only
 (``DiscreteLagrangian.pullback``): through a closed gradient, bit for bit as
@@ -165,13 +166,13 @@ MATCHED_GROUP_FORMS = ("full", "right-trivial", "left-trivial", "both-trivial")
 
 
 def matched_group_momenta(mp: MatchedPairGroup, L: DiscreteLagrangian, u):
-    """(mu, nu): the right-translated partial differentials of L at u."""
-    return _momenta(mp, u, L.gradient(u))
-
-
-def _momenta(mp, u, d):
+    """(d, mu, nu) of the arrow u: the gradient of L at u, from its one
+    L.gradient call, and the right-translated partial differentials, the
+    factor momenta.  Every momentum form reads this record of the arrow."""
+    u = mp.check(u)
+    d = L.gradient(u)
     g, h = mp.split(u)
-    return (mp.G.lift_matrix("right", g).T @ d[: mp.G.coord_dim],
+    return (d, mp.G.lift_matrix("right", g).T @ d[: mp.G.coord_dim],
             mp.H.lift_matrix("right", h).T @ d[mp.G.coord_dim:])
 
 
@@ -193,22 +194,21 @@ def del_residual_matched_group(mp: MatchedPairGroup, L: DiscreteLagrangian,
     of ``mp.generic()`` is the same residual through the finite-difference
     induced actions.
     """
-    return (_momentum_half(mp, L, uk, form, "left")
-            - _momentum_half(mp, L, uk1, form, "right"))
-
-
-def _momentum_half(mp, L, u, form, side):
-    """The u_k ("left") or u_{k+1} ("right") half of the momentum residual,
-    from one L.gradient call at u."""
     _require_form(form)
-    u = mp.check(u)
+    mk, mk1 = (matched_group_momenta(mp, L, u) for u in (uk, uk1))
+    return (_momentum_half(mp, uk, mk, form, "left")
+            - _momentum_half(mp, uk1, mk1, form, "right"))
+
+
+def _momentum_half(mp, u, momenta, form, side):
+    """The u_k ("left") or u_{k+1} ("right") half of the momentum residual,
+    from the arrow's record ``momenta`` = (d, mu, nu)."""
     # h |> g enters via act_on_fiber_g_matrix, dagger_on_g_matrix; h <| g
     # via dagger_on_h_matrix, act_on_fiber_h_matrix
     acts_on_g = form in ("full", "right-trivial")
     acts_on_h = form in ("full", "left-trivial")
     g, h = mp.split(u)
-    d = L.gradient(u)
-    mu, nu = _momenta(mp, u, d)
+    d, mu, nu = momenta
     if side == "left":
         xi = mp.G.coAd(g, mu)
         if acts_on_g:
@@ -310,14 +310,27 @@ def solve_trajectory(desc: Groupoid, L: DiscreteLagrangian, g1, n_steps,
 del_step_matched_group = del_step
 
 
-def momentum_residuals(mp, L, arrows, form="full"):
+def arrow_momenta(mp, L, arrows):
+    """``matched_group_momenta`` of every arrow, once each; a solver failure
+    names its arrow."""
+    out = []
+    for k, u in enumerate(arrows):
+        with at_step(k), solver_failure("reference momenta"):
+            out.append(matched_group_momenta(mp, L, u))
+    return out
+
+
+def momentum_residuals(mp, arrows, momenta, form="full"):
     """The momentum form ``form`` of the residual at every junction of the
-    solved ``arrows``; a solver failure names the junction's later arrow."""
+    solved ``arrows``, pairing the records ``momenta`` of adjacent arrows; a
+    solver failure names the junction's later arrow."""
+    _require_form(form)
     out = []
     for k in range(1, len(arrows)):
         with at_step(k), solver_failure("reference residual"):
-            out.append(del_residual_matched_group(mp, L, arrows[k - 1],
-                                                  arrows[k], form=form))
+            out.append(
+                _momentum_half(mp, arrows[k - 1], momenta[k - 1], form, "left")
+                - _momentum_half(mp, arrows[k], momenta[k], form, "right"))
     return out
 
 
@@ -327,8 +340,9 @@ def solve_matched_group_trajectory(mp, L, u1, n_steps, form="full",
     the reference momentum form ``form``."""
     _require_form(form)
     arrows, _ = march(mp, L, u1, n_steps, tol)
+    momenta = arrow_momenta(mp, L, arrows)
     return arrows, [float(np.linalg.norm(r, np.inf))
-                    for r in momentum_residuals(mp, L, arrows, form)]
+                    for r in momentum_residuals(mp, arrows, momenta, form)]
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +379,9 @@ def _orbit_forcing(desc: ActionGroupoid, L, xk, xk1):
     m1 = desc.beta(xk)
     _, g1 = desc.split(xk1)
 
-    def f(xi):
-        m = np.atleast_1d(np.asarray(desc.action(m1, desc.G.exp(xi)),
-                                     dtype=float))
-        return L(np.concatenate([m, g1]))
-
-    return fd_gradient(f, np.zeros(desc.G.dim))
+    return fd_gradient(
+        lambda xi: L(np.concatenate([desc.act(m1, desc.G.exp(xi)), g1])),
+        np.zeros(desc.G.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -526,42 +526,8 @@ class SO3(Group):
         return _vec(g, 9).reshape(3, 3) @ self.algebra_vector(xi)
 
 
-class Circle(Group):
-    """The circle group in its angle chart (kept on the real line)."""
-
-    name = "so2"
-    dim = 1
-    coord_dim = 1
-
-    def identity(self):
-        return np.zeros(1)
-
-    def mul(self, a, b):
-        return _vec(a, 1) + _vec(b, 1)
-
-    def inv(self, g):
-        return -_vec(g, 1)
-
-    def exp(self, xi):
-        return self.algebra_vector(xi).copy()
-
-    def log(self, g):
-        return _vec(g, 1).copy()
-
-    def bracket(self, x, y):
-        return np.zeros(1)
-
-    def lift_matrix(self, side, g):
-        return np.eye(self.dim)
-
-    def Ad(self, g, xi):
-        return self.algebra_vector(xi).copy()
-
-
 class Abelian(Group):
     """Additive R^n."""
-
-    name = "rn"
 
     def __init__(self, n):
         self.dim = n
@@ -591,6 +557,15 @@ class Abelian(Group):
 
     def Ad(self, g, xi):
         return self.algebra_vector(xi).copy()
+
+
+class Circle(Abelian):
+    """The circle group in its angle chart (kept on the real line): R^1
+    named so2."""
+
+    def __init__(self):
+        super().__init__(1)
+        self.name = "so2"
 
 
 def rot2(theta):

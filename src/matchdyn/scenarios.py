@@ -24,9 +24,9 @@ from .dynamics import (
     ORACLE_TOL,
     DiscreteLagrangian,
     Trajectory,
+    arrow_momenta,
     del_residual,
     march,
-    matched_group_momenta,
     momentum_residuals,
     solve_trajectory,
     solver_failure,
@@ -61,8 +61,10 @@ ARROW_COLUMNS = {"trivial_groupoid": ("m1", "n2"), "sl2c": ("A_w", "B_c")}
 class ScenarioConfig:
     """Flat scenario description: which system, which built-in Lagrangian
     with which parameters, initial data, step count, tolerance.  Validated on
-    construction, ``dataclasses.replace`` included.  The INI and trajectory
-    header readers share one converter of header fields."""
+    construction, ``dataclasses.replace`` included: a tolerance in (0, inf)
+    and finite parameters and initial data, so a non-finite value is a config
+    error, not a solver failure.  The INI and trajectory header readers share
+    one converter of header fields."""
 
     scenario: str
     steps: int = 10
@@ -80,15 +82,23 @@ class ScenarioConfig:
                               % (self.scenario, ", ".join(SCENARIOS)))
         if self.steps < 2:
             raise DomainError("steps must be >= 2, got %d" % self.steps)
-        if self.tol <= 0:
-            raise DomainError("tol must be positive")
         self.steps = int(self.steps)
         self.tol = float(self.tol)
+        # not <=, so a NaN is rejected too
+        if not 0.0 < self.tol < np.inf:
+            raise DomainError("tol must be positive and finite, got %r"
+                              % self.tol)
         self.lagrangian = self.lagrangian or (
             "spring" if self.scenario == "trivial_groupoid" else "quadratic")
         self.params = dict(self.params or {})
+        if not np.all(np.isfinite(list(self.params.values()))):
+            raise DomainError("a Lagrangian parameter is not finite: %s"
+                              % self.params)
         if self.initial is not None:
             self.initial = np.asarray(self.initial, dtype=float)
+            if not np.all(np.isfinite(self.initial)):
+                raise DomainError("an initial coordinate is not finite: %s"
+                                  % self.initial)
 
     @classmethod
     def _from_fields(cls, kv, where):
@@ -339,9 +349,11 @@ def run_sl2c(config: ScenarioConfig):
     with solver_failure("sl2c initial data"):
         u1 = mp.check(mp.exp(np.asarray(w0, dtype=float)))
     arrows, _ = march(mp, L, u1, config.steps, config.tol)
-    closed = momentum_residuals(mp, L, arrows)
+    # generic() shares G and H, so both forms read the same momenta
+    momenta = arrow_momenta(mp, L, arrows)
+    closed = momentum_residuals(mp, arrows, momenta)
     gaps = [float(np.max(np.abs(rc - rf))) for rc, rf in
-            zip(closed, momentum_residuals(mp.generic(), L, arrows))]
+            zip(closed, momentum_residuals(mp.generic(), arrows, momenta))]
     for k, gap in enumerate(gaps, 1):
         if gap > FORMULA_TOL:
             raise FormulaMismatch(
@@ -352,8 +364,8 @@ def run_sl2c(config: ScenarioConfig):
 
     header = HEADERS["sl2c"]
     rows = []
-    for k, (u, rn) in enumerate(zip(arrows, res_norms + [0.0])):
-        mu, nu = matched_group_momenta(mp, L, u)
+    for k, (u, (_, mu, nu), rn) in enumerate(zip(arrows, momenta,
+                                                  res_norms + [0.0])):
         rows.append([float(k)] + [float(v) for v in u]
                     + [float(v) for v in mu] + [float(v) for v in nu]
                     + [rn, formula_gap])
@@ -454,13 +466,13 @@ def _recheck_rows(config, rows):
         if fd:
             L = _fd_derivatives(L, mp.G, mp.H)
         stored = [row[col("res_norm")] for row in rows[:-1]]
+        momenta = arrow_momenta(mp, L, arrows)
         recomputed = [float(np.linalg.norm(r, np.inf))
-                      for r in momentum_residuals(mp, L, arrows)]
+                      for r in momentum_residuals(mp, arrows, momenta)]
         # formula_gap would need the finite-difference pair
         momentum_gap = np.max([np.abs(
-            np.concatenate(matched_group_momenta(mp, L, u))
-            - row[col("Phi_1"):col("Psi_3") + 1])
-            for u, row in zip(arrows, rows)])
+            np.concatenate([mu, nu]) - row[col("Phi_1"):col("Psi_3") + 1])
+            for (_, mu, nu), row in zip(momenta, rows)])
         # no independent oracle: the residuals themselves take its bound
         oracle = None
     # np.max, not max: a NaN anywhere is the gap

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matchdyn.algebroid import AlgebroidVector, a_phi
 from matchdyn.dynamics import (
+    MATCHED_GROUP_FORMS,
     DiscreteLagrangian,
     Trajectory,
     action_sum,
@@ -11,10 +13,11 @@ from matchdyn.dynamics import (
     del_residual_matched_group,
     del_step,
     del_step_matched_group,
-    _momentum_half,
+    arrow_momenta,
     march,
     matched_group_momenta,
     momentum_evolution,
+    momentum_residuals,
     oracle_directional,
     solve_matched_group_trajectory,
     solve_trajectory,
@@ -240,8 +243,8 @@ def test_matched_group_decoupled_momentum_recursions():
     uk = mp.random(RNG)
     uk1 = mp.random(RNG)
     r = del_residual_matched_group(mp, L, uk, uk1, form="both-trivial")
-    mu_k, nu_k = matched_group_momenta(mp, L, uk)
-    mu_k1, nu_k1 = matched_group_momenta(mp, L, uk1)
+    _, mu_k, nu_k = matched_group_momenta(mp, L, uk)
+    _, mu_k1, nu_k1 = matched_group_momenta(mp, L, uk1)
     gk, hk = mp.split(uk)
     assert np.allclose(r[:3], mp.G.coAd(gk, mu_k) - mu_k1, atol=1e-10)
     assert np.allclose(r[3:], mp.H.coAd(hk, nu_k) - nu_k1, atol=1e-10)
@@ -258,8 +261,9 @@ def test_matched_group_residual_one_gradient_per_arrow():
 
 
 def test_su2k_outgoing_half_builds_two_lift_matrices(monkeypatch):
-    # mu and nu need the SU(2) and K right lifts at u; the closed b* needs
-    # no third one
+    # mu and nu need the SU(2) and K right lifts at u, once in the arrow's
+    # record; the momentum form reads the record, and the closed b* needs no
+    # third lift
     built = []
     for cls in (SU2, KGroup):
         def counted(self, side, g, lift_matrix=cls.lift_matrix):
@@ -270,8 +274,34 @@ def test_su2k_outgoing_half_builds_two_lift_matrices(monkeypatch):
     rng = np.random.default_rng(33)
     mp = Su2K()
     L = smooth_lagrangian(mp.coord_dim, rng)
-    _momentum_half(mp, L, mp.random(rng), "full", "right")
-    assert built == [("su2", "right"), ("k", "right")]
+    arrows = [mp.random(rng), mp.random(rng)]
+    momenta = [matched_group_momenta(mp, L, u) for u in arrows]
+    assert built == [("su2", "right"), ("k", "right")] * 2
+    built.clear()
+    momentum_residuals(mp, arrows, momenta, "full")
+    assert built == []
+
+
+ARROW_PAIRS = [Su2K(), right_trivial_pair(), left_trivial_pair(),
+               both_trivial_pair()]
+
+
+@settings(max_examples=25, deadline=None)
+@given(pair=st.sampled_from(ARROW_PAIRS), n_arrows=st.integers(2, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_momentum_residuals_over_shared_records_equal_the_junction_form(
+        pair, n_arrows, seed):
+    # the records of a chain, built once per arrow and shared by adjacent
+    # junctions, give every form bit for bit as the two-arrow reference
+    rng = np.random.default_rng(seed)
+    L = smooth_lagrangian(pair.coord_dim, rng)
+    arrows = [pair.random(rng) for _ in range(n_arrows)]
+    momenta = arrow_momenta(pair, L, arrows)
+    for form in MATCHED_GROUP_FORMS:
+        for k, r in enumerate(momentum_residuals(pair, arrows, momenta, form),
+                              1):
+            assert np.array_equal(r, del_residual_matched_group(
+                pair, L, arrows[k - 1], arrows[k], form=form))
 
 
 def test_default_junction_solves_take_no_finite_difference_derivatives(

@@ -59,6 +59,42 @@ def test_config_validation():
         ScenarioConfig("sl2c", tol=-1.0)
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_cli_non_finite_tol_is_a_config_error(tmp_path, tol):
+    # not a line search that cannot reach a NaN, nor a run of unsolved arrows
+    out = tmp_path / "run.csv"
+    assert main(["run", "sl2c", "--tol", tol, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    "[scenario]\nid = trivial_groupoid\n\n[initial]\n"
+    "coords = 0 nan 0.3 1 0\n",
+    "[scenario]\nid = trivial_groupoid\n\n[lagrangian]\nname = spring\n"
+    "k_pos = -inf\n",
+    "[scenario]\nid = sl2c\n\n[lagrangian]\nname = quadratic\nig1 = inf\n",
+    "[scenario]\nid = sl2c\n\n[initial]\ncoords = nan 0 0 0 0 0\n",
+    "[scenario]\nid = sl2c\ntol = nan\n",
+])
+def test_ini_non_finite_value_is_a_config_error(tmp_path, text):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(text)
+    out = tmp_path / "run.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario", sorted(HEADERS))
+def test_check_residual_non_finite_header_tol_is_a_config_error(
+        tmp_path, scenario):
+    out = tmp_path / "run.csv"
+    assert main(["run", scenario, "--steps", "3", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert "# tol=1e-10\n" in text
+    out.write_text(text.replace("# tol=1e-10\n", "# tol=nan\n"))
+    assert main(["check", "residual", str(out)]) == 2
+
+
 def test_config_bad_file(tmp_path):
     p = tmp_path / "bad.ini"
     p.write_text("[scenario]\nid = sl2c\nsteps = many\n")
@@ -231,9 +267,9 @@ def test_run_sl2c_zero_coupling_momentum_recursion():
     defect = 0.0
     for uk, uk1 in zip(arrows, arrows[1:]):
         gk, hk = mp.split(uk)
-        mu_k, _ = matched_group_momenta(mp, L, uk)
-        mu_k1, _ = matched_group_momenta(mp, L, uk1)
-        d2k = L.gradient(uk)[mp.G.coord_dim:]
+        dk, mu_k, _ = matched_group_momenta(mp, L, uk)
+        _, mu_k1, _ = matched_group_momenta(mp, L, uk1)
+        d2k = dk[mp.G.coord_dim:]
         predicted = (mp.act_on_fiber_g_matrix(hk).T @ mp.G.coAd(gk, mu_k)
                      + mp.dagger_on_h_matrix(hk).T @ d2k)
         defect = max(defect, float(np.max(np.abs(predicted - mu_k1))))
@@ -486,6 +522,48 @@ def test_check_residual_rederives_the_sl2c_momenta(tmp_path, capsys):
     capsys.readouterr()
     assert main(["check", "residual", tampered]) == 1
     assert "FAIL: stored-vs-recomputed gap" in capsys.readouterr().err
+
+
+def test_sl2c_momenta_take_one_gradient_per_arrow(tmp_path, monkeypatch):
+    # outside the Newton solves, run and check residual differentiate L once
+    # per arrow; the closed and the generic momentum forms read the records
+    import matchdyn.scenarios as scenarios
+
+    gradients, forms, solving = [], [], []
+    march, residuals = scenarios.march, scenarios.momentum_residuals
+    gradient = DiscreteLagrangian.gradient
+
+    def counted_gradient(self, x):
+        if not solving:
+            gradients.append(x)
+        return gradient(self, x)
+
+    def solve(*args, **kwargs):
+        solving.append(True)
+        try:
+            return march(*args, **kwargs)
+        finally:
+            solving.pop()
+
+    def counted_forms(*args, **kwargs):
+        before = len(gradients)
+        out = residuals(*args, **kwargs)
+        forms.append(len(gradients) - before)
+        return out
+
+    monkeypatch.setattr(DiscreteLagrangian, "gradient", counted_gradient)
+    monkeypatch.setattr(scenarios, "march", solve)
+    monkeypatch.setattr(scenarios, "momentum_residuals", counted_forms)
+    out = str(tmp_path / "sl2c.csv")
+    assert main(["run", "sl2c", "--steps", "10", "--out", out]) == 0
+    # the closed form, then the generic() cross-check
+    assert len(gradients) == 10 and forms == [0, 0]
+    for path, n_arrows in ((out, 10),
+                           (os.path.join(DATA, "sl2c_fd.csv"), 4)):
+        gradients.clear()
+        forms.clear()
+        assert main(["check", "residual", path]) == 0
+        assert len(gradients) == n_arrows and forms == [0]
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
