@@ -7,7 +7,6 @@ from .errors import (
     EvaluationError,
     FormulaMismatch,
     MatchdynError,
-    MatchedAxiomError,
     NoConvergence,
     NotComposable,
     SingularJacobian,

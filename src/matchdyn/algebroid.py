@@ -17,7 +17,6 @@ import numpy as np
 from .errors import BasePointMismatch, TagError
 from .groupoids import (
     ActionGroupoid,
-    GroupGroupoid,
     Groupoid,
     MatchedPairGroupoid,
     TrivialDecomposition,
@@ -119,17 +118,6 @@ def anchor(desc, X: AlgebroidVector):
     if desc.base.dim == 0:
         return np.zeros(0)
     return fd_curve(lambda t: desc.beta(desc.fiber_elem(X.b, t * X.z)))
-
-
-def algebroid_bracket(desc, X: AlgebroidVector, Y: AlgebroidVector):
-    """Fiber bracket; available for the group case only, where it is the Lie
-    algebra bracket.  Other descriptors would need section data that the
-    fiber elements do not carry."""
-    if not isinstance(desc, GroupGroupoid):
-        raise TagError("fiber bracket requires a group descriptor, got %s"
-                       % desc.name)
-    _require_base(X.b, Y.b)
-    return AlgebroidVector(desc, X.b, desc.G.bracket(X.z, Y.z))
 
 
 # ---------------------------------------------------------------------------

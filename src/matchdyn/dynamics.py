@@ -43,7 +43,8 @@ from .groupoids import (
     MatchedPairGroupoid,
 )
 from .matched_group import MatchedPairGroup
-from .numerics import DEFAULT_TOL, fd_directional, fd_gradient, newton_solve
+from .numerics import (DEFAULT_TOL, fd_columns, fd_directional, fd_gradient,
+                       newton_solve)
 # unused; bench/test_bench.py::test_install_and_uninstall_wrappers wraps it
 from .numerics import fd_jacobian  # noqa: F401
 
@@ -71,13 +72,12 @@ class DiscreteLagrangian:
 
     def pullback(self, x, lift):
         """lift^T dL(x) for a matrix of tangent vectors at x: the closed
-        gradient paired with the columns, or else one central difference
-        of L along each column."""
+        gradient paired with the columns, or else the central differences
+        of L along them."""
         x = np.asarray(x, dtype=float)
         if self._gradient is not None:
             return lift.T @ self.gradient(x)
-        return np.array([fd_directional(self.evaluate, x, c)
-                         for c in lift.T])
+        return fd_columns(self.evaluate, x, lift)
 
 
 class Trajectory:

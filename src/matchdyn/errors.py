@@ -60,17 +60,5 @@ class BasePointMismatch(MatchdynError):
     """An algebroid fiber element was used at the wrong base point."""
 
 
-class MatchedAxiomError(MatchdynError):
-    """A matched-pair compatibility condition failed."""
-
-    def __init__(self, condition, violation):
-        super().__init__(
-            "matched-pair condition %s violated (max deviation %.3e)"
-            % (condition, violation)
-        )
-        self.condition = condition
-        self.violation = violation
-
-
 class FormulaMismatch(MatchdynError):
     """Closed-form and generic assemblies of the same quantity disagree."""

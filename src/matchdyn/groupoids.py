@@ -26,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DomainError, MatchedAxiomError, NotComposable
+from .errors import DomainError, NotComposable
 from .groups import Circle, Group, rot2
 from .numerics import fd_curve_columns
 
@@ -582,13 +582,6 @@ class MatchedPairGroupoid(Groupoid):
                 self.act_on_h(Hd.eps(Gd.alpha(g1)), g1),
                 Hd.eps(Gd.beta(g1)))
         return dev
-
-    def matched_axiom_check(self, rng, n_samples=50, tol=1e-8):
-        report = self.matched_axiom_report(rng, n_samples)
-        for key, val in report.items():
-            if val > tol:
-                raise MatchedAxiomError(key, val)
-        return report
 
 
 def groupoid_action_check(desc, f, action, sampler, rng, n_samples=50):

@@ -6,19 +6,19 @@ row-major 3x3 matrices for SO(3), an angle for the circle group, and plain
 vectors for abelian R^n.  Dual spaces are identified with the algebra
 coordinates through the Euclidean dot product.
 
-Lift matrices of translations and the adjoint map are available generically
-through finite differences of the product; the generic Ad reads its curve in
-algebra coordinates through ``log``, the chart inverse.  Every group here
-overrides ``lift_matrix`` and ``Ad`` with closed forms, so the finite-difference
-``Group.lift_matrix`` is the oracle that tests compare them against, and the
-generic Ad serves the matched-pair groups.  SU(2) and K also carry closed
-``Ad_matrix`` forms, so ``coAd`` builds one matrix; the column-stacked
-``Group.Ad_matrix`` is their test reference.  Both give the Jacobian of their
+Lift matrices of translations and the adjoint matrix are available
+generically through finite differences of the product; the generic
+``Ad_matrix`` reads its conjugation curves in algebra coordinates through
+``log``, the chart inverse.  Every group here overrides ``lift_matrix`` and
+``Ad_matrix`` with closed forms, so the finite-difference ``Group`` methods
+are the oracles that tests compare them against, and the generic
+``Ad_matrix`` serves the matched-pair groups.  ``Ad`` and ``coAd`` are that
+one matrix applied and transposed.  SU(2) and K give the Jacobian of their
 ``log`` in chart coordinates (``dlog``), from which the built-in Lagrangians
 take their closed gradients.
 
-The per-point chart maps on the solver's hot path (``_vec``, ``check`` and
-``element``, SU(2)'s ``mul``/``exp``/``log``/``dlog``, SO(3)'s ``check`` and
+The per-point chart maps on the solver's hot path (``_vec``, ``check``,
+SU(2)'s ``mul``/``exp``/``log``/``dlog``, SO(3)'s ``check`` and
 ``log``) convert a point once and work on its entries as Python floats.  They
 keep numpy's transcendental ufuncs (``np.arccos``, ``np.arctan2``,
 ``np.sin``, ``np.cos``) and take norms as ``sqrt(q @ q)``, so they return the
@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, TagError
-from .numerics import fd_curve, fd_curve_columns
+from .numerics import fd_curve_columns
 # unused; bench/test_bench.py::test_install_and_uninstall_wrappers wraps it
 from .numerics import fd_jacobian  # noqa: F401
 
@@ -95,20 +95,20 @@ class Group:
         """g as an array; DomainError if it is not a valid chart point."""
         return _vec(g, self.coord_dim)
 
-    def Ad(self, g, xi):
-        """d/dt log(g exp(t xi) g^-1) at t=0; log is the chart inverse."""
-        xi = self.algebra_vector(xi)
+    def Ad_matrix(self, g):
+        """dim x dim matrix of Ad_g, column i = d/dt log(g exp(t e_i) g^-1)
+        at t=0 by finite differences, log being the chart inverse: the
+        oracle of the closed forms that the concrete groups override it
+        with."""
         ginv = self.inv(g)
-        return fd_curve(lambda t: self.log(
-            self.mul(self.mul(g, self.exp(t * xi)), ginv)))
+        return fd_curve_columns(
+            lambda xi: self.log(self.mul(self.mul(g, self.exp(xi)), ginv)),
+            self.dim)
 
     # -- derived helpers -----------------------------------------------------
 
     def algebra_vector(self, xi):
         return _vec(xi, self.dim)
-
-    def element(self, g):
-        return self.check(g)
 
     def pairing(self, mu, xi):
         return float(np.dot(_vec(mu, self.dim), _vec(xi, self.dim)))
@@ -122,8 +122,8 @@ class Group:
                                     self.dim)
         return fd_curve_columns(lambda xi: self.mul(self.exp(xi), g), self.dim)
 
-    def Ad_matrix(self, g):
-        return np.column_stack([self.Ad(g, e) for e in np.eye(self.dim)])
+    def Ad(self, g, xi):
+        return self.Ad_matrix(g) @ self.algebra_vector(xi)
 
     def coAd(self, g, mu):
         """Coadjoint transport Ad*_{g^{-1}}: <coAd(g,mu), xi> = <mu, Ad_g xi>."""
@@ -141,9 +141,6 @@ class Group:
         return self.exp(sigma * rng.standard_normal(self.dim))
 
     def random_algebra(self, rng, sigma=1.0):
-        return sigma * rng.standard_normal(self.dim)
-
-    def random_covector(self, rng, sigma=1.0):
         return sigma * rng.standard_normal(self.dim)
 
 
@@ -258,9 +255,6 @@ class SU2(Group):
     def lift_matrix(self, side, g):
         return su2_lift(side, g)
 
-    def Ad(self, g, xi):
-        return self.rot_of(g) @ self.algebra_vector(xi)
-
     def Ad_matrix(self, g):
         return self.rot_of(g)
 
@@ -320,12 +314,12 @@ class KGroup(Group):
         return g
 
     def mul(self, a, b):
-        a = self.element(a)
-        b = self.element(b)
+        a = self.check(a)
+        b = self.check(b)
         return a * (1.0 + b[2]) + b
 
     def inv(self, g):
-        g = self.element(g)
+        g = self.check(g)
         return -g / (1.0 + g[2])
 
     def exp(self, xi):
@@ -334,7 +328,7 @@ class KGroup(Group):
         return np.array([a * f, b * f, np.expm1(c)])
 
     def log(self, g):
-        A, B, C = self.element(g)
+        A, B, C = self.check(g)
         c = np.log1p(C)
         f = C / c if abs(c) > 1e-8 else 1.0 + 0.5 * c
         return np.array([A / f, B / f, c])
@@ -342,7 +336,7 @@ class KGroup(Group):
     def dlog(self, g):
         """3 x 3 Jacobian of log(A, B, C) = (A phi(C), B phi(C), log1p(C)),
         phi(C) = log1p(C) / C."""
-        A, B, C = self.element(g)
+        A, B, C = self.check(g)
         c = np.log1p(C)
         phi = c / C if abs(c) > 1e-8 else 1.0 / (1.0 + 0.5 * c)
         if abs(C) > 1e-4:
@@ -359,19 +353,14 @@ class KGroup(Group):
 
     def lift_matrix(self, side, g):
         # a b = a (1 + c_b) + b, and exp has derivative 1 at 0
-        g = self.element(g)
+        g = self.check(g)
         if side == "left":
             return np.eye(3) + np.outer(g, [0.0, 0.0, 1.0])
         return (1.0 + g[2]) * np.eye(3)
 
-    def Ad(self, g, xi):
-        M = self.mat3(g)
-        N = self.alg_mat3(xi)
-        return self.alg_from_mat3(M @ N @ self.mat3(self.inv(g)))
-
     def Ad_matrix(self, g):
         # mat3(g) alg_mat3(xi) mat3(g)^-1, read as a matrix on (a, b, c)
-        a, b, c = self.element(g)
+        a, b, c = self.check(g)
         f = 1.0 / (1.0 + c)
         return np.array([[f, 0.0, a * f], [0.0, f, b * f], [0.0, 0.0, 1.0]])
 
@@ -383,7 +372,7 @@ class KGroup(Group):
         return Y[2] * Psi - float(Psi @ Y) * k
 
     def mat3(self, g):
-        a, b, c = self.element(g)
+        a, b, c = self.check(g)
         return np.array([
             [1.0 + c, 0.0, 0.0],
             [0.0, 1.0 + c, 0.0],
@@ -405,7 +394,7 @@ class KGroup(Group):
         return np.array([-N[2, 0], -N[2, 1], N[0, 0]])
 
     def mat2(self, g):
-        a, b, c = self.element(g)
+        a, b, c = self.check(g)
         s = np.sqrt(1.0 + c)
         return np.array([
             [s, 0.0],
@@ -522,8 +511,8 @@ class SO3(Group):
             return np.column_stack([(M @ E).ravel() for E in HATS])
         return np.column_stack([(E @ M).ravel() for E in HATS])
 
-    def Ad(self, g, xi):
-        return _vec(g, 9).reshape(3, 3) @ self.algebra_vector(xi)
+    def Ad_matrix(self, g):
+        return _vec(g, 9).reshape(3, 3)
 
 
 class Abelian(Group):
@@ -555,8 +544,8 @@ class Abelian(Group):
     def lift_matrix(self, side, g):
         return np.eye(self.dim)
 
-    def Ad(self, g, xi):
-        return self.algebra_vector(xi).copy()
+    def Ad_matrix(self, g):
+        return np.eye(self.dim)
 
 
 class Circle(Abelian):

@@ -1,13 +1,17 @@
 """Dense small-matrix numerics: finite differences and a quasi-Newton solver.
 
-Everything downstream differentiates along curves with the central-difference
-helpers here, so the step-size convention (cube root of machine epsilon,
-scaled by 1 + the norm of the expansion point) lives in exactly one place.
+Every derivative downstream is one call to ``fd_columns``, the only
+central-difference loop: the step-size convention (cube root of machine
+epsilon, scaled by 1 + the norm of the expansion point) and the finiteness
+rule live there.  A single direction is a batch of one column, and the
+directional, gradient, curve and Jacobian helpers name its usual batches.
 The solver runs at most MAX_ITER passes of one finite-difference Jacobian
 and its Broyden secant updates (Dennis & Schnabel 1983, ch. 8), and returns
 the root with the residual it stopped at.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -28,57 +32,44 @@ def _as_vec(x):
     return np.atleast_1d(np.asarray(x, dtype=float))
 
 
-def fd_directional(f, x, v):
-    """Central difference (f(x+hv) - f(x-hv)) / 2h, h scaled by 1+||x||."""
+def fd_columns(F, x, V):
+    """Central differences (F(x + h v) - F(x - h v)) / 2h for each column v
+    of V, with one step h scaled by 1 + ||x||: the k columns of the
+    derivative of F at x, or a length-k vector when F is scalar.  A
+    non-finite value is an EvaluationError naming x."""
     x = _as_vec(x)
-    v = _as_vec(v)
-    h = DEFAULT_FD_STEP * (1.0 + np.linalg.norm(x))
-    fp = float(f(x + h * v))
-    fm = float(f(x - h * v))
-    if not (np.isfinite(fp) and np.isfinite(fm)):
+    h = DEFAULT_FD_STEP * (1.0 + math.sqrt(x @ x))
+    diffs = [np.asarray(F(x + s), dtype=float)
+             - np.asarray(F(x - s), dtype=float) for s in h * V.T]
+    out = np.column_stack(diffs) if diffs[0].ndim else np.array(diffs)
+    out /= 2.0 * h
+    if not np.isfinite(out).all():
         raise EvaluationError("non-finite function value near %s" % x, point=x)
-    return (fp - fm) / (2.0 * h)
-
-
-def fd_gradient(f, x):
-    x = _as_vec(x)
-    n = x.size
-    g = np.empty(n)
-    eye = np.eye(n)
-    for i in range(n):
-        g[i] = fd_directional(f, x, eye[i])
-    return g
-
-
-def fd_curve(c):
-    """Derivative at t=0 of a vector-valued curve c(t)."""
-    cp = np.asarray(c(DEFAULT_FD_STEP), dtype=float)
-    cm = np.asarray(c(-DEFAULT_FD_STEP), dtype=float)
-    out = (cp - cm) / (2.0 * DEFAULT_FD_STEP)
-    if not np.all(np.isfinite(out)):
-        raise EvaluationError("non-finite curve value", point=None)
     return out
 
 
+def fd_directional(f, x, v):
+    """Derivative of a scalar f at x along v."""
+    return float(fd_columns(f, x, _as_vec(v)[:, None])[0])
+
+
+def fd_gradient(f, x):
+    return fd_columns(f, x, np.eye(np.size(x)))
+
+
+def fd_curve(c):
+    """Derivative at t=0 of a curve c(t)."""
+    return fd_columns(lambda t: c(t[0]), np.zeros(1), np.ones((1, 1)))[..., 0]
+
+
 def fd_curve_columns(f, n):
-    """Jacobian at 0 of f on R^n, column i = fd_curve of t -> f(t e_i);
-    fd_jacobian is left to Newton."""
-    return np.column_stack([fd_curve(lambda t, e=e: f(t * e))
-                            for e in np.eye(n)])
+    """Jacobian at 0 of f on R^n."""
+    return np.atleast_2d(fd_columns(f, np.zeros(n), np.eye(n)))
 
 
 def fd_jacobian(F, x):
-    """Jacobian of a vector map, column by column."""
-    x = _as_vec(x)
-    n = x.size
-    h = DEFAULT_FD_STEP * (1.0 + np.linalg.norm(x))
-    cols = []
-    eye = np.eye(n)
-    for i in range(n):
-        fp = _as_vec(F(x + h * eye[i]))
-        fm = _as_vec(F(x - h * eye[i]))
-        cols.append((fp - fm) / (2.0 * h))
-    return np.column_stack(cols)
+    """Jacobian of F at x, one row when F is scalar."""
+    return np.atleast_2d(fd_columns(F, x, np.eye(np.size(x))))
 
 
 def _trial(F, x):
@@ -123,14 +114,18 @@ def newton_solve(F, x0, tol=DEFAULT_TOL):
     After every accepted step s, Broyden's update J += outer(F(x + s) - F(x)
     - J s, s) / (s . s) gives the next full step, kept while it halves the
     residual norm and J is usable; otherwise the next pass starts.
-    NoConvergence (the halvings or the passes ran out) and SingularJacobian
-    carry the last residual norm and condition estimate.
+    NoConvergence (a non-finite Jacobian, or the halvings or the passes ran
+    out) and SingularJacobian carry the last residual norm and condition
+    estimate.
     """
     x = _as_vec(x0).copy()
     r = _as_vec(F(x))
     rnorm = float(np.linalg.norm(r, np.inf))
     for _ in range(MAX_ITER):
-        J = fd_jacobian(F, x)
+        try:
+            J = fd_jacobian(F, x)
+        except EvaluationError:
+            raise _failure(NoConvergence, "non-finite Jacobian", rnorm, np.inf)
         dx, cond = _step(J, r)
         if cond > COND_LIMIT:
             raise _failure(SingularJacobian, "Jacobian condition estimate > "

@@ -420,7 +420,8 @@ def read_trajectory_csv(path):
 def check_residual_file(path):
     """Re-read an emitted trajectory laid out as HEADERS says, recompute
     every residual norm, and for sl2c every momentum, from the arrows alone,
-    and compare against the stored values.  Returns (failures, report) as
+    and compare them, the row numbers and the last row's zero residual
+    against the stored values.  Returns (failures, report) as
     ``RunReport.failures``."""
     config, header, rows = read_trajectory_csv(path)
     columns = HEADERS[config.scenario]
@@ -452,7 +453,7 @@ def _recheck_rows(config, rows):
         L = trivial_groupoid_lagrangian(dec, config)
         if fd:
             L = _fd_derivatives(L, dec.G)
-        stored = [row[col("res_direct")] for row in rows[:-1]]
+        res_col = col("res_direct")
         recomputed = [float(np.linalg.norm(
             del_residual(dec.trivial, L, a, b), np.inf))
             for a, b in zip(arrows, arrows[1:])]
@@ -465,7 +466,7 @@ def _recheck_rows(config, rows):
         L = sl2c_lagrangian(mp, config)
         if fd:
             L = _fd_derivatives(L, mp.G, mp.H)
-        stored = [row[col("res_norm")] for row in rows[:-1]]
+        res_col = col("res_norm")
         momenta = arrow_momenta(mp, L, arrows)
         recomputed = [float(np.linalg.norm(r, np.inf))
                       for r in momentum_residuals(mp, arrows, momenta)]
@@ -475,9 +476,12 @@ def _recheck_rows(config, rows):
             for (_, mu, nu), row in zip(momenta, rows)])
         # no independent oracle: the residuals themselves take its bound
         oracle = None
-    # np.max, not max: a NaN anywhere is the gap
-    gap = float(np.max([momentum_gap] + [abs(a - b) for a, b in
-                                         zip(stored, recomputed)]))
+    # np.max, not max: a NaN anywhere is the gap; the writer numbers the
+    # rows from 0 and pads the last row's residual with 0
+    gap = float(np.max([momentum_gap]
+                       + [abs(row[0] - k) for k, row in enumerate(rows)]
+                       + [abs(row[res_col] - r) for row, r in
+                          zip(rows, recomputed + [0.0])]))
     return RunReport(config.scenario, recomputed, oracle_max=oracle,
                      reproduce_gap=gap)
 

@@ -7,7 +7,6 @@ from matchdyn.algebroid import (
     a_phi_inv,
     act_on_fiber_g,
     act_on_fiber_h,
-    algebroid_bracket,
     anchor,
     dagger_on_g,
     dagger_on_h,
@@ -142,16 +141,6 @@ def test_anchor():
     X = rand_fiber(ad, b, RNG)
     assert np.allclose(anchor(ad, X), infinitesimal_action(ad, b, X.z),
                        atol=1e-8)
-
-
-def test_bracket_group_only():
-    gd = GroupGroupoid(SU2())
-    x = rand_fiber(gd, np.zeros(0), RNG)
-    y = rand_fiber(gd, np.zeros(0), RNG)
-    assert np.allclose(algebroid_bracket(gd, x, y).z, np.cross(x.z, y.z))
-    with pytest.raises(TagError):
-        algebroid_bracket(DEC.paird, rand_fiber(DEC.paird, np.zeros(2), RNG),
-                          rand_fiber(DEC.paird, np.zeros(2), RNG))
 
 
 # -- induced actions --------------------------------------------------------

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import matchdyn.numerics
-from matchdyn.errors import DomainError, NoConvergence, SingularJacobian
+from matchdyn.dynamics import DiscreteLagrangian
+from matchdyn.errors import (DomainError, EvaluationError, NoConvergence,
+                             SingularJacobian)
 from matchdyn.numerics import (
     DEFAULT_FD_STEP,
     fd_curve,
+    fd_curve_columns,
     fd_directional,
     fd_gradient,
     fd_jacobian,
@@ -193,3 +197,79 @@ def test_newton_failures_carry_the_last_residual_and_condition(monkeypatch):
 
 def test_default_step_value():
     assert abs(DEFAULT_FD_STEP - np.cbrt(np.finfo(float).eps)) == 0.0
+
+
+# -- one stencil: the earlier per-helper formulas as bit-for-bit references -
+
+def directional_reference(f, x, v):
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    h = DEFAULT_FD_STEP * (1.0 + np.linalg.norm(x))
+    return (float(f(x + h * v)) - float(f(x - h * v))) / (2.0 * h)
+
+
+def curve_reference(c):
+    cp = np.asarray(c(DEFAULT_FD_STEP), dtype=float)
+    cm = np.asarray(c(-DEFAULT_FD_STEP), dtype=float)
+    return (cp - cm) / (2.0 * DEFAULT_FD_STEP)
+
+
+def jacobian_reference(F, x):
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    h = DEFAULT_FD_STEP * (1.0 + np.linalg.norm(x))
+    eye = np.eye(x.size)
+    return np.column_stack([(np.atleast_1d(F(x + h * e))
+                             - np.atleast_1d(F(x - h * e))) / (2.0 * h)
+                            for e in eye])
+
+
+def scalar_map(x):
+    return float(np.sin(x) @ np.arange(1.0, x.size + 1.0) + 0.5 * x @ x)
+
+
+def vector_map(x):
+    return np.array([np.sin(x[0]) * x[-1], x @ x, np.cos(x).sum() - x[0]])
+
+
+points = st.integers(1, 4).flatmap(lambda n: st.one_of(
+    st.just(np.zeros(n)),
+    st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n).map(np.array)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=points, seed=st.integers(0, 2 ** 32 - 1))
+def test_one_stencil_matches_the_per_helper_formulas_bit_for_bit(x, seed):
+    rng = np.random.default_rng(seed)
+    n = x.size
+    v = rng.standard_normal(n)
+    lift = rng.standard_normal((n, int(rng.integers(1, 4))))
+    assert np.array_equal(fd_directional(scalar_map, x, v),
+                          directional_reference(scalar_map, x, v))
+    assert np.array_equal(fd_gradient(scalar_map, x), np.array(
+        [directional_reference(scalar_map, x, e) for e in np.eye(n)]))
+    assert np.array_equal(
+        DiscreteLagrangian(scalar_map).pullback(x, lift),
+        np.array([directional_reference(scalar_map, x, c) for c in lift.T]))
+    for F in (scalar_map, vector_map):
+        assert np.array_equal(fd_jacobian(F, x), jacobian_reference(F, x))
+        curve = lambda t: F(x + t * v)
+        assert np.array_equal(fd_curve(curve), curve_reference(curve))
+        assert np.array_equal(fd_curve_columns(F, n), np.column_stack(
+            [curve_reference(lambda t, e=e: F(t * e)) for e in np.eye(n)]))
+
+
+def test_a_non_finite_stencil_value_names_the_point():
+    x = np.array([1.0, 2.0])
+    with pytest.raises(EvaluationError) as info:
+        fd_jacobian(lambda y: np.array([y[0] if y[0] >= 1.0 else np.inf]), x)
+    assert np.array_equal(info.value.point, x)
+
+
+def test_newton_a_non_finite_jacobian_is_no_convergence():
+    # the stencil's left point leaves F's finite region; F(x0) is finite
+    with pytest.raises(NoConvergence) as info:
+        newton_solve(lambda x: np.array([x[0] - 2.0 if x[0] < 1.000001
+                                         else np.inf]), np.array([1.0]))
+    assert "non-finite Jacobian" in str(info.value)
+    assert info.value.residual_norm == 1.0
+    assert info.value.cond == np.inf

@@ -595,6 +595,23 @@ def test_check_residual_fails_a_nan_stored_residual(tmp_path, scenario,
     assert main(["check", "residual", tampered]) == 1
 
 
+@pytest.mark.parametrize("row, column", [(1, "k"), (-1, None)],
+                         ids=["row_number", "last_residual"])
+@pytest.mark.parametrize("scenario, residual", [("sl2c", "res_norm"),
+                                                ("trivial_groupoid",
+                                                 "res_direct")])
+def test_check_residual_rederives_the_row_numbers_and_padding(
+        tmp_path, scenario, residual, row, column):
+    # the writer stores k = row index, and 0.0 as the last row's residual
+    out = str(tmp_path / "fresh.csv")
+    assert main(["run", scenario, "--steps", "4", "--out", out]) == 0
+    cfg, header, rows = read_trajectory_csv(out)
+    rows[row][header.index(column or residual)] = 5.0
+    tampered = str(tmp_path / "tampered.csv")
+    write_trajectory_csv(tampered, cfg, header, rows)
+    assert main(["check", "residual", tampered]) == 1
+
+
 def test_failures_keep_a_nan_that_is_not_first():
     report = RunReport("sl2c", [1e-12, np.nan, 1e-12], reproduce_gap=0.0)
     assert report.failures(1e-10) == [
