@@ -182,13 +182,6 @@ def iso_matched_to_sum(md: MatchedPairGroupoid, U: AlgebroidVector):
             AlgebroidVector(md.Hd, U.b, zh))
 
 
-def target_correction(md: MatchedPairGroupoid, X: AlgebroidVector):
-    """T(eps_H . beta_G) X, the ambient H-component the iso adds to the G
-    summand; used to cross-check the chart-level identification."""
-    return fd_curve(lambda t: md.Hd.eps(
-        md.Gd.beta(md.Gd.fiber_elem(X.b, t * X.z))))
-
-
 # The matched-pair fields need no code of their own: MatchedPairGroupoid
 # assembles its lift matrices from the factor lifts and the induced actions.
 matched_left_invariant = left_invariant

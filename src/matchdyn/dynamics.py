@@ -11,7 +11,7 @@ that pair the records (dL, mu, nu) of adjacent arrows: each arrow's discrete
 Legendre transform, from one ``L.gradient`` call by ``arrow_momenta``.
 Trajectories are solved in one loop, ``march``, which keeps the residual each
 ``del_step`` stopped at; ``solve_trajectory`` checks it against the
-brute-force variational derivative of the action sum.
+variational oracle, one finite-difference gradient of each junction's action.
 
 The halves pair dL with the lift columns only
 (``DiscreteLagrangian.pullback``): through a closed gradient, bit for bit as
@@ -43,8 +43,7 @@ from .groupoids import (
     MatchedPairGroupoid,
 )
 from .matched_group import MatchedPairGroup
-from .numerics import (DEFAULT_TOL, fd_columns, fd_directional, fd_gradient,
-                       newton_solve)
+from .numerics import DEFAULT_TOL, fd_columns, fd_gradient, newton_solve
 # unused; bench/test_bench.py::test_install_and_uninstall_wrappers wraps it
 from .numerics import fd_jacobian  # noqa: F401
 
@@ -285,6 +284,9 @@ def march(desc: Groupoid, L: DiscreteLagrangian, g1, n_steps,
     """Solve the junctions forward from g1 for n_steps arrows in all.
     Returns the arrows and the inf-norm of the residual each junction solve
     stopped at; a solver failure names the arrow it was solving for."""
+    if n_steps < 1:
+        raise DomainError("a trajectory needs n_steps >= 1 arrows, got %d"
+                          % n_steps)
     arrows = [desc.check(g1)]
     norms = []
     for k in range(1, n_steps):
@@ -352,66 +354,52 @@ def solve_matched_group_trajectory(mp, L, u1, n_steps, form="full",
 def momentum_evolution(desc, L: DiscreteLagrangian, traj: Trajectory):
     """Momenta mu_k along a trajectory and the maximum defect of the
     transport recursion mu_{k+1} = Ad*-transport of mu_k (+ forcing on an
-    action groupoid)."""
+    action groupoid), all read off one ``L.gradient`` per arrow."""
     # the group part of an arrow starts at `offset`
     if isinstance(desc, GroupGroupoid):
-        offset, forcing = 0, lambda xk, xk1: 0.0
+        offset, forcing = 0, lambda x, d: 0.0
     elif isinstance(desc, ActionGroupoid):
+        # orbit_matrix(m_{k+1})^T d_m L(x_{k+1}): by the chain rule the
+        # differential at the identity of xi -> L(m_{k+1} . exp(xi), g_{k+1})
         offset = desc.M.dim
-        forcing = lambda xk, xk1: _orbit_forcing(desc, L, xk, xk1)
+        forcing = lambda x, d: desc.orbit_matrix(x[:offset]).T @ d[:offset]
     else:
         raise TagError("momentum evolution needs a group or action-groupoid "
                        "descriptor, got %s" % desc.name)
     G, arrows = desc.G, traj.arrows
-    mus = [G.lift_matrix("right", x[offset:]).T @ L.gradient(x)[offset:]
-           for x in arrows]
+    grads = [L.gradient(x) for x in arrows]
+    mus = [G.lift_matrix("right", x[offset:]).T @ d[offset:]
+           for x, d in zip(arrows, grads)]
     defect = 0.0
     for k in range(len(mus) - 1):
         gap = (mus[k + 1] - G.coAd(arrows[k][offset:], mus[k])
-               - forcing(arrows[k], arrows[k + 1]))
+               - forcing(arrows[k + 1], grads[k + 1]))
         defect = max(defect, float(np.max(np.abs(gap))))
     return mus, defect
-
-
-def _orbit_forcing(desc: ActionGroupoid, L, xk, xk1):
-    """Differential at the identity of xi -> L(m_{k+1} . exp(xi), g_{k+1}):
-    the position-dependence of L fed back through the orbit map."""
-    m1 = desc.beta(xk)
-    _, g1 = desc.split(xk1)
-
-    return fd_gradient(
-        lambda xi: L(np.concatenate([desc.act(m1, desc.G.exp(xi)), g1])),
-        np.zeros(desc.G.dim))
 
 
 # ---------------------------------------------------------------------------
 # brute-force variational oracle
 # ---------------------------------------------------------------------------
 
-def oracle_directional(desc: Groupoid, L: DiscreteLagrangian, gk, gk1,
-                       X: AlgebroidVector):
-    """Directional derivative of L(g_k c(t)) + L(c(t)^{-1} g_{k+1}) at t = 0
-    for the fiber curve c tangent to X: the product-preserving variation of
-    the two arrows meeting at the junction."""
+def oracle_gradient(desc: Groupoid, L: DiscreteLagrangian, gk, gk1):
+    """Gradient at z = 0 of L(g_k c(z)) + L(c(z)^{-1} g_{k+1}), c(z) =
+    fiber_elem(beta(g_k), z): every product-preserving variation of the
+    junction's two arrows in one central-difference stencil."""
     b = desc.beta(gk)
 
-    def f(t):
-        c = desc.fiber_elem(b, float(t[0]) * X.z)
+    def junction_action(z):
+        c = desc.fiber_elem(b, z)
         return L(desc.mul(gk, c)) + L(desc.mul(desc.inv(c), gk1))
 
-    return fd_directional(f, np.zeros(1), np.ones(1))
+    return fd_gradient(junction_action, np.zeros(desc.fiber_dim))
 
 
 def variational_oracle(desc: Groupoid, L: DiscreteLagrangian,
                        traj: Trajectory):
-    """Max absolute directional derivative of the action sum over
+    """Max absolute fiber derivative of the action sum over
     product-preserving variations at the interior junctions.  A discrete
     Euler-Lagrange solution must push this below ORACLE_TOL."""
-    worst = 0.0
-    for k in range(len(traj.arrows) - 1):
-        gk, gk1 = traj.arrows[k], traj.arrows[k + 1]
-        b = desc.beta(gk)
-        for e in np.eye(desc.fiber_dim):
-            X = AlgebroidVector(desc, b, e)
-            worst = max(worst, abs(oracle_directional(desc, L, gk, gk1, X)))
-    return worst
+    arrows = traj.arrows
+    return max((float(np.max(np.abs(oracle_gradient(desc, L, gk, gk1))))
+                for gk, gk1 in zip(arrows, arrows[1:])), default=0.0)

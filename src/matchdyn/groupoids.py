@@ -584,26 +584,6 @@ class MatchedPairGroupoid(Groupoid):
         return dev
 
 
-def groupoid_action_check(desc, f, action, sampler, rng, n_samples=50):
-    """Check that `action` is a right groupoid action of desc on the map f.
-
-    sampler(rng) must yield points p of the acted-on space; arrows are drawn
-    with source f(p).  Reports max violations of the moment-map condition,
-    the mixed associativity, and the unit law.
-    """
-    dev = {"moment_map": 0.0, "mixed_associativity": 0.0, "unit_law": 0.0}
-    upd = partial(record_deviation, dev)
-    for _ in range(n_samples):
-        p = sampler(rng)
-        g = desc.random_with_source(f(p), rng)
-        g2 = desc.random_with_source(desc.beta(g), rng)
-        upd("moment_map", f(action(p, g)), desc.beta(g))
-        upd("mixed_associativity",
-            action(action(p, g), g2), action(p, desc.mul(g, g2)))
-        upd("unit_law", action(p, desc.eps(f(p))), p)
-    return dev
-
-
 # ---------------------------------------------------------------------------
 # the trivial-groupoid decomposition
 # ---------------------------------------------------------------------------

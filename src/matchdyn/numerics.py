@@ -3,11 +3,10 @@
 Every derivative downstream is one call to ``fd_columns``, the only
 central-difference loop: the step-size convention (cube root of machine
 epsilon, scaled by 1 + the norm of the expansion point) and the finiteness
-rule live there.  A single direction is a batch of one column, and the
-directional, gradient, curve and Jacobian helpers name its usual batches.
-The solver runs at most MAX_ITER passes of one finite-difference Jacobian
-and its Broyden secant updates (Dennis & Schnabel 1983, ch. 8), and returns
-the root with the residual it stopped at.
+rule live there; the gradient, curve and Jacobian helpers name its usual
+batches.  The solver runs at most MAX_ITER passes of one finite-difference
+Jacobian and its Broyden secant updates (Dennis & Schnabel 1983, ch. 8), and
+returns the root with the residual it stopped at.
 """
 from __future__ import annotations
 
@@ -46,11 +45,6 @@ def fd_columns(F, x, V):
     if not np.isfinite(out).all():
         raise EvaluationError("non-finite function value near %s" % x, point=x)
     return out
-
-
-def fd_directional(f, x, v):
-    """Derivative of a scalar f at x along v."""
-    return float(fd_columns(f, x, _as_vec(v)[:, None])[0])
 
 
 def fd_gradient(f, x):

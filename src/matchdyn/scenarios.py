@@ -487,7 +487,13 @@ def _recheck_rows(config, rows):
 
 
 def run_axiom_suites(seed=0, n_samples=200, tol=1e-9):
-    """Matched-group and groupoid axiom suites; returns (ok, merged report)."""
+    """Matched-group and groupoid axiom suites; returns (ok, merged report).
+    A negative seed, fewer than one sample or a tolerance outside (0, inf)
+    is a DomainError."""
+    if seed < 0 or n_samples < 1 or not 0.0 < tol < np.inf:
+        raise DomainError("check axioms needs seed >= 0, samples >= 1 and "
+                          "0 < tol < inf, got seed=%d samples=%d tol=%r"
+                          % (seed, n_samples, tol))
     merged = {}
     loose = {}
     mp = Su2K()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import matchdyn.numerics
 from matchdyn.algebroid import AlgebroidVector, a_phi
 from matchdyn.dynamics import (
     MATCHED_GROUP_FORMS,
@@ -18,12 +19,13 @@ from matchdyn.dynamics import (
     matched_group_momenta,
     momentum_evolution,
     momentum_residuals,
-    oracle_directional,
+    oracle_gradient,
     solve_matched_group_trajectory,
     solve_trajectory,
     variational_oracle,
 )
-from matchdyn.errors import NoConvergence, NotComposable, SingularJacobian, TagError
+from matchdyn.errors import (DomainError, NoConvergence, NotComposable,
+                             SingularJacobian, TagError)
 from matchdyn.groupoids import (
     GroupGroupoid,
     Groupoid,
@@ -38,6 +40,7 @@ from matchdyn.matched_group import (
     left_trivial_pair,
     right_trivial_pair,
 )
+from matchdyn.numerics import fd_columns
 from matchdyn.scenarios import (
     ScenarioConfig,
     matched_lagrangian,
@@ -697,22 +700,120 @@ def test_oracle_positive_and_negative_controls():
     assert variational_oracle(desc, L, unsolved) > 1e-2
 
 
-@pytest.mark.parametrize("descname", ["group", "pair", "action", "trivial",
-                                      "matched"])
+ORACLE_DESCS = {
+    "group": GroupGroupoid(SU2()),
+    "pair": DEC.paird,
+    "action": DEC.actiond,
+    "trivial": DEC.trivial,
+    "matched": DEC.matched,
+    "so3": GroupGroupoid(SO3()),
+    "su2k": Su2K(),
+}
+
+
+@pytest.mark.parametrize("descname", list(ORACLE_DESCS))
 def test_oracle_matches_residual_pairing(descname):
-    desc = {
-        "group": GroupGroupoid(SU2()),
-        "pair": DEC.paird,
-        "action": DEC.actiond,
-        "trivial": DEC.trivial,
-        "matched": DEC.matched,
-    }[descname]
+    # each fiber component of the junction action's gradient is the
+    # residual's component: <dL, left E_i> - <dL, right E_i>
+    desc = ORACLE_DESCS[descname]
     rng = np.random.default_rng(6)
     L = smooth_lagrangian(desc.arrow_dim, rng)
     for _ in range(10):
         g = desc.random_arrow(rng)
         g2 = desc.random_with_source(desc.beta(g), rng)
-        r = del_residual(desc, L, g, g2)
-        z = rng.standard_normal(desc.fiber_dim)
-        X = AlgebroidVector(desc, desc.beta(g), z)
-        assert abs(oracle_directional(desc, L, g, g2, X) - float(r @ z)) < 1e-6
+        gap = oracle_gradient(desc, L, g, g2) - del_residual(desc, L, g, g2)
+        assert gap.shape == (desc.fiber_dim,)
+        assert np.max(np.abs(gap)) < 1e-6
+
+
+def per_direction_oracle(desc, L, traj):
+    """The oracle one fiber direction at a time: the derivative at t = 0 of
+    the junction action along t e_i, a one-column stencil each."""
+    worst = 0.0
+    for gk, gk1 in zip(traj.arrows, traj.arrows[1:]):
+        b = desc.beta(gk)
+        for e in np.eye(desc.fiber_dim):
+            def f(t, e=e):
+                c = desc.fiber_elem(b, float(t[0]) * e)
+                return L(desc.mul(gk, c)) + L(desc.mul(desc.inv(c), gk1))
+
+            worst = max(worst, abs(float(
+                fd_columns(f, np.zeros(1), np.ones((1, 1)))[0])))
+    return worst
+
+
+@settings(max_examples=60, deadline=None)
+@given(descname=st.sampled_from(sorted(ORACLE_DESCS)),
+       n_arrows=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_one_stencil_oracle_equals_the_per_direction_oracle(descname,
+                                                            n_arrows, seed):
+    desc = ORACLE_DESCS[descname]
+    rng = np.random.default_rng(seed)
+    L = smooth_lagrangian(desc.arrow_dim, rng)
+    arrows = [desc.random_arrow(rng)]
+    for _ in range(n_arrows):
+        arrows.append(desc.random_with_source(desc.beta(arrows[-1]), rng))
+    traj = Trajectory(desc, arrows)
+    assert variational_oracle(desc, L, traj) == per_direction_oracle(
+        desc, L, traj)
+
+
+def test_oracle_takes_one_stencil_per_junction(monkeypatch):
+    desc = GroupGroupoid(SO3())
+    rng = np.random.default_rng(8)
+    L = DiscreteLagrangian(lambda g: 0.5 * float(desc.G.log(g)
+                                                 @ desc.G.log(g)))
+    arrows = [desc.G.random(rng)]
+    for _ in range(4):
+        arrows.append(desc.random_with_source(desc.beta(arrows[-1]), rng))
+    traj = Trajectory(desc, arrows)
+    calls = []
+    inner = matchdyn.numerics.fd_columns
+
+    def counted(F, x, V):
+        calls.append(V.shape)
+        return inner(F, x, V)
+
+    monkeypatch.setattr(matchdyn.numerics, "fd_columns", counted)
+    variational_oracle(desc, L, traj)
+    assert calls == [(desc.fiber_dim, desc.fiber_dim)] * 4
+
+
+def test_momentum_evolution_takes_one_gradient_per_arrow():
+    # a gradient-free L is differentiated only by L.gradient, once per arrow
+    # (2 arrow_dim evaluations); the orbit forcing is read off that gradient
+    desc = DEC.actiond
+    c = np.array([0.4, -0.3])
+    L = DiscreteLagrangian(
+        lambda x: 0.5 * float(x[2] ** 2) + 0.2 * float(np.cos(c @ x[:2])))
+    traj = solve_trajectory(desc, L, np.array([0.5, -0.2, 0.3]), 5)
+    points = record_points(L, "evaluate")
+    momentum_evolution(desc, L, traj)
+    assert len(points) == 2 * desc.arrow_dim * len(traj)
+
+
+# -- trajectory length --------------------------------------------------------
+
+@pytest.mark.parametrize("n_steps", [0, -3])
+def test_march_rejects_fewer_than_one_arrow(n_steps):
+    desc = GroupGroupoid(SO3())
+    with pytest.raises(DomainError):
+        march(desc, DiscreteLagrangian(lambda g: 0.0), desc.G.identity(),
+              n_steps)
+
+
+@pytest.mark.parametrize("n_steps", [0, -3])
+def test_matched_group_trajectory_rejects_fewer_than_one_arrow(n_steps):
+    mp = right_trivial_pair()
+    with pytest.raises(DomainError):
+        solve_matched_group_trajectory(
+            mp, smooth_lagrangian(mp.coord_dim, np.random.default_rng(1)),
+            mp.identity(), n_steps)
+
+
+def test_march_of_one_arrow_is_the_initial_arrow():
+    desc = GroupGroupoid(SO3())
+    g1 = desc.G.exp(np.array([0.2, -0.1, 0.15]))
+    arrows, norms = march(desc, DiscreteLagrangian(lambda g: 0.0), g1, 1)
+    assert len(arrows) == 1 and np.array_equal(arrows[0], g1)
+    assert norms == []

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from matchdyn.groupoids import (
     TrivialDecomposition,
     compose,
     default_trivial_decomposition,
-    groupoid_action_check,
+    record_deviation,
 )
 from matchdyn.groups import SU2, Circle, rot2
 from matchdyn.scenarios import (
@@ -216,6 +218,26 @@ def test_prop_embeddings_are_morphisms():
         h3 = Hd.random_with_source(Gd.beta(g), RNG)
         assert np.allclose(compose(d, emb_g(g), emb_h(h3)), d.join(g, h3),
                            atol=1e-12)
+
+
+def groupoid_action_check(desc, f, action, sampler, rng, n_samples=50):
+    """Check that `action` is a right groupoid action of desc on the map f.
+
+    sampler(rng) must yield points p of the acted-on space; arrows are drawn
+    with source f(p).  Reports max violations of the moment-map condition,
+    the mixed associativity, and the unit law.
+    """
+    dev = {"moment_map": 0.0, "mixed_associativity": 0.0, "unit_law": 0.0}
+    upd = partial(record_deviation, dev)
+    for _ in range(n_samples):
+        p = sampler(rng)
+        g = desc.random_with_source(f(p), rng)
+        g2 = desc.random_with_source(desc.beta(g), rng)
+        upd("moment_map", f(action(p, g)), desc.beta(g))
+        upd("mixed_associativity",
+            action(action(p, g), g2), action(p, desc.mul(g, g2)))
+        upd("unit_law", action(p, desc.eps(f(p))), p)
+    return dev
 
 
 def test_groupoid_action_check_positive():

@@ -10,18 +10,10 @@ from matchdyn.numerics import (
     DEFAULT_FD_STEP,
     fd_curve,
     fd_curve_columns,
-    fd_directional,
     fd_gradient,
     fd_jacobian,
     newton_solve,
 )
-
-
-def test_fd_directional_quadratic():
-    f = lambda x: float(x @ x)
-    x = np.array([1.0, 2.0, -0.5])
-    v = np.array([0.3, -1.0, 2.0])
-    assert abs(fd_directional(f, x, v) - 2.0 * x @ v) < 1e-8
 
 
 def test_fd_gradient_matches_analytic():
@@ -243,8 +235,6 @@ def test_one_stencil_matches_the_per_helper_formulas_bit_for_bit(x, seed):
     n = x.size
     v = rng.standard_normal(n)
     lift = rng.standard_normal((n, int(rng.integers(1, 4))))
-    assert np.array_equal(fd_directional(scalar_map, x, v),
-                          directional_reference(scalar_map, x, v))
     assert np.array_equal(fd_gradient(scalar_map, x), np.array(
         [directional_reference(scalar_map, x, e) for e in np.eye(n)]))
     assert np.array_equal(

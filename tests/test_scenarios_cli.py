@@ -633,6 +633,16 @@ def test_cli_check_axioms():
     assert main(["check", "axioms", "--samples", "30"]) == 0
 
 
+@pytest.mark.parametrize("flags", [
+    ["--seed", "-1"], ["--samples", "0"], ["--samples", "-3"],
+    ["--tol", "nan"], ["--tol", "-1"], ["--tol", "0"], ["--tol", "inf"]])
+def test_cli_check_axioms_rejects_flags_that_check_nothing(flags, capsys):
+    assert main(["check", "axioms"] + flags) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: check axioms needs")
+
+
 def test_cli_export(tmp_path, capsys):
     rep = str(tmp_path / "report.json")
     assert main(["export", "sl2c", "--steps", "3", "--report", rep]) == 0
