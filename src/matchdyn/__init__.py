@@ -43,7 +43,6 @@ from .dynamics import (
     Trajectory,
     action_sum,
     del_residual,
-    del_residual_matched,
     del_residual_matched_group,
     del_step,
     del_step_matched_group,

@@ -24,24 +24,9 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .algebroid import (
-    AlgebroidVector,
-    act_on_fiber_g,
-    act_on_fiber_h,
-    dagger_on_g,
-    dagger_on_h,
-    left_invariant,
-    right_invariant,
-)
 from .errors import (DomainError, EvaluationError, NoConvergence,
                      NotComposable, SolverFailure, TagError)
-from .groupoids import (
-    COMPOSE_TOL,
-    ActionGroupoid,
-    GroupGroupoid,
-    Groupoid,
-    MatchedPairGroupoid,
-)
+from .groupoids import COMPOSE_TOL, ActionGroupoid, GroupGroupoid, Groupoid
 from .matched_group import MatchedPairGroup
 from .numerics import DEFAULT_TOL, fd_columns, fd_gradient, newton_solve
 # unused; bench/test_bench.py::test_install_and_uninstall_wrappers wraps it
@@ -119,44 +104,6 @@ def del_residual(desc: Groupoid, L: DiscreteLagrangian, gk, gk1):
             - desc.right_lift(gk1).T @ L.gradient(gk1))
 
 
-def del_residual_matched(md: MatchedPairGroupoid, L: DiscreteLagrangian,
-                         xk, xk1):
-    """Junction residual of a matched-pair groupoid assembled term by term
-    from the induced actions and the single-factor invariant fields.
-
-    For a fiber direction (X, Y) at the junction the six contributions are
-    the left field of h_k |> X at g_k, minus the right field of X at
-    g_{k+1}, plus Y^dagger(g_{k+1}), plus X^dagger(h_k), plus the left field
-    of Y at h_k, minus the right field of Y <| g_{k+1} at h_{k+1}.
-    """
-    xk = md.check(xk)
-    xk1 = md.check(xk1)
-    if md.composability_gap(xk, xk1) > COMPOSE_TOL:
-        raise NotComposable(md.beta(xk), md.alpha(xk1))
-    gk, hk = md.split(xk)
-    gk1, hk1 = md.split(xk1)
-    b = md.beta(xk)
-    nG = md.Gd.arrow_dim
-    dk = L.gradient(xk)
-    dk1 = L.gradient(xk1)
-    d1k, d2k = dk[:nG], dk[nG:]
-    d1k1, d2k1 = dk1[:nG], dk1[nG:]
-    out = np.empty(md.fiber_dim)
-    for i, e in enumerate(np.eye(md.Gd.fiber_dim)):
-        X = AlgebroidVector(md.Gd, b, e)
-        out[i] = float(
-            d1k @ left_invariant(md.Gd, act_on_fiber_g(md, hk, X), gk)
-            - d1k1 @ right_invariant(md.Gd, X, gk1)
-            + d2k @ dagger_on_h(md, X, hk))
-    for j, e in enumerate(np.eye(md.Hd.fiber_dim)):
-        Y = AlgebroidVector(md.Hd, b, e)
-        out[md.Gd.fiber_dim + j] = float(
-            d1k1 @ dagger_on_g(md, Y, gk1)
-            + d2k @ left_invariant(md.Hd, Y, hk)
-            - d2k1 @ right_invariant(md.Hd, act_on_fiber_h(md, Y, gk1), hk1))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # matched-pair groups: momentum form of the residual
 # ---------------------------------------------------------------------------
@@ -227,8 +174,11 @@ def _require_form(form):
         raise TagError("unknown residual form %r" % (form,))
 
 
-# a second name of del_residual, kept because bench/tracer.py TARGETS names it
+# second names of del_residual, kept because bench/tracer.py TARGETS names
+# them; a matched-pair groupoid's six-term residual is del_residual in block
+# order (MatchedPairGroupoid.left_lift / right_lift)
 _matched_group_fields_residual = del_residual
+del_residual_matched = del_residual
 
 
 # ---------------------------------------------------------------------------

@@ -505,7 +505,17 @@ class MatchedPairGroupoid(Groupoid):
 
     def left_lift(self, x):
         """(X, Y) at beta(h) -> (left of (h |> X) at g,
-        X^dagger(h) + left of Y at h)."""
+        X^dagger(h) + left of Y at h).
+
+        With ``right_lift`` it gives the paper's six-term junction residual
+        of dL = (d_G, d_H) in block rows, A_g, D_h, D_g, A_h the four
+        induced-action matrices above, in order, and L, R the factor lifts:
+
+            G: A_g(h_k)^T L_G(g_k)^T d_G,k + D_h(h_k)^T d_H,k
+               - R_G(g_{k+1})^T d_G,k+1
+            H: L_H(h_k)^T d_H,k + D_g(g_{k+1})^T d_G,k+1
+               - A_h(g_{k+1})^T R_H(h_{k+1})^T d_H,k+1
+        """
         g, h = self.split(x)
         n, k = self.Gd.arrow_dim, self.Gd.fiber_dim
         out = np.zeros((self.arrow_dim, self.fiber_dim))
@@ -516,7 +526,8 @@ class MatchedPairGroupoid(Groupoid):
 
     def right_lift(self, x):
         """(X, Y) at alpha(g) -> (right of X at g - Y^dagger(g),
-        right of (Y <| g) at h)."""
+        right of (Y <| g) at h): the d_{k+1} terms of the six in
+        ``left_lift``."""
         g, h = self.split(x)
         n, k = self.Gd.arrow_dim, self.Gd.fiber_dim
         out = np.zeros((self.arrow_dim, self.fiber_dim))

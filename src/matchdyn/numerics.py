@@ -108,9 +108,9 @@ def newton_solve(F, x0, tol=DEFAULT_TOL):
     After every accepted step s, Broyden's update J += outer(F(x + s) - F(x)
     - J s, s) / (s . s) gives the next full step, kept while it halves the
     residual norm and J is usable; otherwise the next pass starts.
-    NoConvergence (a non-finite Jacobian, or the halvings or the passes ran
-    out) and SingularJacobian carry the last residual norm and condition
-    estimate.
+    NoConvergence (a Jacobian stencil point such a trial would reject, or
+    the halvings or the passes ran out) and SingularJacobian carry the last
+    residual norm and condition estimate.
     """
     x = _as_vec(x0).copy()
     r = _as_vec(F(x))
@@ -118,8 +118,9 @@ def newton_solve(F, x0, tol=DEFAULT_TOL):
     for _ in range(MAX_ITER):
         try:
             J = fd_jacobian(F, x)
-        except EvaluationError:
-            raise _failure(NoConvergence, "non-finite Jacobian", rnorm, np.inf)
+        except (DomainError, EvaluationError, FloatingPointError) as exc:
+            raise _failure(NoConvergence, "non-finite Jacobian: %s: %s"
+                           % (type(exc).__name__, exc), rnorm, np.inf)
         dx, cond = _step(J, r)
         if cond > COND_LIMIT:
             raise _failure(SingularJacobian, "Jacobian condition estimate > "

@@ -25,7 +25,6 @@ from .dynamics import (
     DiscreteLagrangian,
     Trajectory,
     arrow_momenta,
-    del_residual,
     march,
     momentum_residuals,
     solve_trajectory,
@@ -454,13 +453,17 @@ def _recheck_rows(config, rows):
         if fd:
             L = _fd_derivatives(L, dec.G)
         res_col = col("res_direct")
+        # checks that the arrows compose, as del_residual would
+        traj = Trajectory(dec.trivial, arrows)
+        # del_residual's two mat-vecs, from one gradient per arrow
+        grads = [L.gradient(a) for a in arrows]
         recomputed = [float(np.linalg.norm(
-            del_residual(dec.trivial, L, a, b), np.inf))
-            for a, b in zip(arrows, arrows[1:])]
+            dec.trivial.left_lift(a).T @ d - dec.trivial.right_lift(b).T @ e,
+            np.inf)) for a, b, d, e in zip(arrows, arrows[1:], grads,
+                                           grads[1:])]
         # res_matched and phi_gap would need the matched solve
         momentum_gap = 0.0
-        oracle = variational_oracle(dec.trivial, L,
-                                    Trajectory(dec.trivial, arrows))
+        oracle = variational_oracle(dec.trivial, L, traj)
     else:
         mp = Su2K()
         L = sl2c_lagrangian(mp, config)

@@ -27,7 +27,8 @@ from matchdyn.groupoids import (
     default_trivial_decomposition,
 )
 from matchdyn.groups import SU2, KGroup, rot2
-from matchdyn.matched_group import Su2K
+from matchdyn.matched_group import (Su2K, both_trivial_pair,
+                                    left_trivial_pair, right_trivial_pair)
 from matchdyn.numerics import fd_curve, fd_jacobian
 
 RNG = np.random.default_rng(20240820)
@@ -40,6 +41,12 @@ ALL_DESCS = [
     DEC.actiond,
     DEC.trivial,
     DEC.matched,
+    # matched pairs of groups: their curve-based generic fields differentiate
+    # the product itself, the independent check of the six-term lifts
+    Su2K(),
+    right_trivial_pair(),
+    left_trivial_pair(),
+    both_trivial_pair(),
 ]
 
 

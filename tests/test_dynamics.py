@@ -10,7 +10,6 @@ from matchdyn.dynamics import (
     Trajectory,
     action_sum,
     del_residual,
-    del_residual_matched,
     del_residual_matched_group,
     del_step,
     del_step_matched_group,
@@ -143,13 +142,17 @@ def test_residual_rejects_noncomposable():
 # -- matched groupoid residual ----------------------------------------------
 
 def test_matched_residual_agrees_with_generic_assembly():
+    # the closed induced actions of OrbitPair against the base-class
+    # finite-difference ones of the same pair
     md = DEC.matched
+    generic = MatchedPairGroupoid(DEC.actiond, DEC.paird, DEC._act_on_g,
+                                  DEC._act_on_h)
     L = smooth_lagrangian(md.arrow_dim, RNG)
     for _ in range(10):
         x = md.random_arrow(RNG)
         y = md.random_with_source(md.beta(x), RNG)
-        assert np.allclose(del_residual_matched(md, L, x, y),
-                           del_residual(md, L, x, y), atol=1e-7)
+        assert np.allclose(del_residual(md, L, x, y),
+                           del_residual(generic, L, x, y), atol=1e-7)
 
 
 def test_matched_residual_both_trivial_splits():
@@ -164,7 +167,7 @@ def test_matched_residual_both_trivial_splits():
     for _ in range(5):
         x = md.random_arrow(RNG)
         y = md.random_arrow(RNG)
-        r = del_residual_matched(md, L, x, y)
+        r = del_residual(md, L, x, y)
         rg = del_residual(G1, L1, x[:9], y[:9])
         rh = del_residual(G2, L2, x[9:], y[9:])
         assert np.allclose(r, np.concatenate([rg, rh]), atol=1e-9)
@@ -179,7 +182,7 @@ def test_phi_correspondence_of_residuals():
         x = t.random_arrow(RNG)
         y = t.random_with_source(t.beta(x), RNG)
         b = t.beta(x)
-        rm = del_residual_matched(md, Lm, DEC.phi(x), DEC.phi(y))
+        rm = del_residual(md, Lm, DEC.phi(x), DEC.phi(y))
         rt = del_residual(t, Lt, x, y)
         A = np.column_stack([
             a_phi(DEC, AlgebroidVector(t, b, e)).z
@@ -202,17 +205,10 @@ def test_matched_group_momentum_form_equals_field_form():
 
 
 def test_matched_group_is_its_matched_pair_groupoid():
-    # over a point the paper's six-term residual is the two-mat-vec one, and
-    # the pair steps exactly as its group groupoid does
+    # over a point the pair steps exactly as its group groupoid does
     rng = np.random.default_rng(34)
     for mp in (Su2K(), right_trivial_pair(), left_trivial_pair(),
                both_trivial_pair()):
-        L = smooth_lagrangian(mp.coord_dim, rng)
-        for _ in range(5):
-            uk, uk1 = mp.random(rng), mp.random(rng)
-            gap = (del_residual_matched(mp, L, uk, uk1)
-                   - del_residual(mp, L, uk, uk1))
-            assert np.max(np.abs(gap)) <= 1e-12
         e = mp.identity()
         L = DiscreteLagrangian(lambda u: 0.5 * float(np.sum((u - e) ** 2))
                                + 0.1 * float(np.sin(u[0] + u[-1])))
@@ -332,27 +328,49 @@ def test_default_junction_solves_take_no_finite_difference_derivatives(
 
 
 def test_junction_solve_calls_no_reference(monkeypatch):
-    # the six-term residual, the momentum form, the finite-difference
-    # fields, lifts and pair, and the oracle are references for the tests
-    # and `matchdyn check`; one junction solve runs without them
+    # the assembled residual, the momentum form, the finite-difference
+    # fields, lifts, induced actions and pair, and the oracle are references
+    # for the tests and `matchdyn check`; one junction solve runs without them
     import matchdyn.algebroid as algebroid
     import matchdyn.dynamics as dynamics
 
     def reference(*args, **kwargs):
         raise AssertionError("reference called in a junction solve")
 
-    for owner, name in ((dynamics, "del_residual_matched"),
+    for owner, name in ((dynamics, "del_residual"),
                         (dynamics, "del_residual_matched_group"),
                         (dynamics, "variational_oracle"),
                         (algebroid, "left_invariant_generic"),
                         (algebroid, "right_invariant_generic"),
                         (MatchedPairGroup, "generic"),
+                        (MatchedPairGroupoid, "act_on_fiber_g_matrix"),
+                        (MatchedPairGroupoid, "dagger_on_h_matrix"),
+                        (MatchedPairGroupoid, "dagger_on_g_matrix"),
+                        (MatchedPairGroupoid, "act_on_fiber_h_matrix"),
                         (Group, "lift_matrix")):
         monkeypatch.setattr(owner, name, reference)
     mp = Su2K()
     L = sl2c_lagrangian(mp, ScenarioConfig("sl2c"))
     _, r = del_step(mp, L, mp.exp([0.2, -0.1, 0.15, 0.1, 0.05, -0.1]))
     assert np.max(np.abs(r)) < 1e-10
+
+
+def test_solver_modules_do_not_import_algebroid():
+    # the fields and induced actions of algebroid read the descriptors'
+    # lifts; nothing a junction solve runs depends on them
+    import ast
+    import pathlib
+
+    src = pathlib.Path(matchdyn.numerics.__file__).parent
+    for name in ("numerics", "groups", "groupoids", "matched_group",
+                 "dynamics"):
+        imported = set()
+        for node in ast.walk(ast.parse((src / (name + ".py")).read_text())):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported.update(alias.name for alias in node.names)
+        assert not any("algebroid" in n.split(".") for n in imported), name
 
 
 def log_quadratic(mp, rng):
@@ -595,8 +613,8 @@ def test_trajectories_march_once_and_never_recompute_the_residual(
         marched.append(desc.name)
         return march(desc, *args, **kwargs)
 
+    monkeypatch.setattr(dynamics, "del_residual", recompute)
     for module in (dynamics, scenarios):
-        monkeypatch.setattr(module, "del_residual", recompute)
         monkeypatch.setattr(module, "march", counted)
     so3 = GroupGroupoid(SO3())
     L = DiscreteLagrangian(lambda g: 0.5 * float(so3.G.log(g) @ so3.G.log(g)))

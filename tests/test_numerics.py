@@ -255,11 +255,21 @@ def test_a_non_finite_stencil_value_names_the_point():
     assert np.array_equal(info.value.point, x)
 
 
-def test_newton_a_non_finite_jacobian_is_no_convergence():
-    # the stencil's left point leaves F's finite region; F(x0) is finite
+@pytest.mark.parametrize("cause", [EvaluationError, DomainError,
+                                   FloatingPointError],
+                         ids=lambda cause: cause.__name__)
+def test_newton_a_non_finite_jacobian_is_no_convergence(cause):
+    # the stencil's upper point gives a non-finite value, leaves F's domain
+    # or overflows; F(x0) is finite
+    def F(x):
+        if x[0] < 1.000001:
+            return np.array([x[0] - 2.0])
+        if cause is EvaluationError:
+            return np.array([np.inf])
+        raise cause("beyond the stencil")
+
     with pytest.raises(NoConvergence) as info:
-        newton_solve(lambda x: np.array([x[0] - 2.0 if x[0] < 1.000001
-                                         else np.inf]), np.array([1.0]))
-    assert "non-finite Jacobian" in str(info.value)
+        newton_solve(F, np.array([1.0]))
+    assert "non-finite Jacobian: " + cause.__name__ in str(info.value)
     assert info.value.residual_norm == 1.0
     assert info.value.cond == np.inf

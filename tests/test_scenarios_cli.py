@@ -566,6 +566,28 @@ def test_sl2c_momenta_take_one_gradient_per_arrow(tmp_path, monkeypatch):
         assert len(gradients) == n_arrows and forms == [0]
 
 
+def test_trivial_groupoid_recheck_takes_one_gradient_per_arrow(
+        tmp_path, monkeypatch):
+    # each interior arrow's gradient serves both of its junctions
+    gradients = []
+    gradient = DiscreteLagrangian.gradient
+
+    def counted_gradient(self, x):
+        gradients.append(x)
+        return gradient(self, x)
+
+    out = str(tmp_path / "trivial.csv")
+    assert main(["run", "trivial_groupoid", "--steps", "10", "--out",
+                 out]) == 0
+    monkeypatch.setattr(DiscreteLagrangian, "gradient", counted_gradient)
+    for path, n_arrows in ((out, 10),
+                           (os.path.join(DATA, "trivial_groupoid_fd.csv"),
+                            4)):
+        gradients.clear()
+        assert main(["check", "residual", path]) == 0
+        assert len(gradients) == n_arrows
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("scenario", sorted(ARROW_COLUMNS))
 def test_check_residual_rejects_a_non_finite_arrow(tmp_path, scenario, value):
