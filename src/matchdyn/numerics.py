@@ -3,8 +3,10 @@
 Every derivative downstream is one call to ``fd_columns``, the only
 central-difference loop: the step-size convention (cube root of machine
 epsilon, scaled by 1 + the norm of the expansion point) and the finiteness
-rule live there; the gradient, curve and Jacobian helpers name its usual
-batches.  The solver runs at most MAX_ITER passes of one finite-difference
+rule live there; the gradient and curve helpers name its usual batches.  The
+solver's Jacobian, ``fd_jacobian``, is the one forward-difference loop: n
+evaluations of F from the F(x) the solver already holds, with the same step
+and finiteness rule.  The solver runs at most MAX_ITER passes of one such
 Jacobian and its Broyden secant updates (Dennis & Schnabel 1983, ch. 8), and
 returns the root with the residual it stopped at.
 """
@@ -18,7 +20,9 @@ from .errors import (DomainError, EvaluationError, NoConvergence,
                      SingularJacobian)
 
 # cube root of machine epsilon, ~6.06e-6: balances truncation vs roundoff
-# for central differences
+# for central differences; for the forward-difference Jacobian of a residual
+# whose noise is about eps^(2/3) (itself a central difference), it is also
+# the optimal forward step sqrt(noise) (Dennis & Schnabel 1983, sec. 5.4)
 DEFAULT_FD_STEP = float(np.cbrt(np.finfo(float).eps))
 
 COND_LIMIT = 1e14
@@ -61,9 +65,21 @@ def fd_curve_columns(f, n):
     return np.atleast_2d(fd_columns(f, np.zeros(n), np.eye(n)))
 
 
-def fd_jacobian(F, x):
-    """Jacobian of F at x, one row when F is scalar."""
-    return np.atleast_2d(fd_columns(F, x, np.eye(np.size(x))))
+def fd_jacobian(F, x, fx):
+    """Forward-difference Jacobian of F at x from fx = F(x): column j is
+    (F(x + h e_j) - fx) / h, n evaluations of F with fd_columns' step h,
+    one row when F is scalar (Dennis & Schnabel 1983, Algorithm A5.4.1).
+    A non-finite value is an EvaluationError naming x."""
+    x = _as_vec(x)
+    fx = np.asarray(fx, dtype=float)
+    h = DEFAULT_FD_STEP * (1.0 + math.sqrt(x @ x))
+    diffs = [np.asarray(F(x + s), dtype=float) - fx
+             for s in h * np.eye(x.size)]
+    out = np.atleast_2d(np.column_stack(diffs) if fx.ndim else np.array(diffs))
+    out /= h
+    if not np.isfinite(out).all():
+        raise EvaluationError("non-finite function value near %s" % x, point=x)
+    return out
 
 
 def _trial(F, x):
@@ -99,8 +115,9 @@ def newton_solve(F, x0, tol=DEFAULT_TOL):
     """Quasi-Newton solve of F(x) = 0; returns (x, F(x)) once the inf-norm
     of F(x) is at most tol.
 
-    Each of at most MAX_ITER passes builds a finite-difference Jacobian J at
-    the current point and raises SingularJacobian when its condition
+    Each of at most MAX_ITER passes builds the forward-difference Jacobian J
+    at the current point from the residual r = F(x) it holds (n more
+    evaluations of F) and raises SingularJacobian when its condition
     estimate is above 1e14, before the convergence test, so a degenerate
     problem fails even when x0 solves it.  The Newton step on J is halved,
     at most 30 times, until the residual norm decreases; a trial point
@@ -117,7 +134,7 @@ def newton_solve(F, x0, tol=DEFAULT_TOL):
     rnorm = float(np.linalg.norm(r, np.inf))
     for _ in range(MAX_ITER):
         try:
-            J = fd_jacobian(F, x)
+            J = fd_jacobian(F, x, r)
         except (DomainError, EvaluationError, FloatingPointError) as exc:
             raise _failure(NoConvergence, "non-finite Jacobian: %s: %s"
                            % (type(exc).__name__, exc), rnorm, np.inf)
@@ -127,7 +144,7 @@ def newton_solve(F, x0, tol=DEFAULT_TOL):
                            "%.1e" % COND_LIMIT, rnorm, cond)
         if rnorm <= tol:
             return x, r
-        if dx is None:  # F(x) itself is not finite
+        if dx is None:  # the linear solve gave no finite step
             raise _failure(NoConvergence, "no finite Newton step", rnorm, cond)
         for halvings in range(MAX_HALVINGS + 1):
             x_new = x + 0.5 ** halvings * dx

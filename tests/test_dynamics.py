@@ -561,6 +561,31 @@ def test_del_step_reuses_one_jacobian_across_newton_iterations(monkeypatch):
     assert calls["solve"] == 2
 
 
+def test_each_junction_jacobian_costs_one_residual_per_fiber_direction(
+        monkeypatch):
+    # the forward-difference Jacobian starts from the residual the Newton
+    # pass holds, so it evaluates the residual once per fiber direction
+    costs = []
+    jacobian = matchdyn.numerics.fd_jacobian
+
+    def counted(F, x, fx):
+        calls = []
+        J = jacobian(lambda y: calls.append(y) or F(y), x, fx)
+        costs.append(len(calls))
+        return J
+
+    monkeypatch.setattr(matchdyn.numerics, "fd_jacobian", counted)
+    run_sl2c(ScenarioConfig("sl2c", steps=10))
+    assert costs == [Su2K().fiber_dim] * 9
+    costs.clear()
+    desc = GroupGroupoid(SO3())
+    inertia = np.diag([1.0, 2.0, 3.0])
+    L = DiscreteLagrangian(
+        lambda g: 0.5 * float(desc.G.log(g) @ inertia @ desc.G.log(g)))
+    march(desc, L, desc.G.exp(np.array([0.2, -0.1, 0.15])), 10)
+    assert len(costs) >= 9 and costs == [desc.fiber_dim] * len(costs)
+
+
 def _bent_spring(u):
     # the spring plus a term that keeps the junction residual off zero
     m, g, n = DEC.trivial.split(u)

@@ -15,6 +15,8 @@ from matchdyn.numerics import (
     newton_solve,
 )
 
+from jacobian_oracle import central_jacobian
+
 
 def test_fd_gradient_matches_analytic():
     A = np.array([[2.0, 0.5], [0.5, 3.0]])
@@ -28,11 +30,26 @@ def test_fd_curve_derivative():
     assert np.allclose(fd_curve(c), [1.0, 0.0, 3.0], atol=1e-9)
 
 
+def _quadratic(x):
+    return np.array([x[0] * x[1], x[0] + x[1] ** 2])
+
+
+QUADRATIC_AT = np.array([2.0, -1.0])
+QUADRATIC_JACOBIAN = np.array([[-1.0, 2.0], [1.0, -2.0]])
+
+
 def test_fd_jacobian():
-    F = lambda x: np.array([x[0] * x[1], x[0] + x[1] ** 2])
-    x = np.array([2.0, -1.0])
-    J_true = np.array([[-1.0, 2.0], [1.0, -2.0]])
-    assert np.allclose(fd_jacobian(F, x), J_true, atol=1e-8)
+    assert np.allclose(central_jacobian(_quadratic, QUADRATIC_AT),
+                       QUADRATIC_JACOBIAN, atol=1e-8)
+
+
+def test_the_forward_jacobian_is_off_by_at_most_its_step():
+    # one-sided, the x1**2 entry reads ((x1 + h)**2 - x1**2) / h = 2 x1 + h
+    x = QUADRATIC_AT
+    h = DEFAULT_FD_STEP * (1.0 + np.linalg.norm(x))
+    err = fd_jacobian(_quadratic, x, _quadratic(x)) - QUADRATIC_JACOBIAN
+    assert np.max(np.abs(err)) <= h
+    assert np.isclose(err[1, 1], h, rtol=1e-5, atol=0.0)
 
 
 def test_newton_affine_one_step():
@@ -84,7 +101,8 @@ def test_newton_never_accepts_a_nan_residual():
 
 
 def test_newton_a_non_finite_first_residual_is_no_convergence():
-    # F(0) is 0/0, while the Jacobian stencil around 0 is finite and regular
+    # F(0) is 0/0, so the Jacobian built from it is not finite either,
+    # while F is finite and regular around 0
     def F(x):
         with np.errstate(invalid="ignore"):
             return np.sin(x) / x + x - 0.5
@@ -206,6 +224,14 @@ def curve_reference(c):
     return (cp - cm) / (2.0 * DEFAULT_FD_STEP)
 
 
+def forward_reference(F, x):
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    h = DEFAULT_FD_STEP * (1.0 + np.linalg.norm(x))
+    fx = np.atleast_1d(F(x))
+    return np.column_stack([(np.atleast_1d(F(x + h * e)) - fx) / h
+                            for e in np.eye(x.size)])
+
+
 def jacobian_reference(F, x):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     h = DEFAULT_FD_STEP * (1.0 + np.linalg.norm(x))
@@ -241,7 +267,10 @@ def test_one_stencil_matches_the_per_helper_formulas_bit_for_bit(x, seed):
         DiscreteLagrangian(scalar_map).pullback(x, lift),
         np.array([directional_reference(scalar_map, x, c) for c in lift.T]))
     for F in (scalar_map, vector_map):
-        assert np.array_equal(fd_jacobian(F, x), jacobian_reference(F, x))
+        assert np.array_equal(central_jacobian(F, x),
+                              jacobian_reference(F, x))
+        assert np.array_equal(fd_jacobian(F, x, F(x)),
+                              forward_reference(F, x))
         curve = lambda t: F(x + t * v)
         assert np.array_equal(fd_curve(curve), curve_reference(curve))
         assert np.array_equal(fd_curve_columns(F, n), np.column_stack(
@@ -251,7 +280,25 @@ def test_one_stencil_matches_the_per_helper_formulas_bit_for_bit(x, seed):
 def test_a_non_finite_stencil_value_names_the_point():
     x = np.array([1.0, 2.0])
     with pytest.raises(EvaluationError) as info:
-        fd_jacobian(lambda y: np.array([y[0] if y[0] >= 1.0 else np.inf]), x)
+        central_jacobian(
+            lambda y: np.array([y[0] if y[0] >= 1.0 else np.inf]), x)
+    assert np.array_equal(info.value.point, x)
+
+
+@settings(max_examples=50, deadline=None)
+@given(x=points)
+def test_the_jacobian_evaluates_f_n_times_never_below_x(x):
+    seen = []
+
+    def F(y):
+        seen.append(y.copy())
+        return vector_map(y)
+
+    fd_jacobian(F, x, vector_map(x))
+    assert len(seen) == x.size
+    assert all(np.all(y >= x) and np.sum(y > x) == 1 for y in seen)
+    with pytest.raises(EvaluationError) as info:
+        fd_jacobian(lambda y: np.where(y > x, np.inf, y), x, x)
     assert np.array_equal(info.value.point, x)
 
 
