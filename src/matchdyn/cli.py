@@ -71,6 +71,9 @@ def _build_parser():
 def _load_config(args):
     if args.config:
         config = ScenarioConfig.from_ini(args.config)
+        if args.scenario not in (None, config.scenario):
+            raise DomainError("scenario %s contradicts --config %s (%s)" % (
+                args.scenario, args.config, config.scenario))
     elif args.scenario:
         config = ScenarioConfig(args.scenario)
     else:

@@ -1,8 +1,9 @@
 """Discrete variational mechanics on groupoids and matched-pair groups.
 
-The primitive object is the two-arrow junction residual, two mat-vecs
-left_lift(g_k)^T dL(g_k) - right_lift(g_{k+1})^T dL(g_{k+1}): an incoming half
-at g_k and an outgoing half at g_{k+1}.  A step solves
+The primitive object is the junction residual, two mat-vecs
+left_lift(g_k)^T dL(g_k) - right_lift(g_{k+1})^T dL(g_{k+1}), an incoming half
+at g_k and an outgoing half at g_{k+1}; ``del_residuals`` pairs them along a
+chain from one gradient per arrow.  A step solves
 incoming - outgoing(chart(z)) = 0 with the incoming half fixed.  A matched
 pair of groups is a matched-pair groupoid over a point and steps through the
 same ``del_step``; its momentum forms (the paper's transported-and-forced
@@ -92,16 +93,20 @@ def action_sum(L: DiscreteLagrangian, traj: Trajectory):
 # junction residuals
 # ---------------------------------------------------------------------------
 
+def del_residuals(desc: Groupoid, L: DiscreteLagrangian, arrows):
+    """<dL, left E_i at g_k> - <dL, right E_i at g_{k+1}> over the fiber-chart
+    basis at every junction of the chain ``arrows``, which ``Trajectory``
+    checks, from one L.gradient per arrow; zero iff the discrete
+    Euler-Lagrange condition holds there."""
+    arrows = Trajectory(desc, arrows).arrows
+    grads = [L.gradient(g) for g in arrows]
+    return [desc.left_lift(gk).T @ d - desc.right_lift(gk1).T @ e
+            for gk, gk1, d, e in zip(arrows, arrows[1:], grads, grads[1:])]
+
+
 def del_residual(desc: Groupoid, L: DiscreteLagrangian, gk, gk1):
-    """Vector of <dL, left E_i at g_k> - <dL, right E_i at g_{k+1}> over the
-    fiber-chart basis at the junction; zero iff the discrete Euler-Lagrange
-    condition holds there."""
-    gk = desc.check(gk)
-    gk1 = desc.check(gk1)
-    if desc.composability_gap(gk, gk1) > COMPOSE_TOL:
-        raise NotComposable(desc.beta(gk), desc.alpha(gk1))
-    return (desc.left_lift(gk).T @ L.gradient(gk)
-            - desc.right_lift(gk1).T @ L.gradient(gk1))
+    """``del_residuals`` at the one junction of g_k and g_{k+1}."""
+    return del_residuals(desc, L, [gk, gk1])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -138,12 +143,10 @@ def del_residual_matched_group(mp: MatchedPairGroup, L: DiscreteLagrangian,
     references, evaluated at the junctions ``del_step`` has solved, where the
     two-mat-vec ``del_residual(mp, ...)`` it solves vanishes.  The full form
     of ``mp.generic()`` is the same residual through the finite-difference
-    induced actions.
+    induced actions.  It is ``momentum_residuals`` at one junction.
     """
-    _require_form(form)
-    mk, mk1 = (matched_group_momenta(mp, L, u) for u in (uk, uk1))
-    return (_momentum_half(mp, uk, mk, form, "left")
-            - _momentum_half(mp, uk1, mk1, form, "right"))
+    momenta = [matched_group_momenta(mp, L, u) for u in (uk, uk1)]
+    return momentum_residuals(mp, [uk, uk1], momenta, form)[0]
 
 
 def _momentum_half(mp, u, momenta, form, side):

@@ -125,13 +125,16 @@ def newton_solve(F, x0, tol=DEFAULT_TOL):
     After every accepted step s, Broyden's update J += outer(F(x + s) - F(x)
     - J s, s) / (s . s) gives the next full step, kept while it halves the
     residual norm and J is usable; otherwise the next pass starts.
-    NoConvergence (a Jacobian stencil point such a trial would reject, or
-    the halvings or the passes ran out) and SingularJacobian carry the last
-    residual norm and condition estimate.
+    NoConvergence (a non-finite F(x0), a Jacobian stencil point such a
+    trial would reject, or the halvings or the passes ran out) and
+    SingularJacobian carry the last residual norm and condition estimate.
     """
     x = _as_vec(x0).copy()
     r = _as_vec(F(x))
     rnorm = float(np.linalg.norm(r, np.inf))
+    if not np.isfinite(rnorm):
+        raise _failure(NoConvergence, "residual not finite at the start",
+                       rnorm, np.inf)
     for _ in range(MAX_ITER):
         try:
             J = fd_jacobian(F, x, r)

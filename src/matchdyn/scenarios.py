@@ -3,12 +3,14 @@ the SL(2, C) matched-pair group, plus config parsing and trajectory I/O.
 
 Config files are INI; trajectory files are CSV whose leading '#' comment
 lines embed the full config, so a trajectory can be re-verified without the
-original config file.  Reals are serialized with 17 significant digits to
-keep the round trip bit-stable.  The comment lines also record how the
-writer took derivatives (``derivatives=exact``: closed gradients and lift
-matrices); a file without that line was written with finite differences, and
-is re-verified the same way, because the two disagree in the last digits
-that the stored residual norms keep.
+original config file, and whose rows lead with the columns that the
+re-check rebuilds, [k, *arrow, *record, residual], by one row builder.
+Reals are serialized with 17 significant digits to keep the round trip
+bit-stable.  The comment lines also record how the writer took derivatives
+(``derivatives=exact``: closed gradients and lift matrices); a file without
+that line was written with finite differences, and is re-verified the same
+way, because the two disagree in the last digits that the stored residual
+norms keep.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ from .dynamics import (
     DiscreteLagrangian,
     Trajectory,
     arrow_momenta,
+    del_residuals,
     march,
     momentum_residuals,
     solve_trajectory,
@@ -54,16 +57,20 @@ HEADERS = {
 }
 # first and last arrow column of each scenario's files
 ARROW_COLUMNS = {"trivial_groupoid": ("m1", "n2"), "sl2c": ("A_w", "B_c")}
+# each scenario's one built-in Lagrangian: its name and parameter defaults
+LAGRANGIANS = {"trivial_groupoid": ("spring", dict(k_pos=1.0, k_rot=1.0)),
+               "sl2c": ("quadratic", dict(coupling=0.0, ig1=1.0, ig2=1.0,
+                                          ig3=1.0, ih1=1.0, ih2=1.0, ih3=1.0))}
 
 
 @dataclass(eq=False)
 class ScenarioConfig:
     """Flat scenario description: which system, which built-in Lagrangian
     with which parameters, initial data, step count, tolerance.  Validated on
-    construction, ``dataclasses.replace`` included: a tolerance in (0, inf)
-    and finite parameters and initial data, so a non-finite value is a config
-    error, not a solver failure.  The INI and trajectory header readers share
-    one converter of header fields."""
+    construction, ``dataclasses.replace`` included: a tolerance in (0, inf),
+    a Lagrangian and parameters named in LAGRANGIANS, finite values, so a
+    bad value is a config error, not a solver failure.  The INI and
+    trajectory header readers share one converter of header fields."""
 
     scenario: str
     steps: int = 10
@@ -87,9 +94,14 @@ class ScenarioConfig:
         if not 0.0 < self.tol < np.inf:
             raise DomainError("tol must be positive and finite, got %r"
                               % self.tol)
-        self.lagrangian = self.lagrangian or (
-            "spring" if self.scenario == "trivial_groupoid" else "quadratic")
+        name, defaults = LAGRANGIANS[self.scenario]
+        self.lagrangian = self.lagrangian or name
         self.params = dict(self.params or {})
+        if self.lagrangian != name or not set(self.params) <= set(defaults):
+            raise DomainError("%s knows the Lagrangian %r with the parameters "
+                              "%s, not %r with %s" % (
+                                  self.scenario, name, ", ".join(defaults),
+                                  self.lagrangian, sorted(self.params)))
         if not np.all(np.isfinite(list(self.params.values()))):
             raise DomainError("a Lagrangian parameter is not finite: %s"
                               % self.params)
@@ -119,7 +131,8 @@ class ScenarioConfig:
     @classmethod
     def from_ini(cls, path):
         """[scenario] id, steps, tol and out, [lagrangian] name and
-        parameters, and [initial] coords; any other key is ignored."""
+        parameters, and [initial] coords; other keys outside [lagrangian]
+        are ignored."""
         cp = configparser.ConfigParser()
         try:
             if not cp.read(path):
@@ -219,11 +232,8 @@ class RunReport:
 
 def trivial_groupoid_lagrangian(dec, config: ScenarioConfig):
     """L(m, g, n) = k_pos/2 |n - m|^2 + k_rot/2 theta(g)^2 on M x G x M."""
-    if config.lagrangian != "spring":
-        raise DomainError("trivial_groupoid knows the Lagrangian 'spring', "
-                          "not %r" % config.lagrangian)
-    k_pos = config.params.get("k_pos", 1.0)
-    k_rot = config.params.get("k_rot", 1.0)
+    p = dict(LAGRANGIANS["trivial_groupoid"][1], **config.params)
+    k_pos, k_rot = p["k_pos"], p["k_rot"]
 
     def evaluate(x):
         m, g, n = dec.trivial.split(x)
@@ -248,12 +258,10 @@ def matched_lagrangian(dec, L: DiscreteLagrangian):
 def sl2c_lagrangian(mp: Su2K, config: ScenarioConfig):
     """Quadratic form in the logarithmic coordinates of SU(2) x K with a
     bilinear coupling between the two factors."""
-    if config.lagrangian != "quadratic":
-        raise DomainError("sl2c knows the Lagrangian 'quadratic', not %r"
-                          % config.lagrangian)
-    ig = np.array([config.params.get("ig%d" % i, 1.0) for i in (1, 2, 3)])
-    ih = np.array([config.params.get("ih%d" % i, 1.0) for i in (1, 2, 3)])
-    coupling = config.params.get("coupling", 0.0)
+    p = dict(LAGRANGIANS["sl2c"][1], **config.params)
+    ig = np.array([p["ig1"], p["ig2"], p["ig3"]])
+    ih = np.array([p["ih1"], p["ih2"], p["ih3"]])
+    coupling = p["coupling"]
 
     def evaluate(u):
         g, h = mp.split(u)
@@ -285,6 +293,15 @@ def _fd_derivatives(L: DiscreteLagrangian, *groups):
 # scenario runs
 # ---------------------------------------------------------------------------
 
+def _rederived_rows(arrows, records, residual_norms):
+    """The columns ``check residual`` re-derives, which lead every row of a
+    trajectory file: [k, *arrow, *record, residual], a record being a tuple
+    of vectors and the last row's residual 0."""
+    return [[float(k), *np.concatenate([a, *rec]).tolist(), r]
+            for k, (a, rec, r) in enumerate(
+                zip(arrows, records, residual_norms + [0.0]))]
+
+
 def run_trivial_groupoid(config: ScenarioConfig):
     """Solve the plane-with-rotations system in both presentations, direct
     on M x G x M and matched-pair, with ``solve_trajectory``, and
@@ -313,11 +330,9 @@ def run_trivial_groupoid(config: ScenarioConfig):
     phi_gap = max(float(np.max(np.abs(m - dec.phi(x))))
                   for x, m in zip(direct, matched))
 
-    header = HEADERS["trivial_groupoid"]
-    rows = []
-    for k, (x, rd, rm) in enumerate(zip(direct, res_direct + [0.0],
-                                        res_matched + [0.0])):
-        rows.append([float(k)] + [float(v) for v in x] + [rd, rm, phi_gap])
+    rows = [row + [rm, phi_gap] for row, rm in zip(
+        _rederived_rows(direct, [()] * len(direct), res_direct),
+        res_matched + [0.0])]
 
     report = RunReport("trivial_groupoid", res_direct,
                        oracle_max=max(direct.oracle, matched.oracle),
@@ -326,7 +341,7 @@ def run_trivial_groupoid(config: ScenarioConfig):
                            max(abs(a - b) for a, b in
                                zip(res_direct, res_matched))),
                        wall_clock=time.perf_counter() - t0)
-    return report, header, rows
+    return report, HEADERS["trivial_groupoid"], rows
 
 
 def run_sl2c(config: ScenarioConfig):
@@ -361,17 +376,13 @@ def run_sl2c(config: ScenarioConfig):
     formula_gap = max(gaps)
     res_norms = [float(np.linalg.norm(r, np.inf)) for r in closed]
 
-    header = HEADERS["sl2c"]
-    rows = []
-    for k, (u, (_, mu, nu), rn) in enumerate(zip(arrows, momenta,
-                                                  res_norms + [0.0])):
-        rows.append([float(k)] + [float(v) for v in u]
-                    + [float(v) for v in mu] + [float(v) for v in nu]
-                    + [rn, formula_gap])
+    # the records' mu and nu are the Phi and Psi columns
+    rows = [row + [formula_gap] for row in _rederived_rows(
+        arrows, [m[1:] for m in momenta], res_norms)]
 
     report = RunReport("sl2c", res_norms, formula_gap=formula_gap,
                        wall_clock=time.perf_counter() - t0)
-    return report, header, rows
+    return report, HEADERS["sl2c"], rows
 
 
 def run_scenario(config: ScenarioConfig):
@@ -419,8 +430,8 @@ def read_trajectory_csv(path):
 def check_residual_file(path):
     """Re-read an emitted trajectory laid out as HEADERS says, recompute
     every residual norm, and for sl2c every momentum, from the arrows alone,
-    and compare them, the row numbers and the last row's zero residual
-    against the stored values.  Returns (failures, report) as
+    rebuild the rows' leading columns from them as ``run`` does, and take
+    the largest gap to the stored values.  Returns (failures, report) as
     ``RunReport.failures``."""
     config, header, rows = read_trajectory_csv(path)
     columns = HEADERS[config.scenario]
@@ -452,39 +463,27 @@ def _recheck_rows(config, rows):
         L = trivial_groupoid_lagrangian(dec, config)
         if fd:
             L = _fd_derivatives(L, dec.G)
-        res_col = col("res_direct")
-        # checks that the arrows compose, as del_residual would
-        traj = Trajectory(dec.trivial, arrows)
-        # del_residual's two mat-vecs, from one gradient per arrow
-        grads = [L.gradient(a) for a in arrows]
-        recomputed = [float(np.linalg.norm(
-            dec.trivial.left_lift(a).T @ d - dec.trivial.right_lift(b).T @ e,
-            np.inf)) for a, b, d, e in zip(arrows, arrows[1:], grads,
-                                           grads[1:])]
+        residuals = del_residuals(dec.trivial, L, arrows)
         # res_matched and phi_gap would need the matched solve
-        momentum_gap = 0.0
-        oracle = variational_oracle(dec.trivial, L, traj)
+        records = [()] * len(arrows)
+        oracle = variational_oracle(dec.trivial, L,
+                                    Trajectory(dec.trivial, arrows))
     else:
         mp = Su2K()
         L = sl2c_lagrangian(mp, config)
         if fd:
             L = _fd_derivatives(L, mp.G, mp.H)
-        res_col = col("res_norm")
         momenta = arrow_momenta(mp, L, arrows)
-        recomputed = [float(np.linalg.norm(r, np.inf))
-                      for r in momentum_residuals(mp, arrows, momenta)]
+        residuals = momentum_residuals(mp, arrows, momenta)
         # formula_gap would need the finite-difference pair
-        momentum_gap = np.max([np.abs(
-            np.concatenate([mu, nu]) - row[col("Phi_1"):col("Psi_3") + 1])
-            for (_, mu, nu), row in zip(momenta, rows)])
+        records = [m[1:] for m in momenta]
         # no independent oracle: the residuals themselves take its bound
         oracle = None
-    # np.max, not max: a NaN anywhere is the gap; the writer numbers the
-    # rows from 0 and pads the last row's residual with 0
-    gap = float(np.max([momentum_gap]
-                       + [abs(row[0] - k) for k, row in enumerate(rows)]
-                       + [abs(row[res_col] - r) for row, r in
-                          zip(rows, recomputed + [0.0])]))
+    recomputed = [float(np.linalg.norm(r, np.inf)) for r in residuals]
+    rebuilt = np.array(_rederived_rows(arrows, records, recomputed))
+    # np.max, not max: a NaN anywhere is the gap
+    gap = float(np.max(np.abs(
+        rebuilt - np.array(rows)[:, :rebuilt.shape[1]])))
     return RunReport(config.scenario, recomputed, oracle_max=oracle,
                      reproduce_gap=gap)
 

@@ -11,6 +11,7 @@ from matchdyn.dynamics import (
     action_sum,
     del_residual,
     del_residual_matched_group,
+    del_residuals,
     del_step,
     del_step_matched_group,
     arrow_momenta,
@@ -799,6 +800,26 @@ def test_one_stencil_oracle_equals_the_per_direction_oracle(descname,
     traj = Trajectory(desc, arrows)
     assert variational_oracle(desc, L, traj) == per_direction_oracle(
         desc, L, traj)
+
+
+@settings(max_examples=60, deadline=None)
+@given(descname=st.sampled_from(sorted(ORACLE_DESCS)),
+       n_arrows=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_chain_residuals_equal_the_junction_residuals(descname, n_arrows,
+                                                      seed):
+    # one gradient per arrow serves both of its junctions, bit for bit
+    desc = ORACLE_DESCS[descname]
+    rng = np.random.default_rng(seed)
+    L = smooth_lagrangian(desc.arrow_dim, rng)
+    arrows = [desc.random_arrow(rng)]
+    while len(arrows) < n_arrows:
+        arrows.append(desc.random_with_source(desc.beta(arrows[-1]), rng))
+    points = record_points(L, "gradient")
+    chain = del_residuals(desc, L, arrows)
+    assert len(points) == n_arrows
+    assert len(chain) == n_arrows - 1
+    for r, gk, gk1 in zip(chain, arrows, arrows[1:]):
+        assert np.array_equal(r, del_residual(desc, L, gk, gk1))
 
 
 def test_oracle_takes_one_stencil_per_junction(monkeypatch):

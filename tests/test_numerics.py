@@ -101,13 +101,14 @@ def test_newton_never_accepts_a_nan_residual():
 
 
 def test_newton_a_non_finite_first_residual_is_no_convergence():
-    # F(0) is 0/0, so the Jacobian built from it is not finite either,
-    # while F is finite and regular around 0
+    # F(0) is 0/0 while F is finite and regular around 0: the failure names
+    # the starting residual, not the Jacobian that would be built from it
     def F(x):
         with np.errstate(invalid="ignore"):
             return np.sin(x) / x + x - 0.5
 
-    with pytest.raises(NoConvergence):
+    with pytest.raises(NoConvergence, match=r"^residual not finite at the "
+                                            r"start \(residual nan, "):
         newton_solve(F, np.zeros(1))
 
 

@@ -469,6 +469,63 @@ def test_check_residual_rejects_a_truncated_file(tmp_path, scenario, kept):
     assert main(["check", "residual", p]) == 2
 
 
+# the bench's inputs: sl2c at 1-3x its default direction plus noise of scale
+# 0.02, coupling in 0-0.5 and inertias in 0.5-2; trivial_groupoid at 0.5-2x
+# its default arrow plus noise of scale 0.05, k_pos and k_rot in 0.5-2
+BENCH_INPUTS = {
+    "sl2c": (np.array([0.2, -0.1, 0.15, 0.1, 0.05, -0.1]), 0.02, (1.0, 3.0),
+             dict({"coupling": (0.0, 0.5)}, **{n: (0.5, 2.0)
+                                               for n in SL2C_PARAMS})),
+    "trivial_groupoid": (np.array([0.0, 0.0, 0.3, 1.0, 0.0]), 0.05,
+                         (0.5, 2.0), {"k_pos": (0.5, 2.0),
+                                      "k_rot": (0.5, 2.0)}),
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("scenario", sorted(BENCH_INPUTS))
+def test_check_residual_rebuilds_the_written_rows_exactly(tmp_path, scenario,
+                                                          seed):
+    base, noise, (lo, hi), ranges = BENCH_INPUTS[scenario]
+    rng = np.random.default_rng(seed)
+    config = ScenarioConfig(
+        scenario, steps=int(rng.integers(2, 5)),
+        initial=rng.uniform(lo, hi) * base
+        + noise * rng.standard_normal(base.size),
+        params={k: rng.uniform(a, b) for k, (a, b) in ranges.items()})
+    report, header, rows = run_scenario(config)
+    assert report.failures(config.tol) == []
+    p = str(tmp_path / "t.csv")
+    write_trajectory_csv(p, config, header, rows)
+    failures, recheck = check_residual_file(p)
+    assert failures == [] and recheck.reproduce_gap == 0.0
+    assert recheck.residual_norms == report.residual_norms
+
+
+# the last of the re-derived columns [k, *arrow, *record, residual]
+RESIDUAL_COLUMN = {"sl2c": "res_norm", "trivial_groupoid": "res_direct"}
+
+
+@pytest.mark.parametrize("scenario", sorted(RESIDUAL_COLUMN))
+def test_check_residual_fails_every_tampered_rederived_cell(tmp_path,
+                                                           scenario):
+    out = str(tmp_path / "fresh.csv")
+    assert main(["run", scenario, "--steps", "4", "--out", out]) == 0
+    cfg, header, rows = read_trajectory_csv(out)
+    # k, the record entries and the residual: all but the arrow
+    cells = [0] + list(range(header.index(ARROW_COLUMNS[scenario][1]) + 1,
+                             header.index(RESIDUAL_COLUMN[scenario]) + 1))
+    assert len(cells) == {"sl2c": 8, "trivial_groupoid": 2}[scenario]
+    tampered = str(tmp_path / "tampered.csv")
+    for row in (1, len(rows) - 1):
+        for col in cells:
+            edited = [list(r) for r in rows]
+            edited[row][col] += 1e-6
+            write_trajectory_csv(tampered, cfg, header, edited)
+            assert main(["check", "residual", tampered]) == 1, (row,
+                                                                header[col])
+
+
 def test_run_scenario_dispatch():
     report, _, _ = run_scenario(ScenarioConfig("sl2c", steps=3))
     assert report.scenario == "sl2c"
@@ -712,16 +769,37 @@ def test_cli_usage_errors(tmp_path):
     assert main(["check", "residual", str(tmp_path / "missing.csv")]) == 2
 
 
-@pytest.mark.parametrize("command,text", [
-    ("run", "[lagrangian]\nname = spring\n"),
-    ("run", "[scenario]\nid = sl2c\n\n[lagrangian]\nname = spring\n"),
+# an unknown Lagrangian or parameter: the message lists the known ones
+KNOWN_SL2C = ("sl2c knows the Lagrangian 'quadratic' with the parameters "
+              "coupling, ig1, ig2, ig3, ih1, ih2, ih3, not ")
+KNOWN_SPRING = ("trivial_groupoid knows the Lagrangian 'spring' with the "
+                "parameters k_pos, k_rot, not ")
+
+
+@pytest.mark.parametrize("command,text,message", [
+    ("run", "[lagrangian]\nname = spring\n", ""),
+    ("run", "[scenario]\nid = sl2c\n\n[lagrangian]\nname = spring\n",
+     KNOWN_SL2C + "'spring' with []"),
     ("run", "[scenario]\nid = trivial_groupoid\n\n[lagrangian]\n"
-            "name = quadratic\n"),
-    ("run", "[scenario]\nid = sl2c\n\n[initial]\ncoords = 0.1 0 0 0 0.05\n"),
-    ("check residual", "# scenario=sl2c\n# steps=2\n"),
+            "name = quadratic\n", KNOWN_SPRING + "'quadratic' with []"),
+    ("run", "[scenario]\nid = sl2c\n\n[initial]\ncoords = 0.1 0 0 0 0.05\n",
+     ""),
+    ("check residual", "# scenario=sl2c\n# steps=2\n", ""),
+    ("run", "[scenario]\nid = trivial_groupoid\n\n[lagrangian]\n"
+            "k_pso = 7\n", KNOWN_SPRING + "'spring' with ['k_pso']"),
+    ("run", "[scenario]\nid = sl2c\n\n[lagrangian]\nig4 = 1\n",
+     KNOWN_SL2C + "'quadratic' with ['ig4']"),
+    ("check residual", "# scenario=sl2c\n# steps=2\n# param.ig4=1\n"
+                       "k,x\n0,1\n1,2\n",
+     KNOWN_SL2C + "'quadratic' with ['ig4']"),
+    ("check residual", "# scenario=trivial_groupoid\n# steps=2\n"
+                       "# lagrangian=quadratic\nk,x\n0,1\n1,2\n",
+     KNOWN_SPRING + "'quadratic' with []"),
 ], ids=["no_scenario_section", "sl2c_spring", "trivial_groupoid_quadratic",
-        "sl2c_five_coords", "no_header_row"])
-def test_config_and_file_errors_exit_2(tmp_path, capsys, command, text):
+        "sl2c_five_coords", "no_header_row", "trivial_groupoid_k_pso",
+        "sl2c_ig4", "header_ig4", "header_quadratic"])
+def test_config_and_file_errors_exit_2(tmp_path, capsys, command, text,
+                                       message):
     p = tmp_path / "input"
     p.write_text(text)
     if command == "run":
@@ -729,7 +807,24 @@ def test_config_and_file_errors_exit_2(tmp_path, capsys, command, text):
     else:
         argv = ["check", "residual", str(p)]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("command", ["run", "export"])
+def test_a_scenario_that_contradicts_the_config_is_a_usage_error(
+        tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[scenario]\nid = trivial_groupoid\nsteps = 3\n")
+    out = tmp_path / "t.csv"
+    argv = [command, "sl2c", "--config", str(cfg), "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "error: scenario sl2c contradicts --config %s (trivial_groupoid)\n"
+        % cfg)
+    argv[1] = "trivial_groupoid"
+    assert main(argv) == 0 and out.exists()
 
 
 def test_cli_sl2c_solver_failure_names_the_step(tmp_path, capsys):
@@ -742,6 +837,30 @@ def test_cli_sl2c_solver_failure_names_the_step(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: step 7: line search failed after 30 "
                           "halvings (residual 6.588e+02, condition estimate ")
+
+
+README = os.path.join(os.path.dirname(DATA), os.pardir, "README.md")
+
+
+@pytest.mark.parametrize("ini,flags,line", [
+    (None, ["sl2c", "--tol", "1e-3"],
+     "FAIL: max residual norm, no oracle 7.636e-04 above 1e-06"),
+    ("[scenario]\nid = sl2c\nsteps = 10\n\n[initial]\n"
+     "coords = 2.0 -1.0 1.5 1.0 0.5 -1.0\n", [],
+     "error: step 7: line search failed after 30 halvings (residual "
+     "6.588e+02, condition estimate 1.088e+06)"),
+], ids=["fail_verdict", "solver_failure"])
+def test_readme_examples_print_what_the_readme_says(tmp_path, capsys, ini,
+                                                    flags, line):
+    # the README quotes these stderr lines verbatim
+    argv = ["run"] + flags + ["--out", str(tmp_path / "run.csv")]
+    if ini:
+        (tmp_path / "cfg.ini").write_text(ini)
+        argv += ["--config", str(tmp_path / "cfg.ini")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == line + "\n"
+    with open(README) as fh:
+        assert "`%s`" % line in " ".join(fh.read().split())
 
 
 @settings(max_examples=10, deadline=None)
