@@ -34,8 +34,6 @@ from .algebroid import (
     iso_matched_to_sum,
     iso_sum_to_matched,
     left_invariant,
-    matched_left_invariant,
-    matched_right_invariant,
     right_invariant,
 )
 from .dynamics import (
@@ -45,7 +43,6 @@ from .dynamics import (
     del_residual,
     del_residual_matched_group,
     del_step,
-    del_step_matched_group,
     march,
     momentum_evolution,
     solve_trajectory,

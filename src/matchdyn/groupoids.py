@@ -187,6 +187,7 @@ class GroupGroupoid(Groupoid):
 
     def __init__(self, G: Group):
         self.G = G
+        self.check = G.check
         self.base = POINT
         self.arrow_dim = G.coord_dim
         self.fiber_dim = G.dim

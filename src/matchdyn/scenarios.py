@@ -43,7 +43,6 @@ FMT = "%.17g"
 FORMULA_TOL = 1e-7
 REPRODUCE_TOL = 1e-12
 
-SCENARIOS = ("trivial_groupoid", "sl2c")
 # how the derivatives in a trajectory file were taken: this writer takes the
 # first; a file without the derivatives= line took the second
 DERIVATIVES = ("exact", "fd")
@@ -55,12 +54,16 @@ HEADERS = {
     "sl2c": ("k A_w A_x A_y A_z B_a B_b B_c Phi_1 Phi_2 Phi_3 Psi_1 Psi_2 "
              "Psi_3 res_norm formula_gap").split(),
 }
-# first and last arrow column of each scenario's files
-ARROW_COLUMNS = {"trivial_groupoid": ("m1", "n2"), "sl2c": ("A_w", "B_c")}
 # each scenario's one built-in Lagrangian: its name and parameter defaults
 LAGRANGIANS = {"trivial_groupoid": ("spring", dict(k_pos=1.0, k_rot=1.0)),
                "sl2c": ("quadratic", dict(coupling=0.0, ig1=1.0, ig2=1.0,
                                           ig3=1.0, ih1=1.0, ih2=1.0, ih3=1.0))}
+# each scenario's initial data: what its coordinates are, and their defaults
+INITIAL = {"trivial_groupoid": ("arrow coords (m, theta, n)",
+                                (0.0, 0.0, 0.3, 1.0, 0.0)),
+           "sl2c": ("algebra coords (su(2) then K)",
+                    (0.2, -0.1, 0.15, 0.1, 0.05, -0.1))}
+SCENARIOS = tuple(INITIAL)
 
 
 @dataclass(eq=False)
@@ -68,9 +71,10 @@ class ScenarioConfig:
     """Flat scenario description: which system, which built-in Lagrangian
     with which parameters, initial data, step count, tolerance.  Validated on
     construction, ``dataclasses.replace`` included: a tolerance in (0, inf),
-    a Lagrangian and parameters named in LAGRANGIANS, finite values, so a
-    bad value is a config error, not a solver failure.  The INI and
-    trajectory header readers share one converter of header fields."""
+    a Lagrangian and parameters named in LAGRANGIANS, finite values and as
+    many initial coordinates as INITIAL has, so a bad value is a config
+    error, not a solver failure.  The INI and trajectory header readers
+    share one converter of header fields."""
 
     scenario: str
     steps: int = 10
@@ -110,6 +114,10 @@ class ScenarioConfig:
             if not np.all(np.isfinite(self.initial)):
                 raise DomainError("an initial coordinate is not finite: %s"
                                   % self.initial)
+            what, default = INITIAL[self.scenario]
+            if self.initial.size != len(default):
+                raise DomainError("%s initial data needs %d %s, got %d" % (
+                    self.scenario, len(default), what, self.initial.size))
 
     @classmethod
     def _from_fields(cls, kv, where):
@@ -135,10 +143,10 @@ class ScenarioConfig:
         are ignored."""
         cp = configparser.ConfigParser()
         try:
-            if not cp.read(path):
+            if not cp.read(path, encoding="utf-8"):
                 raise DomainError("config file %s not found or unreadable"
                                   % path)
-        except configparser.Error as exc:
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise DomainError("config %s: %s" % (path, exc))
         if "scenario" not in cp:
             raise DomainError("config %s: missing [scenario] section" % path)
@@ -293,6 +301,28 @@ def _fd_derivatives(L: DiscreteLagrangian, *groups):
 # scenario runs
 # ---------------------------------------------------------------------------
 
+def _system(config: ScenarioConfig):
+    """(system, desc, L, first) of ``config``: the trivial decomposition or
+    Su2K, the descriptor of its arrows, its built-in Lagrangian, taken with
+    the file's derivatives, and the first arrow that the initial data name."""
+    x0 = np.asarray(INITIAL[config.scenario][1] if config.initial is None
+                    else config.initial, dtype=float)
+    if config.scenario == "trivial_groupoid":
+        system = default_trivial_decomposition()
+        desc, groups, first = system.trivial, (system.G,), x0
+        L = trivial_groupoid_lagrangian(system, config)
+    else:
+        system = desc = Su2K()
+        groups = system.G, system.H
+        L = sl2c_lagrangian(system, config)
+        # exp(-38 e_c) has c = expm1(-38), which rounds onto c = -1
+        with solver_failure("sl2c initial data"):
+            first = system.check(system.exp(x0))
+    if config.derivatives == "fd":
+        L = _fd_derivatives(L, *groups)
+    return system, desc, L, first
+
+
 def _rederived_rows(arrows, records, residual_norms):
     """The columns ``check residual`` re-derives, which lead every row of a
     trajectory file: [k, *arrow, *record, residual], a record being a tuple
@@ -311,20 +341,10 @@ def run_trivial_groupoid(config: ScenarioConfig):
     (m, theta, n), the junction residual norms of both presentations, and
     the gap between the matched trajectory and the image of the direct one.
     """
-    t0 = time.perf_counter()
-    dec = default_trivial_decomposition()
-    L = trivial_groupoid_lagrangian(dec, config)
-    Lm = matched_lagrangian(dec, L)
-    x0 = config.initial
-    if x0 is None:
-        x0 = np.array([0.0, 0.0, 0.3, 1.0, 0.0])
-    if x0.size != dec.trivial.arrow_dim:
-        raise DomainError("trivial_groupoid initial arrow needs %d coords "
-                          "(m, theta, n), got %d"
-                          % (dec.trivial.arrow_dim, x0.size))
-    direct = solve_trajectory(dec.trivial, L, x0, config.steps, config.tol)
-    matched = solve_trajectory(dec.matched, Lm, dec.phi(x0), config.steps,
-                               config.tol)
+    dec, desc, L, x0 = _system(config)
+    direct = solve_trajectory(desc, L, x0, config.steps, config.tol)
+    matched = solve_trajectory(dec.matched, matched_lagrangian(dec, L),
+                               dec.phi(x0), config.steps, config.tol)
     res_direct = direct.residual_norms
     res_matched = matched.residual_norms
     phi_gap = max(float(np.max(np.abs(m - dec.phi(x))))
@@ -339,8 +359,7 @@ def run_trivial_groupoid(config: ScenarioConfig):
                        correspondence_gap=max(
                            phi_gap,
                            max(abs(a - b) for a, b in
-                               zip(res_direct, res_matched))),
-                       wall_clock=time.perf_counter() - t0)
+                               zip(res_direct, res_matched))))
     return report, HEADERS["trivial_groupoid"], rows
 
 
@@ -350,18 +369,7 @@ def run_sl2c(config: ScenarioConfig):
     finite-difference assembly at every solved junction; the closed form's
     norms are stored, and a mismatch beyond FORMULA_TOL raises
     FormulaMismatch naming its step."""
-    t0 = time.perf_counter()
-    mp = Su2K()
-    L = sl2c_lagrangian(mp, config)
-    w0 = config.initial
-    if w0 is None:
-        w0 = np.array([0.2, -0.1, 0.15, 0.1, 0.05, -0.1])
-    if w0.size != mp.dim:
-        raise DomainError("sl2c initial data needs %d algebra coords "
-                          "(su(2) then K), got %d" % (mp.dim, w0.size))
-    # exp(-38 e_c) has c = expm1(-38), which rounds onto c = -1
-    with solver_failure("sl2c initial data"):
-        u1 = mp.check(mp.exp(np.asarray(w0, dtype=float)))
+    mp, _, L, u1 = _system(config)
     arrows, _ = march(mp, L, u1, config.steps, config.tol)
     # generic() shares G and H, so both forms read the same momenta
     momenta = arrow_momenta(mp, L, arrows)
@@ -380,15 +388,17 @@ def run_sl2c(config: ScenarioConfig):
     rows = [row + [formula_gap] for row in _rederived_rows(
         arrows, [m[1:] for m in momenta], res_norms)]
 
-    report = RunReport("sl2c", res_norms, formula_gap=formula_gap,
-                       wall_clock=time.perf_counter() - t0)
+    report = RunReport("sl2c", res_norms, formula_gap=formula_gap)
     return report, HEADERS["sl2c"], rows
 
 
 def run_scenario(config: ScenarioConfig):
-    if config.scenario == "trivial_groupoid":
-        return run_trivial_groupoid(config)
-    return run_sl2c(config)
+    """``config``'s run, its report stamped with the wall clock it took."""
+    t0 = time.perf_counter()
+    report, header, rows = (run_sl2c if config.scenario == "sl2c"
+                            else run_trivial_groupoid)(config)
+    report.wall_clock = time.perf_counter() - t0
+    return report, header, rows
 
 
 # ---------------------------------------------------------------------------
@@ -405,23 +415,22 @@ def write_trajectory_csv(path, config: ScenarioConfig, header, rows):
 
 
 def read_trajectory_csv(path):
-    comments = []
-    header = None
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                comments.append(line.lstrip("# "))
-            elif header is None:
-                header = line.split(",")
-            else:
-                try:
+    comments, header, rows = [], None, []
+    # a ValueError: a field that is not a number, or text that is not UTF-8
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    comments.append(line.lstrip("# "))
+                elif header is None:
+                    header = line.split(",")
+                else:
                     rows.append([float(t) for t in line.split(",")])
-                except ValueError as exc:
-                    raise DomainError("trajectory file %s: %s" % (path, exc))
+    except ValueError as exc:
+        raise DomainError("trajectory file %s: %s" % (path, exc))
     if header is None:
         raise DomainError("trajectory file %s has no header row" % path)
     return ScenarioConfig.from_comment_lines(comments), header, rows
@@ -430,8 +439,9 @@ def read_trajectory_csv(path):
 def check_residual_file(path):
     """Re-read an emitted trajectory laid out as HEADERS says, recompute
     every residual norm, and for sl2c every momentum, from the arrows alone,
-    rebuild the rows' leading columns from them as ``run`` does, and take
-    the largest gap to the stored values.  Returns (failures, report) as
+    rebuild the rows' leading columns from them as ``run`` does, the first
+    arrow from the header's initial data, and take the largest gap to the
+    stored values.  Returns (failures, report) as
     ``RunReport.failures``."""
     config, header, rows = read_trajectory_csv(path)
     columns = HEADERS[config.scenario]
@@ -452,35 +462,26 @@ def check_residual_file(path):
 
 
 def _recheck_rows(config, rows):
-    fd = config.derivatives == "fd"
-    col = HEADERS[config.scenario].index
-    first, last = ARROW_COLUMNS[config.scenario]
-    arrows = [np.array(row[col(first):col(last) + 1]) for row in rows]
+    _, desc, L, first = _system(config)
+    arrows = [np.array(row[1:1 + desc.arrow_dim]) for row in rows]
     if not np.all(np.isfinite(arrows)):
         raise DomainError("an arrow coordinate is not finite")
     if config.scenario == "trivial_groupoid":
-        dec = default_trivial_decomposition()
-        L = trivial_groupoid_lagrangian(dec, config)
-        if fd:
-            L = _fd_derivatives(L, dec.G)
-        residuals = del_residuals(dec.trivial, L, arrows)
+        residuals = del_residuals(desc, L, arrows)
         # res_matched and phi_gap would need the matched solve
         records = [()] * len(arrows)
-        oracle = variational_oracle(dec.trivial, L,
-                                    Trajectory(dec.trivial, arrows))
+        oracle = variational_oracle(desc, L, Trajectory(desc, arrows))
     else:
-        mp = Su2K()
-        L = sl2c_lagrangian(mp, config)
-        if fd:
-            L = _fd_derivatives(L, mp.G, mp.H)
-        momenta = arrow_momenta(mp, L, arrows)
-        residuals = momentum_residuals(mp, arrows, momenta)
+        momenta = arrow_momenta(desc, L, arrows)
+        residuals = momentum_residuals(desc, arrows, momenta)
         # formula_gap would need the finite-difference pair
         records = [m[1:] for m in momenta]
         # no independent oracle: the residuals themselves take its bound
         oracle = None
     recomputed = [float(np.linalg.norm(r, np.inf)) for r in residuals]
-    rebuilt = np.array(_rederived_rows(arrows, records, recomputed))
+    # the first row's arrow is the one the header's initial data name
+    rebuilt = np.array(_rederived_rows([first, *arrows[1:]], records,
+                                       recomputed))
     # np.max, not max: a NaN anywhere is the gap
     gap = float(np.max(np.abs(
         rebuilt - np.array(rows)[:, :rebuilt.shape[1]])))

@@ -96,6 +96,24 @@ def test_trajectory_rejects_broken_gluing():
                                np.array([1.1, 0.0, 2.0, 0.0])])
 
 
+def test_group_groupoid_arrows_are_group_elements():
+    with pytest.raises(DomainError):
+        Trajectory(GroupGroupoid(SU2()), [[2.0, 0.0, 0.0, 0.0]])
+    desc = GroupGroupoid(SO3())
+    inertia = np.array([1.0, 2.0, 3.0])
+    L = DiscreteLagrangian(
+        lambda g: 0.5 * float(desc.G.log(g) @ (inertia * desc.G.log(g))))
+    with pytest.raises(DomainError):
+        solve_trajectory(desc, L, 2.0 * np.eye(3).ravel(), 3)
+
+
+def test_each_exported_object_has_one_name():
+    names = {}
+    for name in matchdyn.__all__:
+        names.setdefault(id(getattr(matchdyn, name)), []).append(name)
+    assert [group for group in names.values() if len(group) > 1] == []
+
+
 # -- junction residuals -----------------------------------------------------
 
 def test_pair_residual_analytic():

@@ -13,7 +13,6 @@ from matchdyn.groupoids import default_trivial_decomposition
 from matchdyn.matched_group import Su2K
 from matchdyn.numerics import fd_gradient
 from matchdyn.scenarios import (
-    ARROW_COLUMNS,
     HEADERS,
     RunReport,
     ScenarioConfig,
@@ -504,6 +503,10 @@ def test_check_residual_rebuilds_the_written_rows_exactly(tmp_path, scenario,
 
 # the last of the re-derived columns [k, *arrow, *record, residual]
 RESIDUAL_COLUMN = {"sl2c": "res_norm", "trivial_groupoid": "res_direct"}
+# the arrow of a row is row[1:1 + arrow_dim]
+ARROW_DIM = {"sl2c": Su2K().arrow_dim,
+             "trivial_groupoid":
+                 default_trivial_decomposition().trivial.arrow_dim}
 
 
 @pytest.mark.parametrize("scenario", sorted(RESIDUAL_COLUMN))
@@ -513,7 +516,7 @@ def test_check_residual_fails_every_tampered_rederived_cell(tmp_path,
     assert main(["run", scenario, "--steps", "4", "--out", out]) == 0
     cfg, header, rows = read_trajectory_csv(out)
     # k, the record entries and the residual: all but the arrow
-    cells = [0] + list(range(header.index(ARROW_COLUMNS[scenario][1]) + 1,
+    cells = [0] + list(range(1 + ARROW_DIM[scenario],
                              header.index(RESIDUAL_COLUMN[scenario]) + 1))
     assert len(cells) == {"sl2c": 8, "trivial_groupoid": 2}[scenario]
     tampered = str(tmp_path / "tampered.csv")
@@ -646,13 +649,12 @@ def test_trivial_groupoid_recheck_takes_one_gradient_per_arrow(
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
-@pytest.mark.parametrize("scenario", sorted(ARROW_COLUMNS))
+@pytest.mark.parametrize("scenario", sorted(ARROW_DIM))
 def test_check_residual_rejects_a_non_finite_arrow(tmp_path, scenario, value):
     out = str(tmp_path / "fresh.csv")
     assert main(["run", scenario, "--out", out]) == 0
     cfg, header, rows = read_trajectory_csv(out)
-    first, last = ARROW_COLUMNS[scenario]
-    for col in range(header.index(first), header.index(last) + 1):
+    for col in range(1, 1 + ARROW_DIM[scenario]):
         edited = [list(row) for row in rows]
         edited[len(rows) // 2][col] = value
         tampered = str(tmp_path / "tampered.csv")
@@ -783,7 +785,7 @@ KNOWN_SPRING = ("trivial_groupoid knows the Lagrangian 'spring' with the "
     ("run", "[scenario]\nid = trivial_groupoid\n\n[lagrangian]\n"
             "name = quadratic\n", KNOWN_SPRING + "'quadratic' with []"),
     ("run", "[scenario]\nid = sl2c\n\n[initial]\ncoords = 0.1 0 0 0 0.05\n",
-     ""),
+     "sl2c initial data needs 6 algebra coords (su(2) then K), got 5"),
     ("check residual", "# scenario=sl2c\n# steps=2\n", ""),
     ("run", "[scenario]\nid = trivial_groupoid\n\n[lagrangian]\n"
             "k_pso = 7\n", KNOWN_SPRING + "'spring' with ['k_pso']"),
@@ -809,6 +811,46 @@ def test_config_and_file_errors_exit_2(tmp_path, capsys, command, text,
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("command", ["run", "check residual"])
+def test_a_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys,
+                                                   command):
+    data = np.random.default_rng(0).bytes(300)
+    with pytest.raises(UnicodeDecodeError):
+        data.decode("utf-8")
+    p = tmp_path / "input"
+    p.write_bytes(data)
+    if command == "run":
+        argv = ["run", "--config", str(p), "--out", str(tmp_path / "t.csv")]
+    else:
+        argv = ["check", "residual", str(p)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(p) in err
+
+
+@pytest.mark.parametrize("scenario, initial, code, message", [
+    ("sl2c", "0.9 0.1 0.1 0.1 0.1 0.1", 1,
+     "FAIL: stored-vs-recomputed gap"),
+    ("trivial_groupoid", "5 5 5 5 5", 1, "FAIL: stored-vs-recomputed gap"),
+    ("sl2c", "0.2 -0.1 0.15", 2,
+     "error: sl2c initial data needs 6 algebra coords (su(2) then K), "
+     "got 3"),
+    ("trivial_groupoid", "0 0 0.3 1", 2,
+     "error: trivial_groupoid initial data needs 5 arrow coords "
+     "(m, theta, n), got 4"),
+], ids=["sl2c_other", "trivial_groupoid_other", "sl2c_three_coords",
+        "trivial_groupoid_four_coords"])
+def test_check_residual_rederives_the_first_arrow_from_the_header(
+        tmp_path, capsys, scenario, initial, code, message):
+    out = tmp_path / "fresh.csv"
+    assert main(["run", scenario, "--steps", "4", "--out", str(out)]) == 0
+    out.write_text("# initial=%s\n" % initial + out.read_text())
+    capsys.readouterr()
+    assert main(["check", "residual", str(out)]) == code
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["run", "export"])
