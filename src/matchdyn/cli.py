@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 from .errors import DomainError, MatchdynError
@@ -26,7 +27,11 @@ from .scenarios import (
 )
 
 
+@functools.cache
 def _build_parser():
+    """The one parser of this process, built on the first ``main`` call:
+    ``parse_args`` leaves it as it was, and argparse looks up sys.stdout,
+    sys.stderr and the terminal width only when it prints."""
     parser = argparse.ArgumentParser(
         prog="matchdyn",
         description="Discrete Euler-Lagrange dynamics on groupoids and "

@@ -326,16 +326,15 @@ class ActionGroupoid(Groupoid):
                           self.G.lift_matrix("right", garr)])
 
 
-def _rotate_plane(m, g):
-    return rot2(float(np.atleast_1d(g)[0])) @ np.asarray(m)
-
-
 class RotatedPlane(ActionGroupoid):
     """R^2 with SO(2) rotating it, its orbit and push matrices closed; the
     ActionGroupoid ones are their finite-difference oracle."""
 
     def __init__(self):
-        super().__init__(Chart(2, name="r2"), Circle(), _rotate_plane)
+        super().__init__(Chart(2, name="r2"), Circle(), self.act)
+
+    def act(self, m, g):
+        return rot2(float(g[0])) @ m
 
     def orbit_matrix(self, m):
         # d/dt rot2(t) m at t = 0 is m turned a quarter
@@ -604,7 +603,40 @@ class OrbitPair(MatchedPairGroupoid):
     """The matched presentation (M x G) bowtie (M x M) of a trivial
     decomposition, its four induced-action matrices closed in the orbit and
     push matrices of the action groupoid; the MatchedPairGroupoid ones are
-    their finite-difference oracle.  Below, h = (m', m) and g = (m, theta)."""
+    their finite-difference oracle.  Below, h = (m', m) and g = (m, theta).
+
+    ``mul``, ``inv`` and ``fiber_elem`` are closed too, on x = (m, a, p, q)
+    with p = m a.  They run the floating-point operations of the
+    MatchedPairGroupoid ones in the same order, without building the
+    intermediate arrows, so they return the same bits."""
+
+    def _parts(self, x):
+        x = np.asarray(x, dtype=float)
+        n = self.base.dim
+        k = n + self.Gd.G.coord_dim
+        return x[:n], x[n:k], x[k:k + n], x[k + n:]
+
+    def mul(self, x, y):
+        # (m, a, p, q)(m2, a2, p2, q2) = (m, a a2, p a2, q2)
+        m, a, p, _ = self._parts(x)
+        _, a2, _, q2 = self._parts(y)
+        return np.concatenate([m, self.Gd.G.mul(a, a2), self.Gd.act(p, a2),
+                               q2])
+
+    def inv(self, x):
+        # (m, a, p, q)^-1 = (q, a^-1, q a^-1, p a^-1)
+        _, a, p, q = self._parts(x)
+        ai = self.Gd.G.inv(a)
+        return np.concatenate([q, ai, self.Gd.act(q, ai), self.Gd.act(p, ai)])
+
+    def fiber_elem(self, b, z):
+        # (b, e, c, c + z_H) with e = exp z_G and c = b e
+        b = self.base.check(b)
+        z = np.asarray(z, dtype=float)
+        k = self.Gd.fiber_dim
+        e = self.Gd.G.exp(z[:k])
+        c = self.Gd.act(b, e)
+        return np.concatenate([b, e, c, c + z[k:]])
 
     def act_on_fiber_g_matrix(self, h):
         # (m', m) |> exp z = (m', exp z), read back by log
@@ -667,10 +699,9 @@ class TrivialDecomposition:
 
     def phi_inv(self, y):
         """Drop the redundant middle point of a matched arrow."""
-        garr, harr = self.matched.split(y)
-        m, g = self.actiond.split(garr)
-        n = self.paird.beta(harr)
-        return np.concatenate([m, g, n])
+        y = np.asarray(y, dtype=float)
+        k = self.actiond.arrow_dim
+        return np.concatenate([y[:k], y[k + self.M.dim:]])
 
     def phi_inv_transpose(self, d):
         """Pull a covector at phi_inv(y) back to y: phi_inv drops the middle

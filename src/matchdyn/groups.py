@@ -26,7 +26,9 @@ same bits as the matrix forms they replaced, which the tests keep as
 references; SO(3)'s ``log`` differs from them only above pi - 5e-4, where it
 reads the axis off the symmetric part.  Python-float arithmetic ignores
 ``np.errstate``, so these maps reject a non-finite point with DomainError
-themselves.
+themselves, and so they do a point that is not a vector, whose ``tolist``
+would be a list of lists.  SO(3)'s lift matrices are signed copies of the
+point's entries, read the same way.
 """
 from __future__ import annotations
 
@@ -53,10 +55,20 @@ def _vec(x, n=None):
     return v
 
 
-def _finite(values):
-    """values, a list of Python floats, or DomainError if one is not finite:
-    Python-float arithmetic ignores np.errstate, so it would pass a NaN or
-    an inf on without the floating-point error that numpy raises."""
+def _vector(v):
+    """The array v, or DomainError naming its shape if it is not a vector."""
+    if v.ndim != 1:
+        raise DomainError("chart point has shape %s, not a vector's"
+                          % (v.shape,))
+    return v
+
+
+def _finite(v):
+    """The entries of the vector v as Python floats, or DomainError if v is
+    not a vector or an entry is not finite: Python-float arithmetic ignores
+    np.errstate, so it would pass a NaN or an inf on without the
+    floating-point error that numpy raises."""
+    values = _vector(v).tolist()
     if not all(map(math.isfinite, values)):
         raise DomainError("chart point is not finite: %s" % values)
     return values
@@ -200,7 +212,7 @@ class SU2(Group):
         return np.array([1.0, 0.0, 0.0, 0.0])
 
     def check(self, g):
-        g = _vec(g, 4)
+        g = _vector(_vec(g, 4))
         norm = math.sqrt(g @ g)
         if not abs(norm - 1.0) <= UNIT_TOL:
             raise DomainError("quaternion norm %.3e is not 1" % norm)
@@ -215,7 +227,7 @@ class SU2(Group):
 
     def exp(self, xi):
         xi = self.algebra_vector(xi)
-        x, y, z = _finite(xi.tolist())
+        x, y, z = _finite(xi)
         theta = math.sqrt(xi @ xi)
         if theta < 1e-100:
             return self.identity()
@@ -226,7 +238,7 @@ class SU2(Group):
 
     def log(self, g):
         g = _vec(g, 4)
-        w, x, y, z = _finite(g.tolist())
+        w, x, y, z = _finite(g)
         v = g[1:]
         vn = math.sqrt(v @ v)
         if vn < 1e-14:
@@ -308,7 +320,7 @@ class KGroup(Group):
 
     def check(self, g):
         g = _vec(g, 3)
-        a, b, c = _finite(g.tolist())
+        a, b, c = _finite(g)
         if not c > -1.0:
             raise DomainError("K coordinate c = %.6g <= -1" % c)
         return g
@@ -425,7 +437,6 @@ def hat3(xi):
 
 
 I3 = np.eye(3)
-HATS = [hat3(e) for e in I3]
 
 
 class SO3(Group):
@@ -441,7 +452,7 @@ class SO3(Group):
     def check(self, g):
         # |M^T M - I| (Frobenius) within 1e-8 and det M >= 0, on the columns
         g = _vec(g, 9)
-        a, b, c, d, e, f, p, q, r = _finite(g.tolist())
+        a, b, c, d, e, f, p, q, r = _finite(g)
         n0 = a * a + d * d + p * p - 1.0
         n1 = b * b + e * e + q * q - 1.0
         n2 = c * c + f * f + r * r - 1.0
@@ -474,8 +485,7 @@ class SO3(Group):
         return (I3 + A * K + B * K @ K).ravel()
 
     def log(self, g):
-        m00, m01, m02, m10, m11, m12, m20, m21, m22 = _finite(
-            _vec(g, 9).tolist())
+        m00, m01, m02, m10, m11, m12, m20, m21, m22 = _finite(_vec(g, 9))
         cos_t = min(max(0.5 * ((m00 + m11) + m22 - 1.0), -1.0), 1.0)
         # w = sin(theta) u, for the rotation by theta about the unit axis u
         w = [0.5 * (m21 - m12), 0.5 * (m02 - m20), 0.5 * (m10 - m01)]
@@ -505,11 +515,16 @@ class SO3(Group):
         return np.cross(self.algebra_vector(x), self.algebra_vector(y))
 
     def lift_matrix(self, side, g):
-        # column i is g hat(e_i) (left) or hat(e_i) g (right), row-major
-        M = _vec(g, 9).reshape(3, 3)
-        if side == "left":
-            return np.column_stack([(M @ E).ravel() for E in HATS])
-        return np.column_stack([(E @ M).ravel() for E in HATS])
+        # column i is g hat(e_i) (left) or hat(e_i) g (right), row-major:
+        # signed copies of the entries of g, rows (a b c), (d e f), (p q r)
+        a, b, c, d, e, f, p, q, r = _vector(_vec(g, 9)).tolist()
+        if side == "left":  # rows 3i..3i+2 are hat3 of row i of g
+            return np.array([[0.0, -c, b], [c, 0.0, -a], [-b, a, 0.0],
+                             [0.0, -f, e], [f, 0.0, -d], [-e, d, 0.0],
+                             [0.0, -r, q], [r, 0.0, -p], [-q, p, 0.0]])
+        return np.array([[0.0, p, -d], [0.0, q, -e], [0.0, r, -f],
+                         [-p, 0.0, a], [-q, 0.0, b], [-r, 0.0, c],
+                         [d, -a, 0.0], [e, -b, 0.0], [f, -c, 0.0]])
 
     def Ad_matrix(self, g):
         return _vec(g, 9).reshape(3, 3)

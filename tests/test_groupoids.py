@@ -313,6 +313,25 @@ def test_orbit_pair_matches_the_finite_difference_induced_actions(name, arg):
         assert np.max(np.abs(closed - fd)) <= 1e-9
 
 
+def test_orbit_pair_operations_are_the_generic_ones_bit_for_bit():
+    plain = MatchedPairGroupoid(DEC.actiond, DEC.paird, DEC._act_on_g,
+                                DEC._act_on_h)
+    general = general_action_decomposition().actiond
+    rng = np.random.default_rng(44)
+    for _ in range(250):
+        x = plain.random_arrow(rng, sigma=2.0)
+        y = plain.random_with_source(plain.beta(x), rng, sigma=2.0)
+        b, z = 2.0 * rng.standard_normal(2), 2.0 * rng.standard_normal(3)
+        assert np.array_equal(DEC.matched.mul(x, y), plain.mul(x, y))
+        assert np.array_equal(DEC.matched.inv(x), plain.inv(x))
+        assert np.array_equal(DEC.matched.fiber_elem(b, z),
+                              plain.fiber_elem(b, z))
+        assert np.array_equal(DEC.actiond.act(b, z[:1]),
+                              general.act(b, z[:1]))
+        assert np.array_equal(DEC.phi_inv(x),
+                              np.concatenate([x[:3], x[5:]]))
+
+
 def test_rotated_plane_matches_the_finite_difference_action_derivatives():
     rng = np.random.default_rng(42)
     d = DEC.actiond

@@ -1,9 +1,12 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from matchdyn.dynamics import solver_failure
+from matchdyn.dynamics import Trajectory, solver_failure
 from matchdyn.errors import DomainError, MatchdynError, TagError
+from matchdyn.groupoids import GroupGroupoid
 from matchdyn.groups import (
     NEAR_PI_COS,
     SO3,
@@ -354,6 +357,23 @@ def test_check_rejects_a_non_finite_point(G, value):
         g[i] = value
         with pytest.raises(DomainError):
             G.check(g)
+
+
+@pytest.mark.parametrize("chart_map, point", [
+    (SU2().check, np.eye(2)), (SU2().log, np.eye(2)),
+    (SU2().exp, np.zeros((3, 1))), (KGroup().check, np.zeros((1, 3))),
+    (SO3().check, np.eye(3)), (SO3().log, np.eye(3)),
+    (partial(SO3().lift_matrix, "left"), np.eye(3))],
+    ids=["su2-check", "su2-log", "su2-exp", "k-check", "so3-check",
+         "so3-log", "so3-lift"])
+def test_a_point_that_is_not_a_vector_is_a_domain_error(chart_map, point):
+    with pytest.raises(DomainError, match=r"shape \(%d, %d\)" % point.shape):
+        chart_map(point)
+
+
+def test_a_trajectory_of_matrix_shaped_rotations_is_a_domain_error():
+    with pytest.raises(DomainError, match=r"shape \(3, 3\)"):
+        Trajectory(GroupGroupoid(SO3()), [np.eye(3)])
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

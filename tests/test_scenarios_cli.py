@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from matchdyn import cli
 from matchdyn.cli import main
 from matchdyn.dynamics import DiscreteLagrangian, matched_group_momenta
 from matchdyn.errors import DomainError, FormulaMismatch, SingularJacobian
@@ -549,6 +550,26 @@ def test_cli_run_and_check_roundtrip(tmp_path):
     out = str(tmp_path / "run.csv")
     assert main(["run", "sl2c", "--steps", "4", "--out", out]) == 0
     assert main(["check", "residual", out]) == 0
+
+
+def test_the_parser_is_built_once_per_process():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_repeated_main_calls_share_the_parser_and_nothing_else(tmp_path,
+                                                               capsys):
+    out = str(tmp_path / "f.csv")
+    usage_error = ["run", "nope"]
+    run = ["run", "sl2c", "--steps", "3", "--out", out]
+    seen = {}
+    for argv, code in ((usage_error, 2), (["--help"], 0), (run, 0),
+                       (["check", "residual", out], 0), (usage_error, 2),
+                       (run, 0)):
+        assert main(argv) == code, argv
+        printed = capsys.readouterr()
+        text = (printed.out, printed.err)
+        assert any(text), argv
+        assert seen.setdefault(tuple(argv), text) == text, argv
 
 
 def test_check_residual_reports_an_oracle_only_where_there_is_one(
