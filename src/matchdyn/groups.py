@@ -120,7 +120,7 @@ class Group:
     # -- derived helpers -----------------------------------------------------
 
     def algebra_vector(self, xi):
-        return _vec(xi, self.dim)
+        return _vector(_vec(xi, self.dim))
 
     def pairing(self, mu, xi):
         return float(np.dot(_vec(mu, self.dim), _vec(xi, self.dim)))
@@ -219,14 +219,14 @@ class SU2(Group):
         return g
 
     def mul(self, a, b):
-        q = quat_mul(_vec(a, 4), _vec(b, 4))
+        q = quat_mul(_vector(_vec(a, 4)), _vector(_vec(b, 4)))
         return q / math.sqrt(q @ q)
 
     def inv(self, g):
         return quat_conj(_vec(g, 4))
 
     def exp(self, xi):
-        xi = self.algebra_vector(xi)
+        xi = _vec(xi, 3)
         x, y, z = _finite(xi)
         theta = math.sqrt(xi @ xi)
         if theta < 1e-100:
@@ -250,16 +250,29 @@ class SU2(Group):
         """3 x 4 Jacobian of log(w, v) = 2 atan2(|v|, w) v / |v| in all four
         quaternion coordinates, off the unit sphere too."""
         g = _vec(g, 4)
-        w, v = g[0], g[1:]
+        w, x, y, z = _finite(g)
+        v = g[1:]
         vn = math.sqrt(v @ v)
         if vn < 1e-14:
-            # log is 0 on this ball; curves through it see the smooth limit
-            return np.column_stack([np.zeros(3), 2.0 / w * np.eye(3)])
+            # log is 0 on this ball; curves through it see the smooth limit,
+            # (2 / w) I, whose zeros carry the sign of w; g[0] keeps numpy's
+            # inf for w = 0
+            d = 2.0 / g[0]
+            o = d * 0.0
+            return np.array([[0.0, d, o, o], [0.0, o, d, o], [0.0, o, o, d]])
+        # s I + k u u^T beside the column -2 v / r2, u = v / |v|; the zeros
+        # of s I are added, so an entry k ui uj of -0.0 reads 0.0
         r2 = w * w + vn * vn
-        s = 2.0 * np.arctan2(vn, w) / vn
-        u = v / vn
-        return np.column_stack([-2.0 * v / r2, s * np.eye(3)
-                                + (2.0 * w / r2 - s) * np.outer(u, u)])
+        s = 2.0 * float(np.arctan2(vn, w)) / vn
+        k = 2.0 * w / r2 - s
+        ux, uy, uz = x / vn, y / vn, z / vn
+        return np.array([
+            [(-2.0 * x) / r2, s + k * (ux * ux), 0.0 + k * (ux * uy),
+             0.0 + k * (ux * uz)],
+            [(-2.0 * y) / r2, 0.0 + k * (uy * ux), s + k * (uy * uy),
+             0.0 + k * (uy * uz)],
+            [(-2.0 * z) / r2, 0.0 + k * (uz * ux), 0.0 + k * (uz * uy),
+             s + k * (uz * uz)]])
 
     def bracket(self, x, y):
         return np.cross(self.algebra_vector(x), self.algebra_vector(y))
@@ -275,8 +288,7 @@ class SU2(Group):
         return np.cross(self.algebra_vector(xi), _vec(mu, 3))
 
     def rot_of(self, g):
-        self.check(g)
-        return rotation_matrix_of_quaternion(_vec(g, 4))
+        return rotation_matrix_of_quaternion(self.check(g))
 
     def mat2(self, g):
         w, x, y, z = _vec(g, 4)
@@ -368,7 +380,8 @@ class KGroup(Group):
         g = self.check(g)
         if side == "left":
             return np.eye(3) + np.outer(g, [0.0, 0.0, 1.0])
-        return (1.0 + g[2]) * np.eye(3)
+        f = 1.0 + g[2]
+        return np.array([[f, 0.0, 0.0], [0.0, f, 0.0], [0.0, 0.0, f]])
 
     def Ad_matrix(self, g):
         # mat3(g) alg_mat3(xi) mat3(g)^-1, read as a matrix on (a, b, c)

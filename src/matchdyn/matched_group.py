@@ -13,8 +13,10 @@ over ``GroupGroupoid(G)`` and ``GroupGroupoid(H)``, so the product, the
 inverse, the lift matrices, the compatibility axioms and, by default, the
 four induced infinitesimal actions (as matrices, by finite differences) are
 the groupoid's.  Concrete pairs (``Su2K`` and the degenerate pairs) override
-only those four matrices, with closed forms; the algebra bracket is derived
-from them too.
+those four matrices with closed forms; the algebra bracket is derived from
+them too.  ``Su2K`` also closes the operations of the sl2c junction solve
+(the lifts, ``fiber_elem``, ``mul`` and ``inv``) in the groupoid's own
+floating-point operations, so they return its bits.
 The adjoint matrix is the finite-difference ``Group.Ad_matrix`` on the
 product, read through the componentwise ``log``.  ``generic()`` returns the
 same pair as a plain ``MatchedPairGroup``, so closed forms can be checked
@@ -163,19 +165,27 @@ class Su2K(MatchedPairGroup):
         [[s, 0], [(a + ib)/s, 1/s]] and mat2(A)'s column (-y - ix, w + iz),
         it is (-(1 + c)(y + ix), w + iz - (a + ib)(y + ix)), whose real and
         imaginary parts give (w', x', y', z') up to one normalization."""
-        a, b, c = self.H.check(h)
-        w, x, y, z = _vec(g, 4)
-        q = np.array([w - a * y + b * x, (1.0 + c) * x, (1.0 + c) * y,
-                      z - a * x - b * y])
-        return q / np.sqrt(q @ q)
+        return self._act_on_g(self.H.check(h), g)
 
     def act_on_h(self, h, g):
         """B <| A: the triangular factor of mat2(B) @ mat2(A), in the
         (a, b, c) chart: the component s*e3 along the axis is preserved and
         the rest rotates by the inverse of rot_of(B |> A)."""
         B = self.H.check(h)
+        return self._act_on_h(B, self._act_on_g(B, g))
+
+    # the two actions of the checked K point B, B <| A from q = B |> A
+
+    def _act_on_g(self, B, g):
+        a, b, c = B
+        w, x, y, z = _vec(g, 4)
+        q = np.array([w - a * y + b * x, (1.0 + c) * x, (1.0 + c) * y,
+                      z - a * x - b * y])
+        return q / np.sqrt(q @ q)
+
+    def _act_on_h(self, B, q):
         s = float(B @ B) / (2.0 * (1.0 + B[2]))
-        R = rotation_matrix_of_quaternion(self.act_on_g(h, g))
+        R = rotation_matrix_of_quaternion(q)
         return s * E3 + R.T @ (B - s * E3)
 
     def decompose(self, M):
@@ -193,11 +203,6 @@ class Su2K(MatchedPairGroup):
         """mat2(A) @ mat2(B) in SL(2, C); inverse of decompose."""
         return self.G.mat2(g) @ self.H.mat2(h)
 
-    def _b_tilde(self, h):
-        B = self.H.check(h)
-        c = B[2]
-        return B / (c + 1.0) - (float(B @ B) / (2.0 * (c + 1.0) ** 2)) * E3
-
     # -- closed-form infinitesimal actions -----------------------------------
 
     def act_on_fiber_g_matrix(self, h):
@@ -205,20 +210,75 @@ class Su2K(MatchedPairGroup):
         return self.H.mat3(h)
 
     def dagger_on_h_matrix(self, h):
+        return self._dagger_on_h(h, self.H.mat3(h))
+
+    def _dagger_on_h(self, h, M):
         # X^dagger(B) = T r_B (B~ x (B |> X)), with T r_B = (1+c) Id in the
-        # (a, b, c) chart
-        c = self.H.check(h)[2]
-        return (1.0 + c) * hat3(self._b_tilde(h)) @ self.H.mat3(h)
+        # (a, b, c) chart and B |> X = M X
+        B = self.H.check(h)
+        c = B[2]
+        b_tilde = (B / (c + 1.0)
+                   - (float(B @ B) / (2.0 * (c + 1.0) ** 2)) * E3)
+        return (1.0 + c) * hat3(b_tilde) @ M
 
     def dagger_on_g_matrix(self, g):
+        return self._dagger_on_g(g, self.G.rot_of(g))
+
+    def _dagger_on_g(self, g, R):
         # d/dt (exp(tY)^{-1} |> A) = -Y^dagger(A) = T r_A ((Ad_A e3 - e3) x Y)
-        # with T r_A from su2_lift: it stays closed when a re-check of an
-        # FD-written file swaps G.lift_matrix for finite differences
-        return su2_lift("right", g) @ hat3(self.G.rot_of(g) @ E3 - E3)
+        # with Ad_A = R and T r_A from su2_lift: it stays closed when a
+        # re-check of an FD-written file swaps G.lift_matrix for finite
+        # differences
+        return su2_lift("right", g) @ hat3(R @ E3 - E3)
 
     def act_on_fiber_h_matrix(self, g):
         # Y <| A = rot_of(A)^T Y
         return self.G.rot_of(g).T
+
+    # -- closed groupoid operations ------------------------------------------
+    # the MatchedPairGroupoid ones in the same floating-point operations, so
+    # they return the same bits: mul and inv check B and compute B |> A
+    # once for both actions, and the lifts build mat3(h) or rot_of(g) once for both blocks
+    # that read it and take the factor blocks from G.lift_matrix and
+    # H.lift_matrix, which a re-check of an FD-written file swaps
+
+    def mul(self, x, y):
+        g, h = self.split(x)
+        g2, h2 = self.split(y)
+        B = self.H.check(h)
+        q = self._act_on_g(B, g2)
+        return self.join(self.G.mul(g, q), self.H.mul(self._act_on_h(B, q),
+                                                      h2))
+
+    def inv(self, x):
+        g, h = self.split(x)
+        # checked as the generic act_on_g checks it: for a large c the
+        # inverse's c = -c / (1 + c) rounds onto -1
+        gi, hi = self.G.inv(g), self.H.check(self.H.inv(h))
+        q = self._act_on_g(hi, gi)
+        return self.join(q, self._act_on_h(hi, q))
+
+    def fiber_elem(self, b, z):
+        z = np.asarray(z, dtype=float)
+        return np.concatenate([self.G.exp(z[:3]), self.H.exp(z[3:])])
+
+    def left_lift(self, x):
+        g, h = self.split(x)
+        M = self.H.mat3(h)
+        out = np.zeros((7, 6))
+        out[:4, :3] = self.G.lift_matrix("left", g) @ M
+        out[4:, :3] = self._dagger_on_h(h, M)
+        out[4:, 3:] = self.H.lift_matrix("left", h)
+        return out
+
+    def right_lift(self, x):
+        g, h = self.split(x)
+        R = self.G.rot_of(g)
+        out = np.zeros((7, 6))
+        out[:4, :3] = self.G.lift_matrix("right", g)
+        out[:4, 3:] = -self._dagger_on_g(g, R)
+        out[4:, 3:] = self.H.lift_matrix("right", h) @ R.T
+        return out
 
 
 # ---------------------------------------------------------------------------

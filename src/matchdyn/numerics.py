@@ -8,7 +8,9 @@ solver's Jacobian, ``fd_jacobian``, is the one forward-difference loop: n
 evaluations of F from the F(x) the solver already holds, with the same step
 and finiteness rule.  The solver runs at most MAX_ITER passes of one such
 Jacobian and its Broyden secant updates (Dennis & Schnabel 1983, ch. 8), and
-returns the root with the residual it stopped at.
+returns the root with the residual it stopped at.  Only a fresh Jacobian
+takes a condition estimate; a Broyden trial is one linear solve, guarded by
+the rule that its step must halve the residual.
 """
 from __future__ import annotations
 
@@ -99,16 +101,15 @@ def _failure(cls, what, rnorm, cond):
 
 
 def _step(J, r):
-    """The full step -J^-1 r and J's condition estimate; the step is None
-    when J is non-finite, above COND_LIMIT or gives no finite solution."""
-    cond = float(np.linalg.cond(J)) if np.all(np.isfinite(J)) else np.inf
-    if cond > COND_LIMIT:
-        return None, cond
+    """The full step -J^-1 r, or None when J is not finite or gives no
+    finite solution."""
+    if not np.isfinite(J).all():
+        return None
     try:
         dx = np.linalg.solve(J, -r)
     except np.linalg.LinAlgError:
-        return None, cond
-    return (dx if np.all(np.isfinite(dx)) else None), cond
+        return None
+    return dx if np.isfinite(dx).all() else None
 
 
 def newton_solve(F, x0, tol=DEFAULT_TOL):
@@ -123,11 +124,14 @@ def newton_solve(F, x0, tol=DEFAULT_TOL):
     at most 30 times, until the residual norm decreases; a trial point
     outside F's domain or with an overflowing residual counts as infinite.
     After every accepted step s, Broyden's update J += outer(F(x + s) - F(x)
-    - J s, s) / (s . s) gives the next full step, kept while it halves the
-    residual norm and J is usable; otherwise the next pass starts.
-    NoConvergence (a non-finite F(x0), a Jacobian stencil point such a
-    trial would reject, or the halvings or the passes ran out) and
-    SingularJacobian carry the last residual norm and condition estimate.
+    - J s, s) / (s . s) gives the next full step, one linear solve with no
+    condition estimate; it is kept while it halves the residual norm, so an
+    ill-conditioned update, whose step fails that test, ends the pass like
+    a J that is not finite or gives no finite solution, and the next pass
+    starts.  NoConvergence (a non-finite F(x0), a Jacobian stencil point
+    such a trial would reject, or the halvings or the passes ran out) and
+    SingularJacobian carry the last residual norm and the last fresh
+    Jacobian's condition estimate.
     """
     x = _as_vec(x0).copy()
     r = _as_vec(F(x))
@@ -141,12 +145,13 @@ def newton_solve(F, x0, tol=DEFAULT_TOL):
         except (DomainError, EvaluationError, FloatingPointError) as exc:
             raise _failure(NoConvergence, "non-finite Jacobian: %s: %s"
                            % (type(exc).__name__, exc), rnorm, np.inf)
-        dx, cond = _step(J, r)
+        cond = float(np.linalg.cond(J))
         if cond > COND_LIMIT:
             raise _failure(SingularJacobian, "Jacobian condition estimate > "
                            "%.1e" % COND_LIMIT, rnorm, cond)
         if rnorm <= tol:
             return x, r
+        dx = _step(J, r)
         if dx is None:  # the linear solve gave no finite step
             raise _failure(NoConvergence, "no finite Newton step", rnorm, cond)
         for halvings in range(MAX_HALVINGS + 1):
@@ -160,11 +165,11 @@ def newton_solve(F, x0, tol=DEFAULT_TOL):
         while True:
             s = x_new - x
             with np.errstate(all="ignore"):  # _step rejects a non-finite J
-                J = J + np.outer(r_new - r - J @ s, s) / (s @ s)
+                J = J + (r_new - r - J @ s)[:, None] * s / (s @ s)
             x, r, rnorm = x_new, r_new, rn_new
             if rnorm <= tol:
                 return x, r
-            dx, cond = _step(J, r)
+            dx = _step(J, r)
             if dx is None:
                 break
             x_new = x + dx

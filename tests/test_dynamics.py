@@ -42,6 +42,7 @@ from matchdyn.matched_group import (
 )
 from matchdyn.numerics import fd_columns
 from matchdyn.scenarios import (
+    INITIAL,
     ScenarioConfig,
     matched_lagrangian,
     run_sl2c,
@@ -372,6 +373,33 @@ def test_junction_solve_calls_no_reference(monkeypatch):
     L = sl2c_lagrangian(mp, ScenarioConfig("sl2c"))
     _, r = del_step(mp, L, mp.exp([0.2, -0.1, 0.15, 0.1, 0.05, -0.1]))
     assert np.max(np.abs(r)) < 1e-10
+
+
+# calls into the package's own functions per junction of the default
+# 20-step sl2c march under cProfile: 762.3 measured, plus a margin of 5%.
+# numpy's internals are not counted, so only this package's code moves it.
+SL2C_CALLS_PER_JUNCTION = 762.3
+CALLS_MARGIN = 0.05
+
+
+def test_an_sl2c_junction_stays_within_its_call_count():
+    import cProfile
+    import os
+    import pstats
+
+    import matchdyn
+
+    package = os.path.dirname(os.path.abspath(matchdyn.__file__)) + os.sep
+    mp = Su2K()
+    L = sl2c_lagrangian(mp, ScenarioConfig("sl2c"))
+    first = mp.exp(INITIAL["sl2c"][1])
+    profile = cProfile.Profile()
+    arrows, _ = profile.runcall(march, mp, L, first, 20)
+    assert len(arrows) == 20
+    calls = sum(stat[1] for (path, _, _), stat
+                in pstats.Stats(profile).stats.items()
+                if os.path.abspath(path).startswith(package))
+    assert calls / 19 <= SL2C_CALLS_PER_JUNCTION * (1.0 + CALLS_MARGIN)
 
 
 def test_solver_modules_do_not_import_algebroid():

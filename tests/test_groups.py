@@ -1,3 +1,4 @@
+import math
 from functools import partial
 
 import numpy as np
@@ -275,6 +276,42 @@ def so3_log_reference(g):
     return theta / np.sin(theta) * w
 
 
+def su2_dlog_reference(g):
+    """SU2.dlog in matrix form: np.column_stack, np.eye and np.outer."""
+    g = _vec(g, 4)
+    w, v = g[0], g[1:]
+    vn = math.sqrt(v @ v)
+    if vn < 1e-14:
+        return np.column_stack([np.zeros(3), 2.0 / w * np.eye(3)])
+    r2 = w * w + vn * vn
+    s = 2.0 * np.arctan2(vn, w) / vn
+    u = v / vn
+    return np.column_stack([-2.0 * v / r2, s * np.eye(3)
+                            + (2.0 * w / r2 - s) * np.outer(u, u)])
+
+
+def test_su2_dlog_matches_its_matrix_form_bit_for_bit():
+    # unit and non-unit quaternions, zero vector entries (whose products
+    # k ui uj are signed zeros) and the |v| < 1e-14 ball, with w of either
+    # sign; equal bits include the signs of zeros
+    rng = np.random.default_rng(48)
+    points = []
+    for i in range(3000):
+        q = rng.standard_normal(4) * [1e-3, 1.0, 10.0][i % 3]
+        if i % 2:
+            q /= np.linalg.norm(q)
+        if i % 5 == 0:
+            q[1 + i % 3] = 0.0
+        if i % 7 == 0:
+            q[1:] *= 1e-15
+        points.append(q)
+    points += [np.array([w, 0.0, 0.0, 0.0]) for w in (1.0, -1.0, 0.5)]
+    for q in points:
+        new, ref = SU2().dlog(q), su2_dlog_reference(q)
+        assert np.array_equal(new, ref)
+        assert np.array_equal(np.signbit(new), np.signbit(ref))
+
+
 def vec_reference(x, n=None):
     v = np.atleast_1d(np.asarray(x, dtype=float))
     if n is not None and v.size != n:
@@ -363,9 +400,11 @@ def test_check_rejects_a_non_finite_point(G, value):
     (SU2().check, np.eye(2)), (SU2().log, np.eye(2)),
     (SU2().exp, np.zeros((3, 1))), (KGroup().check, np.zeros((1, 3))),
     (SO3().check, np.eye(3)), (SO3().log, np.eye(3)),
-    (partial(SO3().lift_matrix, "left"), np.eye(3))],
+    (partial(SO3().lift_matrix, "left"), np.eye(3)),
+    (SO3().exp, np.zeros((3, 1))), (KGroup().exp, np.zeros((3, 1))),
+    (lambda p: SU2().mul(p, p), np.eye(2)), (SU2().dlog, np.eye(2))],
     ids=["su2-check", "su2-log", "su2-exp", "k-check", "so3-check",
-         "so3-log", "so3-lift"])
+         "so3-log", "so3-lift", "so3-exp", "k-exp", "su2-mul", "su2-dlog"])
 def test_a_point_that_is_not_a_vector_is_a_domain_error(chart_map, point):
     with pytest.raises(DomainError, match=r"shape \(%d, %d\)" % point.shape):
         chart_map(point)

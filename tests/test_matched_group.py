@@ -2,16 +2,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matchdyn import groupoids, groups
+from matchdyn.dynamics import DiscreteLagrangian
 from matchdyn.errors import DomainError, TagError
 from matchdyn.groupoids import MatchedPairGroupoid
-from matchdyn.groups import Abelian, SO3
+from matchdyn.groups import Abelian, Group, SO3
 from matchdyn.matched_group import (
+    POINT_BASE,
     MatchedPairGroup,
     Su2K,
     both_trivial_pair,
     left_trivial_pair,
     right_trivial_pair,
 )
+from matchdyn.scenarios import _fd_derivatives
 
 RNG = np.random.default_rng(20240818)
 
@@ -203,19 +207,14 @@ def test_su2k_closed_transposes():
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_su2k_lift_matrix_uses_closed_actions(side, monkeypatch):
-    # the matched lift block is assembled from the factor lifts and the
-    # closed induced actions, not from the groupoid's finite differences
+    # the matched lift block is the factor lifts and the four closed induced
+    # actions, with no finite differences anywhere
+    def forbidden(*args, **kwargs):
+        raise AssertionError("finite differences in a closed lift")
+
+    for module in (groups, groupoids):
+        monkeypatch.setattr(module, "fd_curve_columns", forbidden)
     M = Su2K()
-    called = []
-    for name in ("act_on_fiber_g_matrix", "dagger_on_h_matrix",
-                 "dagger_on_g_matrix", "act_on_fiber_h_matrix"):
-        closed = getattr(Su2K, name)
-
-        def counted(self, x, name=name, closed=closed):
-            called.append(name)
-            return closed(self, x)
-
-        monkeypatch.setattr(Su2K, name, counted)
     u = M.random(RNG)
     g, h = M.split(u)
     lift = M.lift_matrix(side, u)
@@ -223,16 +222,56 @@ def test_su2k_lift_matrix_uses_closed_actions(side, monkeypatch):
     z34 = np.zeros((4, 3))
     z33 = np.zeros((3, 3))
     if side == "left":
-        assert sorted(called) == ["act_on_fiber_g_matrix",
-                                  "dagger_on_h_matrix"]
-        block = np.block([[lg @ Su2K.act_on_fiber_g_matrix(M, h), z34],
-                          [Su2K.dagger_on_h_matrix(M, h), lh]])
+        block = np.block([[lg @ M.act_on_fiber_g_matrix(h), z34],
+                          [M.dagger_on_h_matrix(h), lh]])
     else:
-        assert sorted(called) == ["act_on_fiber_h_matrix",
-                                  "dagger_on_g_matrix"]
-        block = np.block([[lg, -Su2K.dagger_on_g_matrix(M, g)],
-                          [z33, lh @ Su2K.act_on_fiber_h_matrix(M, g)]])
-    assert np.allclose(lift, block, rtol=0.0, atol=1e-13)
+        block = np.block([[lg, -M.dagger_on_g_matrix(g)],
+                          [z33, lh @ M.act_on_fiber_h_matrix(g)]])
+    assert np.array_equal(lift, block)
+
+
+def test_su2k_operations_are_the_generic_ones_bit_for_bit():
+    # the closed lifts, fiber chart, product and inverse against the
+    # MatchedPairGroupoid ones, which go through the four action matrices
+    # and both group-level actions
+    M = Su2K()
+    rng = np.random.default_rng(46)
+    for _ in range(300):
+        u, v = M.random(rng, sigma=1.5), M.random(rng, sigma=1.5)
+        z = 1.5 * rng.standard_normal(6)
+        assert np.array_equal(M.left_lift(u),
+                              MatchedPairGroupoid.left_lift(M, u))
+        assert np.array_equal(M.right_lift(u),
+                              MatchedPairGroupoid.right_lift(M, u))
+        assert np.array_equal(M.fiber_elem(POINT_BASE, z),
+                              MatchedPairGroupoid.fiber_elem(M, POINT_BASE, z))
+        assert np.array_equal(M.mul(u, v), MatchedPairGroupoid.mul(M, u, v))
+        assert np.array_equal(M.inv(u), MatchedPairGroupoid.inv(M, u))
+
+
+def test_su2k_inverse_rejects_an_inverse_that_rounds_off_the_k_chart():
+    # c = 1e17 inverts to -c / (1 + c), which rounds onto -1
+    M = Su2K()
+    u = np.array([1.0, 0.0, 0.0, 0.0, 0.5, 0.5, 1e17])
+    for inv in (M.inv, lambda u: MatchedPairGroupoid.inv(M, u)):
+        with pytest.raises(DomainError, match="<= -1"):
+            inv(u)
+
+
+def test_su2k_lifts_follow_finite_difference_factor_lifts():
+    # a trajectory file without derivatives swaps the factors' lift matrices
+    # for Group.lift_matrix; the dagger block keeps the closed SU(2) lift
+    M = Su2K()
+    u = M.random(RNG)
+    g, h = M.split(u)
+    closed = M.right_lift(u)
+    _fd_derivatives(DiscreteLagrangian(lambda x: 0.0), M.G, M.H)
+    swapped = M.right_lift(u)
+    assert np.array_equal(swapped[:4, :3], Group.lift_matrix(M.G, "right", g))
+    assert not np.array_equal(swapped[:4, :3], closed[:4, :3])
+    assert np.array_equal(swapped[:4, 3:], closed[:4, 3:])
+    assert np.array_equal(swapped[4:, 3:], Group.lift_matrix(M.H, "right", h)
+                          @ M.act_on_fiber_h_matrix(g))
 
 
 def test_su2k_groupoid_runs_the_matched_axiom_suite():

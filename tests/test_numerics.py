@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import matchdyn.numerics
-from matchdyn.dynamics import DiscreteLagrangian
+from matchdyn.dynamics import DiscreteLagrangian, del_step
 from matchdyn.errors import (DomainError, EvaluationError, NoConvergence,
                              SingularJacobian)
 from matchdyn.numerics import (
@@ -14,6 +14,9 @@ from matchdyn.numerics import (
     fd_jacobian,
     newton_solve,
 )
+
+from matchdyn.scenarios import ScenarioConfig
+from matchdyn.scenarios import _system as scenario_system
 
 from jacobian_oracle import central_jacobian
 
@@ -189,6 +192,52 @@ def test_newton_refreshes_when_an_updated_jacobian_cannot_be_solved(
     x, _ = newton_solve(_system, np.zeros(2))
     assert np.max(np.abs(_system(x))) <= 1e-10
     assert solver_calls["jacobian"] == 2
+
+
+def test_newton_takes_one_condition_estimate_per_jacobian(monkeypatch,
+                                                         solver_calls):
+    # the Broyden trials solve on their updated J with no estimate of its
+    # condition: only a fresh Jacobian is checked against COND_LIMIT
+    cond, estimates = np.linalg.cond, []
+    monkeypatch.setattr(np.linalg, "cond",
+                        lambda J: estimates.append(J) or cond(J))
+    newton_solve(_system, np.zeros(2))
+    assert len(estimates) == solver_calls["jacobian"] == 1
+    assert solver_calls["solve"] > 1
+    del estimates[:]
+    solver_calls["jacobian"] = solver_calls["solve"] = 0
+    _, desc, L, first = scenario_system(ScenarioConfig("sl2c"))
+    del_step(desc, L, first)
+    assert len(estimates) == solver_calls["jacobian"] >= 1
+    assert solver_calls["solve"] > solver_calls["jacobian"]
+
+
+def test_newton_a_singular_broyden_update_refreshes_the_jacobian(
+        monkeypatch):
+    # F = (x0, psi(x1)) with exact Jacobians, psi(t) = t^4/2 - t^2 + t/4 -
+    # 1/4: from (1, 0) the first step s = (-1, 1) takes F from (1, -1/4) to
+    # (0, -1/2), and the secant update of diag(1, 1/4) along it is the
+    # singular [[1, 0], [1/4, 0]], every entry exact
+    def F(x):
+        t = x[1]
+        return np.array([x[0], 0.5 * t ** 4 - t * t + 0.25 * t - 0.25])
+
+    jacobians, solved = [], []
+    solve = np.linalg.solve
+
+    def exact_jacobian(F, x, fx):
+        jacobians.append(x.copy())
+        return np.array([[1.0, 0.0], [0.0, 2.0 * x[1] ** 3 - 2.0 * x[1]
+                                      + 0.25]])
+
+    monkeypatch.setattr(matchdyn.numerics, "fd_jacobian", exact_jacobian)
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda J, b: solved.append(J.copy()) or solve(J, b))
+    x, r = newton_solve(F, np.array([1.0, 0.0]))
+    assert np.max(np.abs(r)) <= 1e-10
+    assert np.array_equal(solved[1], [[1.0, 0.0], [0.25, 0.0]])
+    assert np.linalg.cond(solved[1]) > 1e14
+    assert np.array_equal(jacobians[1], [0.0, 1.0])
 
 
 def test_newton_failures_carry_the_last_residual_and_condition(monkeypatch):
