@@ -5,7 +5,6 @@ from .errors import (
     BasePointMismatch,
     DomainError,
     EvaluationError,
-    FormulaMismatch,
     MatchdynError,
     NoConvergence,
     NotComposable,

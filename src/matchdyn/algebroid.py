@@ -49,21 +49,10 @@ class AlgebroidVector:
         self._same_fiber(other)
         return AlgebroidVector(self.desc, self.b, self.z + other.z)
 
-    def __sub__(self, other):
-        self._same_fiber(other)
-        return AlgebroidVector(self.desc, self.b, self.z - other.z)
-
-    def __rmul__(self, c):
-        return AlgebroidVector(self.desc, self.b, float(c) * self.z)
-
     def _same_fiber(self, other):
         if other.desc is not self.desc:
             raise TagError("fiber vectors belong to different descriptors")
         _require_base(self.b, other.b)
-
-    def __repr__(self):
-        return "AlgebroidVector(%s, b=%s, z=%s)" % (self.desc.name, self.b,
-                                                    self.z)
 
 
 def _require_base(b1, b2):

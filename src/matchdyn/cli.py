@@ -97,8 +97,6 @@ def _cmd_run(args):
     print("max residual norm: %.3e" % report.max_residual)
     if report.oracle_max is not None:
         print("variational oracle max: %.3e" % report.oracle_max)
-    if report.formula_gap is not None:
-        print("closed-vs-generic residual gap: %.3e" % report.formula_gap)
     if report.correspondence_gap is not None:
         print("correspondence gap: %.3e" % report.correspondence_gap)
     return _verdict(report.failures(config.tol))

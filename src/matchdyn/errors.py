@@ -58,7 +58,3 @@ class NotComposable(MatchdynError):
 
 class BasePointMismatch(MatchdynError):
     """An algebroid fiber element was used at the wrong base point."""
-
-
-class FormulaMismatch(MatchdynError):
-    """Closed-form and generic assemblies of the same quantity disagree."""

@@ -55,12 +55,14 @@ POINT = Chart(0, name="point")
 
 
 def record_deviation(dev, key, a, b):
-    """Raise dev[key] to max |a - b|; empty arrays (the base point of a group
-    seen as a groupoid over a point) deviate by nothing."""
+    """Raise dev[key] to max |a - b|, or to NaN if a or b has one; empty
+    arrays (the base point of a group seen as a groupoid over a point)
+    deviate by nothing."""
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if a.size or b.size:
-        dev[key] = max(dev[key], float(np.max(np.abs(a - b))))
+        # np.max, not max: Python's max drops a NaN that does not come first
+        dev[key] = float(np.max(np.abs(a - b), initial=dev[key]))
 
 
 class Groupoid:

@@ -255,9 +255,11 @@ class SU2(Group):
         vn = math.sqrt(v @ v)
         if vn < 1e-14:
             # log is 0 on this ball; curves through it see the smooth limit,
-            # (2 / w) I, whose zeros carry the sign of w; g[0] keeps numpy's
-            # inf for w = 0
-            d = 2.0 / g[0]
+            # (2 / w) I, whose zeros carry the sign of w; at w = 0, or a w
+            # so small that 2 / w overflows, there is none
+            d = 2.0 / w if w else math.inf
+            if math.isinf(d):
+                raise DomainError("SU2.dlog has no limit at %s" % g.tolist())
             o = d * 0.0
             return np.array([[0.0, d, o, o], [0.0, o, d, o], [0.0, o, o, d]])
         # s I + k u u^T beside the column -2 v / r2, u = v / |v|; the zeros

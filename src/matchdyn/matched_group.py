@@ -148,7 +148,8 @@ class Su2K(MatchedPairGroup):
     and B <| A rotates by it; the SL(2, C) matrices (``compose``,
     ``decompose``) are their test reference.  The four induced-action
     matrices carry closed forms, so the lift matrices and every solve use
-    them; ``generic()`` keeps the finite-difference ones, for cross-checking.
+    them; ``generic()`` keeps the finite-difference ones, which
+    ``check axioms`` compares them with.
     """
 
     def __init__(self):

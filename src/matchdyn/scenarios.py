@@ -34,13 +34,12 @@ from .dynamics import (
     solver_failure,
     variational_oracle,
 )
-from .errors import DomainError, FormulaMismatch, MatchdynError
-from .groupoids import default_trivial_decomposition
+from .errors import DomainError, MatchdynError
+from .groupoids import default_trivial_decomposition, record_deviation
 from .groups import Group
 from .matched_group import Su2K
 
 FMT = "%.17g"
-FORMULA_TOL = 1e-7
 REPRODUCE_TOL = 1e-12
 
 # how the derivatives in a trajectory file were taken: this writer takes the
@@ -52,8 +51,11 @@ HEADERS = {
     "trivial_groupoid": "k m1 m2 theta n1 n2 res_direct res_matched phi_gap"
                         .split(),
     "sl2c": ("k A_w A_x A_y A_z B_a B_b B_c Phi_1 Phi_2 Phi_3 Psi_1 Psi_2 "
-             "Psi_3 res_norm formula_gap").split(),
+             "Psi_3 res_norm").split(),
 }
+# older layouts that ``check residual`` still reads: sl2c rows once ended in
+# the gap of a finite-difference cross-check, which nothing re-derives
+OLD_HEADERS = {"sl2c": HEADERS["sl2c"] + ["formula_gap"]}
 # each scenario's one built-in Lagrangian: its name and parameter defaults
 LAGRANGIANS = {"trivial_groupoid": ("spring", dict(k_pos=1.0, k_rot=1.0)),
                "sl2c": ("quadratic", dict(coupling=0.0, ig1=1.0, ig2=1.0,
@@ -64,6 +66,9 @@ INITIAL = {"trivial_groupoid": ("arrow coords (m, theta, n)",
            "sl2c": ("algebra coords (su(2) then K)",
                     (0.2, -0.1, 0.15, 0.1, 0.05, -0.1))}
 SCENARIOS = tuple(INITIAL)
+# Su2K's closed induced-action matrices, each with the factor it reads
+CLOSED_ACTIONS = {"act_on_fiber_g": "h", "dagger_on_h": "h",
+                  "dagger_on_g": "g", "act_on_fiber_h": "g"}
 
 
 @dataclass(eq=False)
@@ -198,7 +203,6 @@ class RunReport:
     oracle_max: float | None = None
     momentum_defect: float | None = None
     correspondence_gap: float | None = None
-    formula_gap: float | None = None
     # set only when a trajectory file is read back: stored vs recomputed
     reproduce_gap: float | None = None
     wall_clock: float | None = None
@@ -365,31 +369,16 @@ def run_trivial_groupoid(config: ScenarioConfig):
 
 def run_sl2c(config: ScenarioConfig):
     """Solve the SL(2, C) matched-group recursion through the closed-form
-    lift matrices, then evaluate the closed momentum form and its
-    finite-difference assembly at every solved junction; the closed form's
-    norms are stored, and a mismatch beyond FORMULA_TOL raises
-    FormulaMismatch naming its step."""
+    lift matrices, and store the norms of the closed momentum form at every
+    solved junction."""
     mp, _, L, u1 = _system(config)
     arrows, _ = march(mp, L, u1, config.steps, config.tol)
-    # generic() shares G and H, so both forms read the same momenta
     momenta = arrow_momenta(mp, L, arrows)
-    closed = momentum_residuals(mp, arrows, momenta)
-    gaps = [float(np.max(np.abs(rc - rf))) for rc, rf in
-            zip(closed, momentum_residuals(mp.generic(), arrows, momenta))]
-    for k, gap in enumerate(gaps, 1):
-        if gap > FORMULA_TOL:
-            raise FormulaMismatch(
-                "closed-form and finite-difference residuals disagree by "
-                "%.3e at step %d" % (gap, k))
-    formula_gap = max(gaps)
-    res_norms = [float(np.linalg.norm(r, np.inf)) for r in closed]
-
+    res_norms = [float(np.linalg.norm(r, np.inf))
+                 for r in momentum_residuals(mp, arrows, momenta)]
     # the records' mu and nu are the Phi and Psi columns
-    rows = [row + [formula_gap] for row in _rederived_rows(
-        arrows, [m[1:] for m in momenta], res_norms)]
-
-    report = RunReport("sl2c", res_norms, formula_gap=formula_gap)
-    return report, HEADERS["sl2c"], rows
+    rows = _rederived_rows(arrows, [m[1:] for m in momenta], res_norms)
+    return RunReport("sl2c", res_norms), HEADERS["sl2c"], rows
 
 
 def run_scenario(config: ScenarioConfig):
@@ -437,15 +426,16 @@ def read_trajectory_csv(path):
 
 
 def check_residual_file(path):
-    """Re-read an emitted trajectory laid out as HEADERS says, recompute
-    every residual norm, and for sl2c every momentum, from the arrows alone,
-    rebuild the rows' leading columns from them as ``run`` does, the first
-    arrow from the header's initial data, and take the largest gap to the
-    stored values.  Returns (failures, report) as
+    """Re-read an emitted trajectory laid out as HEADERS or OLD_HEADERS
+    says, recompute every residual norm, and for sl2c every momentum, from
+    the arrows alone, rebuild the rows' leading columns from them as ``run``
+    does, the first arrow from the header's initial data, and take the
+    largest gap to the stored values.  Returns (failures, report) as
     ``RunReport.failures``."""
     config, header, rows = read_trajectory_csv(path)
     columns = HEADERS[config.scenario]
-    if header != columns or any(len(row) != len(columns) for row in rows):
+    if (header not in (columns, OLD_HEADERS.get(config.scenario))
+            or any(len(row) != len(header) for row in rows)):
         raise DomainError("trajectory file %s: a %s file has the header %s "
                           "and one field per column in every row"
                           % (path, config.scenario, ",".join(columns)))
@@ -474,7 +464,6 @@ def _recheck_rows(config, rows):
     else:
         momenta = arrow_momenta(desc, L, arrows)
         residuals = momentum_residuals(desc, arrows, momenta)
-        # formula_gap would need the finite-difference pair
         records = [m[1:] for m in momenta]
         # no independent oracle: the residuals themselves take its bound
         oracle = None
@@ -512,7 +501,21 @@ def run_axiom_suites(seed=0, n_samples=200, tol=1e-9):
     for key, val in dec.matched.matched_axiom_report(
             rng, n_samples=n_samples).items():
         merged["matched." + key] = val
-    ok = (max(merged.values()) <= tol
-          and max(loose.values(), default=0.0) <= 1e-4)
+    # the closed induced-action matrices that every sl2c solve reads,
+    # against generic()'s finite-difference ones: above the exact laws' tol
+    generic = mp.generic()
+    gaps = dict.fromkeys(CLOSED_ACTIONS, 0.0)
+    for _ in range(n_samples):
+        point = {"h": mp.H.random(rng), "g": mp.G.random(rng)}
+        for name, arg in CLOSED_ACTIONS.items():
+            record_deviation(gaps, name,
+                             getattr(mp, name + "_matrix")(point[arg]),
+                             getattr(generic, name + "_matrix")(point[arg]))
+    # np.max, not max: a NaN anywhere fails
+    ok = bool(np.max(list(merged.values())) <= tol
+              and np.max(list(loose.values()), initial=0.0) <= 1e-4
+              and np.max(list(gaps.values())) <= 1e-7)
     merged.update(loose)
+    merged.update(("su2k.closed_vs_generic." + name, gap)
+                  for name, gap in gaps.items())
     return ok, merged

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from matchdyn.dynamics import Trajectory, solver_failure
-from matchdyn.errors import DomainError, MatchdynError, TagError
+from matchdyn.errors import DomainError, MatchdynError, NoConvergence, TagError
 from matchdyn.groupoids import GroupGroupoid
 from matchdyn.groups import (
     NEAR_PI_COS,
@@ -310,6 +310,20 @@ def test_su2_dlog_matches_its_matrix_form_bit_for_bit():
         new, ref = SU2().dlog(q), su2_dlog_reference(q)
         assert np.array_equal(new, ref)
         assert np.array_equal(np.signbit(new), np.signbit(ref))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("w", [0.0, -0.0, 5e-324])
+def test_su2_dlog_without_a_limit_is_a_domain_error(w):
+    # on the |v| < 1e-14 ball the limit (2 / w) I does not exist at w = 0,
+    # nor is it a float where 2 / w overflows: no inf, NaN or warning
+    for v in (0.0, 1e-15):
+        q = np.array([w, v, 0.0, 0.0])
+        with pytest.raises(DomainError, match="no limit at"):
+            SU2().dlog(q)
+        with pytest.raises(NoConvergence):
+            with solver_failure("junction solve"):
+                SU2().dlog(q)
 
 
 def vec_reference(x, n=None):

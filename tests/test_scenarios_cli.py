@@ -8,12 +8,18 @@ from hypothesis import example, given, settings, strategies as st
 
 from matchdyn import cli
 from matchdyn.cli import main
-from matchdyn.dynamics import DiscreteLagrangian, matched_group_momenta
-from matchdyn.errors import DomainError, FormulaMismatch, SingularJacobian
+from matchdyn.dynamics import (
+    DiscreteLagrangian,
+    arrow_momenta,
+    matched_group_momenta,
+    momentum_residuals,
+)
+from matchdyn.errors import DomainError, SingularJacobian
 from matchdyn.groupoids import default_trivial_decomposition
 from matchdyn.matched_group import Su2K
 from matchdyn.numerics import fd_gradient
 from matchdyn.scenarios import (
+    CLOSED_ACTIONS,
     HEADERS,
     RunReport,
     ScenarioConfig,
@@ -244,7 +250,13 @@ def test_run_sl2c_closed_matches_generic():
     report, header, rows = run_sl2c(cfg)
     assert len(rows) == 10
     assert max(report.residual_norms) < 1e-9
-    assert report.formula_gap < 1e-7
+    # the momentum form at the solved arrows, closed and finite-difference
+    mp = Su2K()
+    arrows = [np.array(row[1:8]) for row in rows]
+    momenta = arrow_momenta(mp, sl2c_lagrangian(mp, cfg), arrows)
+    assert max(float(np.max(np.abs(rc - rf))) for rc, rf in zip(
+        momentum_residuals(mp, arrows, momenta),
+        momentum_residuals(mp.generic(), arrows, momenta))) < 1e-7
 
 
 def test_run_sl2c_stationary_at_identity():
@@ -297,24 +309,48 @@ def test_run_sl2c_builds_at_most_one_jacobian_per_junction(monkeypatch):
 
 def test_run_sl2c_runs_no_matrix_inverse_or_stacked_ad(monkeypatch):
     # Su2K's actions come off one column and SU2, K carry closed Ad
-    # matrices; the SL(2, C) inverse and the column-stacked Ad are references
+    # matrices; the SL(2, C) inverse, the column-stacked Ad and the
+    # finite-difference induced actions of generic() are references
+    from matchdyn.groupoids import MatchedPairGroupoid
     from matchdyn.groups import Group
+    from matchdyn.matched_group import MatchedPairGroup
 
     def reference(*args, **kwargs):
         raise AssertionError("reference called in run sl2c")
 
     monkeypatch.setattr(np.linalg, "inv", reference)
     monkeypatch.setattr(Group, "Ad_matrix", reference)
+    monkeypatch.setattr(MatchedPairGroup, "generic", reference)
+    for name in CLOSED_ACTIONS:
+        monkeypatch.setattr(MatchedPairGroupoid, name + "_matrix", reference)
     report, _, _ = run_sl2c(ScenarioConfig("sl2c", steps=4))
     assert max(report.residual_norms) <= 1e-10
 
 
-def test_run_sl2c_formula_mismatch_is_fatal(monkeypatch):
-    act = Su2K.act_on_fiber_g_matrix
-    monkeypatch.setattr(Su2K, "act_on_fiber_g_matrix",
-                        lambda self, h: 2.0 * act(self, h))
-    with pytest.raises(FormulaMismatch):
-        run_sl2c(ScenarioConfig("sl2c", steps=3))
+@pytest.mark.parametrize("name", list(CLOSED_ACTIONS))
+def test_check_axioms_fails_a_broken_closed_su2k_action(monkeypatch, name):
+    # each closed induced-action matrix is checked against generic()'s
+    # finite-difference one, which the patch leaves as it is
+    closed = getattr(Su2K, name + "_matrix")
+    monkeypatch.setattr(Su2K, name + "_matrix",
+                        lambda self, x: 2.0 * closed(self, x))
+    ok, report = run_axiom_suites(n_samples=10)
+    assert not ok
+    assert [key for key, val in report.items()
+            if ".closed_vs_generic." in key and val > 1e-7] == [
+                "su2k.closed_vs_generic." + name]
+    assert main(["check", "axioms", "--samples", "10"]) == 1
+
+
+@pytest.mark.parametrize("name", ["dagger_on_h", "dagger_on_g"])
+def test_check_axioms_fails_a_nan_closed_su2k_action(monkeypatch, name):
+    # the two dagger matrices feed no bracket, so only their entries see it
+    closed = getattr(Su2K, name + "_matrix")
+    monkeypatch.setattr(Su2K, name + "_matrix",
+                        lambda self, x: np.nan * closed(self, x))
+    ok, report = run_axiom_suites(n_samples=5)
+    assert not ok and np.isnan(report["su2k.closed_vs_generic." + name])
+    assert main(["check", "axioms", "--samples", "5"]) == 1
 
 
 # -- trajectory files -------------------------------------------------------
@@ -416,7 +452,7 @@ def test_read_trajectory_csv_rejects_a_missing_scenario_line(tmp_path):
     assert main(["check", "residual", str(p)]) == 2
 
 
-@pytest.mark.parametrize("scenario,width", [("sl2c", 16),
+@pytest.mark.parametrize("scenario,width", [("sl2c", 15),
                                             ("trivial_groupoid", 9)])
 def test_check_residual_rejects_short_rows(tmp_path, scenario, width):
     assert len(HEADERS[scenario]) == width
@@ -541,7 +577,13 @@ def test_axiom_suites_pass():
     ok, report = run_axiom_suites(seed=1, n_samples=50)
     assert ok
     assert max(v for k, v in report.items()
-               if not k.endswith("bracket_jacobi")) < 1e-9
+               if not k.endswith("bracket_jacobi")
+               and ".closed_vs_generic." not in k) < 1e-9
+    # Su2K's closed induced actions, against finite differences
+    assert sorted(k for k in report if ".closed_vs_generic." in k) == [
+        "su2k.closed_vs_generic." + name for name in sorted(CLOSED_ACTIONS)]
+    assert max(v for k, v in report.items()
+               if ".closed_vs_generic." in k) <= 1e-7
 
 
 # -- CLI --------------------------------------------------------------------
@@ -591,13 +633,35 @@ def test_check_residual_reports_an_oracle_only_where_there_is_one(
     assert main(["check", "residual", tampered]) == 1
 
 
+def test_check_residual_ignores_the_old_formula_gap_column(tmp_path):
+    # sl2c files once ended each row in a finite-difference cross-check's
+    # gap, which nothing re-derives
+    out = str(tmp_path / "sl2c.csv")
+    assert main(["run", "sl2c", "--steps", "4", "--out", out]) == 0
+    cfg, header, rows = read_trajectory_csv(out)
+    assert "formula_gap" not in header
+    old = str(tmp_path / "old.csv")
+    write_trajectory_csv(old, cfg, header + ["formula_gap"],
+                         [row + [9.0 * k] for k, row in enumerate(rows)])
+    failures, report = check_residual_file(old)
+    assert failures == [] and report.reproduce_gap == 0.0
+    assert main(["check", "residual", old]) == 0
+    # the older layout is sl2c's only
+    trivial = str(tmp_path / "trivial.csv")
+    assert main(["run", "trivial_groupoid", "--steps", "3", "--out",
+                 trivial]) == 0
+    cfg, header, rows = read_trajectory_csv(trivial)
+    write_trajectory_csv(trivial, cfg, header + ["formula_gap"],
+                         [row + [0.0] for row in rows])
+    assert main(["check", "residual", trivial]) == 2
+
+
 def test_check_residual_rederives_the_sl2c_momenta(tmp_path, capsys):
     # the momentum columns are recomputed from the arrow of their row
     out = str(tmp_path / "sl2c.csv")
     assert main(["run", "sl2c", "--steps", "4", "--out", out]) == 0
     cfg, header, rows = read_trajectory_csv(out)
     rows[2][header.index("Phi_1")] = 77.0
-    rows[2][header.index("formula_gap")] = 9.0
     tampered = str(tmp_path / "tampered.csv")
     write_trajectory_csv(tampered, cfg, header, rows)
     capsys.readouterr()
@@ -637,8 +701,8 @@ def test_sl2c_momenta_take_one_gradient_per_arrow(tmp_path, monkeypatch):
     monkeypatch.setattr(scenarios, "momentum_residuals", counted_forms)
     out = str(tmp_path / "sl2c.csv")
     assert main(["run", "sl2c", "--steps", "10", "--out", out]) == 0
-    # the closed form, then the generic() cross-check
-    assert len(gradients) == 10 and forms == [0, 0]
+    # the closed form only
+    assert len(gradients) == 10 and forms == [0]
     for path, n_arrows in ((out, 10),
                            (os.path.join(DATA, "sl2c_fd.csv"), 4)):
         gradients.clear()
