@@ -7,8 +7,9 @@ tangent.  Invariant vector fields come in two flavors: a generic path that
 differentiates curves through the groupoid product, and the descriptor's own
 lift matrices (``left_lift`` / ``right_lift``) applied to the fiber
 coordinates.  The generic path is the oracle; the lift matrices are what the
-solvers call.  The induced actions of a matched pair read from the matrices
-that ``MatchedPairGroupoid`` differentiates once per arrow.
+solvers call.  The induced actions of a matched pair each read one block of
+the two induced-action pairs that ``MatchedPairGroupoid`` differentiates
+once per arrow.
 """
 from __future__ import annotations
 
@@ -119,7 +120,7 @@ def act_on_fiber_g(md: MatchedPairGroupoid, h, X: AlgebroidVector):
     h = np.asarray(h, dtype=float)
     _require_base(md.Hd.beta(h), X.b)
     return AlgebroidVector(md.Gd, md.Hd.alpha(h),
-                           md.act_on_fiber_g_matrix(h) @ X.z)
+                           md.g_fiber_actions(h)[0] @ X.z)
 
 
 def dagger_on_h(md: MatchedPairGroupoid, X: AlgebroidVector, h):
@@ -127,7 +128,7 @@ def dagger_on_h(md: MatchedPairGroupoid, X: AlgebroidVector, h):
     G-fiber flow at beta(h)."""
     h = np.asarray(h, dtype=float)
     _require_base(md.Hd.beta(h), X.b)
-    return md.dagger_on_h_matrix(h) @ X.z
+    return md.g_fiber_actions(h)[1] @ X.z
 
 
 def dagger_on_g(md: MatchedPairGroupoid, Y: AlgebroidVector, g):
@@ -135,7 +136,7 @@ def dagger_on_g(md: MatchedPairGroupoid, Y: AlgebroidVector, g):
     flow y_t at alpha(g)."""
     g = np.asarray(g, dtype=float)
     _require_base(md.Gd.alpha(g), Y.b)
-    return md.dagger_on_g_matrix(g) @ Y.z
+    return md.h_fiber_actions(g)[0] @ Y.z
 
 
 def act_on_fiber_h(md: MatchedPairGroupoid, Y: AlgebroidVector, g):
@@ -143,7 +144,7 @@ def act_on_fiber_h(md: MatchedPairGroupoid, Y: AlgebroidVector, g):
     g = np.asarray(g, dtype=float)
     _require_base(md.Gd.alpha(g), Y.b)
     return AlgebroidVector(md.Hd, md.Gd.beta(g),
-                           md.act_on_fiber_h_matrix(g) @ Y.z)
+                           md.h_fiber_actions(g)[1] @ Y.z)
 
 
 # ---------------------------------------------------------------------------

@@ -152,23 +152,25 @@ def del_residual_matched_group(mp: MatchedPairGroup, L: DiscreteLagrangian,
 def _momentum_half(mp, u, momenta, form, side):
     """The u_k ("left") or u_{k+1} ("right") half of the momentum residual,
     from the arrow's record ``momenta`` = (d, mu, nu)."""
-    # h |> g enters via act_on_fiber_g_matrix, dagger_on_g_matrix; h <| g
-    # via dagger_on_h_matrix, act_on_fiber_h_matrix
+    # h |> g enters via A_g and D_g, h <| g via D_h and A_h: the blocks of
+    # the induced-action pair on the fiber of this half
     acts_on_g = form in ("full", "right-trivial")
     acts_on_h = form in ("full", "left-trivial")
     g, h = mp.split(u)
     d, mu, nu = momenta
     if side == "left":
+        A_g, D_h = mp.g_fiber_actions(h)
         xi = mp.G.coAd(g, mu)
         if acts_on_g:
-            xi = mp.act_on_fiber_g_matrix(h).T @ xi
+            xi = A_g.T @ xi
         if acts_on_h:
-            xi = xi + mp.dagger_on_h_matrix(h).T @ d[mp.G.coord_dim:]
+            xi = xi + D_h.T @ d[mp.G.coord_dim:]
         return np.concatenate([xi, mp.H.coAd(h, nu)])
-    eta = mp.act_on_fiber_h_matrix(g).T @ nu if acts_on_h else nu
+    D_g, A_h = mp.h_fiber_actions(g)
+    eta = A_h.T @ nu if acts_on_h else nu
     if acts_on_g:
         # the groupoid's dagger on g flows y_t^{-1} |> g, hence the sign
-        eta = eta - mp.dagger_on_g_matrix(g).T @ d[: mp.G.coord_dim]
+        eta = eta - D_g.T @ d[: mp.G.coord_dim]
     return np.concatenate([mu, eta])
 
 

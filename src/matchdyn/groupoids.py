@@ -12,13 +12,15 @@ how a curve in a source fiber is read back in fiber coordinates.
 Each descriptor also owns its lift matrices: ``left_lift(g)`` and
 ``right_lift(g)`` are arrow_dim x fiber_dim, with column i the left / right
 invariant vector field at g generated by the fiber-chart basis vector e_i.
-The matched-pair groupoid assembles its lifts from the factor lifts and four
-induced-action matrices, which it takes by finite differences of the two
-actions; a subclass with closed ones keeps those as its oracle.  The trivial
-decomposition's ``OrbitPair`` is one: its matrices are identities and the
-orbit and push matrices of the action groupoid, which ``RotatedPlane`` has
-in closed form and a general action takes by finite differences of
-``action`` alone.
+The matched-pair groupoid takes its two mutual actions as one map,
+``actions(h, g) = (h |> g, h <| g)``, the refactorization h g =
+(h |> g)(h <| g), and assembles its lifts from the factor lifts and two
+pairs of induced actions: the derivatives of ``actions`` along the G-fiber
+and along the H-fiber, each one finite-difference stencil; a subclass with
+closed pairs keeps those as its oracle.  The trivial decomposition's
+``OrbitPair`` is one: its blocks are identities and the orbit and push
+matrices of the action groupoid, which ``RotatedPlane`` has in closed form
+and a general action takes by finite differences of ``action`` alone.
 """
 from __future__ import annotations
 
@@ -410,7 +412,8 @@ class TrivialGroupoid(Groupoid):
 
 class MatchedPairGroupoid(Groupoid):
     """Groupoid on pairs (g, h) with beta_G(g) = alpha_H(h), multiplied
-    through the mutual actions:
+    through the mutual actions, both read off one refactorization
+    ``actions(h, g) = (h |> g, h <| g)``:
 
         (g, h)(g', h') = (g (h |> g'), (h <| g') h').
 
@@ -419,14 +422,12 @@ class MatchedPairGroupoid(Groupoid):
     with its target-corrected H component and the H summand sits at fixed g.
     """
 
-    def __init__(self, Gd: Groupoid, Hd: Groupoid, act_on_g, act_on_h,
-                 name=None):
+    def __init__(self, Gd: Groupoid, Hd: Groupoid, actions, name=None):
         if Gd.base.dim != Hd.base.dim:
             raise DomainError("factor groupoids live over different bases")
         self.Gd = Gd
         self.Hd = Hd
-        self.act_on_g = act_on_g
-        self.act_on_h = act_on_h
+        self.actions = actions
         self.base = Gd.base
         self.arrow_dim = Gd.arrow_dim + Hd.arrow_dim
         self.fiber_dim = Gd.fiber_dim + Hd.fiber_dim
@@ -455,16 +456,12 @@ class MatchedPairGroupoid(Groupoid):
     def mul(self, x, y):
         g, h = self.split(x)
         g2, h2 = self.split(y)
-        return self.join(
-            self.Gd.mul(g, self.act_on_g(h, g2)),
-            self.Hd.mul(self.act_on_h(h, g2), h2),
-        )
+        hg, hh = self.actions(h, g2)
+        return self.join(self.Gd.mul(g, hg), self.Hd.mul(hh, h2))
 
     def inv(self, x):
         g, h = self.split(x)
-        gi = self.Gd.inv(g)
-        hi = self.Hd.inv(h)
-        return self.join(self.act_on_g(hi, gi), self.act_on_h(hi, gi))
+        return self.join(*self.actions(self.Hd.inv(h), self.Gd.inv(g)))
 
     def fiber_elem(self, b, z):
         zg, zh = self.split_fiber(z)
@@ -476,42 +473,46 @@ class MatchedPairGroupoid(Groupoid):
         return np.concatenate([self.Gd.arrow_coords(g),
                                self.Hd.arrow_coords(h)])
 
-    # -- induced infinitesimal actions, as matrices on the factor fibers -----
+    # -- induced infinitesimal actions: actions differentiated along a fiber -
 
-    def act_on_fiber_g_matrix(self, h):
-        """X -> h |> X: G-fiber at beta(h) to G-fiber at alpha(h), read by
-        arrow_coords (axiom i keeps the curve in that source fiber)."""
+    def g_fiber_actions(self, h):
+        """(A_g, D_h): ``actions(h, .)`` along the G-fiber at beta(h).
+
+        A_g is X -> h |> X, into the G-fiber at alpha(h), read by
+        arrow_coords (axiom i keeps the curve in that source fiber); D_h is
+        X -> X^dagger(h), into the tangent vectors at h."""
         b, n = self.Hd.beta(h), self.Gd.fiber_dim
-        return fd_curve_columns(lambda z: self.Gd.arrow_coords(
-            self.act_on_g(h, self.Gd.fiber_elem(b, z))), n)
 
-    def dagger_on_h_matrix(self, h):
-        """X -> X^dagger(h): G-fiber at beta(h) to tangent vectors at h."""
-        b, n = self.Hd.beta(h), self.Gd.fiber_dim
-        return fd_curve_columns(
-            lambda z: self.act_on_h(h, self.Gd.fiber_elem(b, z)), n)
+        def curve(z):
+            hg, hh = self.actions(h, self.Gd.fiber_elem(b, z))
+            return np.concatenate([self.Gd.arrow_coords(hg), hh])
 
-    def dagger_on_g_matrix(self, g):
-        """Y -> Y^dagger(g) = d/dt (y_t^{-1} |> g): H-fiber at alpha(g) to
-        tangent vectors at g."""
+        out = fd_curve_columns(curve, n)
+        return out[:n], out[n:]
+
+    def h_fiber_actions(self, g):
+        """(D_g, A_h): ``actions(., g)`` along the inverted H-fiber curve
+        y_t^{-1} at alpha(g).
+
+        D_g is Y -> Y^dagger(g) = d/dt (y_t^{-1} |> g), into the tangent
+        vectors at g; A_h is Y -> Y <| g = d/dt (y_t^{-1} <| g)^{-1}, into
+        the H-fiber at beta(g), read by arrow_coords (axiom iv)."""
         b, n = self.Gd.alpha(g), self.Hd.fiber_dim
-        return fd_curve_columns(lambda z: self.act_on_g(
-            self.Hd.inv(self.Hd.fiber_elem(b, z)), g), n)
 
-    def act_on_fiber_h_matrix(self, g):
-        """Y -> Y <| g = d/dt (y_t^{-1} <| g)^{-1}: H-fiber at alpha(g) to
-        H-fiber at beta(g), read by arrow_coords (axiom iv)."""
-        b, n = self.Gd.alpha(g), self.Hd.fiber_dim
-        return fd_curve_columns(lambda z: self.Hd.arrow_coords(self.Hd.inv(
-            self.act_on_h(self.Hd.inv(self.Hd.fiber_elem(b, z)), g))), n)
+        def curve(z):
+            hg, hh = self.actions(self.Hd.inv(self.Hd.fiber_elem(b, z)), g)
+            return np.concatenate([hg, self.Hd.arrow_coords(self.Hd.inv(hh))])
+
+        out = fd_curve_columns(curve, n)
+        return out[:self.Gd.arrow_dim], out[self.Gd.arrow_dim:]
 
     def left_lift(self, x):
         """(X, Y) at beta(h) -> (left of (h |> X) at g,
         X^dagger(h) + left of Y at h).
 
         With ``right_lift`` it gives the paper's six-term junction residual
-        of dL = (d_G, d_H) in block rows, A_g, D_h, D_g, A_h the four
-        induced-action matrices above, in order, and L, R the factor lifts:
+        of dL = (d_G, d_H) in block rows, (A_g, D_h) and (D_g, A_h) the two
+        induced-action pairs above and L, R the factor lifts:
 
             G: A_g(h_k)^T L_G(g_k)^T d_G,k + D_h(h_k)^T d_H,k
                - R_G(g_{k+1})^T d_G,k+1
@@ -520,9 +521,10 @@ class MatchedPairGroupoid(Groupoid):
         """
         g, h = self.split(x)
         n, k = self.Gd.arrow_dim, self.Gd.fiber_dim
+        A_g, D_h = self.g_fiber_actions(h)
         out = np.zeros((self.arrow_dim, self.fiber_dim))
-        out[:n, :k] = self.Gd.left_lift(g) @ self.act_on_fiber_g_matrix(h)
-        out[n:, :k] = self.dagger_on_h_matrix(h)
+        out[:n, :k] = self.Gd.left_lift(g) @ A_g
+        out[n:, :k] = D_h
         out[n:, k:] = self.Hd.left_lift(h)
         return out
 
@@ -532,16 +534,17 @@ class MatchedPairGroupoid(Groupoid):
         ``left_lift``."""
         g, h = self.split(x)
         n, k = self.Gd.arrow_dim, self.Gd.fiber_dim
+        D_g, A_h = self.h_fiber_actions(g)
         out = np.zeros((self.arrow_dim, self.fiber_dim))
         out[:n, :k] = self.Gd.right_lift(g)
-        out[:n, k:] = -self.dagger_on_g_matrix(g)
-        out[n:, k:] = self.Hd.right_lift(h) @ self.act_on_fiber_h_matrix(g)
+        out[:n, k:] = -D_g
+        out[n:, k:] = self.Hd.right_lift(h) @ A_h
         return out
 
     def matched_axiom_report(self, rng, n_samples=50):
         """Max deviation of the nine mutual-action compatibility conditions
         plus the identity-arrow action identities."""
-        Gd, Hd = self.Gd, self.Hd
+        Gd, Hd, act = self.Gd, self.Hd, self.actions
         dev = {
             "i_source_of_left_action": 0.0,
             "ii_left_action_compose": 0.0,
@@ -564,36 +567,26 @@ class MatchedPairGroupoid(Groupoid):
             hp = Hd.random_with_source(Hd.alpha(h), rng)
             hp = Hd.inv(hp)  # arrow with target alpha(h)
 
-            upd("i_source_of_left_action",
-                Gd.alpha(self.act_on_g(h, g1)), Hd.alpha(h))
-            upd("ii_left_action_compose",
-                self.act_on_g(Hd.mul(hp, h), g1),
-                self.act_on_g(hp, self.act_on_g(h, g1)))
-            upd("iii_left_action_unit",
-                self.act_on_g(Hd.eps(Gd.alpha(g1)), g1), g1)
-            upd("iv_target_of_right_action",
-                Hd.beta(self.act_on_h(h, g1)), Gd.beta(g1))
-            upd("v_right_action_compose",
-                self.act_on_h(h, Gd.mul(g1, g2)),
-                self.act_on_h(self.act_on_h(h, g1), g2))
-            upd("vi_right_action_unit",
-                self.act_on_h(h, Gd.eps(Hd.beta(h))), h)
-            upd("vii_target_source_exchange",
-                Gd.beta(self.act_on_g(h, g1)),
-                Hd.alpha(self.act_on_h(h, g1)))
-            upd("viii_left_action_cocycle",
-                self.act_on_g(h, Gd.mul(g1, g2)),
-                Gd.mul(self.act_on_g(h, g1),
-                       self.act_on_g(self.act_on_h(h, g1), g2)))
-            upd("ix_right_action_cocycle",
-                self.act_on_h(Hd.mul(hp, h), g1),
-                Hd.mul(self.act_on_h(hp, self.act_on_g(h, g1)),
-                       self.act_on_h(h, g1)))
-            upd("act_units_map_to_units",
-                self.act_on_g(h, Gd.eps(Hd.beta(h))), Gd.eps(Hd.alpha(h)))
-            upd("act_units_map_to_units",
-                self.act_on_h(Hd.eps(Gd.alpha(g1)), g1),
-                Hd.eps(Gd.beta(g1)))
+            # each refactorization that more than one law reads
+            hg, hh = act(h, g1)
+            hp_h = act(Hd.mul(hp, h), g1)
+            hp_hg = act(hp, hg)
+            hh_g2 = act(hh, g2)
+            h_g12 = act(h, Gd.mul(g1, g2))
+            h_unit = act(h, Gd.eps(Hd.beta(h)))
+            unit_g = act(Hd.eps(Gd.alpha(g1)), g1)
+
+            upd("i_source_of_left_action", Gd.alpha(hg), Hd.alpha(h))
+            upd("ii_left_action_compose", hp_h[0], hp_hg[0])
+            upd("iii_left_action_unit", unit_g[0], g1)
+            upd("iv_target_of_right_action", Hd.beta(hh), Gd.beta(g1))
+            upd("v_right_action_compose", h_g12[1], hh_g2[1])
+            upd("vi_right_action_unit", h_unit[1], h)
+            upd("vii_target_source_exchange", Gd.beta(hg), Hd.alpha(hh))
+            upd("viii_left_action_cocycle", h_g12[0], Gd.mul(hg, hh_g2[0]))
+            upd("ix_right_action_cocycle", hp_h[1], Hd.mul(hp_hg[1], hh))
+            upd("act_units_map_to_units", h_unit[0], Gd.eps(Hd.alpha(h)))
+            upd("act_units_map_to_units", unit_g[1], Hd.eps(Gd.beta(g1)))
         return dev
 
 
@@ -603,9 +596,9 @@ class MatchedPairGroupoid(Groupoid):
 
 class OrbitPair(MatchedPairGroupoid):
     """The matched presentation (M x G) bowtie (M x M) of a trivial
-    decomposition, its four induced-action matrices closed in the orbit and
-    push matrices of the action groupoid; the MatchedPairGroupoid ones are
-    their finite-difference oracle.  Below, h = (m', m) and g = (m, theta).
+    decomposition, its two induced-action pairs closed in the orbit and push
+    matrices of the action groupoid; the MatchedPairGroupoid ones are their
+    finite-difference oracle.  Below, h = (m', m) and g = (m, theta).
 
     ``mul``, ``inv`` and ``fiber_elem`` are closed too, on x = (m, a, p, q)
     with p = m a.  They run the floating-point operations of the
@@ -640,23 +633,18 @@ class OrbitPair(MatchedPairGroupoid):
         c = self.Gd.act(b, e)
         return np.concatenate([b, e, c, c + z[k:]])
 
-    def act_on_fiber_g_matrix(self, h):
-        # (m', m) |> exp z = (m', exp z), read back by log
-        return np.eye(self.Gd.fiber_dim)
-
-    def dagger_on_h_matrix(self, h):
+    def g_fiber_actions(self, h):
+        # (m', m) |> exp z = (m', exp z), read back by log, and
         # (m', m) <| exp z = (m' exp z, m exp z)
-        return np.vstack([self.Gd.orbit_matrix(self.Hd.alpha(h)),
-                          self.Gd.orbit_matrix(self.Hd.beta(h))])
+        return np.eye(self.Gd.fiber_dim), np.vstack([
+            self.Gd.orbit_matrix(self.Hd.alpha(h)),
+            self.Gd.orbit_matrix(self.Hd.beta(h))])
 
-    def dagger_on_g_matrix(self, g):
-        # (m + z, m) |> (m, theta) = (m + z, theta)
-        return np.eye(self.Gd.arrow_dim, self.Hd.fiber_dim)
-
-    def act_on_fiber_h_matrix(self, g):
-        # (m + z, m) <| (m, theta), inverted, runs from m theta to
-        # (m + z) theta
-        return self.Gd.push_matrix(*self.Gd.split(g))
+    def h_fiber_actions(self, g):
+        # (m + z, m) |> (m, theta) = (m + z, theta), and (m + z, m) <|
+        # (m, theta), inverted, runs from m theta to (m + z) theta
+        return (np.eye(self.Gd.arrow_dim, self.Hd.fiber_dim),
+                self.Gd.push_matrix(*self.Gd.split(g)))
 
 
 class TrivialDecomposition:
@@ -675,23 +663,16 @@ class TrivialDecomposition:
         self.G = G = actiond.G
         self.trivial = TrivialGroupoid(M, G)
         self.paird = PairGroupoid(M)
-        self.matched = OrbitPair(
-            actiond, self.paird,
-            act_on_g=self._act_on_g, act_on_h=self._act_on_h,
-            name="triv_%s_%s" % (M.name, G.name),
-        )
+        self.matched = OrbitPair(actiond, self.paird, self._actions,
+                                 name="triv_%s_%s" % (M.name, G.name))
 
-    def _act_on_g(self, h, g):
-        # (m', m) |> (m, g) = (m', g)
-        mprime = self.paird.alpha(h)
+    def _actions(self, h, g):
+        # (m', m) |> (m, g) = (m', g) and (m', m) <| (m, g) = (m' g, m g)
+        mprime, m = self.paird.alpha(h), self.paird.beta(h)
         _, gg = self.actiond.split(g)
-        return np.concatenate([mprime, gg])
-
-    def _act_on_h(self, h, g):
-        # (m', m) <| (m, g) = (m' g, m g)
-        _, gg = self.actiond.split(g)
-        return np.concatenate([self.actiond.act(self.paird.alpha(h), gg),
-                               self.actiond.act(self.paird.beta(h), gg)])
+        return (np.concatenate([mprime, gg]),
+                np.concatenate([self.actiond.act(mprime, gg),
+                                self.actiond.act(m, gg)]))
 
     def phi(self, x):
         """(m, g, n) -> ((m, g), (mg, n))."""

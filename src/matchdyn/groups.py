@@ -11,11 +11,11 @@ generically through finite differences of the product; the generic
 ``Ad_matrix`` reads its conjugation curves in algebra coordinates through
 ``log``, the chart inverse.  Every group here overrides ``lift_matrix`` and
 ``Ad_matrix`` with closed forms, so the finite-difference ``Group`` methods
-are the oracles that tests compare them against, and the generic
-``Ad_matrix`` serves the matched-pair groups.  ``Ad`` and ``coAd`` are that
-one matrix applied and transposed.  SU(2) and K give the Jacobian of their
-``log`` in chart coordinates (``dlog``), from which the built-in Lagrangians
-take their closed gradients.
+are the oracles that tests compare them against; the matched-pair groups
+inherit the generic ``Ad_matrix``, which no command reads.  ``Ad`` and
+``coAd`` are that one matrix applied and transposed.  SU(2) and K give the
+Jacobian of their ``log`` in chart coordinates (``dlog``), from which the
+built-in Lagrangians take their closed gradients.
 
 The per-point chart maps on the solver's hot path (``_vec``, ``check``,
 SU(2)'s ``mul``/``exp``/``log``/``dlog``, SO(3)'s ``check`` and

@@ -7,20 +7,20 @@ becomes a group under
 
     (g1, h1)(g2, h2) = (g1 (h1 |> g2), (h1 <| g2) h2).
 
-This is the matched-pair groupoid of the two groups seen as groupoids over a
-point, and ``MatchedPairGroup`` is one: it subclasses ``MatchedPairGroupoid``
-over ``GroupGroupoid(G)`` and ``GroupGroupoid(H)``, so the product, the
-inverse, the lift matrices, the compatibility axioms and, by default, the
-four induced infinitesimal actions (as matrices, by finite differences) are
-the groupoid's.  Concrete pairs (``Su2K`` and the degenerate pairs) override
-those four matrices with closed forms; the algebra bracket is derived from
-them too.  ``Su2K`` also closes the operations of the sl2c junction solve
-(the lifts, ``fiber_elem``, ``mul`` and ``inv``) in the groupoid's own
-floating-point operations, so they return its bits.
-The adjoint matrix is the finite-difference ``Group.Ad_matrix`` on the
-product, read through the componentwise ``log``.  ``generic()`` returns the
-same pair as a plain ``MatchedPairGroup``, so closed forms can be checked
-against it.
+Both actions come from one refactorization h g = (h |> g)(h <| g), which a
+pair gives as the one map ``actions(h, g)``.  This is the matched-pair
+groupoid of the two groups seen as groupoids over a point, and
+``MatchedPairGroup`` is one: it subclasses ``MatchedPairGroupoid`` over
+``GroupGroupoid(G)`` and ``GroupGroupoid(H)``, so the product, the inverse,
+the lift matrices, the compatibility axioms and, by default, the two pairs
+of induced infinitesimal actions (by finite differences of ``actions``) are
+the groupoid's.  It closes the fiber chart as (exp_G, exp_H).  Concrete
+pairs (``Su2K`` and the degenerate pairs) override the two pairs with closed
+forms; the algebra bracket is derived from them too.  The adjoint matrix is
+the finite-difference ``Group.Ad_matrix`` on the product, read through the
+componentwise ``log``; no command reads it.  ``generic()`` returns the same
+pair as a plain ``MatchedPairGroup``, so closed forms can be checked against
+it.
 """
 from __future__ import annotations
 
@@ -39,20 +39,19 @@ class MatchedPairGroup(MatchedPairGroupoid, Group):
     """Product group G x H built from a matched pair of mutual actions: the
     matched-pair groupoid of G and H over a point.
 
-    The actions ``act_on_g(h, g)`` (h |> g) and ``act_on_h(h, g)`` (h <| g)
-    are passed in or defined by a subclass.  Elements are the concatenation
-    of a G chart point and an H chart point.  The exp/log pair is the fiber
-    chart, the componentwise retraction (exp_G, exp_H); it is a chart around
-    the identity with the correct derivative, which is all the downstream
-    finite differencing needs.
+    The map ``actions(h, g) = (h |> g, h <| g)`` is passed in or defined by
+    a subclass.  Elements are the concatenation of a G chart point and an H
+    chart point.  The exp/log pair is the fiber chart, the componentwise
+    retraction (exp_G, exp_H); it is a chart around the identity with the
+    correct derivative, which is all the downstream finite differencing
+    needs.
     """
 
-    def __init__(self, G: Group, H: Group, act_on_g=None, act_on_h=None,
-                 name=None):
+    def __init__(self, G: Group, H: Group, actions=None, name=None):
         self.G = G
         self.H = H
         super().__init__(GroupGroupoid(G), GroupGroupoid(H),
-                         act_on_g or self.act_on_g, act_on_h or self.act_on_h,
+                         actions or self.actions,
                          name=name or "%s_bowtie_%s" % (G.name, H.name))
         self.dim = self.fiber_dim
         self.coord_dim = self.arrow_dim
@@ -69,6 +68,12 @@ class MatchedPairGroup(MatchedPairGroupoid, Group):
         self.H.check(h)
         return u
 
+    def fiber_elem(self, b, z):
+        # the groupoid's chart with both factor bases the point
+        z = np.asarray(z, dtype=float)
+        return np.concatenate([self.G.exp(z[:self.G.dim]),
+                               self.H.exp(z[self.G.dim:])])
+
     def exp(self, w):
         return self.fiber_elem(POINT_BASE, self.algebra_vector(w))
 
@@ -80,8 +85,8 @@ class MatchedPairGroup(MatchedPairGroupoid, Group):
 
     def generic(self):
         """The same pair without closed-form overrides: every induced
-        operator is the base-class finite-difference one."""
-        return MatchedPairGroup(self.G, self.H, self.act_on_g, self.act_on_h)
+        action is the base-class finite-difference one."""
+        return MatchedPairGroup(self.G, self.H, self.actions)
 
     def lift_matrix(self, side, u):
         return self.left_lift(u) if side == "left" else self.right_lift(u)
@@ -104,14 +109,14 @@ class MatchedPairGroup(MatchedPairGroupoid, Group):
         xi = self.G.algebra_vector(xi)
         eta = self.H.algebra_vector(eta)
         return fd_curve(
-            lambda t: self.act_on_fiber_g_matrix(self.H.exp(t * eta)) @ xi)
+            lambda t: self.g_fiber_actions(self.H.exp(t * eta))[0] @ xi)
 
     def act_alg_h_from_xi(self, eta, xi):
         """eta <| xi: derivative of eta <| g along g = exp(t xi)."""
         xi = self.G.algebra_vector(xi)
         eta = self.H.algebra_vector(eta)
         return fd_curve(
-            lambda t: self.act_on_fiber_h_matrix(self.G.exp(t * xi)) @ eta)
+            lambda t: self.h_fiber_actions(self.G.exp(t * xi))[1] @ eta)
 
     # -- compatibility checks ------------------------------------------------
 
@@ -143,51 +148,41 @@ class Su2K(MatchedPairGroup):
     SL(2, C) into (unitary) x (lower triangular, positive diagonal).
 
     Every product B * A of a triangular factor and a unitary factor
-    refactorizes as (B |> A)(B <| A); those two maps are the mutual actions.
-    B |> A is read off one column of that product, with no complex matrix,
-    and B <| A rotates by it; the SL(2, C) matrices (``compose``,
-    ``decompose``) are their test reference.  The four induced-action
-    matrices carry closed forms, so the lift matrices and every solve use
-    them; ``generic()`` keeps the finite-difference ones, which
-    ``check axioms`` compares them with.
+    refactorizes as (B |> A)(B <| A); ``actions`` reads both factors off
+    that product with no complex matrix, and the SL(2, C) matrices
+    (``compose``, ``decompose``) are their test reference.  The two
+    induced-action pairs carry closed forms, so the lift matrices and every
+    solve use them; ``generic()`` keeps the finite-difference ones, which
+    ``check axioms`` compares them with.  Every groupoid operation is the
+    ``MatchedPairGroupoid`` one.
     """
 
     def __init__(self):
         super().__init__(SU2(), KGroup(), name="su2_bowtie_k")
 
-    # -- group-level actions -------------------------------------------------
+    def actions(self, h, g):
+        """(B |> A, B <| A) of the K point B = h and the SU(2) point A = g.
 
-    def act_on_g(self, h, g):
-        """B |> A, read off the second column of mat2(B) @ mat2(A).
-
-        The triangular factor only scales that column by its positive corner
+        B |> A is read off the second column of mat2(B) @ mat2(A).  The
+        triangular factor only scales that column by its positive corner
         entry, so it is a positive multiple of the unitary factor's second
         column (-y' - ix', w' + iz').  Times s = sqrt(1 + c), with mat2(B) =
         [[s, 0], [(a + ib)/s, 1/s]] and mat2(A)'s column (-y - ix, w + iz),
         it is (-(1 + c)(y + ix), w + iz - (a + ib)(y + ix)), whose real and
-        imaginary parts give (w', x', y', z') up to one normalization."""
-        return self._act_on_g(self.H.check(h), g)
+        imaginary parts give q = (w', x', y', z') up to one normalization.
 
-    def act_on_h(self, h, g):
-        """B <| A: the triangular factor of mat2(B) @ mat2(A), in the
-        (a, b, c) chart: the component s*e3 along the axis is preserved and
-        the rest rotates by the inverse of rot_of(B |> A)."""
+        B <| A is the triangular factor in the (a, b, c) chart: the component
+        s*e3 along the axis is preserved and the rest rotates by the inverse
+        of rot_of(q)."""
         B = self.H.check(h)
-        return self._act_on_h(B, self._act_on_g(B, g))
-
-    # the two actions of the checked K point B, B <| A from q = B |> A
-
-    def _act_on_g(self, B, g):
         a, b, c = B
         w, x, y, z = _vec(g, 4)
         q = np.array([w - a * y + b * x, (1.0 + c) * x, (1.0 + c) * y,
                       z - a * x - b * y])
-        return q / np.sqrt(q @ q)
-
-    def _act_on_h(self, B, q):
-        s = float(B @ B) / (2.0 * (1.0 + B[2]))
+        q = q / np.sqrt(q @ q)
+        s = float(B @ B) / (2.0 * (1.0 + c))
         R = rotation_matrix_of_quaternion(q)
-        return s * E3 + R.T @ (B - s * E3)
+        return q, s * E3 + R.T @ (B - s * E3)
 
     def decompose(self, M):
         """Split M in SL(2, C) as (SU(2) chart point, K chart point) with
@@ -206,80 +201,23 @@ class Su2K(MatchedPairGroup):
 
     # -- closed-form infinitesimal actions -----------------------------------
 
-    def act_on_fiber_g_matrix(self, h):
-        # B |> X = mat3(B) X
-        return self.H.mat3(h)
-
-    def dagger_on_h_matrix(self, h):
-        return self._dagger_on_h(h, self.H.mat3(h))
-
-    def _dagger_on_h(self, h, M):
-        # X^dagger(B) = T r_B (B~ x (B |> X)), with T r_B = (1+c) Id in the
-        # (a, b, c) chart and B |> X = M X
+    def g_fiber_actions(self, h):
+        # B |> X = mat3(B) X, and X^dagger(B) = T r_B (B~ x (B |> X)), with
+        # T r_B = (1+c) Id in the (a, b, c) chart
         B = self.H.check(h)
+        M = self.H.mat3(B)
         c = B[2]
         b_tilde = (B / (c + 1.0)
                    - (float(B @ B) / (2.0 * (c + 1.0) ** 2)) * E3)
-        return (1.0 + c) * hat3(b_tilde) @ M
+        return M, (1.0 + c) * hat3(b_tilde) @ M
 
-    def dagger_on_g_matrix(self, g):
-        return self._dagger_on_g(g, self.G.rot_of(g))
-
-    def _dagger_on_g(self, g, R):
+    def h_fiber_actions(self, g):
         # d/dt (exp(tY)^{-1} |> A) = -Y^dagger(A) = T r_A ((Ad_A e3 - e3) x Y)
         # with Ad_A = R and T r_A from su2_lift: it stays closed when a
         # re-check of an FD-written file swaps G.lift_matrix for finite
-        # differences
-        return su2_lift("right", g) @ hat3(R @ E3 - E3)
-
-    def act_on_fiber_h_matrix(self, g):
-        # Y <| A = rot_of(A)^T Y
-        return self.G.rot_of(g).T
-
-    # -- closed groupoid operations ------------------------------------------
-    # the MatchedPairGroupoid ones in the same floating-point operations, so
-    # they return the same bits: mul and inv check B and compute B |> A
-    # once for both actions, and the lifts build mat3(h) or rot_of(g) once for both blocks
-    # that read it and take the factor blocks from G.lift_matrix and
-    # H.lift_matrix, which a re-check of an FD-written file swaps
-
-    def mul(self, x, y):
-        g, h = self.split(x)
-        g2, h2 = self.split(y)
-        B = self.H.check(h)
-        q = self._act_on_g(B, g2)
-        return self.join(self.G.mul(g, q), self.H.mul(self._act_on_h(B, q),
-                                                      h2))
-
-    def inv(self, x):
-        g, h = self.split(x)
-        # checked as the generic act_on_g checks it: for a large c the
-        # inverse's c = -c / (1 + c) rounds onto -1
-        gi, hi = self.G.inv(g), self.H.check(self.H.inv(h))
-        q = self._act_on_g(hi, gi)
-        return self.join(q, self._act_on_h(hi, q))
-
-    def fiber_elem(self, b, z):
-        z = np.asarray(z, dtype=float)
-        return np.concatenate([self.G.exp(z[:3]), self.H.exp(z[3:])])
-
-    def left_lift(self, x):
-        g, h = self.split(x)
-        M = self.H.mat3(h)
-        out = np.zeros((7, 6))
-        out[:4, :3] = self.G.lift_matrix("left", g) @ M
-        out[4:, :3] = self._dagger_on_h(h, M)
-        out[4:, 3:] = self.H.lift_matrix("left", h)
-        return out
-
-    def right_lift(self, x):
-        g, h = self.split(x)
+        # differences; and Y <| A = R^T Y
         R = self.G.rot_of(g)
-        out = np.zeros((7, 6))
-        out[:4, :3] = self.G.lift_matrix("right", g)
-        out[:4, 3:] = -self._dagger_on_g(g, R)
-        out[4:, 3:] = self.H.lift_matrix("right", h) @ R.T
-        return out
+        return su2_lift("right", g) @ hat3(R @ E3 - E3), R.T
 
 
 # ---------------------------------------------------------------------------
@@ -288,27 +226,17 @@ class Su2K(MatchedPairGroup):
 
 class DegeneratePair(MatchedPairGroup):
     """G x H whose mutual actions are trivial unless a subclass defines one.
-    A trivial action's induced matrices are an identity and a zero block,
-    so all four are closed; ``generic()`` keeps the finite-difference
-    ones."""
+    A trivial action's induced blocks are an identity and a zero block, so
+    both pairs are closed; ``generic()`` keeps the finite-difference ones."""
 
-    def act_on_g(self, h, g):
-        return np.asarray(g, dtype=float)
+    def actions(self, h, g):
+        return np.asarray(g, dtype=float), np.asarray(h, dtype=float)
 
-    def act_on_h(self, h, g):
-        return np.asarray(h, dtype=float)
+    def g_fiber_actions(self, h):
+        return np.eye(self.G.dim), np.zeros((self.H.coord_dim, self.G.dim))
 
-    def act_on_fiber_g_matrix(self, h):
-        return np.eye(self.G.dim)
-
-    def dagger_on_h_matrix(self, h):
-        return np.zeros((self.H.coord_dim, self.G.dim))
-
-    def dagger_on_g_matrix(self, g):
-        return np.zeros((self.G.coord_dim, self.H.dim))
-
-    def act_on_fiber_h_matrix(self, g):
-        return np.eye(self.H.dim)
+    def h_fiber_actions(self, g):
+        return np.zeros((self.G.coord_dim, self.H.dim)), np.eye(self.H.dim)
 
 
 class RotatedTranslations(DegeneratePair):
@@ -317,15 +245,17 @@ class RotatedTranslations(DegeneratePair):
     def __init__(self):
         super().__init__(Abelian(3), SO3(), name="r3_rtimes_so3")
 
-    def act_on_g(self, h, g):
-        return np.asarray(h).reshape(3, 3) @ np.asarray(g)
+    def actions(self, h, g):
+        return (np.asarray(h).reshape(3, 3) @ np.asarray(g),
+                np.asarray(h, dtype=float))
 
-    def act_on_fiber_g_matrix(self, h):
-        return np.asarray(h, dtype=float).reshape(3, 3)
+    def g_fiber_actions(self, h):
+        return (np.asarray(h, dtype=float).reshape(3, 3),
+                np.zeros((self.H.coord_dim, self.G.dim)))
 
-    def dagger_on_g_matrix(self, g):
+    def h_fiber_actions(self, g):
         # d/dt exp(tY)^{-1} g = -Y x g = g x Y
-        return hat3(g)
+        return hat3(g), np.eye(self.H.dim)
 
 
 class CarriedTranslations(DegeneratePair):
@@ -335,16 +265,18 @@ class CarriedTranslations(DegeneratePair):
     def __init__(self):
         super().__init__(SO3(), Abelian(3), name="so3_ltimes_r3")
 
-    def act_on_h(self, h, g):
-        return np.asarray(g).reshape(3, 3).T @ np.asarray(h)
+    def actions(self, h, g):
+        return (np.asarray(g, dtype=float),
+                np.asarray(g).reshape(3, 3).T @ np.asarray(h))
 
-    def dagger_on_h_matrix(self, h):
+    def g_fiber_actions(self, h):
         # d/dt exp(tX)^T h = -X x h = h x X
-        return hat3(h)
+        return np.eye(self.G.dim), hat3(h)
 
-    def act_on_fiber_h_matrix(self, g):
+    def h_fiber_actions(self, g):
         # (y_t^{-1} <| g)^{-1} = R_g^T y_t
-        return np.asarray(g, dtype=float).reshape(3, 3).T
+        return (np.zeros((self.G.coord_dim, self.H.dim)),
+                np.asarray(g, dtype=float).reshape(3, 3).T)
 
 
 def right_trivial_pair():

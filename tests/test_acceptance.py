@@ -56,7 +56,7 @@ def test_01_iwasawa_consistency():
         g = mp.G.random(rng)
         h = mp.H.random(rng)
         BA = mp.H.mat2(h) @ mp.G.mat2(g)
-        refac = mp.compose(mp.act_on_g(h, g), mp.act_on_h(h, g))
+        refac = mp.compose(*mp.actions(h, g))
         worst = max(worst, float(np.max(np.abs(BA - refac))))
     dt = time.perf_counter() - t0
     report(1, "iwasawa-consistency", worst <= 1e-9 and dt < 1.0,
@@ -70,8 +70,8 @@ def test_02_matched_group_axioms():
     from matchdyn.groups import Abelian
     bad = MatchedPairGroup(
         Abelian(3), SO3(),
-        act_on_g=lambda h, g: 2.0 * np.asarray(h).reshape(3, 3) @ np.asarray(g),
-        act_on_h=lambda h, g: np.asarray(h, dtype=float))
+        actions=lambda h, g: (2.0 * np.asarray(h).reshape(3, 3)
+                              @ np.asarray(g), np.asarray(h, dtype=float)))
     bad_rep = bad.axiom_report(np.random.default_rng(2), n_samples=20)
     neg = max(bad_rep.values())
     ok = worst <= 1e-9 and neg > 1e-3

@@ -263,25 +263,26 @@ def test_matched_fields_at_unit():
 def test_matched_fields_reduce_to_group_fields():
     # the matched groupoid over a point differentiates the actions by finite
     # differences; the group fields here are assembled from Su2K's closed
-    # induced-action matrices
+    # induced-action pairs
     mp = Su2K()
     G, H = mp.G, mp.H
     Gd = GroupGroupoid(G)
     Hd = GroupGroupoid(H)
-    md = MatchedPairGroupoid(Gd, Hd, act_on_g=mp.act_on_g,
-                             act_on_h=mp.act_on_h)
+    md = MatchedPairGroupoid(Gd, Hd, mp.actions)
     rng = np.random.default_rng(4)
     for _ in range(5):
         u = mp.random(rng)
         w = mp.random_algebra(rng)
         g, h = mp.split(u)
         xi, eta = mp.split_fiber(w)
+        A_g, D_h = mp.g_fiber_actions(h)
+        D_g, A_h = mp.h_fiber_actions(g)
         left = np.concatenate([
-            G.lift_matrix("left", g) @ mp.act_on_fiber_g_matrix(h) @ xi,
-            mp.dagger_on_h_matrix(h) @ xi + H.lift_matrix("left", h) @ eta])
+            G.lift_matrix("left", g) @ A_g @ xi,
+            D_h @ xi + H.lift_matrix("left", h) @ eta])
         right = np.concatenate([
-            G.lift_matrix("right", g) @ xi - mp.dagger_on_g_matrix(g) @ eta,
-            H.lift_matrix("right", h) @ mp.act_on_fiber_h_matrix(g) @ eta])
+            G.lift_matrix("right", g) @ xi - D_g @ eta,
+            H.lift_matrix("right", h) @ A_h @ eta])
         U = AlgebroidVector(md, np.zeros(0), w)
         assert np.allclose(matched_left_invariant(md, U, u), left, atol=1e-6)
         assert np.allclose(matched_right_invariant(md, U, u), right,

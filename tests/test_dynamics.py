@@ -165,8 +165,7 @@ def test_matched_residual_agrees_with_generic_assembly():
     # the closed induced actions of OrbitPair against the base-class
     # finite-difference ones of the same pair
     md = DEC.matched
-    generic = MatchedPairGroupoid(DEC.actiond, DEC.paird, DEC._act_on_g,
-                                  DEC._act_on_h)
+    generic = MatchedPairGroupoid(DEC.actiond, DEC.paird, DEC._actions)
     L = smooth_lagrangian(md.arrow_dim, RNG)
     for _ in range(10):
         x = md.random_arrow(RNG)
@@ -178,9 +177,8 @@ def test_matched_residual_agrees_with_generic_assembly():
 def test_matched_residual_both_trivial_splits():
     G1 = GroupGroupoid(SO3())
     G2 = GroupGroupoid(SO3())
-    md = MatchedPairGroupoid(G1, G2,
-                             act_on_g=lambda h, g: np.asarray(g, dtype=float),
-                             act_on_h=lambda h, g: np.asarray(h, dtype=float))
+    md = MatchedPairGroupoid(G1, G2, lambda h, g: (np.asarray(g, dtype=float),
+                                                   np.asarray(h, dtype=float)))
     L1 = smooth_lagrangian(9, RNG)
     L2 = smooth_lagrangian(9, RNG)
     L = DiscreteLagrangian(lambda x: L1(x[:9]) + L2(x[9:]))
@@ -363,10 +361,8 @@ def test_junction_solve_calls_no_reference(monkeypatch):
                         (algebroid, "left_invariant_generic"),
                         (algebroid, "right_invariant_generic"),
                         (MatchedPairGroup, "generic"),
-                        (MatchedPairGroupoid, "act_on_fiber_g_matrix"),
-                        (MatchedPairGroupoid, "dagger_on_h_matrix"),
-                        (MatchedPairGroupoid, "dagger_on_g_matrix"),
-                        (MatchedPairGroupoid, "act_on_fiber_h_matrix"),
+                        (MatchedPairGroupoid, "g_fiber_actions"),
+                        (MatchedPairGroupoid, "h_fiber_actions"),
                         (Group, "lift_matrix")):
         monkeypatch.setattr(owner, name, reference)
     mp = Su2K()
@@ -463,8 +459,7 @@ def test_degenerate_pair_step_takes_closed_actions_and_no_gradient(
         raise AssertionError("reference called in a junction solve")
 
     monkeypatch.setattr(dynamics, "fd_gradient", reference)
-    for name in ("act_on_fiber_g_matrix", "dagger_on_h_matrix",
-                 "dagger_on_g_matrix", "act_on_fiber_h_matrix"):
+    for name in ("g_fiber_actions", "h_fiber_actions"):
         monkeypatch.setattr(MatchedPairGroupoid, name, reference)
     mp = builder()
     rng = np.random.default_rng(37)

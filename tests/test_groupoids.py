@@ -122,16 +122,16 @@ def test_matched_axioms_negative_control():
     # fixed, breaking the target-exchange condition (vii)
     bad = MatchedPairGroupoid(
         DEC.actiond, DEC.paird,
-        act_on_g=DEC._act_on_g,
-        act_on_h=lambda h, g: np.asarray(h, dtype=float),
+        actions=lambda h, g: (DEC._actions(h, g)[0],
+                              np.asarray(h, dtype=float)),
     )
     report = bad.matched_axiom_report(np.random.default_rng(2), n_samples=10)
     assert report["vii_target_source_exchange"] > 1e-3
 
 
 def test_axiom_check_matched_function():
-    report = MatchedPairGroupoid(DEC.actiond, DEC.paird, DEC._act_on_g,
-                                 DEC._act_on_h).matched_axiom_report(
+    report = MatchedPairGroupoid(DEC.actiond, DEC.paird,
+                                 DEC._actions).matched_axiom_report(
         np.random.default_rng(0), n_samples=10)
     assert max(report.values()) < 1e-9
 
@@ -257,7 +257,7 @@ def test_groupoid_action_check_pair_action():
     paird = DEC.paird
 
     def action(p, g):
-        return DEC._act_on_h(p, g)
+        return DEC._actions(p, g)[1]
 
     report = groupoid_action_check(
         desc, f=paird.beta, action=action,
@@ -297,25 +297,30 @@ def general_action_decomposition():
         lambda m, g: rot2(float(g[0])) @ np.asarray(m)))
 
 
-INDUCED_ACTIONS = (("act_on_fiber_g_matrix", "h"), ("dagger_on_h_matrix", "h"),
-                   ("dagger_on_g_matrix", "g"), ("act_on_fiber_h_matrix", "g"))
+# each block of the two induced-action pairs: the pair, the block's index
+# in it and the factor the pair reads; an id names the block's matrix
+INDUCED_ACTIONS = [
+    pytest.param("g_fiber_actions", 0, "h", id="act_on_fiber_g_matrix-h"),
+    pytest.param("g_fiber_actions", 1, "h", id="dagger_on_h_matrix-h"),
+    pytest.param("h_fiber_actions", 0, "g", id="dagger_on_g_matrix-g"),
+    pytest.param("h_fiber_actions", 1, "g", id="act_on_fiber_h_matrix-g")]
 
 
-@pytest.mark.parametrize("name,arg", INDUCED_ACTIONS)
-def test_orbit_pair_matches_the_finite_difference_induced_actions(name, arg):
+@pytest.mark.parametrize("pair,block,arg", INDUCED_ACTIONS)
+def test_orbit_pair_matches_the_finite_difference_induced_actions(pair, block,
+                                                                   arg):
     rng = np.random.default_rng(41)
     for _ in range(20):
         x = (DEC.paird if arg == "h" else DEC.actiond).random_arrow(
             rng, sigma=2.0)
-        closed = getattr(DEC.matched, name)(x)
-        fd = getattr(MatchedPairGroupoid, name)(DEC.matched, x)
+        closed = getattr(DEC.matched, pair)(x)[block]
+        fd = getattr(MatchedPairGroupoid, pair)(DEC.matched, x)[block]
         assert closed.shape == fd.shape
         assert np.max(np.abs(closed - fd)) <= 1e-9
 
 
 def test_orbit_pair_operations_are_the_generic_ones_bit_for_bit():
-    plain = MatchedPairGroupoid(DEC.actiond, DEC.paird, DEC._act_on_g,
-                                DEC._act_on_h)
+    plain = MatchedPairGroupoid(DEC.actiond, DEC.paird, DEC._actions)
     general = general_action_decomposition().actiond
     rng = np.random.default_rng(44)
     for _ in range(250):
@@ -350,10 +355,10 @@ def test_general_action_takes_the_finite_difference_matrices():
     for _ in range(10):
         h = DEC.paird.random_arrow(rng)
         g = DEC.actiond.random_arrow(rng)
-        for name, arg in INDUCED_ACTIONS:
-            x = h if arg == "h" else g
-            assert np.max(np.abs(getattr(general.matched, name)(x)
-                                 - getattr(DEC.matched, name)(x))) <= 1e-9
+        for pair, x in (("g_fiber_actions", h), ("h_fiber_actions", g)):
+            for fd, closed in zip(getattr(general.matched, pair)(x),
+                                  getattr(DEC.matched, pair)(x)):
+                assert np.max(np.abs(fd - closed)) <= 1e-9
 
 
 def test_general_action_step_matches_the_closed_one():

@@ -32,8 +32,8 @@ def test_axiom_check_catches_bad_pair():
     # rotate by h but scale as well: breaks the left action laws
     bad = MatchedPairGroup(
         Abelian(3), SO3(),
-        act_on_g=lambda h, g: 2.0 * np.asarray(h).reshape(3, 3) @ np.asarray(g),
-        act_on_h=lambda h, g: np.asarray(h, dtype=float),
+        actions=lambda h, g: (2.0 * np.asarray(h).reshape(3, 3)
+                              @ np.asarray(g), np.asarray(h, dtype=float)),
     )
     report = bad.axiom_report(np.random.default_rng(0), n_samples=3)
     assert report["ii_left_action_compose"] > 1e-8
@@ -67,7 +67,7 @@ def test_su2k_refactorization_defines_actions():
         g = M.G.random(RNG)
         h = M.H.random(RNG)
         P = M.H.mat2(h) @ M.G.mat2(g)
-        Q = M.compose(M.act_on_g(h, g), M.act_on_h(h, g))
+        Q = M.compose(*M.actions(h, g))
         assert np.allclose(P, Q, atol=1e-10)
 
 
@@ -85,8 +85,9 @@ def test_su2k_closed_actions_match_decomposition():
     for _ in range(10):
         g = M.G.random(RNG)
         h = M.H.random(RNG)
-        assert np.allclose(M.act_on_g(h, g), act_on_g_decomp(M, h, g), atol=1e-10)
-        assert np.allclose(M.act_on_h(h, g), act_on_h_decomp(M, h, g), atol=1e-10)
+        hg, hh = M.actions(h, g)
+        assert np.allclose(hg, act_on_g_decomp(M, h, g), atol=1e-10)
+        assert np.allclose(hh, act_on_h_decomp(M, h, g), atol=1e-10)
 
 
 def act_on_g_matrix_reference(M, h, g):
@@ -123,9 +124,9 @@ def test_su2k_column_actions_match_matrix_reference(angle, axis, a, b, c):
     M = Su2K()
     g = M.G.exp(angle * np.asarray(axis) / np.linalg.norm(axis))
     h = np.array([a, b, c])
-    assert np.max(np.abs(M.act_on_g(h, g)
-                         - act_on_g_matrix_reference(M, h, g))) <= 1e-14
-    assert (np.max(np.abs(M.act_on_h(h, g) - act_on_h_matrix_reference(M, h, g)))
+    hg, hh = M.actions(h, g)
+    assert np.max(np.abs(hg - act_on_g_matrix_reference(M, h, g))) <= 1e-14
+    assert (np.max(np.abs(hh - act_on_h_matrix_reference(M, h, g)))
             <= 1e-13 * (1.0 + np.max(np.abs(h))))
 
 
@@ -133,11 +134,10 @@ def test_su2k_column_actions_match_matrix_reference(angle, axis, a, b, c):
 def test_su2k_actions_reject_points_off_the_k_chart(c):
     M = Su2K()
     g = M.G.exp([0.3, -0.2, 0.1])
-    for act in (M.act_on_g, M.act_on_h):
-        with pytest.raises(DomainError):
-            act(np.array([0.1, 0.2, c]), g)
-        with pytest.raises(TagError):
-            act(np.array([0.1, 0.2, 0.3]), g[:3])
+    with pytest.raises(DomainError):
+        M.actions(np.array([0.1, 0.2, c]), g)
+    with pytest.raises(TagError):
+        M.actions(np.array([0.1, 0.2, 0.3]), g[:3])
 
 
 def test_su2k_mul_matches_sl2c_product():
@@ -155,33 +155,61 @@ def test_su2k_closed_infinitesimal_actions():
     for _ in range(5):
         g = M.G.random(RNG)
         h = M.H.random(RNG)
-        assert np.allclose(M.act_on_fiber_g_matrix(h),
-                           F.act_on_fiber_g_matrix(h), atol=1e-8)
-        assert np.allclose(M.dagger_on_h_matrix(h), F.dagger_on_h_matrix(h),
-                           atol=1e-8)
-        assert np.allclose(M.dagger_on_g_matrix(g), F.dagger_on_g_matrix(g),
-                           atol=1e-8)
-        assert np.allclose(M.act_on_fiber_h_matrix(g),
-                           F.act_on_fiber_h_matrix(g), atol=1e-8)
+        for closed, fd in zip(M.g_fiber_actions(h) + M.h_fiber_actions(g),
+                              F.g_fiber_actions(h) + F.h_fiber_actions(g)):
+            assert np.allclose(closed, fd, atol=1e-8)
 
 
 DEGENERATE = [right_trivial_pair(), left_trivial_pair(), both_trivial_pair()]
-INDUCED = ("act_on_fiber_g_matrix", "dagger_on_h_matrix",
-           "dagger_on_g_matrix", "act_on_fiber_h_matrix")
 
 
 @pytest.mark.parametrize("M", DEGENERATE, ids=lambda m: m.name)
 def test_degenerate_pairs_closed_infinitesimal_actions(M):
-    # against the groupoid's finite differences, on the points each matrix
-    # takes: h for the first two, g for the last two
+    # against the groupoid's finite differences, block by block, on the
+    # points each pair takes: h on the G-fiber, g on the H-fiber
     rng = np.random.default_rng(35)
     for _ in range(10):
         g, h = M.split(M.random(rng, sigma=1.0))
-        for name, x in zip(INDUCED, (h, h, g, g)):
-            closed = getattr(M, name)(x)
-            fd = getattr(MatchedPairGroupoid, name)(M, x)
-            assert closed.shape == fd.shape
-            assert np.max(np.abs(closed - fd)) <= 1e-9
+        for pair, x in (("g_fiber_actions", h), ("h_fiber_actions", g)):
+            for closed, fd in zip(getattr(M, pair)(x),
+                                  getattr(MatchedPairGroupoid, pair)(M, x)):
+                assert closed.shape == fd.shape
+                assert np.max(np.abs(closed - fd)) <= 1e-9
+
+
+def test_induced_action_pairs_are_the_two_fiber_stencils():
+    # each pair is one stencil of actions for both of its blocks: 2 calls
+    # per fiber direction
+    F = Su2K().generic()
+    actions, calls = F.actions, []
+
+    def counted(h, g):
+        calls.append(1)
+        return actions(h, g)
+
+    F.actions = counted
+    g, h = F.split(F.random(RNG))
+    F.g_fiber_actions(h)
+    assert len(calls) == 2 * F.G.dim == 6
+    calls.clear()
+    F.h_fiber_actions(g)
+    assert len(calls) == 2 * F.H.dim == 6
+
+
+def test_su2k_mul_and_inv_refactorize_once():
+    M = Su2K()
+    actions, calls = M.actions, []
+
+    def counted(h, g):
+        calls.append(1)
+        return actions(h, g)
+
+    M.actions = counted
+    u, v = M.random(RNG), M.random(RNG)
+    M.mul(u, v)
+    assert len(calls) == 1
+    M.inv(u)
+    assert len(calls) == 2
 
 
 def test_su2k_closed_transposes():
@@ -195,20 +223,18 @@ def test_su2k_closed_transposes():
         nu = RNG.standard_normal(3)
         phi = RNG.standard_normal(4)
         psi = RNG.standard_normal(3)
-        assert np.allclose(M.act_on_fiber_g_matrix(h).T @ mu,
-                           F.act_on_fiber_g_matrix(h).T @ mu, atol=1e-8)
-        assert np.allclose(M.dagger_on_h_matrix(h).T @ psi,
-                           F.dagger_on_h_matrix(h).T @ psi, atol=1e-8)
-        assert np.allclose(M.dagger_on_g_matrix(g).T @ phi,
-                           F.dagger_on_g_matrix(g).T @ phi, atol=1e-8)
-        assert np.allclose(M.act_on_fiber_h_matrix(g).T @ nu,
-                           F.act_on_fiber_h_matrix(g).T @ nu, atol=1e-8)
+        for closed, fd, covector in zip(
+                M.g_fiber_actions(h) + M.h_fiber_actions(g),
+                F.g_fiber_actions(h) + F.h_fiber_actions(g),
+                (mu, psi, phi, nu)):
+            assert np.allclose(closed.T @ covector, fd.T @ covector,
+                               atol=1e-8)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_su2k_lift_matrix_uses_closed_actions(side, monkeypatch):
-    # the matched lift block is the factor lifts and the four closed induced
-    # actions, with no finite differences anywhere
+    # the matched lift block is the factor lifts and the two closed induced
+    # action pairs, with no finite differences anywhere
     def forbidden(*args, **kwargs):
         raise AssertionError("finite differences in a closed lift")
 
@@ -222,40 +248,33 @@ def test_su2k_lift_matrix_uses_closed_actions(side, monkeypatch):
     z34 = np.zeros((4, 3))
     z33 = np.zeros((3, 3))
     if side == "left":
-        block = np.block([[lg @ M.act_on_fiber_g_matrix(h), z34],
-                          [M.dagger_on_h_matrix(h), lh]])
+        A_g, D_h = M.g_fiber_actions(h)
+        block = np.block([[lg @ A_g, z34], [D_h, lh]])
     else:
-        block = np.block([[lg, -M.dagger_on_g_matrix(g)],
-                          [z33, lh @ M.act_on_fiber_h_matrix(g)]])
+        D_g, A_h = M.h_fiber_actions(g)
+        block = np.block([[lg, -D_g], [z33, lh @ A_h]])
     assert np.array_equal(lift, block)
 
 
 def test_su2k_operations_are_the_generic_ones_bit_for_bit():
-    # the closed lifts, fiber chart, product and inverse against the
-    # MatchedPairGroupoid ones, which go through the four action matrices
-    # and both group-level actions
-    M = Su2K()
+    # the product, inverse and lifts of every pair are MatchedPairGroupoid's
+    # own; the one closed operation left is MatchedPairGroup's fiber chart
+    # (exp_G, exp_H), which the groupoid's chart over a point must match
     rng = np.random.default_rng(46)
-    for _ in range(300):
-        u, v = M.random(rng, sigma=1.5), M.random(rng, sigma=1.5)
-        z = 1.5 * rng.standard_normal(6)
-        assert np.array_equal(M.left_lift(u),
-                              MatchedPairGroupoid.left_lift(M, u))
-        assert np.array_equal(M.right_lift(u),
-                              MatchedPairGroupoid.right_lift(M, u))
-        assert np.array_equal(M.fiber_elem(POINT_BASE, z),
-                              MatchedPairGroupoid.fiber_elem(M, POINT_BASE, z))
-        assert np.array_equal(M.mul(u, v), MatchedPairGroupoid.mul(M, u, v))
-        assert np.array_equal(M.inv(u), MatchedPairGroupoid.inv(M, u))
+    for M in PAIRS:
+        for _ in range(100):
+            z = 1.5 * rng.standard_normal(M.fiber_dim)
+            assert np.array_equal(
+                M.fiber_elem(POINT_BASE, z),
+                MatchedPairGroupoid.fiber_elem(M, POINT_BASE, z))
 
 
 def test_su2k_inverse_rejects_an_inverse_that_rounds_off_the_k_chart():
     # c = 1e17 inverts to -c / (1 + c), which rounds onto -1
     M = Su2K()
     u = np.array([1.0, 0.0, 0.0, 0.0, 0.5, 0.5, 1e17])
-    for inv in (M.inv, lambda u: MatchedPairGroupoid.inv(M, u)):
-        with pytest.raises(DomainError, match="<= -1"):
-            inv(u)
+    with pytest.raises(DomainError, match="<= -1"):
+        M.inv(u)
 
 
 def test_su2k_lifts_follow_finite_difference_factor_lifts():
@@ -271,7 +290,7 @@ def test_su2k_lifts_follow_finite_difference_factor_lifts():
     assert not np.array_equal(swapped[:4, :3], closed[:4, :3])
     assert np.array_equal(swapped[:4, 3:], closed[:4, 3:])
     assert np.array_equal(swapped[4:, 3:], Group.lift_matrix(M.H, "right", h)
-                          @ M.act_on_fiber_h_matrix(g))
+                          @ M.h_fiber_actions(g)[1])
 
 
 def test_su2k_groupoid_runs_the_matched_axiom_suite():

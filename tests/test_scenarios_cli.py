@@ -282,8 +282,8 @@ def test_run_sl2c_zero_coupling_momentum_recursion():
         dk, mu_k, _ = matched_group_momenta(mp, L, uk)
         _, mu_k1, _ = matched_group_momenta(mp, L, uk1)
         d2k = dk[mp.G.coord_dim:]
-        predicted = (mp.act_on_fiber_g_matrix(hk).T @ mp.G.coAd(gk, mu_k)
-                     + mp.dagger_on_h_matrix(hk).T @ d2k)
+        A_g, D_h = mp.g_fiber_actions(hk)
+        predicted = A_g.T @ mp.G.coAd(gk, mu_k) + D_h.T @ d2k
         defect = max(defect, float(np.max(np.abs(predicted - mu_k1))))
     assert defect < 1e-7
 
@@ -321,19 +321,33 @@ def test_run_sl2c_runs_no_matrix_inverse_or_stacked_ad(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", reference)
     monkeypatch.setattr(Group, "Ad_matrix", reference)
     monkeypatch.setattr(MatchedPairGroup, "generic", reference)
-    for name in CLOSED_ACTIONS:
-        monkeypatch.setattr(MatchedPairGroupoid, name + "_matrix", reference)
+    for name in ("g_fiber_actions", "h_fiber_actions"):
+        monkeypatch.setattr(MatchedPairGroupoid, name, reference)
     report, _, _ = run_sl2c(ScenarioConfig("sl2c", steps=4))
     assert max(report.residual_norms) <= 1e-10
 
 
+def break_one_block(monkeypatch, name, broken):
+    """Patch Su2K's closed pair that holds the block ``name`` of
+    CLOSED_ACTIONS, so the block reads broken(block) and its twin is as it
+    was; generic()'s finite-difference pairs stay as they are."""
+    index = CLOSED_ACTIONS.index(name)
+    pair = ("g_fiber_actions", "h_fiber_actions")[index // 2]
+    closed = getattr(Su2K, pair)
+
+    def patched(self, x):
+        blocks = list(closed(self, x))
+        blocks[index % 2] = broken(blocks[index % 2])
+        return tuple(blocks)
+
+    monkeypatch.setattr(Su2K, pair, patched)
+
+
 @pytest.mark.parametrize("name", list(CLOSED_ACTIONS))
 def test_check_axioms_fails_a_broken_closed_su2k_action(monkeypatch, name):
-    # each closed induced-action matrix is checked against generic()'s
-    # finite-difference one, which the patch leaves as it is
-    closed = getattr(Su2K, name + "_matrix")
-    monkeypatch.setattr(Su2K, name + "_matrix",
-                        lambda self, x: 2.0 * closed(self, x))
+    # each block of the closed induced-action pairs is checked against
+    # generic()'s finite-difference one
+    break_one_block(monkeypatch, name, lambda block: 2.0 * block)
     ok, report = run_axiom_suites(n_samples=10)
     assert not ok
     assert [key for key, val in report.items()
@@ -344,10 +358,8 @@ def test_check_axioms_fails_a_broken_closed_su2k_action(monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["dagger_on_h", "dagger_on_g"])
 def test_check_axioms_fails_a_nan_closed_su2k_action(monkeypatch, name):
-    # the two dagger matrices feed no bracket, so only their entries see it
-    closed = getattr(Su2K, name + "_matrix")
-    monkeypatch.setattr(Su2K, name + "_matrix",
-                        lambda self, x: np.nan * closed(self, x))
+    # the two dagger blocks feed no bracket, so only their entries see it
+    break_one_block(monkeypatch, name, lambda block: np.nan * block)
     ok, report = run_axiom_suites(n_samples=5)
     assert not ok and np.isnan(report["su2k.closed_vs_generic." + name])
     assert main(["check", "axioms", "--samples", "5"]) == 1
