@@ -24,7 +24,6 @@ from .groupoids import (
     RotatedPlane,
     TrivialDecomposition,
     TrivialGroupoid,
-    compose,
     default_trivial_decomposition,
 )
 from .algebroid import (
@@ -38,7 +37,6 @@ from .algebroid import (
 from .dynamics import (
     DiscreteLagrangian,
     Trajectory,
-    action_sum,
     del_residual,
     del_residual_matched_group,
     del_step,

@@ -85,10 +85,6 @@ class Trajectory:
         return iter(self.arrows)
 
 
-def action_sum(L: DiscreteLagrangian, traj: Trajectory):
-    return float(sum(L(a) for a in traj.arrows))
-
-
 # ---------------------------------------------------------------------------
 # junction residuals
 # ---------------------------------------------------------------------------

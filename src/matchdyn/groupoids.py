@@ -28,7 +28,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DomainError, NotComposable
+from .errors import DomainError
 from .groups import Circle, Group, rot2
 from .numerics import fd_curve_columns
 
@@ -171,15 +171,6 @@ class Groupoid:
             upd("inverse_laws", self.mul(xi, x), self.eps(self.beta(x)))
             upd("inverse_laws", self.mul(x, xi), self.eps(self.alpha(x)))
         return dev
-
-
-def compose(desc, x, y, tol=COMPOSE_TOL):
-    """Product of two arrows, rejecting pairs whose target/source gap
-    exceeds tol."""
-    gap = desc.composability_gap(x, y)
-    if gap > tol:
-        raise NotComposable(desc.beta(x), desc.alpha(y))
-    return desc.mul(x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ generically through finite differences of the product; the generic
 ``log``, the chart inverse.  Every group here overrides ``lift_matrix`` and
 ``Ad_matrix`` with closed forms, so the finite-difference ``Group`` methods
 are the oracles that tests compare them against; the matched-pair groups
-inherit the generic ``Ad_matrix``, which no command reads.  ``Ad`` and
-``coAd`` are that one matrix applied and transposed.  SU(2) and K give the
+inherit the generic ``Ad_matrix``, which no command reads.  ``coAd`` is
+that one matrix transposed.  SU(2) and K give the
 Jacobian of their ``log`` in chart coordinates (``dlog``), from which the
 built-in Lagrangians take their closed gradients.
 
@@ -122,9 +122,6 @@ class Group:
     def algebra_vector(self, xi):
         return _vector(_vec(xi, self.dim))
 
-    def pairing(self, mu, xi):
-        return float(np.dot(_vec(mu, self.dim), _vec(xi, self.dim)))
-
     def lift_matrix(self, side, g):
         """coord_dim x dim matrix, column i = d/dt (g exp(t e_i)) (left) or
         d/dt (exp(t e_i) g) (right) at t=0, by finite differences: the oracle
@@ -134,20 +131,9 @@ class Group:
                                     self.dim)
         return fd_curve_columns(lambda xi: self.mul(self.exp(xi), g), self.dim)
 
-    def Ad(self, g, xi):
-        return self.Ad_matrix(g) @ self.algebra_vector(xi)
-
     def coAd(self, g, mu):
         """Coadjoint transport Ad*_{g^{-1}}: <coAd(g,mu), xi> = <mu, Ad_g xi>."""
         return self.Ad_matrix(g).T @ _vec(mu, self.dim)
-
-    def coad(self, xi, mu):
-        """Infinitesimal coadjoint action: <coad(xi,mu), eta> = <mu, [eta,xi]>."""
-        xi = self.algebra_vector(xi)
-        mu = _vec(mu, self.dim)
-        return np.array(
-            [self.pairing(mu, self.bracket(e, xi)) for e in np.eye(self.dim)]
-        )
 
     def random(self, rng, sigma=0.5):
         return self.exp(sigma * rng.standard_normal(self.dim))
@@ -196,7 +182,7 @@ def su2_lift(side, q):
 
 
 class SU2(Group):
-    """SU(2) stored as unit quaternions; the 2x2 complex view is on demand.
+    """SU(2) stored as unit quaternions.
 
     Algebra vectors (r, s, t) correspond to the pure quaternion (0, (r,s,t)/2),
     so the exponential carries the half-angle convention: rot_of(exp(theta*u))
@@ -285,44 +271,16 @@ class SU2(Group):
     def Ad_matrix(self, g):
         return self.rot_of(g)
 
-    def coad(self, xi, mu):
-        # ad*_X(Phi) = X x Phi on su(2)* ~ R^3
-        return np.cross(self.algebra_vector(xi), _vec(mu, 3))
-
     def rot_of(self, g):
         return rotation_matrix_of_quaternion(self.check(g))
-
-    def mat2(self, g):
-        w, x, y, z = _vec(g, 4)
-        return np.array([
-            [w - 1j * z, -y - 1j * x],
-            [y - 1j * x, w + 1j * z],
-        ])
-
-    def from_mat2(self, U):
-        q = np.array([
-            U[0, 0].real, -U[0, 1].imag, -U[0, 1].real, -U[0, 0].imag,
-        ])
-        return q / np.linalg.norm(q)
-
-    def alg_mat2(self, xi):
-        r, s, t = self.algebra_vector(xi)
-        # r*e1 + s*e2 + t*e3 in the traceless skew-hermitian basis
-        return np.array([
-            [-0.5j * t, -0.5 * s - 0.5j * r],
-            [0.5 * s - 0.5j * r, 0.5j * t],
-        ])
-
-    def alg_from_mat2(self, X):
-        return np.array([-2.0 * X[1, 0].imag, 2.0 * X[1, 0].real, 2.0 * X[1, 1].imag])
 
 
 class KGroup(Group):
     """The group K of the Iwasawa factorization, in its (a, b, c) chart.
 
     Product: (a1,b1,c1)*(a2,b2,c2) = (a1,b1,c1)(1+c2) + (a2,b2,c2), valid on
-    c > -1.  Views as a lower-triangular 2x2 complex matrix and as a 3x3 real
-    matrix are derived from the chart.
+    c > -1.  ``mat3`` is the 3x3 real matrix view, which Su2K's closed action
+    on the SU(2) fiber reads.
     """
 
     name = "k"
@@ -386,17 +344,11 @@ class KGroup(Group):
         return np.array([[f, 0.0, 0.0], [0.0, f, 0.0], [0.0, 0.0, f]])
 
     def Ad_matrix(self, g):
-        # mat3(g) alg_mat3(xi) mat3(g)^-1, read as a matrix on (a, b, c)
+        # mat3(g) X mat3(g)^-1 for the 3x3 algebra matrix X of xi, read as a
+        # matrix on (a, b, c)
         a, b, c = self.check(g)
         f = 1.0 / (1.0 + c)
         return np.array([[f, 0.0, a * f], [0.0, f, b * f], [0.0, 0.0, 1.0]])
-
-    def coad(self, xi, mu):
-        # ad*_Y(Psi) = (k.Y) Psi - (Psi.Y) k on K* ~ R^3
-        Y = self.algebra_vector(xi)
-        Psi = _vec(mu, 3)
-        k = np.array([0.0, 0.0, 1.0])
-        return Y[2] * Psi - float(Psi @ Y) * k
 
     def mat3(self, g):
         a, b, c = self.check(g)
@@ -404,41 +356,6 @@ class KGroup(Group):
             [1.0 + c, 0.0, 0.0],
             [0.0, 1.0 + c, 0.0],
             [-a, -b, 1.0],
-        ])
-
-    def from_mat3(self, M):
-        return np.array([-M[2, 0], -M[2, 1], M[0, 0] - 1.0])
-
-    def alg_mat3(self, xi):
-        a, b, c = self.algebra_vector(xi)
-        return np.array([
-            [c, 0.0, 0.0],
-            [0.0, c, 0.0],
-            [-a, -b, 0.0],
-        ])
-
-    def alg_from_mat3(self, N):
-        return np.array([-N[2, 0], -N[2, 1], N[0, 0]])
-
-    def mat2(self, g):
-        a, b, c = self.check(g)
-        s = np.sqrt(1.0 + c)
-        return np.array([
-            [s, 0.0],
-            [(a + 1j * b) / s, 1.0 / s],
-        ])
-
-    def from_mat2(self, M):
-        c = abs(M[0, 0]) ** 2 - 1.0
-        s = np.sqrt(1.0 + c)
-        w = M[1, 0] * s
-        return np.array([w.real, w.imag, c])
-
-    def alg_mat2(self, xi):
-        a, b, c = self.algebra_vector(xi)
-        return np.array([
-            [0.5 * c, 0.0],
-            [a + 1j * b, -0.5 * c],
         ])
 
 

@@ -16,7 +16,9 @@ the lift matrices, the compatibility axioms and, by default, the two pairs
 of induced infinitesimal actions (by finite differences of ``actions``) are
 the groupoid's.  It closes the fiber chart as (exp_G, exp_H).  Concrete
 pairs (``Su2K`` and the degenerate pairs) override the two pairs with closed
-forms; the algebra bracket is derived from them too.  The adjoint matrix is
+forms; the algebra bracket is derived from them too.  ``Su2K`` works in
+chart coordinates only: the SL(2, C) matrices of its factors are test
+references (``tests/reference.py``).  The adjoint matrix is
 the finite-difference ``Group.Ad_matrix`` on the product, read through the
 componentwise ``log``; no command reads it.  ``generic()`` returns the same
 pair as a plain ``MatchedPairGroup``, so closed forms can be checked against
@@ -149,8 +151,8 @@ class Su2K(MatchedPairGroup):
 
     Every product B * A of a triangular factor and a unitary factor
     refactorizes as (B |> A)(B <| A); ``actions`` reads both factors off
-    that product with no complex matrix, and the SL(2, C) matrices
-    (``compose``, ``decompose``) are their test reference.  The two
+    that product with no complex matrix, and the SL(2, C) matrix product and
+    factorization in ``tests/reference.py`` are its test reference.  The two
     induced-action pairs carry closed forms, so the lift matrices and every
     solve use them; ``generic()`` keeps the finite-difference ones, which
     ``check axioms`` compares them with.  Every groupoid operation is the
@@ -163,11 +165,11 @@ class Su2K(MatchedPairGroup):
     def actions(self, h, g):
         """(B |> A, B <| A) of the K point B = h and the SU(2) point A = g.
 
-        B |> A is read off the second column of mat2(B) @ mat2(A).  The
+        B |> A is read off the second column of the 2x2 product B A.  The
         triangular factor only scales that column by its positive corner
         entry, so it is a positive multiple of the unitary factor's second
-        column (-y' - ix', w' + iz').  Times s = sqrt(1 + c), with mat2(B) =
-        [[s, 0], [(a + ib)/s, 1/s]] and mat2(A)'s column (-y - ix, w + iz),
+        column (-y' - ix', w' + iz').  Times s = sqrt(1 + c), with B =
+        [[s, 0], [(a + ib)/s, 1/s]] and A's second column (-y - ix, w + iz),
         it is (-(1 + c)(y + ix), w + iz - (a + ib)(y + ix)), whose real and
         imaginary parts give q = (w', x', y', z') up to one normalization.
 
@@ -183,21 +185,6 @@ class Su2K(MatchedPairGroup):
         s = float(B @ B) / (2.0 * (1.0 + c))
         R = rotation_matrix_of_quaternion(q)
         return q, s * E3 + R.T @ (B - s * E3)
-
-    def decompose(self, M):
-        """Split M in SL(2, C) as (SU(2) chart point, K chart point) with
-        M = mat2(A) @ mat2(B)."""
-        P = M.conj().T @ M
-        r = np.sqrt(P[1, 1].real)
-        q = P[1, 0] / r
-        p = np.sqrt(max(P[0, 0].real - abs(q) ** 2, 0.0))
-        L = np.array([[p, 0.0], [q, r]])
-        U = M @ np.linalg.inv(L)
-        return self.G.from_mat2(U), self.H.from_mat2(L)
-
-    def compose(self, g, h):
-        """mat2(A) @ mat2(B) in SL(2, C); inverse of decompose."""
-        return self.G.mat2(g) @ self.H.mat2(h)
 
     # -- closed-form infinitesimal actions -----------------------------------
 

@@ -458,10 +458,12 @@ def _recheck_rows(config, rows):
     if not np.all(np.isfinite(arrows)):
         raise DomainError("an arrow coordinate is not finite")
     if config.scenario == "trivial_groupoid":
-        residuals = del_residuals(desc, L, arrows)
+        # an overflow is a typed failure, as in sl2c's momentum re-check
+        with solver_failure("trivial_groupoid re-check"):
+            residuals = del_residuals(desc, L, arrows)
+            oracle = variational_oracle(desc, L, Trajectory(desc, arrows))
         # res_matched and phi_gap would need the matched solve
         records = [()] * len(arrows)
-        oracle = variational_oracle(desc, L, Trajectory(desc, arrows))
     else:
         momenta = arrow_momenta(desc, L, arrows)
         residuals = momentum_residuals(desc, arrows, momenta)

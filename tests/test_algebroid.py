@@ -31,7 +31,7 @@ from matchdyn.matched_group import (Su2K, both_trivial_pair,
                                     left_trivial_pair, right_trivial_pair)
 from matchdyn.numerics import fd_curve
 
-from jacobian_oracle import central_jacobian
+from reference import central_jacobian
 
 RNG = np.random.default_rng(20240820)
 

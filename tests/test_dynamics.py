@@ -8,7 +8,6 @@ from matchdyn.dynamics import (
     MATCHED_GROUP_FORMS,
     DiscreteLagrangian,
     Trajectory,
-    action_sum,
     del_residual,
     del_residual_matched_group,
     del_residuals,
@@ -78,18 +77,7 @@ def record_points(L, method):
     return points
 
 
-# -- action sums ------------------------------------------------------------
-
-def test_action_sum_basics():
-    desc = DEC.paird
-    arrows = [np.array([0.0, 0.0, 1.0, 0.0]), np.array([1.0, 0.0, 2.0, 0.0])]
-    L = DiscreteLagrangian(lambda x: 1.5)
-    traj = Trajectory(desc, arrows)
-    assert action_sum(L, traj) == 3.0
-    assert action_sum(L, Trajectory(desc, arrows[:1])) == 1.5
-    L2 = smooth_lagrangian(4, RNG)
-    assert action_sum(L2, traj) == pytest.approx(sum(L2(a) for a in arrows))
-
+# -- trajectories -----------------------------------------------------------
 
 def test_trajectory_rejects_broken_gluing():
     with pytest.raises(NotComposable):

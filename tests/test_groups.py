@@ -21,6 +21,9 @@ from matchdyn.groups import (
     rot2,
 )
 from matchdyn.matched_group import Su2K
+from reference import (k_alg_from_mat3, k_alg_mat2, k_alg_mat3, k_from_mat2,
+                       k_from_mat3, k_mat2, su2_alg_from_mat2, su2_alg_mat2,
+                       su2_from_mat2, su2_mat2)
 
 RNG = np.random.default_rng(20240817)
 
@@ -47,15 +50,10 @@ def test_exp_log_roundtrip(G):
 
 @pytest.mark.parametrize("G", ALL_GROUPS, ids=lambda g: g.name)
 def test_ad_matches_generic(G):
-    # one adjoint per group: the closed Ad_matrix, which Ad applies, against
-    # the finite-difference Group.Ad_matrix
-    assert not any("Ad" in vars(cls) for cls in type(G).__mro__
-                   if cls is not Group)
+    # the closed Ad_matrix against the finite-difference Group.Ad_matrix
     for _ in range(5):
         g = G.random(RNG)
-        xi = G.random_algebra(RNG)
         assert np.max(np.abs(G.Ad_matrix(g) - Group.Ad_matrix(G, g))) <= 1e-6
-        assert np.array_equal(G.Ad(g, xi), G.Ad_matrix(g) @ xi)
 
 
 def test_k_ad_matrix_is_the_mat3_conjugation():
@@ -63,7 +61,7 @@ def test_k_ad_matrix_is_the_mat3_conjugation():
     for _ in range(5):
         g = K.random(RNG)
         M, Minv = K.mat3(g), K.mat3(K.inv(g))
-        conj = np.column_stack([K.alg_from_mat3(M @ K.alg_mat3(e) @ Minv)
+        conj = np.column_stack([k_alg_from_mat3(M @ k_alg_mat3(e) @ Minv)
                                 for e in np.eye(3)])
         assert np.max(np.abs(K.Ad_matrix(g) - conj)) <= 1e-13
 
@@ -76,20 +74,8 @@ def test_bracket_from_ad_derivative(G):
     for _ in range(3):
         x = G.random_algebra(RNG)
         y = G.random_algebra(RNG)
-        num = fd_curve(lambda t: G.Ad(G.exp(t * x), y))
+        num = fd_curve(lambda t: G.Ad_matrix(G.exp(t * x)) @ y)
         assert np.allclose(G.bracket(x, y), num, atol=1e-6)
-
-
-@pytest.mark.parametrize("G", ALL_GROUPS, ids=lambda g: g.name)
-def test_coad_duality(G):
-    # <coad(xi, mu), eta> = <mu, [eta, xi]>
-    for _ in range(5):
-        xi = G.random_algebra(RNG)
-        eta = G.random_algebra(RNG)
-        mu = G.random_algebra(RNG)
-        lhs = G.pairing(G.coad(xi, mu), eta)
-        rhs = G.pairing(mu, G.bracket(eta, xi))
-        assert abs(lhs - rhs) < 1e-10
 
 
 @pytest.mark.parametrize("G", ALL_GROUPS, ids=lambda g: g.name)
@@ -99,7 +85,8 @@ def test_coAd_pairing(G):
         g = G.random(RNG)
         xi = G.random_algebra(RNG)
         mu = G.random_algebra(RNG)
-        assert abs(G.pairing(G.coAd(g, mu), xi) - G.pairing(mu, G.Ad(g, xi))) < 1e-9
+        assert abs(float(G.coAd(g, mu) @ xi)
+                   - float(mu @ (G.Ad_matrix(g) @ xi))) < 1e-9
 
 
 @pytest.mark.parametrize("G", ALL_GROUPS, ids=lambda g: g.name)
@@ -121,7 +108,7 @@ def test_lift_matrix_and_cotangent(G):
         for side in ("left", "right"):
             lifted = G.lift_matrix(side, g) @ xi
             pulled = G.lift_matrix(side, g).T @ mu
-            assert abs(float(mu @ lifted) - G.pairing(pulled, xi)) < 1e-8
+            assert abs(float(mu @ lifted) - float(pulled @ xi)) < 1e-8
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -163,26 +150,28 @@ def test_su2_mat2_roundtrip():
     G = SU2()
     for _ in range(5):
         q = G.random(RNG)
-        U = G.mat2(q)
+        U = su2_mat2(q)
         assert abs(np.linalg.det(U) - 1.0) < 1e-12
         assert np.allclose(U.conj().T @ U, np.eye(2), atol=1e-12)
-        assert np.allclose(G.from_mat2(U), q, atol=1e-12)
+        assert np.allclose(su2_from_mat2(U), q, atol=1e-12)
         a, b = G.random(RNG), G.random(RNG)
-        assert np.allclose(G.mat2(G.mul(a, b)), G.mat2(a) @ G.mat2(b), atol=1e-12)
+        assert np.allclose(su2_mat2(G.mul(a, b)), su2_mat2(a) @ su2_mat2(b),
+                           atol=1e-12)
 
 
 def test_su2_alg_mat2_roundtrip():
     G = SU2()
     for _ in range(5):
         xi = G.random_algebra(RNG)
-        X = G.alg_mat2(xi)
+        X = su2_alg_mat2(xi)
         assert abs(np.trace(X)) < 1e-14
         assert np.allclose(X.conj().T, -X, atol=1e-14)
-        assert np.allclose(G.alg_from_mat2(X), xi, atol=1e-14)
+        assert np.allclose(su2_alg_from_mat2(X), xi, atol=1e-14)
     # the matrix basis commutators should reproduce the cross product
     e1, e2 = np.eye(3)[0], np.eye(3)[1]
-    C = G.alg_mat2(e1) @ G.alg_mat2(e2) - G.alg_mat2(e2) @ G.alg_mat2(e1)
-    assert np.allclose(G.alg_from_mat2(C), G.bracket(e1, e2), atol=1e-14)
+    X1, X2 = su2_alg_mat2(e1), su2_alg_mat2(e2)
+    C = X1 @ X2 - X2 @ X1
+    assert np.allclose(su2_alg_from_mat2(C), G.bracket(e1, e2), atol=1e-14)
 
 
 def test_su2_check_rejects_nonunit():
@@ -205,15 +194,16 @@ def test_k_mat3_homomorphism():
     for _ in range(5):
         a, b = G.random(RNG), G.random(RNG)
         assert np.allclose(G.mat3(G.mul(a, b)), G.mat3(a) @ G.mat3(b), atol=1e-10)
-        assert np.allclose(G.from_mat3(G.mat3(a)), a, atol=1e-12)
+        assert np.allclose(k_from_mat3(G.mat3(a)), a, atol=1e-12)
 
 
 def test_k_mat2_homomorphism():
     G = KGroup()
     for _ in range(5):
         a, b = G.random(RNG), G.random(RNG)
-        assert np.allclose(G.mat2(G.mul(a, b)), G.mat2(a) @ G.mat2(b), atol=1e-10)
-        assert np.allclose(G.from_mat2(G.mat2(a)), a, atol=1e-12)
+        assert np.allclose(k_mat2(G.mul(a, b)), k_mat2(a) @ k_mat2(b),
+                           atol=1e-10)
+        assert np.allclose(k_from_mat2(k_mat2(a)), a, atol=1e-12)
 
 
 def k_convert(rep_from, rep_to, value, kind="group"):
@@ -222,15 +212,15 @@ def k_convert(rep_from, rep_to, value, kind="group"):
     K = KGroup()
     group = {
         "vector": (lambda v: K.check(v), lambda v: v),
-        "mat3": (K.from_mat3, K.mat3),
-        "mat2": (K.from_mat2, K.mat2),
+        "mat3": (k_from_mat3, K.mat3),
+        "mat2": (k_from_mat2, k_mat2),
     }
     algebra = {
         "vector": (lambda v: K.algebra_vector(v), lambda v: v),
-        "mat3": (K.alg_from_mat3, K.alg_mat3),
+        "mat3": (k_alg_from_mat3, k_alg_mat3),
         "mat2": (
             lambda M: np.array([M[1, 0].real, M[1, 0].imag, 2.0 * M[0, 0].real]),
-            K.alg_mat2,
+            k_alg_mat2,
         ),
     }
     table = group if kind == "group" else algebra
@@ -252,8 +242,8 @@ def test_k_bracket_matches_mat3_commutator():
     for _ in range(5):
         x = G.random_algebra(RNG)
         y = G.random_algebra(RNG)
-        C = G.alg_mat3(x) @ G.alg_mat3(y) - G.alg_mat3(y) @ G.alg_mat3(x)
-        assert np.allclose(G.bracket(x, y), G.alg_from_mat3(C), atol=1e-12)
+        C = k_alg_mat3(x) @ k_alg_mat3(y) - k_alg_mat3(y) @ k_alg_mat3(x)
+        assert np.allclose(G.bracket(x, y), k_alg_from_mat3(C), atol=1e-12)
 
 
 def test_k_check_rejects_boundary():

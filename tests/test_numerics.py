@@ -18,7 +18,7 @@ from matchdyn.numerics import (
 from matchdyn.scenarios import ScenarioConfig
 from matchdyn.scenarios import _system as scenario_system
 
-from jacobian_oracle import central_jacobian
+from reference import central_jacobian
 
 
 def test_fd_gradient_matches_analytic():

@@ -773,6 +773,27 @@ def test_check_residual_fails_a_nan_stored_residual(tmp_path, scenario,
     assert main(["check", "residual", tampered]) == 1
 
 
+def test_check_residual_fails_an_overflowing_trivial_groupoid_file(
+        tmp_path, capsys):
+    # m and n at -+1e200 on alternate rows stay glued, and the spring's
+    # (n - m)^2 overflows: a typed failure, not a RuntimeWarning, which
+    # this suite's filter turns into an error
+    out = str(tmp_path / "fresh.csv")
+    assert main(["run", "trivial_groupoid", "--steps", "4", "--out",
+                 out]) == 0
+    cfg, header, rows = read_trajectory_csv(out)
+    for k, row in enumerate(rows):
+        sign = -1.0 if k % 2 == 0 else 1.0
+        row[header.index("m1")] = sign * 1e200
+        row[header.index("n1")] = -sign * 1e200
+    tampered = str(tmp_path / "tampered.csv")
+    write_trajectory_csv(tampered, cfg, header, rows)
+    capsys.readouterr()
+    assert main(["check", "residual", tampered]) == 1
+    assert "FAIL: invalid arrow data: trivial_groupoid re-check failed: " \
+           "overflow" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("row, column", [(1, "k"), (-1, None)],
                          ids=["row_number", "last_residual"])
 @pytest.mark.parametrize("scenario, residual", [("sl2c", "res_norm"),
