@@ -112,15 +112,19 @@ def del_residual(desc: Groupoid, L: DiscreteLagrangian, gk, gk1):
 MATCHED_GROUP_FORMS = ("full", "right-trivial", "left-trivial", "both-trivial")
 
 
-def matched_group_momenta(mp: MatchedPairGroup, L: DiscreteLagrangian, u):
+def matched_group_momenta(mp: MatchedPairGroup, L: DiscreteLagrangian, u,
+                          lift=None):
     """(d, mu, nu) of the arrow u: the gradient of L at u, from its one
     L.gradient call, and the right-translated partial differentials, the
-    factor momenta.  Every momentum form reads this record of the arrow."""
+    factor momenta.  Every momentum form reads this record of the arrow.
+    The factor lifts are each group's own ``lift_matrix``, or ``lift(group,
+    side, point)`` if given."""
     u = mp.check(u)
     d = L.gradient(u)
     g, h = mp.split(u)
-    return (d, mp.G.lift_matrix("right", g).T @ d[: mp.G.coord_dim],
-            mp.H.lift_matrix("right", h).T @ d[mp.G.coord_dim:])
+    G, H, n = mp.G, mp.H, mp.G.coord_dim
+    return (d, (lift or type(G).lift_matrix)(G, "right", g).T @ d[:n],
+            (lift or type(H).lift_matrix)(H, "right", h).T @ d[n:])
 
 
 def del_residual_matched_group(mp: MatchedPairGroup, L: DiscreteLagrangian,
@@ -263,13 +267,13 @@ def solve_trajectory(desc: Groupoid, L: DiscreteLagrangian, g1, n_steps,
 del_step_matched_group = del_step
 
 
-def arrow_momenta(mp, L, arrows):
-    """``matched_group_momenta`` of every arrow, once each; a solver failure
-    names its arrow."""
+def arrow_momenta(mp, L, arrows, lift=None):
+    """``matched_group_momenta`` of every arrow, once each, through ``lift``;
+    a solver failure names its arrow."""
     out = []
     for k, u in enumerate(arrows):
         with at_step(k), solver_failure("reference momenta"):
-            out.append(matched_group_momenta(mp, L, u))
+            out.append(matched_group_momenta(mp, L, u, lift))
     return out
 
 

@@ -178,11 +178,15 @@ class Groupoid:
 # ---------------------------------------------------------------------------
 
 class GroupGroupoid(Groupoid):
-    """A group seen as a groupoid over a single point."""
+    """A group seen as a groupoid over a single point.  Its check and its
+    lifts are the group's own, bound once when it is built, so a factor
+    lift of a matched pair costs no wrapper call."""
 
     def __init__(self, G: Group):
         self.G = G
         self.check = G.check
+        self.left_lift = partial(G.lift_matrix, "left")
+        self.right_lift = partial(G.lift_matrix, "right")
         self.base = POINT
         self.arrow_dim = G.coord_dim
         self.fiber_dim = G.dim
@@ -208,12 +212,6 @@ class GroupGroupoid(Groupoid):
 
     def arrow_coords(self, x):
         return self.G.log(x)
-
-    def left_lift(self, g):
-        return self.G.lift_matrix("left", g)
-
-    def right_lift(self, g):
-        return self.G.lift_matrix("right", g)
 
 
 class PairGroupoid(Groupoid):

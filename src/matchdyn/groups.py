@@ -11,11 +11,13 @@ generically through finite differences of the product; the generic
 ``Ad_matrix`` reads its conjugation curves in algebra coordinates through
 ``log``, the chart inverse.  Every group here overrides ``lift_matrix`` and
 ``Ad_matrix`` with closed forms, so the finite-difference ``Group`` methods
-are the oracles that tests compare them against; the matched-pair groups
-inherit the generic ``Ad_matrix``, which no command reads.  ``coAd`` is
-that one matrix transposed.  SU(2) and K give the
-Jacobian of their ``log`` in chart coordinates (``dlog``), from which the
-built-in Lagrangians take their closed gradients.
+are the oracles that tests compare them against; ``check residual`` also
+calls ``Group.lift_matrix`` for the momenta of a legacy sl2c file, whose
+stored digits went through it.  A group's own lifts are fixed when it is
+built.  The matched-pair groups inherit the generic ``Ad_matrix``, which no
+command reads.  ``coAd`` is that one matrix transposed.  SU(2) and K give
+the Jacobian of their ``log`` in chart coordinates (``dlog``), from which
+the built-in Lagrangians take their closed gradients.
 
 The per-point chart maps on the solver's hot path (``_vec``, ``check``,
 SU(2)'s ``mul``/``exp``/``log``/``dlog``, SO(3)'s ``check`` and
@@ -170,17 +172,6 @@ def rotation_matrix_of_quaternion(q):
     ])
 
 
-def su2_lift(side, q):
-    """Closed SU(2) lift matrix at the unit quaternion q: column i is
-    q (0, e_i/2) (left) or (0, e_i/2) q (right)."""
-    w, x, y, z = _vec(q, 4)
-    if side == "left":
-        return 0.5 * np.array([[-x, -y, -z], [w, -z, y], [z, w, -x],
-                               [-y, x, w]])
-    return 0.5 * np.array([[-x, -y, -z], [w, z, -y], [-z, w, x],
-                           [y, -x, w]])
-
-
 class SU2(Group):
     """SU(2) stored as unit quaternions.
 
@@ -266,7 +257,13 @@ class SU2(Group):
         return np.cross(self.algebra_vector(x), self.algebra_vector(y))
 
     def lift_matrix(self, side, g):
-        return su2_lift(side, g)
+        """Column i is g (0, e_i/2) (left) or (0, e_i/2) g (right)."""
+        w, x, y, z = _vec(g, 4)
+        if side == "left":
+            return 0.5 * np.array([[-x, -y, -z], [w, -z, y], [z, w, -x],
+                                   [-y, x, w]])
+        return 0.5 * np.array([[-x, -y, -z], [w, z, -y], [-z, w, x],
+                               [y, -x, w]])
 
     def Ad_matrix(self, g):
         return self.rot_of(g)

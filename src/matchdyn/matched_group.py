@@ -31,7 +31,7 @@ import numpy as np
 from .groupoids import (GroupGroupoid, Groupoid, MatchedPairGroupoid,
                         record_deviation)
 from .groups import (SO3, SU2, Abelian, Group, KGroup, _vec, hat3,
-                     rotation_matrix_of_quaternion, su2_lift)
+                     rotation_matrix_of_quaternion)
 from .numerics import fd_curve
 
 POINT_BASE = np.zeros(0)  # the base point of a group seen as a groupoid
@@ -200,11 +200,9 @@ class Su2K(MatchedPairGroup):
 
     def h_fiber_actions(self, g):
         # d/dt (exp(tY)^{-1} |> A) = -Y^dagger(A) = T r_A ((Ad_A e3 - e3) x Y)
-        # with Ad_A = R and T r_A from su2_lift: it stays closed when a
-        # re-check of an FD-written file swaps G.lift_matrix for finite
-        # differences; and Y <| A = R^T Y
+        # with Ad_A = R and T r_A the SU(2) right lift; and Y <| A = R^T Y
         R = self.G.rot_of(g)
-        return su2_lift("right", g) @ hat3(R @ E3 - E3), R.T
+        return self.G.lift_matrix("right", g) @ hat3(R @ E3 - E3), R.T
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,13 @@ re-check rebuilds, [k, *arrow, *record, residual], by one row builder.
 Reals are serialized with 17 significant digits to keep the round trip
 bit-stable.  The comment lines also record how the writer took derivatives
 (``derivatives=exact``: closed gradients and lift matrices); a file without
-that line was written with finite differences, and is re-verified the same
-way, because the two disagree in the last digits that the stored residual
-norms keep.
+that line was written with finite differences, and is re-verified with them
+where its stored digits depend on them, and only there: L's gradient, and
+for sl2c the factor lifts of the momenta (``Group.lift_matrix``).
 """
 from __future__ import annotations
 
 import configparser
-import functools
 import json
 import time
 from dataclasses import asdict, dataclass, field
@@ -293,15 +292,6 @@ def sl2c_lagrangian(mp: Su2K, config: ScenarioConfig):
     return DiscreteLagrangian(evaluate, gradient, name="quadratic")
 
 
-def _fd_derivatives(L: DiscreteLagrangian, *groups):
-    """L without its closed gradient, and the groups switched to the
-    finite-difference ``Group.lift_matrix``: the derivatives of a trajectory
-    file that has no derivatives= line."""
-    for G in groups:
-        G.lift_matrix = functools.partial(Group.lift_matrix, G)
-    return DiscreteLagrangian(L.evaluate, name=L.name)
-
-
 # ---------------------------------------------------------------------------
 # scenario runs
 # ---------------------------------------------------------------------------
@@ -314,17 +304,16 @@ def _system(config: ScenarioConfig):
                     else config.initial, dtype=float)
     if config.scenario == "trivial_groupoid":
         system = default_trivial_decomposition()
-        desc, groups, first = system.trivial, (system.G,), x0
+        desc, first = system.trivial, x0
         L = trivial_groupoid_lagrangian(system, config)
     else:
         system = desc = Su2K()
-        groups = system.G, system.H
         L = sl2c_lagrangian(system, config)
         # exp(-38 e_c) has c = expm1(-38), which rounds onto c = -1
         with solver_failure("sl2c initial data"):
             first = system.check(system.exp(x0))
     if config.derivatives == "fd":
-        L = _fd_derivatives(L, *groups)
+        L = DiscreteLagrangian(L.evaluate, name=L.name)
     return system, desc, L, first
 
 
@@ -465,7 +454,10 @@ def _recheck_rows(config, rows):
         # res_matched and phi_gap would need the matched solve
         records = [()] * len(arrows)
     else:
-        momenta = arrow_momenta(desc, L, arrows)
+        # a legacy file's mu and nu went through finite-difference factor
+        # lifts, which its stored digits keep
+        momenta = arrow_momenta(desc, L, arrows, lift=(
+            Group.lift_matrix if config.derivatives == "fd" else None))
         residuals = momentum_residuals(desc, arrows, momenta)
         records = [m[1:] for m in momenta]
         # no independent oracle: the residuals themselves take its bound

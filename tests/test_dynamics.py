@@ -267,8 +267,9 @@ def test_matched_group_residual_one_gradient_per_arrow():
 
 def test_su2k_outgoing_half_builds_two_lift_matrices(monkeypatch):
     # mu and nu need the SU(2) and K right lifts at u, once in the arrow's
-    # record; the momentum form reads the record, and the closed b* needs no
-    # third lift
+    # record; the momentum form reads the record, and only the closed b*
+    # builds a third lift: the SU(2) right lift of its dagger block at the
+    # later arrow
     built = []
     for cls in (SU2, KGroup):
         def counted(self, side, g, lift_matrix=cls.lift_matrix):
@@ -284,7 +285,7 @@ def test_su2k_outgoing_half_builds_two_lift_matrices(monkeypatch):
     assert built == [("su2", "right"), ("k", "right")] * 2
     built.clear()
     momentum_residuals(mp, arrows, momenta, "full")
-    assert built == []
+    assert built == [("su2", "right")]
 
 
 ARROW_PAIRS = [Su2K(), right_trivial_pair(), left_trivial_pair(),

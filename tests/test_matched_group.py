@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matchdyn import groupoids, groups
-from matchdyn.dynamics import DiscreteLagrangian
 from matchdyn.errors import DomainError, TagError
 from matchdyn.groupoids import MatchedPairGroupoid
-from matchdyn.groups import Abelian, Group, SO3
+from matchdyn.groups import Abelian, SO3
 from matchdyn.matched_group import (
     POINT_BASE,
     MatchedPairGroup,
@@ -15,7 +14,6 @@ from matchdyn.matched_group import (
     left_trivial_pair,
     right_trivial_pair,
 )
-from matchdyn.scenarios import _fd_derivatives
 from reference import (central_jacobian, k_mat2, sl2c_compose,
                        sl2c_decompose, su2_from_mat2, su2_mat2)
 
@@ -277,22 +275,6 @@ def test_su2k_inverse_rejects_an_inverse_that_rounds_off_the_k_chart():
     u = np.array([1.0, 0.0, 0.0, 0.0, 0.5, 0.5, 1e17])
     with pytest.raises(DomainError, match="<= -1"):
         M.inv(u)
-
-
-def test_su2k_lifts_follow_finite_difference_factor_lifts():
-    # a trajectory file without derivatives swaps the factors' lift matrices
-    # for Group.lift_matrix; the dagger block keeps the closed SU(2) lift
-    M = Su2K()
-    u = M.random(RNG)
-    g, h = M.split(u)
-    closed = M.right_lift(u)
-    _fd_derivatives(DiscreteLagrangian(lambda x: 0.0), M.G, M.H)
-    swapped = M.right_lift(u)
-    assert np.array_equal(swapped[:4, :3], Group.lift_matrix(M.G, "right", g))
-    assert not np.array_equal(swapped[:4, :3], closed[:4, :3])
-    assert np.array_equal(swapped[:4, 3:], closed[:4, 3:])
-    assert np.array_equal(swapped[4:, 3:], Group.lift_matrix(M.H, "right", h)
-                          @ M.h_fiber_actions(g)[1])
 
 
 def test_su2k_groupoid_runs_the_matched_axiom_suite():

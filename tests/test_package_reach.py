@@ -246,3 +246,51 @@ def test_the_enumeration_unwraps_decorators_and_merges_aliases():
     # aliases are one entry under the def's own name
     assert "dynamics.del_step_matched_group" not in names
     assert "dynamics.del_step" in names
+
+
+def _assigned_attributes(tree):
+    """(object node, attribute name, line) of every attribute that a
+    statement of ``tree`` assigns, setattr calls with a literal name
+    included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = list(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "setattr"
+                    and len(node.args) == 3
+                    and isinstance(node.args[1], ast.Constant)):
+                yield node.args[0], node.args[1].value, node.lineno
+            continue
+        while targets:
+            target = targets.pop()
+            if isinstance(target, (ast.Tuple, ast.List)):
+                targets.extend(target.elts)
+            elif isinstance(target, ast.Starred):
+                targets.append(target.value)
+            elif isinstance(target, ast.Attribute):
+                yield target.value, target.attr, target.lineno
+
+
+def test_no_statement_rebinds_a_method_of_another_object():
+    # an object's methods are fixed by its class when it is built; an
+    # instance may bind its own (self.check = G.check), but nothing else
+    # patches them afterwards
+    src = os.path.dirname(os.path.abspath(matchdyn.__file__))
+    trees = {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                trees[name] = ast.parse(fh.read())
+    methods = {item.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) for item in node.body
+               if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert {"lift_matrix", "left_lift", "check"} <= methods
+    rebound = ["%s:%d %s" % (name, line, attr)
+               for name, tree in trees.items()
+               for obj, attr, line in _assigned_attributes(tree)
+               if attr in methods
+               and not (isinstance(obj, ast.Name) and obj.id == "self")]
+    assert rebound == []

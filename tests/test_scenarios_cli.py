@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from matchdyn import cli
+from matchdyn import cli, scenarios
 from matchdyn.cli import main
 from matchdyn.dynamics import (
     DiscreteLagrangian,
@@ -16,11 +16,13 @@ from matchdyn.dynamics import (
 )
 from matchdyn.errors import DomainError, SingularJacobian
 from matchdyn.groupoids import default_trivial_decomposition
+from matchdyn.groups import Circle, Group
 from matchdyn.matched_group import Su2K
 from matchdyn.numerics import fd_gradient
 from matchdyn.scenarios import (
     CLOSED_ACTIONS,
     HEADERS,
+    REPRODUCE_TOL,
     RunReport,
     ScenarioConfig,
     check_residual_file,
@@ -432,6 +434,77 @@ def test_finite_difference_files_recheck_with_gap_zero(tmp_path, name, field):
     tampered = tmp_path / name
     tampered.write_text("\n".join(lines) + "\n")
     assert main(["check", "residual", str(tampered)]) == 1
+
+
+def test_a_legacy_sl2c_recheck_needs_the_finite_difference_factor_lifts(
+        monkeypatch):
+    # negative control: with the closed SU(2) and K lifts in the records'
+    # mu and nu, the committed file no longer reproduces its stored digits
+    closed = scenarios.arrow_momenta
+    monkeypatch.setattr(scenarios, "arrow_momenta",
+                        lambda mp, L, arrows, lift=None:
+                        closed(mp, L, arrows))
+    failures, report = check_residual_file(os.path.join(DATA, "sl2c_fd.csv"))
+    assert report.reproduce_gap > REPRODUCE_TOL
+    assert failures[0].startswith("stored-vs-recomputed gap")
+
+
+def _without_derivatives_line(path, config):
+    """A fresh run of ``config`` written to ``path`` as a legacy file: the
+    layout of today, with no derivatives= line."""
+    _, header, rows = run_scenario(config)
+    write_trajectory_csv(path, config, header, rows)
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(text.replace("# derivatives=exact\n", ""))
+    return path
+
+
+def test_the_circle_lift_cannot_move_a_trivial_groupoid_norm(tmp_path,
+                                                              monkeypatch):
+    # the Circle's lift is the 1x1 theta block at both arrows of a junction,
+    # and the spring keeps theta fixed: the theta row is lift(theta) times a
+    # gradient difference at the noise floor, so a finite-difference lift of
+    # 1 + 1e-11 moves it far below REPRODUCE_TOL
+    rng = np.random.default_rng(41)
+    paths = [os.path.join(DATA, "trivial_groupoid_fd.csv")]
+    for i in range(3):
+        initial = rng.uniform(-1.0, 1.0, 5)
+        initial[2] = rng.uniform(-3.0, 3.0)
+        config = ScenarioConfig(
+            "trivial_groupoid", steps=5, initial=initial,
+            params=dict(k_rot=rng.uniform(0.3, 5.0)))
+        paths.append(_without_derivatives_line(
+            str(tmp_path / ("legacy%d.csv" % i)), config))
+    read = []
+
+    def fd_lift(self, side, g):
+        read.append(float(g[0]))
+        return Group.lift_matrix(self, side, g)
+
+    for path in paths:
+        closed = check_residual_file(path)[1].residual_norms
+        with monkeypatch.context() as patch:
+            patch.setattr(Circle, "lift_matrix", fd_lift)
+            fd = check_residual_file(path)[1].residual_norms
+        # the re-check read the finite-difference lift, which is not 1
+        assert read and Group.lift_matrix(Circle(), "left", read[-1]) != 1.0
+        read.clear()
+        assert np.max(np.abs(np.subtract(closed, fd))) <= 1e-20
+
+
+@pytest.mark.parametrize("scenario", ["sl2c", "trivial_groupoid"])
+def test_a_fresh_file_without_its_derivatives_line_fails(tmp_path,
+                                                         scenario):
+    # re-checked as a legacy file, with finite differences, it cannot
+    # reproduce the digits that the closed derivatives wrote
+    path = _without_derivatives_line(str(tmp_path / "t.csv"),
+                                     ScenarioConfig(scenario, steps=4))
+    assert read_trajectory_csv(path)[0].derivatives == "fd"
+    _, report = check_residual_file(path)
+    assert report.reproduce_gap > REPRODUCE_TOL
+    assert main(["check", "residual", path]) == 1
 
 
 @pytest.mark.parametrize("scenario", ["sl2c", "trivial_groupoid"])
