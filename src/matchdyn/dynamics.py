@@ -6,10 +6,11 @@ at g_k and an outgoing half at g_{k+1}; ``del_residuals`` pairs them along a
 chain from one gradient per arrow.  A step solves
 incoming - outgoing(chart(z)) = 0 with the incoming half fixed.  A matched
 pair of groups is a matched-pair groupoid over a point and steps through the
-same ``del_step``; its momentum forms (the paper's transported-and-forced
-momenta and their degenerate reductions) are references at solved junctions
-that pair the records (dL, mu, nu) of adjacent arrows: each arrow's discrete
-Legendre transform, from one ``L.gradient`` call by ``arrow_momenta``.
+same ``del_step``; its momentum form (the paper's transported-and-forced
+momenta, which a pair with a trivial action reduces through its own identity
+and zero blocks) is a reference at solved junctions that pairs the records
+(dL, mu, nu) of adjacent arrows: each arrow's discrete Legendre transform,
+from one ``L.gradient`` call by ``arrow_momenta``.
 Trajectories are solved in one loop, ``march``, which keeps the residual each
 ``del_step`` stopped at; ``solve_trajectory`` checks it against the
 variational oracle, one finite-difference gradient of each junction's action.
@@ -109,9 +110,6 @@ def del_residual(desc: Groupoid, L: DiscreteLagrangian, gk, gk1):
 # matched-pair groups: momentum form of the residual
 # ---------------------------------------------------------------------------
 
-MATCHED_GROUP_FORMS = ("full", "right-trivial", "left-trivial", "both-trivial")
-
-
 def matched_group_momenta(mp: MatchedPairGroup, L: DiscreteLagrangian, u,
                           lift=None):
     """(d, mu, nu) of the arrow u: the gradient of L at u, from its one
@@ -128,7 +126,7 @@ def matched_group_momenta(mp: MatchedPairGroup, L: DiscreteLagrangian, u,
 
 
 def del_residual_matched_group(mp: MatchedPairGroup, L: DiscreteLagrangian,
-                               uk, uk1, form="full"):
+                               uk, uk1):
     """Momentum form of the matched-group junction residual.
 
     The xi block is the transported-and-forced momentum mismatch in g*, the
@@ -138,45 +136,31 @@ def del_residual_matched_group(mp: MatchedPairGroup, L: DiscreteLagrangian,
         eta: Ad*_{h_k^{-1}} nu_k - b*_{g_{k+1}} d1L_{k+1}
              - g_{k+1} |>* nu_{k+1}
 
-    The degenerate forms drop the terms that vanish when one or both of the
-    mutual actions are trivial.  None of these is solved: they are
-    references, evaluated at the junctions ``del_step`` has solved, where the
-    two-mat-vec ``del_residual(mp, ...)`` it solves vanishes.  The full form
-    of ``mp.generic()`` is the same residual through the finite-difference
+    A pair with a trivial action reduces it through its own identity and
+    zero blocks.  It is not solved: it is a reference, evaluated at the
+    junctions ``del_step`` has solved, where the two-mat-vec
+    ``del_residual(mp, ...)`` it solves vanishes.  The form of
+    ``mp.generic()`` is the same residual through the finite-difference
     induced actions.  It is ``momentum_residuals`` at one junction.
     """
     momenta = [matched_group_momenta(mp, L, u) for u in (uk, uk1)]
-    return momentum_residuals(mp, [uk, uk1], momenta, form)[0]
+    return momentum_residuals(mp, [uk, uk1], momenta)[0]
 
 
-def _momentum_half(mp, u, momenta, form, side):
+def _momentum_half(mp, u, momenta, side):
     """The u_k ("left") or u_{k+1} ("right") half of the momentum residual,
     from the arrow's record ``momenta`` = (d, mu, nu)."""
     # h |> g enters via A_g and D_g, h <| g via D_h and A_h: the blocks of
     # the induced-action pair on the fiber of this half
-    acts_on_g = form in ("full", "right-trivial")
-    acts_on_h = form in ("full", "left-trivial")
     g, h = mp.split(u)
     d, mu, nu = momenta
     if side == "left":
         A_g, D_h = mp.g_fiber_actions(h)
-        xi = mp.G.coAd(g, mu)
-        if acts_on_g:
-            xi = A_g.T @ xi
-        if acts_on_h:
-            xi = xi + D_h.T @ d[mp.G.coord_dim:]
+        xi = A_g.T @ mp.G.coAd(g, mu) + D_h.T @ d[mp.G.coord_dim:]
         return np.concatenate([xi, mp.H.coAd(h, nu)])
     D_g, A_h = mp.h_fiber_actions(g)
-    eta = A_h.T @ nu if acts_on_h else nu
-    if acts_on_g:
-        # the groupoid's dagger on g flows y_t^{-1} |> g, hence the sign
-        eta = eta - D_g.T @ d[: mp.G.coord_dim]
-    return np.concatenate([mu, eta])
-
-
-def _require_form(form):
-    if form not in MATCHED_GROUP_FORMS:
-        raise TagError("unknown residual form %r" % (form,))
+    # the groupoid's dagger on g flows y_t^{-1} |> g, hence the sign
+    return np.concatenate([mu, A_h.T @ nu - D_g.T @ d[: mp.G.coord_dim]])
 
 
 # second names of del_residual, kept because bench/tracer.py TARGETS names
@@ -277,29 +261,31 @@ def arrow_momenta(mp, L, arrows, lift=None):
     return out
 
 
-def momentum_residuals(mp, arrows, momenta, form="full"):
-    """The momentum form ``form`` of the residual at every junction of the
-    solved ``arrows``, pairing the records ``momenta`` of adjacent arrows; a
-    solver failure names the junction's later arrow."""
-    _require_form(form)
+def momentum_residuals(mp, arrows, momenta):
+    """The momentum form at every junction of the solved ``arrows``, from
+    the records ``momenta`` of adjacent arrows; a pair with a trivial action
+    reduces it through its own identity and zero blocks.  A solver failure
+    names the junction's later arrow."""
     out = []
     for k in range(1, len(arrows)):
         with at_step(k), solver_failure("reference residual"):
             out.append(
-                _momentum_half(mp, arrows[k - 1], momenta[k - 1], form, "left")
-                - _momentum_half(mp, arrows[k], momenta[k], form, "right"))
+                _momentum_half(mp, arrows[k - 1], momenta[k - 1], "left")
+                - _momentum_half(mp, arrows[k], momenta[k], "right"))
     return out
 
 
+# form is a bench pin, like the tracer's, for ROADMAP item 1 to drop
 def solve_matched_group_trajectory(mp, L, u1, n_steps, form="full",
                                    tol=DEFAULT_TOL):
     """``march`` from u1 for n_steps arrows; the returned norms are those of
-    the reference momentum form ``form``."""
-    _require_form(form)
+    the reference momentum form; ``form`` takes only "full"."""
+    if form != "full":
+        raise TagError("unknown residual form %r" % (form,))
     arrows, _ = march(mp, L, u1, n_steps, tol)
     momenta = arrow_momenta(mp, L, arrows)
     return arrows, [float(np.linalg.norm(r, np.inf))
-                    for r in momentum_residuals(mp, arrows, momenta, form)]
+                    for r in momentum_residuals(mp, arrows, momenta)]
 
 
 # ---------------------------------------------------------------------------

@@ -127,7 +127,11 @@ class Group:
     def lift_matrix(self, side, g):
         """coord_dim x dim matrix, column i = d/dt (g exp(t e_i)) (left) or
         d/dt (exp(t e_i) g) (right) at t=0, by finite differences: the oracle
-        of the closed forms that the concrete groups override it with."""
+        of the closed forms that the concrete groups override it with.  Its
+        step does not scale with |g|, so on an unbounded chart (Circle, K) it
+        is one only near the identity.  It must not be rescaled: the Phi and
+        Psi columns of legacy sl2c files went through exactly these digits,
+        which test_finite_difference_files_recheck_with_gap_zero re-checks."""
         if side == "left":
             return fd_curve_columns(lambda xi: self.mul(g, self.exp(xi)),
                                     self.dim)

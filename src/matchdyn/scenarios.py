@@ -37,6 +37,7 @@ from .errors import DomainError, MatchdynError
 from .groupoids import default_trivial_decomposition, record_deviation
 from .groups import Group
 from .matched_group import Su2K
+from .numerics import DEFAULT_TOL
 
 FMT = "%.17g"
 REPRODUCE_TOL = 1e-12
@@ -71,19 +72,32 @@ CLOSED_ACTIONS = ("act_on_fiber_g", "dagger_on_h", "dagger_on_g",
                   "act_on_fiber_h")
 
 
+def _converted(name, value, convert=float):
+    """convert(value) if it is finite, or else a DomainError that names the
+    config field."""
+    try:
+        out = convert(value)
+        if np.all(np.isfinite(out)):
+            return out
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError("%s %r: %s" % (name, value, exc))
+    raise DomainError("%s %r is not finite" % (name, value))
+
+
 @dataclass(eq=False)
 class ScenarioConfig:
     """Flat scenario description: which system, which built-in Lagrangian
     with which parameters, initial data, step count, tolerance.  Validated on
-    construction, ``dataclasses.replace`` included: a tolerance in (0, inf),
-    a Lagrangian and parameters named in LAGRANGIANS, finite values and as
-    many initial coordinates as INITIAL has, so a bad value is a config
-    error, not a solver failure.  The INI and trajectory header readers
-    share one converter of header fields."""
+    construction, ``dataclasses.replace`` included: a whole number of steps,
+    a positive tolerance, a Lagrangian and parameters named in LAGRANGIANS,
+    finite real values and as many initial coordinates as INITIAL has, so a
+    bad value is a config error that names its field, not a solver failure.
+    The INI and trajectory header readers share one converter of header
+    fields."""
 
     scenario: str
     steps: int = 10
-    tol: float = 1e-10
+    tol: float = DEFAULT_TOL
     out: str | None = None
     lagrangian: str | None = None
     params: dict | None = None
@@ -95,14 +109,12 @@ class ScenarioConfig:
         if self.scenario not in SCENARIOS:
             raise DomainError("unknown scenario %r (expected one of %s)"
                               % (self.scenario, ", ".join(SCENARIOS)))
-        if self.steps < 2:
-            raise DomainError("steps must be >= 2, got %d" % self.steps)
-        self.steps = int(self.steps)
-        self.tol = float(self.tol)
-        # not <=, so a NaN is rejected too
-        if not 0.0 < self.tol < np.inf:
-            raise DomainError("tol must be positive and finite, got %r"
-                              % self.tol)
+        steps, self.steps = self.steps, _converted("steps", self.steps, int)
+        if not 2 <= self.steps == steps:
+            raise DomainError("steps must be a whole number >= 2: %r" % steps)
+        self.tol = _converted("tol", self.tol)
+        if not self.tol > 0.0:
+            raise DomainError("tol must be positive, got %r" % self.tol)
         name, defaults = LAGRANGIANS[self.scenario]
         self.lagrangian = self.lagrangian or name
         self.params = dict(self.params or {})
@@ -111,14 +123,11 @@ class ScenarioConfig:
                               "%s, not %r with %s" % (
                                   self.scenario, name, ", ".join(defaults),
                                   self.lagrangian, sorted(self.params)))
-        if not np.all(np.isfinite(list(self.params.values()))):
-            raise DomainError("a Lagrangian parameter is not finite: %s"
-                              % self.params)
+        self.params = {k: _converted("param." + k, v)
+                       for k, v in self.params.items()}
         if self.initial is not None:
-            self.initial = np.asarray(self.initial, dtype=float)
-            if not np.all(np.isfinite(self.initial)):
-                raise DomainError("an initial coordinate is not finite: %s"
-                                  % self.initial)
+            self.initial = _converted(
+                "initial", self.initial, lambda v: np.asarray(v, dtype=float))
             what, default = INITIAL[self.scenario]
             if self.initial.size != len(default):
                 raise DomainError("%s initial data needs %d %s, got %d" % (
@@ -134,12 +143,13 @@ class ScenarioConfig:
                       if k.startswith("param.")}
             initial = ([float(t) for t in kv["initial"].split()]
                        if "initial" in kv else None)
-            steps, tol = int(kv.get("steps", 10)), float(kv.get("tol", 1e-10))
+            numbers = {key: convert(kv[key]) for key, convert in (
+                ("steps", int), ("tol", float)) if key in kv}
         except ValueError as exc:
             raise DomainError("%s: %s" % (where, exc))
-        return cls(kv["scenario"], steps=steps, tol=tol, out=kv.get("out"),
+        return cls(kv["scenario"], out=kv.get("out"),
                    lagrangian=kv.get("lagrangian"), params=params,
-                   initial=initial)
+                   initial=initial, **numbers)
 
     @classmethod
     def from_ini(cls, path):
@@ -201,7 +211,6 @@ class RunReport:
     scenario: str
     residual_norms: list
     oracle_max: float | None = None
-    momentum_defect: float | None = None
     correspondence_gap: float | None = None
     # set only when a trajectory file is read back: stored vs recomputed
     reproduce_gap: float | None = None

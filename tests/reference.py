@@ -9,9 +9,12 @@
   factors.
 - ``compose``: the arrow product of a descriptor, checked for
   composability.
+- ``reduced_momentum_residual``: the paper's semidirect and decoupled
+  momentum residuals of the three degenerate pairs, written by hand.
 """
 import numpy as np
 
+from matchdyn.dynamics import matched_group_momenta
 from matchdyn.errors import NotComposable
 from matchdyn.groupoids import COMPOSE_TOL
 from matchdyn.groups import KGroup
@@ -125,3 +128,42 @@ def sl2c_decompose(M):
     L = np.array([[p, 0.0], [q, r]])
     U = M @ np.linalg.inv(L)
     return su2_from_mat2(U), k_from_mat2(L)
+
+
+# -- the paper's momentum residual of a pair with a trivial action ------------
+#
+# Written from each pair's ``actions``, not through its induced-action
+# blocks: (left half at u_k, right half at u_{k+1}) of an arrow u = (g, h)
+# with the record (d, mu, nu), d_G = d[:n] and d_H = d[n:].
+
+def _r3_rtimes_so3_halves(mp, g, h, d, mu, nu):
+    # h |> x = R_h x, and G acts trivially on H
+    return (np.concatenate([np.reshape(h, (3, 3)).T @ mu, mp.H.coAd(h, nu)]),
+            np.concatenate([mu, nu + np.cross(g, d[:mp.G.coord_dim])]))
+
+
+def _so3_ltimes_r3_halves(mp, g, h, d, mu, nu):
+    # h <| g = R_g^T h, and H acts trivially on G
+    return (np.concatenate([mp.G.coAd(g, mu)
+                            + np.cross(d[mp.G.coord_dim:], h), nu]),
+            np.concatenate([mu, np.reshape(g, (3, 3)) @ nu]))
+
+
+def _so3_times_so3_halves(mp, g, h, d, mu, nu):
+    # both actions trivial: two decoupled Ad*-transport recursions
+    return (np.concatenate([mp.G.coAd(g, mu), mp.H.coAd(h, nu)]),
+            np.concatenate([mu, nu]))
+
+
+REDUCED_HALVES = {"r3_rtimes_so3": _r3_rtimes_so3_halves,
+                  "so3_ltimes_r3": _so3_ltimes_r3_halves,
+                  "so3_times_so3": _so3_times_so3_halves}
+
+
+def reduced_momentum_residual(mp, L, uk, uk1):
+    """The semidirect or decoupled momentum residual of the degenerate pair
+    ``mp`` at the junction of u_k and u_{k+1}, from each arrow's record."""
+    halves = REDUCED_HALVES[mp.name]
+    left, _ = halves(mp, *mp.split(uk), *matched_group_momenta(mp, L, uk))
+    _, right = halves(mp, *mp.split(uk1), *matched_group_momenta(mp, L, uk1))
+    return left - right

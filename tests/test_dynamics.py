@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 import matchdyn.numerics
 from matchdyn.algebroid import AlgebroidVector, a_phi
 from matchdyn.dynamics import (
-    MATCHED_GROUP_FORMS,
     DiscreteLagrangian,
     Trajectory,
     del_residual,
@@ -49,6 +48,7 @@ from matchdyn.scenarios import (
     sl2c_lagrangian,
     trivial_groupoid_lagrangian,
 )
+from reference import reduced_momentum_residual
 
 RNG = np.random.default_rng(20240821)
 
@@ -205,7 +205,7 @@ def test_matched_group_momentum_form_equals_field_form():
     for _ in range(10):
         uk = mp.random(RNG)
         uk1 = mp.random(RNG)
-        r1 = del_residual_matched_group(mp, L, uk, uk1, form="full")
+        r1 = del_residual_matched_group(mp, L, uk, uk1)
         r2 = del_residual(mp, L, uk, uk1)
         assert np.allclose(r1, r2, atol=1e-7)
 
@@ -224,35 +224,20 @@ def test_matched_group_is_its_matched_pair_groupoid():
             assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("builder,form", [
-    (right_trivial_pair, "right-trivial"),
-    (left_trivial_pair, "left-trivial"),
-    (both_trivial_pair, "both-trivial"),
-])
-def test_matched_group_reduction_chain(builder, form):
-    mp = builder()
-    L = smooth_lagrangian(mp.coord_dim, RNG)
-    for _ in range(10):
-        uk = mp.random(RNG)
-        uk1 = mp.random(RNG)
-        full = del_residual_matched_group(mp, L, uk, uk1, form="full")
-        red = del_residual_matched_group(mp, L, uk, uk1, form=form)
-        assert np.allclose(full, red, atol=1e-9)
-
-
 def test_matched_group_decoupled_momentum_recursions():
-    mp = both_trivial_pair()
-    L1 = smooth_lagrangian(9, RNG)
-    L2 = smooth_lagrangian(9, RNG)
-    L = DiscreteLagrangian(lambda u: L1(u[:9]) + L2(u[9:]))
-    uk = mp.random(RNG)
-    uk1 = mp.random(RNG)
-    r = del_residual_matched_group(mp, L, uk, uk1, form="both-trivial")
-    _, mu_k, nu_k = matched_group_momenta(mp, L, uk)
-    _, mu_k1, nu_k1 = matched_group_momenta(mp, L, uk1)
-    gk, hk = mp.split(uk)
-    assert np.allclose(r[:3], mp.G.coAd(gk, mu_k) - mu_k1, atol=1e-10)
-    assert np.allclose(r[3:], mp.H.coAd(hk, nu_k) - nu_k1, atol=1e-10)
+    # each degenerate pair reduces the momentum form through its own
+    # identity and zero blocks to the paper's semidirect (R^3 x| SO(3),
+    # SO(3) |x R^3) or decoupled (SO(3) x SO(3)) recursions, written by hand
+    # from the pair's actions
+    rng = np.random.default_rng(32)
+    for mp in (right_trivial_pair(), left_trivial_pair(),
+               both_trivial_pair()):
+        L = smooth_lagrangian(mp.coord_dim, rng)
+        for _ in range(10):
+            uk, uk1 = mp.random(rng), mp.random(rng)
+            gap = (del_residual_matched_group(mp, L, uk, uk1)
+                   - reduced_momentum_residual(mp, L, uk, uk1))
+            assert np.max(np.abs(gap)) <= 1e-12
 
 
 def test_matched_group_residual_one_gradient_per_arrow():
@@ -260,8 +245,7 @@ def test_matched_group_residual_one_gradient_per_arrow():
     mp = Su2K()
     L = smooth_lagrangian(mp.coord_dim, rng)
     points = record_points(L, "gradient")
-    del_residual_matched_group(mp, L, mp.random(rng), mp.random(rng),
-                               form="full")
+    del_residual_matched_group(mp, L, mp.random(rng), mp.random(rng))
     assert len(points) == 2
 
 
@@ -284,7 +268,7 @@ def test_su2k_outgoing_half_builds_two_lift_matrices(monkeypatch):
     momenta = [matched_group_momenta(mp, L, u) for u in arrows]
     assert built == [("su2", "right"), ("k", "right")] * 2
     built.clear()
-    momentum_residuals(mp, arrows, momenta, "full")
+    momentum_residuals(mp, arrows, momenta)
     assert built == [("su2", "right")]
 
 
@@ -298,16 +282,14 @@ ARROW_PAIRS = [Su2K(), right_trivial_pair(), left_trivial_pair(),
 def test_momentum_residuals_over_shared_records_equal_the_junction_form(
         pair, n_arrows, seed):
     # the records of a chain, built once per arrow and shared by adjacent
-    # junctions, give every form bit for bit as the two-arrow reference
+    # junctions, give the form bit for bit as the two-arrow reference
     rng = np.random.default_rng(seed)
     L = smooth_lagrangian(pair.coord_dim, rng)
     arrows = [pair.random(rng) for _ in range(n_arrows)]
     momenta = arrow_momenta(pair, L, arrows)
-    for form in MATCHED_GROUP_FORMS:
-        for k, r in enumerate(momentum_residuals(pair, arrows, momenta, form),
-                              1):
-            assert np.array_equal(r, del_residual_matched_group(
-                pair, L, arrows[k - 1], arrows[k], form=form))
+    for k, r in enumerate(momentum_residuals(pair, arrows, momenta), 1):
+        assert np.array_equal(r, del_residual_matched_group(
+            pair, L, arrows[k - 1], arrows[k]))
 
 
 def test_default_junction_solves_take_no_finite_difference_derivatives(
@@ -516,14 +498,6 @@ def test_matched_group_identity_critical_point():
     assert np.max(np.abs(r)) < 1e-9
 
 
-def test_matched_group_unknown_form():
-    mp = Su2K()
-    L = DiscreteLagrangian(lambda u: 0.0)
-    with pytest.raises(TagError):
-        del_residual_matched_group(mp, L, mp.identity(), mp.identity(),
-                                   form="nope")
-
-
 def test_matched_group_trajectory_rejects_unknown_form_before_stepping(
         monkeypatch):
     import matchdyn.dynamics as dynamics
@@ -534,8 +508,10 @@ def test_matched_group_trajectory_rejects_unknown_form_before_stepping(
                             lambda *a, name=name, **kw: steps.append(name))
     mp = Su2K()
     L = DiscreteLagrangian(lambda u: 0.5 * float(np.sum(u ** 2)))
-    with pytest.raises(TagError):
-        solve_matched_group_trajectory(mp, L, mp.identity(), 3, form="nope")
+    # "full" is the one form; the retired degenerate names are unknown too
+    for form in ("nope", "right-trivial"):
+        with pytest.raises(TagError):
+            solve_matched_group_trajectory(mp, L, mp.identity(), 3, form=form)
     assert steps == []
 
 

@@ -331,7 +331,7 @@ def test_degenerate_pairs_reduce_to_known_products():
     g2, h2 = M.split(u2)
     assert np.allclose(M.mul(u1, u2),
                        M.join(M.G.mul(g1, g2), M.H.mul(h1, h2)))
-    # right-trivial pair: (g1, h1)(g2, h2) = (g1 + R_{h1} g2, h1 h2)
+    # R^3 x| SO(3): (g1, h1)(g2, h2) = (g1 + R_{h1} g2, h1 h2)
     S = right_trivial_pair()
     u1, u2 = S.random(RNG), S.random(RNG)
     g1, h1 = S.split(u1)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -65,6 +66,34 @@ def test_config_validation():
         ScenarioConfig("sl2c", steps=1)
     with pytest.raises(DomainError):
         ScenarioConfig("sl2c", tol=-1.0)
+    # a whole number of steps of any numeric type is an int
+    for steps in (3, 3.0, np.int64(3), np.float64(3.0)):
+        cfg = ScenarioConfig("sl2c", steps=steps)
+        assert cfg.steps == 3 and type(cfg.steps) is int
+
+
+@pytest.mark.parametrize("field,value", [
+    ("steps", 3.7), ("steps", float("nan")), ("steps", float("inf")),
+    ("tol", "abc"), ("tol", None), ("params", {"coupling": "x"}),
+    ("initial", ["a"] * 6),
+], ids=["steps_fraction", "steps_nan", "steps_inf", "tol_text", "tol_none",
+        "param_text", "initial_text"])
+def test_library_config_values_are_config_errors_naming_the_field(field,
+                                                                  value):
+    # the CLI, INI and header readers convert their strings first; a library
+    # caller's value is converted here, and a non-integral step count is not
+    # truncated
+    name = "param.coupling" if field == "params" else field
+    with pytest.raises(DomainError, match="^%s " % re.escape(name)):
+        ScenarioConfig("sl2c", **{field: value})
+
+
+def test_a_file_without_steps_or_tol_takes_the_field_defaults(tmp_path):
+    p = tmp_path / "cfg.ini"
+    p.write_text("[scenario]\nid = sl2c\n")
+    header = ScenarioConfig.from_comment_lines(["scenario=sl2c"])
+    for cfg in (ScenarioConfig.from_ini(str(p)), header):
+        assert (cfg.steps, cfg.tol) == (10, 1e-10)
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])
@@ -1094,6 +1123,32 @@ def test_readme_examples_print_what_the_readme_says(tmp_path, capsys, ini,
     assert capsys.readouterr().err == line + "\n"
     with open(README) as fh:
         assert "`%s`" % line in " ".join(fh.read().split())
+
+
+def test_the_readme_library_session_runs_as_documented(capsys):
+    # every python block of the README, run as written: the session prints
+    # the largest residual norm and the momentum defect
+    with open(README) as fh:
+        blocks = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, README, "exec"), {})
+    printed = [float(t) for t in capsys.readouterr().out.split()]
+    assert len(printed) == 2 and max(printed) < 1e-9
+
+
+def test_every_run_report_field_is_set_by_some_command(tmp_path):
+    # run and export build their report with run_scenario; check residual
+    # re-reads a fresh file of each scenario
+    reports = []
+    for scenario in sorted(HEADERS):
+        config = ScenarioConfig(scenario, steps=4)
+        report, header, rows = run_scenario(config)
+        path = str(tmp_path / (scenario + ".csv"))
+        write_trajectory_csv(path, config, header, rows)
+        reports += [report, check_residual_file(path)[1]]
+    for f in dataclasses.fields(RunReport):
+        assert any(getattr(r, f.name) is not None for r in reports), f.name
 
 
 @settings(max_examples=10, deadline=None)
