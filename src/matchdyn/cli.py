@@ -83,9 +83,10 @@ def _load_config(args):
         config = ScenarioConfig(args.scenario)
     else:
         raise DomainError("either a scenario id or --config is required")
-    return dataclasses.replace(config, **{
-        key: getattr(args, key) for key in ("steps", "tol", "out")
-        if getattr(args, key) is not None})
+    overrides = {key: getattr(args, key) for key in ("steps", "tol", "out")
+                 if getattr(args, key) is not None}
+    # replace validates the whole config again: only when a flag changed it
+    return dataclasses.replace(config, **overrides) if overrides else config
 
 
 def _cmd_run(args):

@@ -181,7 +181,8 @@ def solver_failure(what):
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
-    except (DomainError, EvaluationError, FloatingPointError) as exc:
+    except (DomainError, EvaluationError, FloatingPointError,
+            OverflowError) as exc:
         raise NoConvergence("%s failed: %s" % (what, exc))
 
 

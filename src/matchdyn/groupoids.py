@@ -178,13 +178,17 @@ class Groupoid:
 # ---------------------------------------------------------------------------
 
 class GroupGroupoid(Groupoid):
-    """A group seen as a groupoid over a single point.  Its check and its
-    lifts are the group's own, bound once when it is built, so a factor
-    lift of a matched pair costs no wrapper call."""
+    """A group seen as a groupoid over a single point.  Its check, product,
+    inverse, arrow coordinates (the group's log) and lifts are the group's
+    own, bound once when it is built, so a factor operation of a matched
+    pair costs no wrapper call."""
 
     def __init__(self, G: Group):
         self.G = G
         self.check = G.check
+        self.mul = G.mul
+        self.inv = G.inv
+        self.arrow_coords = G.log
         self.left_lift = partial(G.lift_matrix, "left")
         self.right_lift = partial(G.lift_matrix, "right")
         self.base = POINT
@@ -201,17 +205,8 @@ class GroupGroupoid(Groupoid):
     def eps(self, b):
         return self.G.identity()
 
-    def mul(self, x, y):
-        return self.G.mul(x, y)
-
-    def inv(self, x):
-        return self.G.inv(x)
-
     def fiber_elem(self, b, z):
         return self.G.exp(z)
-
-    def arrow_coords(self, x):
-        return self.G.log(x)
 
 
 class PairGroupoid(Groupoid):

@@ -16,21 +16,28 @@ calls ``Group.lift_matrix`` for the momenta of a legacy sl2c file, whose
 stored digits went through it.  A group's own lifts are fixed when it is
 built.  The matched-pair groups inherit the generic ``Ad_matrix``, which no
 command reads.  ``coAd`` is that one matrix transposed.  SU(2) and K give
-the Jacobian of their ``log`` in chart coordinates (``dlog``), from which
-the built-in Lagrangians take their closed gradients.
+their ``log`` together with its Jacobian in chart coordinates
+(``log_dlog``), from one conversion of the point, and the built-in
+Lagrangians take their closed gradients from it.
 
 The per-point chart maps on the solver's hot path (``_vec``, ``check``,
-SU(2)'s ``mul``/``exp``/``log``/``dlog``, SO(3)'s ``check`` and
-``log``) convert a point once and work on its entries as Python floats.  They
-keep numpy's transcendental ufuncs (``np.arccos``, ``np.arctan2``,
-``np.sin``, ``np.cos``) and take norms as ``sqrt(q @ q)``, so they return the
-same bits as the matrix forms they replaced, which the tests keep as
-references; SO(3)'s ``log`` differs from them only above pi - 5e-4, where it
-reads the axis off the symmetric part.  Python-float arithmetic ignores
-``np.errstate``, so these maps reject a non-finite point with DomainError
-themselves, and so they do a point that is not a vector, whose ``tolist``
-would be a list of lists.  SO(3)'s lift matrices are signed copies of the
-point's entries, read the same way.
+SU(2)'s ``mul``/``exp``/``log``/``log_dlog`` and lift matrices, the rotation
+of a quaternion, SO(3)'s ``check`` and ``log``) convert a point once and
+work on its entries as Python floats.  They keep numpy's transcendental
+ufuncs (``np.arccos``, ``np.arctan2``, ``np.sin``, ``np.cos``) and take
+norms as ``sqrt(q @ q)``, so they return the same bits as the matrix forms
+they replaced, which the tests keep as references; SO(3)'s ``log`` differs
+from them only above pi - 5e-4, where it reads the axis off the symmetric
+part.  Python-float arithmetic ignores ``np.errstate``: ``*`` and ``+``
+overflow silently to inf, and ``**`` raises OverflowError.  So the chart
+maps reject a non-finite point with DomainError themselves, and so they do
+a point that is not a vector, whose ``tolist`` would be a list of lists;
+the lift matrices and the rotation of a unit quaternion do no arithmetic
+that can overflow; a map that can overflow on a finite point (K's
+``log_dlog``, with its C**2) keeps numpy scalars, which raise under
+np.errstate; and a solve treats an OverflowError as it does a
+FloatingPointError.  SO(3)'s lift matrices are signed copies of the point's
+entries, read the same way.
 """
 from __future__ import annotations
 
@@ -168,7 +175,7 @@ def quat_conj(q):
 
 
 def rotation_matrix_of_quaternion(q):
-    w, x, y, z = q
+    w, x, y, z = q.tolist()
     return np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
@@ -227,8 +234,9 @@ class SU2(Group):
         theta = 2.0 * float(np.arctan2(vn, w))
         return np.array([theta * x / vn, theta * y / vn, theta * z / vn])
 
-    def dlog(self, g):
-        """3 x 4 Jacobian of log(w, v) = 2 atan2(|v|, w) v / |v| in all four
+    def log_dlog(self, g):
+        """(log g, its 3 x 4 Jacobian) from one conversion of g: the
+        Jacobian of log(w, v) = 2 atan2(|v|, w) v / |v| in all four
         quaternion coordinates, off the unit sphere too."""
         g = _vec(g, 4)
         w, x, y, z = _finite(g)
@@ -240,16 +248,20 @@ class SU2(Group):
             # so small that 2 / w overflows, there is none
             d = 2.0 / w if w else math.inf
             if math.isinf(d):
-                raise DomainError("SU2.dlog has no limit at %s" % g.tolist())
+                raise DomainError("SU2.log_dlog has no limit at %s"
+                                  % g.tolist())
             o = d * 0.0
-            return np.array([[0.0, d, o, o], [0.0, o, d, o], [0.0, o, o, d]])
+            return np.zeros(3), np.array([[0.0, d, o, o], [0.0, o, d, o],
+                                          [0.0, o, o, d]])
+        theta = 2.0 * float(np.arctan2(vn, w))
+        log = np.array([theta * x / vn, theta * y / vn, theta * z / vn])
         # s I + k u u^T beside the column -2 v / r2, u = v / |v|; the zeros
         # of s I are added, so an entry k ui uj of -0.0 reads 0.0
         r2 = w * w + vn * vn
-        s = 2.0 * float(np.arctan2(vn, w)) / vn
+        s = theta / vn
         k = 2.0 * w / r2 - s
         ux, uy, uz = x / vn, y / vn, z / vn
-        return np.array([
+        return log, np.array([
             [(-2.0 * x) / r2, s + k * (ux * ux), 0.0 + k * (ux * uy),
              0.0 + k * (ux * uz)],
             [(-2.0 * y) / r2, 0.0 + k * (uy * ux), s + k * (uy * uy),
@@ -262,7 +274,7 @@ class SU2(Group):
 
     def lift_matrix(self, side, g):
         """Column i is g (0, e_i/2) (left) or (0, e_i/2) g (right)."""
-        w, x, y, z = _vec(g, 4)
+        w, x, y, z = _vector(_vec(g, 4)).tolist()
         if side == "left":
             return 0.5 * np.array([[-x, -y, -z], [w, -z, y], [z, w, -x],
                                    [-y, x, w]])
@@ -309,8 +321,9 @@ class KGroup(Group):
 
     def exp(self, xi):
         a, b, c = self.algebra_vector(xi)
-        f = np.expm1(c) / c if abs(c) > 1e-8 else 1.0 + 0.5 * c
-        return np.array([a * f, b * f, np.expm1(c)])
+        e = np.expm1(c)
+        f = e / c if abs(c) > 1e-8 else 1.0 + 0.5 * c
+        return np.array([a * f, b * f, e])
 
     def log(self, g):
         A, B, C = self.check(g)
@@ -318,19 +331,22 @@ class KGroup(Group):
         f = C / c if abs(c) > 1e-8 else 1.0 + 0.5 * c
         return np.array([A / f, B / f, c])
 
-    def dlog(self, g):
-        """3 x 3 Jacobian of log(A, B, C) = (A phi(C), B phi(C), log1p(C)),
-        phi(C) = log1p(C) / C."""
+    def log_dlog(self, g):
+        """(log g, its 3 x 3 Jacobian) from one conversion of g: log(A, B, C)
+        = (A phi(C), B phi(C), log1p(C)), phi(C) = log1p(C) / C.  It keeps
+        the numpy scalars of ``check``, so an overflow raises under
+        np.errstate, as Python-float arithmetic would not."""
         A, B, C = self.check(g)
         c = np.log1p(C)
+        f = C / c if abs(c) > 1e-8 else 1.0 + 0.5 * c
         phi = c / C if abs(c) > 1e-8 else 1.0 / (1.0 + 0.5 * c)
         if abs(C) > 1e-4:
             dphi = (C / (1.0 + C) - c) / C**2
         else:  # Taylor series: the quotient above cancels to C^2 / 2
             dphi = -0.5 + C * (2.0 / 3.0 - 0.75 * C)
-        return np.array([[phi, 0.0, A * dphi],
-                         [0.0, phi, B * dphi],
-                         [0.0, 0.0, 1.0 / (1.0 + C)]])
+        return np.array([A / f, B / f, c]), np.array([
+            [phi, 0.0, A * dphi], [0.0, phi, B * dphi],
+            [0.0, 0.0, 1.0 / (1.0 + C)]])
 
     def bracket(self, x, y):
         k = np.array([0.0, 0.0, 1.0])

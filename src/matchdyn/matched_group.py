@@ -155,7 +155,9 @@ class Su2K(MatchedPairGroup):
     factorization in ``tests/reference.py`` are its test reference.  The two
     induced-action pairs carry closed forms, so the lift matrices and every
     solve use them; ``generic()`` keeps the finite-difference ones, which
-    ``check axioms`` compares them with.  Every groupoid operation is the
+    ``check axioms`` compares them with.  The right lift is closed too: it
+    builds the SU(2) right lift and the rotation of g once for its factor
+    and dagger blocks.  Every other groupoid operation is the
     ``MatchedPairGroupoid`` one.
     """
 
@@ -203,6 +205,19 @@ class Su2K(MatchedPairGroup):
         # with Ad_A = R and T r_A the SU(2) right lift; and Y <| A = R^T Y
         R = self.G.rot_of(g)
         return self.G.lift_matrix("right", g) @ hat3(R @ E3 - E3), R.T
+
+    def right_lift(self, u):
+        # MatchedPairGroupoid.right_lift's [[T, -D_g], [0, T_K A_h]], with
+        # D_g = T hat3(R e3 - e3) and A_h = R^T, from one SU(2) right lift T
+        # and one rotation R of g: the same products on the same values
+        g, h = self.split(u)
+        T = self.G.lift_matrix("right", g)
+        R = self.G.rot_of(g)
+        out = np.zeros((7, 6))
+        out[:4, :3] = T
+        out[:4, 3:] = -(T @ hat3(R[:, 2] - E3))
+        out[4:, 3:] = self.H.lift_matrix("right", h) @ R.T
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,8 @@ def _trial(F, x):
         with np.errstate(over="raise", invalid="raise"):
             r = _as_vec(F(x))
             rnorm = float(np.linalg.norm(r, np.inf))
-    except (DomainError, EvaluationError, FloatingPointError):
+    except (DomainError, EvaluationError, FloatingPointError,
+            OverflowError):
         return None, np.inf
     return r, rnorm if np.isfinite(rnorm) else np.inf
 
@@ -142,7 +143,8 @@ def newton_solve(F, x0, tol=DEFAULT_TOL):
     for _ in range(MAX_ITER):
         try:
             J = fd_jacobian(F, x, r)
-        except (DomainError, EvaluationError, FloatingPointError) as exc:
+        except (DomainError, EvaluationError, FloatingPointError,
+                OverflowError) as exc:
             raise _failure(NoConvergence, "non-finite Jacobian: %s: %s"
                            % (type(exc).__name__, exc), rnorm, np.inf)
         cond = float(np.linalg.cond(J))

@@ -293,10 +293,10 @@ def sl2c_lagrangian(mp: Su2K, config: ScenarioConfig):
 
     def gradient(u):
         g, h = mp.split(u)
-        x = mp.G.log(g)
-        y = mp.H.log(h)
-        return np.concatenate([mp.G.dlog(g).T @ (ig * x + coupling * y),
-                               mp.H.dlog(h).T @ (ih * y + coupling * x)])
+        x, dx = mp.G.log_dlog(g)
+        y, dy = mp.H.log_dlog(h)
+        return np.concatenate([dx.T @ (ig * x + coupling * y),
+                               dy.T @ (ih * y + coupling * x)])
 
     return DiscreteLagrangian(evaluate, gradient, name="quadratic")
 

@@ -267,7 +267,8 @@ def so3_log_reference(g):
 
 
 def su2_dlog_reference(g):
-    """SU2.dlog in matrix form: np.column_stack, np.eye and np.outer."""
+    """The Jacobian of SU2.log in matrix form: np.column_stack, np.eye and
+    np.outer."""
     g = _vec(g, 4)
     w, v = g[0], g[1:]
     vn = math.sqrt(v @ v)
@@ -297,9 +298,12 @@ def test_su2_dlog_matches_its_matrix_form_bit_for_bit():
         points.append(q)
     points += [np.array([w, 0.0, 0.0, 0.0]) for w in (1.0, -1.0, 0.5)]
     for q in points:
-        new, ref = SU2().dlog(q), su2_dlog_reference(q)
+        log, new = SU2().log_dlog(q)
+        ref = su2_dlog_reference(q)
         assert np.array_equal(new, ref)
         assert np.array_equal(np.signbit(new), np.signbit(ref))
+        assert np.array_equal(log, SU2().log(q))
+        assert np.array_equal(np.signbit(log), np.signbit(SU2().log(q)))
 
 
 @pytest.mark.filterwarnings("error")
@@ -310,10 +314,46 @@ def test_su2_dlog_without_a_limit_is_a_domain_error(w):
     for v in (0.0, 1e-15):
         q = np.array([w, v, 0.0, 0.0])
         with pytest.raises(DomainError, match="no limit at"):
-            SU2().dlog(q)
+            SU2().log_dlog(q)
         with pytest.raises(NoConvergence):
             with solver_failure("junction solve"):
-                SU2().dlog(q)
+                SU2().log_dlog(q)
+
+
+def k_dlog_reference(g):
+    """The Jacobian of KGroup.log(A, B, C) = (A phi(C), B phi(C),
+    log1p(C)), phi(C) = log1p(C) / C, written out on its own from the numpy
+    scalars of check."""
+    A, B, C = KGroup().check(g)
+    c = np.log1p(C)
+    phi = c / C if abs(c) > 1e-8 else 1.0 / (1.0 + 0.5 * c)
+    if abs(C) > 1e-4:
+        dphi = (C / (1.0 + C) - c) / C**2
+    else:
+        dphi = -0.5 + C * (2.0 / 3.0 - 0.75 * C)
+    return np.array([[phi, 0.0, A * dphi],
+                     [0.0, phi, B * dphi],
+                     [0.0, 0.0, 1.0 / (1.0 + C)]])
+
+
+def test_k_log_dlog_is_log_and_its_jacobian_bit_for_bit():
+    # both sides of the Taylor branches (|C| = 1e-4 for phi', |log1p C| =
+    # 1e-8 for phi), zeros of either sign, C near -1 and large C
+    rng = np.random.default_rng(34)
+    K = KGroup()
+    cs = [0.0, -0.0, 1e-9, -1e-9, 1e-8, -1e-8, 1.0000001e-8, 9.99e-5, 1e-4,
+          1.0001e-4, -1e-4, -1.0001e-4, 0.5, -0.5, -1.0 + 1e-12, 1e3, 1e150]
+    cs += list(rng.uniform(-0.999, 3.0, 200)) + list(
+        rng.standard_normal(100) * 1e-4)
+    for C in cs:
+        for A, B in [(0.0, -0.0), tuple(rng.standard_normal(2) * 3.0)]:
+            g = np.array([A, B, C])
+            log, jac = K.log_dlog(g)
+            ref = k_dlog_reference(g)
+            assert np.array_equal(jac, ref)
+            assert np.array_equal(np.signbit(jac), np.signbit(ref))
+            assert np.array_equal(log, K.log(g))
+            assert np.array_equal(np.signbit(log), np.signbit(K.log(g)))
 
 
 def vec_reference(x, n=None):
@@ -406,7 +446,7 @@ def test_check_rejects_a_non_finite_point(G, value):
     (SO3().check, np.eye(3)), (SO3().log, np.eye(3)),
     (partial(SO3().lift_matrix, "left"), np.eye(3)),
     (SO3().exp, np.zeros((3, 1))), (KGroup().exp, np.zeros((3, 1))),
-    (lambda p: SU2().mul(p, p), np.eye(2)), (SU2().dlog, np.eye(2))],
+    (lambda p: SU2().mul(p, p), np.eye(2)), (SU2().log_dlog, np.eye(2))],
     ids=["su2-check", "su2-log", "su2-exp", "k-check", "so3-check",
          "so3-log", "so3-lift", "so3-exp", "k-exp", "su2-mul", "su2-dlog"])
 def test_a_point_that_is_not_a_vector_is_a_domain_error(chart_map, point):

@@ -256,6 +256,31 @@ def test_su2k_lift_matrix_uses_closed_actions(side, monkeypatch):
     assert np.array_equal(lift, block)
 
 
+def test_su2k_closed_right_lift_is_the_groupoid_one_bit_for_bit():
+    # one SU(2) right lift and one rotation feed the factor and dagger
+    # blocks through the same products as the groupoid's three blocks:
+    # seeded points, near the identity (q near 1) and near q = -1, with
+    # zero entries of either sign
+    rng = np.random.default_rng(34)
+    M = Su2K()
+    points = [M.random(rng, sigma) for sigma in (1e-9, 0.5, 2.0)
+              for _ in range(100)]
+    for _ in range(100):
+        g, h = M.split(M.random(rng, 1e-6))
+        points.append(M.join(-g, h))
+        axis = rng.standard_normal(3)
+        axis /= np.linalg.norm(axis)
+        points.append(M.join(M.G.exp((2.0 * np.pi - 1e-7) * axis), h))
+    points += [M.identity(), np.array([-1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+               np.array([-1.0, -0.0, 0.0, -0.0, -0.0, 0.5, -0.0]),
+               np.array([0.0, 0.0, -0.0, 1.0, 0.3, -0.0, 2.0])]
+    for u in points:
+        closed = M.right_lift(u)
+        ref = MatchedPairGroupoid.right_lift(M, u)
+        assert np.array_equal(closed, ref)
+        assert np.array_equal(np.signbit(closed), np.signbit(ref))
+
+
 def test_su2k_operations_are_the_generic_ones_bit_for_bit():
     # the product, inverse and lifts of every pair are MatchedPairGroupoid's
     # own; the one closed operation left is MatchedPairGroup's fiber chart

@@ -465,6 +465,23 @@ def test_finite_difference_files_recheck_with_gap_zero(tmp_path, name, field):
     assert main(["check", "residual", str(tampered)]) == 1
 
 
+def test_the_default_sl2c_run_writes_its_committed_file_byte_for_byte(
+        tmp_path, capsys):
+    # sl2c_exact.csv is the file `matchdyn run sl2c --steps 20` wrote when it
+    # was committed: a faster kernel must take the same Newton iterates, so
+    # every digit of every arrow, record and residual stays
+    golden = os.path.join(DATA, "sl2c_exact.csv")
+    out = tmp_path / "sl2c.csv"
+    assert main(["run", "sl2c", "--steps", "20", "--out", str(out)]) == 0
+    with open(golden, "rb") as fh:
+        assert out.read_bytes() == fh.read()
+    failures, report = check_residual_file(golden)
+    assert failures == [] and report.reproduce_gap == 0.0
+    capsys.readouterr()
+    assert main(["check", "residual", golden]) == 0
+    assert "stored-vs-recomputed gap: 0.000e+00" in capsys.readouterr().out
+
+
 def test_a_legacy_sl2c_recheck_needs_the_finite_difference_factor_lifts(
         monkeypatch):
     # negative control: with the closed SU(2) and K lifts in the records'
