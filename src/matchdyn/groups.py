@@ -20,24 +20,32 @@ their ``log`` together with its Jacobian in chart coordinates
 (``log_dlog``), from one conversion of the point, and the built-in
 Lagrangians take their closed gradients from it.
 
-The per-point chart maps on the solver's hot path (``_vec``, ``check``,
+Every map that takes a point reads it once, through ``_vec``: TagError if it
+has the wrong size, DomainError if it is not a vector (its ``tolist`` would
+be a list of lists) and, for the maps that do Python-float arithmetic on its
+entries (SU(2)'s ``exp``, ``log`` and ``log_dlog``, K's ``check``, SO(3)'s
+``check``, ``exp`` and ``log``), DomainError if it is not finite.
+Python-float arithmetic ignores ``np.errstate``: ``*`` and ``+`` overflow
+silently to inf, and ``**`` raises OverflowError, which a solve treats as a
+FloatingPointError.  The per-point maps on the solver's hot path (``check``,
 SU(2)'s ``mul``/``exp``/``log``/``log_dlog`` and lift matrices, the rotation
-of a quaternion, SO(3)'s ``check`` and ``log``) convert a point once and
-work on its entries as Python floats.  They keep numpy's transcendental
-ufuncs (``np.arccos``, ``np.arctan2``, ``np.sin``, ``np.cos``) and take
-norms as ``sqrt(q @ q)``, so they return the same bits as the matrix forms
-they replaced, which the tests keep as references; SO(3)'s ``log`` differs
-from them only above pi - 5e-4, where it reads the axis off the symmetric
-part.  Python-float arithmetic ignores ``np.errstate``: ``*`` and ``+``
-overflow silently to inf, and ``**`` raises OverflowError.  So the chart
-maps reject a non-finite point with DomainError themselves, and so they do
-a point that is not a vector, whose ``tolist`` would be a list of lists;
-the lift matrices and the rotation of a unit quaternion do no arithmetic
-that can overflow; a map that can overflow on a finite point (K's
-``log_dlog``, with its C**2) keeps numpy scalars, which raise under
-np.errstate; and a solve treats an OverflowError as it does a
-FloatingPointError.  SO(3)'s lift matrices are signed copies of the point's
-entries, read the same way.
+of a quaternion, SO(3)'s ``check``, ``log`` and lift matrices) work on a
+point's entries as Python floats.  They keep numpy's transcendental ufuncs
+(``np.arccos``, ``np.arctan2``, ``np.sin``, ``np.cos``) and take norms as
+``sqrt(q @ q)``, so they return the same bits as the matrix forms they
+replaced, which the tests keep as references; SO(3)'s ``log`` differs from
+them only above pi - 5e-4, where it reads the axis off the symmetric part.
+K's ``log_dlog``, which can overflow on a finite point (its C**2), keeps
+numpy scalars, which raise under np.errstate.
+
+A chart is tested where a point enters it and where a point can leave it.
+Each group's ``check`` tests it (unit norm for SU(2), c > -1 for K), and so
+does K's ``log`` on its argument; K's ``exp``, ``inv`` and ``mul`` test,
+through ``check``, the point they return, since its c can round onto -1
+(exp(-38 e_c) has c = expm1(-38)).  The maps that only build a matrix or a
+log from a point the solver already holds read it without testing its chart
+again: SU(2)'s ``rot_of`` and lift matrices, and K's lift matrices,
+``log_dlog``, ``Ad_matrix`` and ``mat3``.
 """
 from __future__ import annotations
 
@@ -55,32 +63,27 @@ UNIT_TOL = 1e-9
 NEAR_PI_COS = -math.cos(5e-4)
 
 
-def _vec(x, n=None):
+def _vec(x, n, finite=False):
+    """x read once as a vector of n floats: TagError if it has another
+    size, DomainError naming its shape if it is not a vector.  With
+    ``finite`` it returns (vector, its entries as Python floats), and
+    DomainError if an entry is not finite: Python-float arithmetic ignores
+    np.errstate, so it would pass a NaN or an inf on without the
+    floating-point error that numpy raises."""
     v = np.asarray(x, dtype=float)
     if v.ndim == 0:
         v = v.reshape(1)
-    if n is not None and v.size != n:
+    if v.size != n:
         raise TagError("expected vector of length %d, got %d" % (n, v.size))
-    return v
-
-
-def _vector(v):
-    """The array v, or DomainError naming its shape if it is not a vector."""
     if v.ndim != 1:
         raise DomainError("chart point has shape %s, not a vector's"
                           % (v.shape,))
-    return v
-
-
-def _finite(v):
-    """The entries of the vector v as Python floats, or DomainError if v is
-    not a vector or an entry is not finite: Python-float arithmetic ignores
-    np.errstate, so it would pass a NaN or an inf on without the
-    floating-point error that numpy raises."""
-    values = _vector(v).tolist()
+    if not finite:
+        return v
+    values = v.tolist()
     if not all(map(math.isfinite, values)):
         raise DomainError("chart point is not finite: %s" % values)
-    return values
+    return v, values
 
 
 class Group:
@@ -127,9 +130,6 @@ class Group:
             self.dim)
 
     # -- derived helpers -----------------------------------------------------
-
-    def algebra_vector(self, xi):
-        return _vector(_vec(xi, self.dim))
 
     def lift_matrix(self, side, g):
         """coord_dim x dim matrix, column i = d/dt (g exp(t e_i)) (left) or
@@ -200,22 +200,21 @@ class SU2(Group):
         return np.array([1.0, 0.0, 0.0, 0.0])
 
     def check(self, g):
-        g = _vector(_vec(g, 4))
+        g = _vec(g, 4)
         norm = math.sqrt(g @ g)
         if not abs(norm - 1.0) <= UNIT_TOL:
             raise DomainError("quaternion norm %.3e is not 1" % norm)
         return g
 
     def mul(self, a, b):
-        q = quat_mul(_vector(_vec(a, 4)), _vector(_vec(b, 4)))
+        q = quat_mul(_vec(a, 4), _vec(b, 4))
         return q / math.sqrt(q @ q)
 
     def inv(self, g):
         return quat_conj(_vec(g, 4))
 
     def exp(self, xi):
-        xi = _vec(xi, 3)
-        x, y, z = _finite(xi)
+        xi, (x, y, z) = _vec(xi, 3, finite=True)
         theta = math.sqrt(xi @ xi)
         if theta < 1e-100:
             return self.identity()
@@ -225,8 +224,7 @@ class SU2(Group):
                          s * z / theta])
 
     def log(self, g):
-        g = _vec(g, 4)
-        w, x, y, z = _finite(g)
+        g, (w, x, y, z) = _vec(g, 4, finite=True)
         v = g[1:]
         vn = math.sqrt(v @ v)
         if vn < 1e-14:
@@ -238,8 +236,7 @@ class SU2(Group):
         """(log g, its 3 x 4 Jacobian) from one conversion of g: the
         Jacobian of log(w, v) = 2 atan2(|v|, w) v / |v| in all four
         quaternion coordinates, off the unit sphere too."""
-        g = _vec(g, 4)
-        w, x, y, z = _finite(g)
+        g, (w, x, y, z) = _vec(g, 4, finite=True)
         v = g[1:]
         vn = math.sqrt(v @ v)
         if vn < 1e-14:
@@ -270,11 +267,11 @@ class SU2(Group):
              s + k * (uz * uz)]])
 
     def bracket(self, x, y):
-        return np.cross(self.algebra_vector(x), self.algebra_vector(y))
+        return np.cross(_vec(x, 3), _vec(y, 3))
 
     def lift_matrix(self, side, g):
         """Column i is g (0, e_i/2) (left) or (0, e_i/2) g (right)."""
-        w, x, y, z = _vector(_vec(g, 4)).tolist()
+        w, x, y, z = _vec(g, 4).tolist()
         if side == "left":
             return 0.5 * np.array([[-x, -y, -z], [w, -z, y], [z, w, -x],
                                    [-y, x, w]])
@@ -285,7 +282,7 @@ class SU2(Group):
         return self.rot_of(g)
 
     def rot_of(self, g):
-        return rotation_matrix_of_quaternion(self.check(g))
+        return rotation_matrix_of_quaternion(_vec(g, 4))
 
 
 class KGroup(Group):
@@ -304,26 +301,25 @@ class KGroup(Group):
         return np.zeros(3)
 
     def check(self, g):
-        g = _vec(g, 3)
-        a, b, c = _finite(g)
+        g, (a, b, c) = _vec(g, 3, finite=True)
         if not c > -1.0:
             raise DomainError("K coordinate c = %.6g <= -1" % c)
         return g
 
     def mul(self, a, b):
-        a = self.check(a)
-        b = self.check(b)
-        return a * (1.0 + b[2]) + b
+        a = _vec(a, 3)
+        b = _vec(b, 3)
+        return self.check(a * (1.0 + b[2]) + b)
 
     def inv(self, g):
-        g = self.check(g)
-        return -g / (1.0 + g[2])
+        g = _vec(g, 3)
+        return self.check(-g / (1.0 + g[2]))
 
     def exp(self, xi):
-        a, b, c = self.algebra_vector(xi)
+        a, b, c = _vec(xi, 3)
         e = np.expm1(c)
         f = e / c if abs(c) > 1e-8 else 1.0 + 0.5 * c
-        return np.array([a * f, b * f, e])
+        return self.check(np.array([a * f, b * f, e]))
 
     def log(self, g):
         A, B, C = self.check(g)
@@ -334,9 +330,9 @@ class KGroup(Group):
     def log_dlog(self, g):
         """(log g, its 3 x 3 Jacobian) from one conversion of g: log(A, B, C)
         = (A phi(C), B phi(C), log1p(C)), phi(C) = log1p(C) / C.  It keeps
-        the numpy scalars of ``check``, so an overflow raises under
+        the numpy scalars of the point, so an overflow raises under
         np.errstate, as Python-float arithmetic would not."""
-        A, B, C = self.check(g)
+        A, B, C = _vec(g, 3)
         c = np.log1p(C)
         f = C / c if abs(c) > 1e-8 else 1.0 + 0.5 * c
         phi = c / C if abs(c) > 1e-8 else 1.0 / (1.0 + 0.5 * c)
@@ -350,11 +346,11 @@ class KGroup(Group):
 
     def bracket(self, x, y):
         k = np.array([0.0, 0.0, 1.0])
-        return np.cross(k, np.cross(self.algebra_vector(x), self.algebra_vector(y)))
+        return np.cross(k, np.cross(_vec(x, 3), _vec(y, 3)))
 
     def lift_matrix(self, side, g):
         # a b = a (1 + c_b) + b, and exp has derivative 1 at 0
-        g = self.check(g)
+        g = _vec(g, 3)
         if side == "left":
             return np.eye(3) + np.outer(g, [0.0, 0.0, 1.0])
         f = 1.0 + g[2]
@@ -363,12 +359,12 @@ class KGroup(Group):
     def Ad_matrix(self, g):
         # mat3(g) X mat3(g)^-1 for the 3x3 algebra matrix X of xi, read as a
         # matrix on (a, b, c)
-        a, b, c = self.check(g)
+        a, b, c = _vec(g, 3)
         f = 1.0 / (1.0 + c)
         return np.array([[f, 0.0, a * f], [0.0, f, b * f], [0.0, 0.0, 1.0]])
 
     def mat3(self, g):
-        a, b, c = self.check(g)
+        a, b, c = _vec(g, 3)
         return np.array([
             [1.0 + c, 0.0, 0.0],
             [0.0, 1.0 + c, 0.0],
@@ -400,8 +396,7 @@ class SO3(Group):
 
     def check(self, g):
         # |M^T M - I| (Frobenius) within 1e-8 and det M >= 0, on the columns
-        g = _vec(g, 9)
-        a, b, c, d, e, f, p, q, r = _finite(g)
+        g, (a, b, c, d, e, f, p, q, r) = _vec(g, 9, finite=True)
         n0 = a * a + d * d + p * p - 1.0
         n1 = b * b + e * e + q * q - 1.0
         n2 = c * c + f * f + r * r - 1.0
@@ -422,10 +417,8 @@ class SO3(Group):
         return _vec(g, 9).reshape(3, 3).T.ravel()
 
     def exp(self, xi):
-        xi = self.algebra_vector(xi)
+        xi, _ = _vec(xi, 3, finite=True)
         theta = np.sqrt(xi @ xi)
-        if not math.isfinite(theta):
-            raise DomainError("algebra vector is not finite: %s" % xi)
         K = hat3(xi)
         if theta < 1e-12:
             return (I3 + K + 0.5 * K @ K).ravel()
@@ -434,7 +427,8 @@ class SO3(Group):
         return (I3 + A * K + B * K @ K).ravel()
 
     def log(self, g):
-        m00, m01, m02, m10, m11, m12, m20, m21, m22 = _finite(_vec(g, 9))
+        _, (m00, m01, m02, m10, m11, m12, m20, m21, m22) = _vec(
+            g, 9, finite=True)
         cos_t = min(max(0.5 * ((m00 + m11) + m22 - 1.0), -1.0), 1.0)
         # w = sin(theta) u, for the rotation by theta about the unit axis u
         w = [0.5 * (m21 - m12), 0.5 * (m02 - m20), 0.5 * (m10 - m01)]
@@ -461,12 +455,12 @@ class SO3(Group):
         return np.array([f * w[0], f * w[1], f * w[2]])
 
     def bracket(self, x, y):
-        return np.cross(self.algebra_vector(x), self.algebra_vector(y))
+        return np.cross(_vec(x, 3), _vec(y, 3))
 
     def lift_matrix(self, side, g):
         # column i is g hat(e_i) (left) or hat(e_i) g (right), row-major:
         # signed copies of the entries of g, rows (a b c), (d e f), (p q r)
-        a, b, c, d, e, f, p, q, r = _vector(_vec(g, 9)).tolist()
+        a, b, c, d, e, f, p, q, r = _vec(g, 9).tolist()
         if side == "left":  # rows 3i..3i+2 are hat3 of row i of g
             return np.array([[0.0, -c, b], [c, 0.0, -a], [-b, a, 0.0],
                              [0.0, -f, e], [f, 0.0, -d], [-e, d, 0.0],
@@ -497,7 +491,7 @@ class Abelian(Group):
         return -_vec(g, self.dim)
 
     def exp(self, xi):
-        return self.algebra_vector(xi).copy()
+        return _vec(xi, self.dim).copy()
 
     def log(self, g):
         return _vec(g, self.dim).copy()

@@ -77,7 +77,7 @@ class MatchedPairGroup(MatchedPairGroupoid, Group):
                                self.H.exp(z[self.G.dim:])])
 
     def exp(self, w):
-        return self.fiber_elem(POINT_BASE, self.algebra_vector(w))
+        return self.fiber_elem(POINT_BASE, _vec(w, self.dim))
 
     def log(self, u):
         return self.arrow_coords(u)
@@ -96,8 +96,8 @@ class MatchedPairGroup(MatchedPairGroupoid, Group):
     # -- algebra bracket -----------------------------------------------------
 
     def bracket(self, w1, w2):
-        xi1, eta1 = self.split_fiber(self.algebra_vector(w1))
-        xi2, eta2 = self.split_fiber(self.algebra_vector(w2))
+        xi1, eta1 = self.split_fiber(_vec(w1, self.dim))
+        xi2, eta2 = self.split_fiber(_vec(w2, self.dim))
         bg = (self.G.bracket(xi1, xi2)
               + self.act_alg_g_from_eta(eta1, xi2)
               - self.act_alg_g_from_eta(eta2, xi1))
@@ -108,15 +108,15 @@ class MatchedPairGroup(MatchedPairGroupoid, Group):
 
     def act_alg_g_from_eta(self, eta, xi):
         """eta |> xi: derivative of h |> xi along h = exp(t eta)."""
-        xi = self.G.algebra_vector(xi)
-        eta = self.H.algebra_vector(eta)
+        xi = _vec(xi, self.G.dim)
+        eta = _vec(eta, self.H.dim)
         return fd_curve(
             lambda t: self.g_fiber_actions(self.H.exp(t * eta))[0] @ xi)
 
     def act_alg_h_from_xi(self, eta, xi):
         """eta <| xi: derivative of eta <| g along g = exp(t xi)."""
-        xi = self.G.algebra_vector(xi)
-        eta = self.H.algebra_vector(eta)
+        xi = _vec(xi, self.G.dim)
+        eta = _vec(eta, self.H.dim)
         return fd_curve(
             lambda t: self.h_fiber_actions(self.G.exp(t * xi))[1] @ eta)
 

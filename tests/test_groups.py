@@ -216,7 +216,7 @@ def k_convert(rep_from, rep_to, value, kind="group"):
         "mat2": (k_from_mat2, k_mat2),
     }
     algebra = {
-        "vector": (lambda v: K.algebra_vector(v), lambda v: v),
+        "vector": (lambda v: _vec(v, 3), lambda v: v),
         "mat3": (k_alg_from_mat3, k_alg_mat3),
         "mat2": (
             lambda M: np.array([M[1, 0].real, M[1, 0].imag, 2.0 * M[0, 0].real]),
@@ -356,9 +356,9 @@ def test_k_log_dlog_is_log_and_its_jacobian_bit_for_bit():
             assert np.array_equal(np.signbit(log), np.signbit(K.log(g)))
 
 
-def vec_reference(x, n=None):
+def vec_reference(x, n):
     v = np.atleast_1d(np.asarray(x, dtype=float))
-    if n is not None and v.size != n:
+    if v.size != n:
         raise TagError("expected vector of length %d, got %d" % (n, v.size))
     return v
 
@@ -389,13 +389,31 @@ def test_chart_maps_convert_a_point_once(monkeypatch):
     monkeypatch.setattr(np, "clip", forbidden)
     assert np.array_equal(SO3().log(R), reference)
     calls = []
-    monkeypatch.setattr(groups, "_vec",
-                        lambda x, n=None: calls.append(n) or _vec(x, n))
+    monkeypatch.setattr(
+        groups, "_vec",
+        lambda x, n, finite=False: calls.append(n) or _vec(x, n, finite))
     for G in ALL_GROUPS:
-        g = G.random(RNG)
-        del calls[:]
+        g, h, xi = G.random(RNG), G.random(RNG), G.random_algebra(RNG)
         assert np.array_equal(G.check(g), g)
-        assert calls == [G.coord_dim]
+        maps = {"check": (G.check, [g]), "exp": (G.exp, [xi]),
+                "log": (G.log, [g]), "mul": (G.mul, [g, h]),
+                "inv": (G.inv, [g]),
+                "left lift": (partial(G.lift_matrix, "left"), [g]),
+                "right lift": (partial(G.lift_matrix, "right"), [g]),
+                "Ad_matrix": (G.Ad_matrix, [g])}
+        for name in ("log_dlog", "rot_of", "mat3"):
+            if hasattr(G, name):
+                maps[name] = (getattr(G, name), [g])
+        for name, (chart_map, points) in maps.items():
+            del calls[:]
+            chart_map(*points)
+            read = [len(p) for p in points]
+            if isinstance(G, KGroup) and name in ("exp", "inv", "mul"):
+                read.append(3)  # the point returned, through check
+            if isinstance(G, Abelian) and name in ("left lift", "right lift",
+                                                   "Ad_matrix"):
+                read = []  # constant matrices: the point is never read
+            assert calls == read, (G.name, name)
 
 
 @pytest.mark.parametrize("gap", [4e-4, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9,
@@ -419,13 +437,18 @@ def test_so3_log_keeps_the_rotation_near_pi(gap):
                                np.ones((3, 3)), np.ones((2, 1))],
                          ids=["float", "0d", "list", "1d", "3x3", "2x1"])
 def test_vec_matches_its_atleast_1d_form(x):
-    new, ref = _vec(x), vec_reference(x)
-    assert new.shape == ref.shape and np.array_equal(new, ref)
     n = np.size(x)
-    assert np.array_equal(_vec(x, n), vec_reference(x, n))
     for bad in (n - 1, n + 1):
         with pytest.raises(TagError):
             _vec(x, bad)
+    if np.ndim(x) > 1:
+        with pytest.raises(DomainError, match="not a vector"):
+            _vec(x, n)
+        return
+    new, ref = _vec(x, n), vec_reference(x, n)
+    assert new.shape == ref.shape and np.array_equal(new, ref)
+    v, values = _vec(x, n, finite=True)
+    assert np.array_equal(v, ref) and values == ref.tolist()
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -462,7 +485,8 @@ def test_a_trajectory_of_matrix_shaped_rotations_is_a_domain_error():
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("G, method", [
     (SO3(), "log"), (SO3(), "exp"), (SU2(), "log"), (SU2(), "exp"),
-    (KGroup(), "log")], ids=lambda x: getattr(x, "name", x))
+    (KGroup(), "log"), (KGroup(), "exp")],
+    ids=lambda x: getattr(x, "name", x))
 def test_non_finite_points_fail_typed_inside_solver_failure(G, method, value):
     # scalar arithmetic sees no np.errstate: a non-finite point must still
     # end as a solver failure, never a bare ValueError or a finite value
@@ -473,6 +497,19 @@ def test_non_finite_points_fail_typed_inside_solver_failure(G, method, value):
         with pytest.raises(MatchdynError):
             with solver_failure("chart map"):
                 getattr(G, method)(x)
+
+
+@pytest.mark.parametrize("chart_map, point", [
+    (KGroup().exp, [0.0, 0.0, -40.0]), (KGroup().inv, [0.5, 0.5, 1e17]),
+    (lambda p: KGroup().mul(p, p), [0.0, 0.0, -0.9999999999999999]),
+    (KGroup().exp, [np.nan, 0.0, 0.0])],
+    ids=["exp", "inv", "mul", "exp-nan"])
+def test_k_maps_raise_where_a_point_leaves_the_chart(chart_map, point):
+    # expm1(-40), -1e17 / (1 + 1e17) and (1 + c) c + c at c = -1 + 1.1e-16
+    # each round onto the chart edge c = -1, and a NaN passes through exp's
+    # arithmetic: the map that returns such a point raises
+    with pytest.raises(DomainError, match="<= -1|not finite"):
+        chart_map(np.array(point))
 
 
 def test_so3_exp_rodrigues():

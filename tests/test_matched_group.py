@@ -282,9 +282,11 @@ def test_su2k_closed_right_lift_is_the_groupoid_one_bit_for_bit():
 
 
 def test_su2k_operations_are_the_generic_ones_bit_for_bit():
-    # the product, inverse and lifts of every pair are MatchedPairGroupoid's
-    # own; the one closed operation left is MatchedPairGroup's fiber chart
-    # (exp_G, exp_H), which the groupoid's chart over a point must match
+    # the product and inverse of every pair are MatchedPairGroupoid's own,
+    # and so are the lifts but Su2K's closed right lift, which
+    # test_su2k_closed_right_lift_is_the_groupoid_one_bit_for_bit checks bit
+    # for bit; here MatchedPairGroup's fiber chart (exp_G, exp_H) must match
+    # the groupoid's chart over a point
     rng = np.random.default_rng(46)
     for M in PAIRS:
         for _ in range(100):
