@@ -13,7 +13,11 @@ and zero blocks) is a reference at solved junctions that pairs the records
 from one ``L.gradient`` call by ``arrow_momenta``.
 Trajectories are solved in one loop, ``march``, which keeps the residual each
 ``del_step`` stopped at; ``solve_trajectory`` checks it against the
-variational oracle, one finite-difference gradient of each junction's action.
+variational oracle, the finite-difference gradient of each junction's action.
+Where the descriptor's maps and L take stacks (the trivial groupoid and
+``OrbitPair`` over the rotated plane, with the spring and its matched form)
+the oracle is one stacked pass over the whole trajectory; otherwise it takes
+one junction at a time, with the same bits.
 
 The halves pair dL with the lift columns only
 (``DiscreteLagrangian.pullback``): through a closed gradient, bit for bit as
@@ -30,7 +34,8 @@ from .errors import (DomainError, EvaluationError, NoConvergence,
                      NotComposable, SolverFailure, TagError)
 from .groupoids import COMPOSE_TOL, ActionGroupoid, GroupGroupoid, Groupoid
 from .matched_group import MatchedPairGroup
-from .numerics import DEFAULT_TOL, fd_columns, fd_gradient, newton_solve
+from .numerics import (DEFAULT_TOL, fd_columns, fd_gradient, fd_stencil,
+                       newton_solve)
 # unused; bench/test_bench.py::test_install_and_uninstall_wrappers wraps it
 from .numerics import fd_jacobian  # noqa: F401
 
@@ -40,12 +45,15 @@ ORACLE_TOL = 1e-6
 
 class DiscreteLagrangian:
     """Real function on the arrows of a groupoid, with an optional closed
-    gradient; falls back to finite differences."""
+    gradient; falls back to finite differences.  With ``stacks``,
+    ``evaluate`` also takes a stack of arrows, leading axes first, and
+    returns their values at once, as it would one at a time."""
 
-    def __init__(self, evaluate, gradient=None, name="L"):
+    def __init__(self, evaluate, gradient=None, name="L", stacks=False):
         self.evaluate = evaluate
         self._gradient = gradient
         self.name = name
+        self.stacks = stacks
 
     def __call__(self, x):
         return float(self.evaluate(np.asarray(x, dtype=float)))
@@ -337,11 +345,46 @@ def oracle_gradient(desc: Groupoid, L: DiscreteLagrangian, gk, gk1):
     return fd_gradient(junction_action, np.zeros(desc.fiber_dim))
 
 
+def stacked_oracle_gradients(desc: Groupoid, L: DiscreteLagrangian,
+                             arrows):
+    """``oracle_gradient`` at every junction of ``arrows`` in one pass, for
+    a descriptor and an L that take stacks: the (junctions, 2 fiber_dim,
+    fiber_dim) stack of every junction's stencil goes through fiber_elem,
+    mul, inv and L once, with the step and the finiteness rule of the
+    per-junction stencil, so each gradient has its bits."""
+    lead = (len(arrows) - 1, 2 * desc.fiber_dim)
+
+    def spread(points):
+        # one arrow or base point per junction, against each stencil point
+        points = np.asarray(points)
+        return np.broadcast_to(points[:, None], lead + points.shape[-1:])
+
+    b = spread([desc.beta(g) for g in arrows[:-1]])
+    gk, gk1 = spread(arrows[:-1]), spread(arrows[1:])
+
+    def junction_actions(z):
+        c = desc.fiber_elem(b, np.broadcast_to(z, lead + z.shape[-1:]))
+        return (L.evaluate(desc.mul(gk, c))
+                + L.evaluate(desc.mul(desc.inv(c), gk1)))
+
+    return fd_stencil(junction_actions, np.zeros(desc.fiber_dim),
+                      np.eye(desc.fiber_dim))
+
+
 def variational_oracle(desc: Groupoid, L: DiscreteLagrangian,
                        traj: Trajectory):
     """Max absolute fiber derivative of the action sum over
     product-preserving variations at the interior junctions.  A discrete
-    Euler-Lagrange solution must push this below ORACLE_TOL."""
+    Euler-Lagrange solution must push this below ORACLE_TOL.
+
+    Where the descriptor's maps and L take stacks (``desc.stacks`` and
+    ``L.stacks``: the trivial groupoid and ``OrbitPair`` over the rotated
+    plane, the spring and its matched form) it is one stacked pass over the
+    trajectory, ``stacked_oracle_gradients``; otherwise one
+    ``oracle_gradient`` per junction.  Both give the same bits."""
     arrows = traj.arrows
+    if len(arrows) > 1 and desc.stacks and L.stacks:
+        return float(np.max(np.abs(
+            stacked_oracle_gradients(desc, L, arrows))))
     return max((float(np.max(np.abs(oracle_gradient(desc, L, gk, gk1))))
                 for gk, gk1 in zip(arrows, arrows[1:])), default=0.0)

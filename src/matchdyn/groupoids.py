@@ -21,6 +21,12 @@ closed pairs keeps those as its oracle.  The trivial decomposition's
 ``OrbitPair`` is one: its blocks are identities and the orbit and push
 matrices of the action groupoid, which ``RotatedPlane`` has in closed form
 and a general action takes by finite differences of ``action`` alone.
+
+A descriptor whose ``stacks`` is true also takes stacks in ``fiber_elem``,
+``mul`` and ``inv``: arrows and fiber coordinates with leading axes before
+their own, mapped at once with the bits of each alone.  The trivial
+groupoid of a group that takes stacks, ``RotatedPlane`` and the
+``OrbitPair`` over it do; the variational oracle reads it.
 """
 from __future__ import annotations
 
@@ -43,10 +49,12 @@ class Chart:
         self.name = name
 
     def check(self, m):
+        """m as an array, a point or a stack of points along its last
+        axis."""
         m = np.atleast_1d(np.asarray(m, dtype=float))
-        if m.size != self.dim:
+        if m.shape[-1] != self.dim:
             raise DomainError("base point has size %d, expected %d"
-                              % (m.size, self.dim))
+                              % (m.shape[-1], self.dim))
         return m
 
     def random(self, rng, sigma=1.0):
@@ -74,6 +82,9 @@ class Groupoid:
     base: Chart
     arrow_dim = 0
     fiber_dim = 0
+    # whether fiber_elem, mul and inv also take stacks of arrows and fiber
+    # coordinates, leading axes first, and map them at once, as each alone
+    stacks = False
 
     # -- required structure maps ---------------------------------------------
 
@@ -263,7 +274,7 @@ class ActionGroupoid(Groupoid):
 
     def split(self, x):
         x = np.asarray(x, dtype=float)
-        return x[: self.M.dim], x[self.M.dim:]
+        return x[..., :self.M.dim], x[..., self.M.dim:]
 
     def alpha(self, x):
         return self.split(x)[0]
@@ -281,14 +292,14 @@ class ActionGroupoid(Groupoid):
     def mul(self, x, y):
         m, g = self.split(x)
         _, g2 = self.split(y)
-        return np.concatenate([m, self.G.mul(g, g2)])
+        return np.concatenate([m, self.G.mul(g, g2)], axis=-1)
 
     def inv(self, x):
         m, g = self.split(x)
-        return np.concatenate([self.beta(x), self.G.inv(g)])
+        return np.concatenate([self.beta(x), self.G.inv(g)], axis=-1)
 
     def fiber_elem(self, b, z):
-        return np.concatenate([self.M.check(b), self.G.exp(z)])
+        return np.concatenate([self.M.check(b), self.G.exp(z)], axis=-1)
 
     def arrow_coords(self, x):
         return self.G.log(self.split(x)[1])
@@ -316,13 +327,18 @@ class ActionGroupoid(Groupoid):
 
 class RotatedPlane(ActionGroupoid):
     """R^2 with SO(2) rotating it, its orbit and push matrices closed; the
-    ActionGroupoid ones are their finite-difference oracle."""
+    ActionGroupoid ones are their finite-difference oracle.  Its action and
+    the circle take stacks, so it does."""
+
+    stacks = True
 
     def __init__(self):
         super().__init__(Chart(2, name="r2"), Circle(), self.act)
 
     def act(self, m, g):
-        return rot2(float(g[0])) @ m
+        # one matmul of the stacked rotations: the same bits as rot2 @ m
+        # for each point alone
+        return (rot2(g[..., 0]) @ m[..., None])[..., 0]
 
     def orbit_matrix(self, m):
         # d/dt rot2(t) m at t = 0 is m turned a quarter
@@ -342,11 +358,13 @@ class TrivialGroupoid(Groupoid):
         self.arrow_dim = 2 * M.dim + G.coord_dim
         self.fiber_dim = G.dim + M.dim
         self.name = "trivial_%s_%s" % (M.name, G.name)
+        self.stacks = G.stacks
 
     def split(self, x):
         x = np.asarray(x, dtype=float)
         n = self.M.dim
-        return x[:n], x[n:n + self.G.coord_dim], x[n + self.G.coord_dim:]
+        return (x[..., :n], x[..., n:n + self.G.coord_dim],
+                x[..., n + self.G.coord_dim:])
 
     def alpha(self, x):
         return self.split(x)[0]
@@ -361,17 +379,17 @@ class TrivialGroupoid(Groupoid):
     def mul(self, x, y):
         m, g, _ = self.split(x)
         _, g2, n2 = self.split(y)
-        return np.concatenate([m, self.G.mul(g, g2), n2])
+        return np.concatenate([m, self.G.mul(g, g2), n2], axis=-1)
 
     def inv(self, x):
         m, g, n = self.split(x)
-        return np.concatenate([n, self.G.inv(g), m])
+        return np.concatenate([n, self.G.inv(g), m], axis=-1)
 
     def fiber_elem(self, b, z):
         b = self.M.check(b)
         z = np.asarray(z, dtype=float)
-        return np.concatenate([b, self.G.exp(z[: self.G.dim]),
-                               b + z[self.G.dim:]])
+        return np.concatenate([b, self.G.exp(z[..., :self.G.dim]),
+                               b + z[..., self.G.dim:]], axis=-1)
 
     def arrow_coords(self, x):
         m, g, n = self.split(x)
@@ -587,35 +605,41 @@ class OrbitPair(MatchedPairGroupoid):
     ``mul``, ``inv`` and ``fiber_elem`` are closed too, on x = (m, a, p, q)
     with p = m a.  They run the floating-point operations of the
     MatchedPairGroupoid ones in the same order, without building the
-    intermediate arrows, so they return the same bits."""
+    intermediate arrows, so they return the same bits; they take stacks
+    when the action groupoid does."""
+
+    @property
+    def stacks(self):
+        return self.Gd.stacks
 
     def _parts(self, x):
         x = np.asarray(x, dtype=float)
         n = self.base.dim
         k = n + self.Gd.G.coord_dim
-        return x[:n], x[n:k], x[k:k + n], x[k + n:]
+        return x[..., :n], x[..., n:k], x[..., k:k + n], x[..., k + n:]
 
     def mul(self, x, y):
         # (m, a, p, q)(m2, a2, p2, q2) = (m, a a2, p a2, q2)
         m, a, p, _ = self._parts(x)
         _, a2, _, q2 = self._parts(y)
         return np.concatenate([m, self.Gd.G.mul(a, a2), self.Gd.act(p, a2),
-                               q2])
+                               q2], axis=-1)
 
     def inv(self, x):
         # (m, a, p, q)^-1 = (q, a^-1, q a^-1, p a^-1)
         _, a, p, q = self._parts(x)
         ai = self.Gd.G.inv(a)
-        return np.concatenate([q, ai, self.Gd.act(q, ai), self.Gd.act(p, ai)])
+        return np.concatenate([q, ai, self.Gd.act(q, ai), self.Gd.act(p, ai)],
+                              axis=-1)
 
     def fiber_elem(self, b, z):
         # (b, e, c, c + z_H) with e = exp z_G and c = b e
         b = self.base.check(b)
         z = np.asarray(z, dtype=float)
         k = self.Gd.fiber_dim
-        e = self.Gd.G.exp(z[:k])
+        e = self.Gd.G.exp(z[..., :k])
         c = self.Gd.act(b, e)
-        return np.concatenate([b, e, c, c + z[k:]])
+        return np.concatenate([b, e, c, c + z[..., k:]], axis=-1)
 
     def g_fiber_actions(self, h):
         # (m', m) |> exp z = (m', exp z), read back by log, and
@@ -665,10 +689,11 @@ class TrivialDecomposition:
         return np.concatenate([m, g, mg, n])
 
     def phi_inv(self, y):
-        """Drop the redundant middle point of a matched arrow."""
+        """Drop the redundant middle point of a matched arrow, or of each
+        in a stack of them along the last axis."""
         y = np.asarray(y, dtype=float)
         k = self.actiond.arrow_dim
-        return np.concatenate([y[:k], y[k + self.M.dim:]])
+        return np.concatenate([y[..., :k], y[..., k + self.M.dim:]], axis=-1)
 
     def phi_inv_transpose(self, d):
         """Pull a covector at phi_inv(y) back to y: phi_inv drops the middle

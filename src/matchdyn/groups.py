@@ -45,7 +45,12 @@ through ``check``, the point they return, since its c can round onto -1
 (exp(-38 e_c) has c = expm1(-38)).  The maps that only build a matrix or a
 log from a point the solver already holds read it without testing its chart
 again: SU(2)'s ``rot_of`` and lift matrices, and K's lift matrices,
-``log_dlog``, ``Ad_matrix`` and ``mat3``.
+``log_dlog`` and ``Ad_matrix``.
+
+Abelian groups and the circle map a stack of points at once: their ``exp``,
+``mul`` and ``inv`` read any leading axes before the point's own (``_vec``
+with ``stack``), and ``rot2`` turns an array of angles into a stack of
+rotations, so the descriptors built on them can too (``Group.stacks``).
 """
 from __future__ import annotations
 
@@ -63,19 +68,21 @@ UNIT_TOL = 1e-9
 NEAR_PI_COS = -math.cos(5e-4)
 
 
-def _vec(x, n, finite=False):
+def _vec(x, n, finite=False, stack=False):
     """x read once as a vector of n floats: TagError if it has another
     size, DomainError naming its shape if it is not a vector.  With
     ``finite`` it returns (vector, its entries as Python floats), and
     DomainError if an entry is not finite: Python-float arithmetic ignores
     np.errstate, so it would pass a NaN or an inf on without the
-    floating-point error that numpy raises."""
+    floating-point error that numpy raises.  With ``stack`` it reads a
+    stack of such vectors, any leading axes before a last one of n."""
     v = np.asarray(x, dtype=float)
     if v.ndim == 0:
         v = v.reshape(1)
-    if v.size != n:
-        raise TagError("expected vector of length %d, got %d" % (n, v.size))
-    if v.ndim != 1:
+    size = v.shape[-1] if stack else v.size
+    if size != n:
+        raise TagError("expected vector of length %d, got %d" % (n, size))
+    if v.ndim != 1 and not stack:
         raise DomainError("chart point has shape %s, not a vector's"
                           % (v.shape,))
     if not finite:
@@ -92,6 +99,9 @@ class Group:
     name = "group"
     dim = 0        # algebra dimension
     coord_dim = 0  # chart dimension of the group manifold
+    # whether exp, mul and inv also take a stack of points, leading axes
+    # first, and map it at once, as each point alone
+    stacks = False
 
     # -- required operations -------------------------------------------------
 
@@ -289,8 +299,8 @@ class KGroup(Group):
     """The group K of the Iwasawa factorization, in its (a, b, c) chart.
 
     Product: (a1,b1,c1)*(a2,b2,c2) = (a1,b1,c1)(1+c2) + (a2,b2,c2), valid on
-    c > -1.  ``mat3`` is the 3x3 real matrix view, which Su2K's closed action
-    on the SU(2) fiber reads.
+    c > -1.  Its 3x3 real matrix view [[1+c, 0, 0], [0, 1+c, 0], [-a, -b,
+    1]] is Su2K's closed action on the SU(2) fiber, and a test reference.
     """
 
     name = "k"
@@ -357,19 +367,11 @@ class KGroup(Group):
         return np.array([[f, 0.0, 0.0], [0.0, f, 0.0], [0.0, 0.0, f]])
 
     def Ad_matrix(self, g):
-        # mat3(g) X mat3(g)^-1 for the 3x3 algebra matrix X of xi, read as a
-        # matrix on (a, b, c)
+        # M X M^-1 for the 3x3 matrix view M of g and the 3x3 algebra matrix
+        # X of xi, read as a matrix on (a, b, c)
         a, b, c = _vec(g, 3)
         f = 1.0 / (1.0 + c)
         return np.array([[f, 0.0, a * f], [0.0, f, b * f], [0.0, 0.0, 1.0]])
-
-    def mat3(self, g):
-        a, b, c = _vec(g, 3)
-        return np.array([
-            [1.0 + c, 0.0, 0.0],
-            [0.0, 1.0 + c, 0.0],
-            [-a, -b, 1.0],
-        ])
 
 
 def hat3(xi):
@@ -474,7 +476,9 @@ class SO3(Group):
 
 
 class Abelian(Group):
-    """Additive R^n."""
+    """Additive R^n; exp, mul and inv take stacks."""
+
+    stacks = True
 
     def __init__(self, n):
         self.dim = n
@@ -485,13 +489,13 @@ class Abelian(Group):
         return np.zeros(self.dim)
 
     def mul(self, a, b):
-        return _vec(a, self.dim) + _vec(b, self.dim)
+        return _vec(a, self.dim, stack=True) + _vec(b, self.dim, stack=True)
 
     def inv(self, g):
-        return -_vec(g, self.dim)
+        return -_vec(g, self.dim, stack=True)
 
     def exp(self, xi):
-        return _vec(xi, self.dim).copy()
+        return _vec(xi, self.dim, stack=True).copy()
 
     def log(self, g):
         return _vec(g, self.dim).copy()
@@ -516,5 +520,9 @@ class Circle(Abelian):
 
 
 def rot2(theta):
+    """The rotation by the angle theta, or a stack of them for an array of
+    angles, the matrix axes last."""
     c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
+    R = np.empty(np.shape(theta) + (2, 2))
+    R[..., 0, 0], R[..., 0, 1], R[..., 1, 0], R[..., 1, 1] = c, -s, s, c
+    return R

@@ -191,11 +191,13 @@ class Su2K(MatchedPairGroup):
     # -- closed-form infinitesimal actions -----------------------------------
 
     def g_fiber_actions(self, h):
-        # B |> X = mat3(B) X, and X^dagger(B) = T r_B (B~ x (B |> X)), with
-        # T r_B = (1+c) Id in the (a, b, c) chart
-        B = self.H.check(h)
-        M = self.H.mat3(B)
-        c = B[2]
+        # B |> X = M X for the 3x3 matrix view M of B, and X^dagger(B) =
+        # T r_B (B~ x (B |> X)), with T r_B = (1+c) Id in the (a, b, c)
+        # chart; B is read once and, like every map that only builds
+        # matrices from a point the solver holds, not tested again
+        B = _vec(h, 3)
+        a, b, c = B
+        M = np.array([[1.0 + c, 0.0, 0.0], [0.0, 1.0 + c, 0.0], [-a, -b, 1.0]])
         b_tilde = (B / (c + 1.0)
                    - (float(B @ B) / (2.0 * (c + 1.0) ** 2)) * E3)
         return M, (1.0 + c) * hat3(b_tilde) @ M

@@ -1,9 +1,11 @@
 """Dense small-matrix numerics: finite differences and a quasi-Newton solver.
 
-Every derivative downstream is one call to ``fd_columns``, the only
-central-difference loop: the step-size convention (cube root of machine
-epsilon, scaled by 1 + the norm of the expansion point) and the finiteness
-rule live there; the gradient and curve helpers name its usual batches.  The
+Every central difference downstream is one call to ``fd_stencil``: the
+step-size convention (cube root of machine epsilon, scaled by 1 + the norm
+of the expansion point) and the finiteness rule live there.  It hands the
+function the whole stencil at once, so a function that takes a stack of
+points evaluates it in one pass; ``fd_columns`` evaluates it one point at a
+time, and the gradient and curve helpers name its usual batches.  The
 solver's Jacobian, ``fd_jacobian``, is the one forward-difference loop: n
 evaluations of F from the F(x) the solver already holds, with the same step
 and finiteness rule.  The solver runs at most MAX_ITER passes of one such
@@ -37,20 +39,35 @@ def _as_vec(x):
     return np.atleast_1d(np.asarray(x, dtype=float))
 
 
-def fd_columns(F, x, V):
+def fd_stencil(F, x, V):
     """Central differences (F(x + h v) - F(x - h v)) / 2h for each column v
-    of V, with one step h scaled by 1 + ||x||: the k columns of the
-    derivative of F at x, or a length-k vector when F is scalar.  A
-    non-finite value is an EvaluationError naming x."""
+    of V, with one step h scaled by 1 + ||x||, from one call of F on the
+    whole stencil: the (2k, n) points x + h v, then x - h v, to values with
+    the stencil on their last axis and any leading axes, which the k
+    differences keep.  A non-finite difference is an EvaluationError naming
+    x."""
     x = _as_vec(x)
     h = DEFAULT_FD_STEP * (1.0 + math.sqrt(x @ x))
-    diffs = [np.asarray(F(x + s), dtype=float)
-             - np.asarray(F(x - s), dtype=float) for s in h * V.T]
-    out = np.column_stack(diffs) if diffs[0].ndim else np.array(diffs)
+    # in C order: a point is a contiguous row, as a loop over V.T gives it
+    steps = np.ascontiguousarray(h * V.T)
+    k = len(steps)
+    values = np.asarray(F(np.concatenate([x + steps, x - steps])),
+                        dtype=float)
+    out = values[..., :k] - values[..., k:]
     out /= 2.0 * h
     if not np.isfinite(out).all():
         raise EvaluationError("non-finite function value near %s" % x, point=x)
     return out
+
+
+def fd_columns(F, x, V):
+    """``fd_stencil`` of a scalar or vector F evaluated one point at a
+    time: the k columns of the derivative of F at x, or a length-k vector
+    when F is scalar."""
+    # in C order, as the columns of a matrix that BLAS reads in its own
+    # order: the layout of a matrix picks the summation order of a product
+    return fd_stencil(lambda points: np.ascontiguousarray(np.array(
+        [F(p) for p in points], dtype=float).T), x, V)
 
 
 def fd_gradient(f, x):

@@ -252,28 +252,30 @@ class RunReport:
 # ---------------------------------------------------------------------------
 
 def trivial_groupoid_lagrangian(dec, config: ScenarioConfig):
-    """L(m, g, n) = k_pos/2 |n - m|^2 + k_rot/2 theta(g)^2 on M x G x M."""
+    """L(m, g, n) = k_pos/2 |n - m|^2 + k_rot/2 theta(g)^2 on M x G x M, of
+    an arrow or of a stack of them."""
     p = dict(LAGRANGIANS["trivial_groupoid"][1], **config.params)
     k_pos, k_rot = p["k_pos"], p["k_rot"]
 
     def evaluate(x):
         m, g, n = dec.trivial.split(x)
-        return (0.5 * k_pos * float(np.sum((n - m) ** 2))
-                + 0.5 * k_rot * float(g[0] ** 2))
+        return (0.5 * k_pos * np.sum((n - m) ** 2, axis=-1)
+                + 0.5 * k_rot * g[..., 0] ** 2)
 
     def gradient(x):
         m, g, n = dec.trivial.split(x)
         return np.concatenate([k_pos * (m - n), k_rot * g, k_pos * (n - m)])
 
-    return DiscreteLagrangian(evaluate, gradient, name="spring")
+    return DiscreteLagrangian(evaluate, gradient, name="spring", stacks=True)
 
 
 def matched_lagrangian(dec, L: DiscreteLagrangian):
-    """L o phi_inv on the matched presentation, with the exact chain rule."""
+    """L o phi_inv on the matched presentation, with the exact chain rule;
+    it takes stacks when L does."""
     return DiscreteLagrangian(
-        lambda u: L(dec.phi_inv(u)),
+        lambda u: L.evaluate(dec.phi_inv(u)),
         lambda u: dec.phi_inv_transpose(L.gradient(dec.phi_inv(u))),
-        name=L.name + "_matched")
+        name=L.name + "_matched", stacks=L.stacks)
 
 
 def sl2c_lagrangian(mp: Su2K, config: ScenarioConfig):
@@ -321,7 +323,7 @@ def _system(config: ScenarioConfig):
         with solver_failure("sl2c initial data"):
             first = system.exp(x0)
     if config.derivatives == "fd":
-        L = DiscreteLagrangian(L.evaluate, name=L.name)
+        L = DiscreteLagrangian(L.evaluate, name=L.name, stacks=L.stacks)
     return system, desc, L, first
 
 

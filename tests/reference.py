@@ -93,8 +93,19 @@ def k_alg_mat2(xi):
     ])
 
 
+def k_mat3(g):
+    """The 3x3 real matrix view of the K point g = (a, b, c), the action
+    of ``Su2K.g_fiber_actions``."""
+    a, b, c = g
+    return np.array([
+        [1.0 + c, 0.0, 0.0],
+        [0.0, 1.0 + c, 0.0],
+        [-a, -b, 1.0],
+    ])
+
+
 def k_from_mat3(M):
-    """Inverse of ``KGroup.mat3``."""
+    """Inverse of ``k_mat3``."""
     return np.array([-M[2, 0], -M[2, 1], M[0, 0] - 1.0])
 
 

@@ -19,6 +19,7 @@ from matchdyn.dynamics import (
     momentum_residuals,
     oracle_gradient,
     solve_matched_group_trajectory,
+    stacked_oracle_gradients,
     solve_trajectory,
     variational_oracle,
 )
@@ -42,11 +43,13 @@ from matchdyn.numerics import fd_columns
 from matchdyn.scenarios import (
     INITIAL,
     ScenarioConfig,
+    check_residual_file,
     matched_lagrangian,
     run_sl2c,
     run_trivial_groupoid,
     sl2c_lagrangian,
     trivial_groupoid_lagrangian,
+    write_trajectory_csv,
 )
 from reference import reduced_momentum_residual
 
@@ -343,15 +346,23 @@ def test_junction_solve_calls_no_reference(monkeypatch):
 
 
 # calls into the package's own functions per junction of the default
-# 20-step sl2c march under cProfile: 412.3 measured since each chart map
-# reads a point through one call of _vec and K's chart is tested only where
-# a point can leave it (599.7 before), plus a margin of 5%.  numpy's
-# internals are not counted, so only this package's code moves it.
-SL2C_CALLS_PER_JUNCTION = 412.3
+# 20-step sl2c march under cProfile: 409.3 measured since Su2K's closed
+# action on the SU(2) fiber reads its K point once (412.3 before, 599.7
+# before each chart map read a point through one call of _vec), plus a
+# margin of 5%.  numpy's internals are not counted, so only this package's
+# code moves it.
+SL2C_CALLS_PER_JUNCTION = 409.3
 CALLS_MARGIN = 0.05
+# the same count per junction of the default 20-step trivial_groupoid run,
+# both presentations with their oracles (737.9 when the oracle evaluated
+# one stencil point at a time), and of `check residual` on its file (195.6)
+TRIVIAL_RUN_CALLS_PER_JUNCTION = 310.0
+TRIVIAL_CHECK_CALLS_PER_JUNCTION = 29.3
 
 
-def test_an_sl2c_junction_stays_within_its_call_count():
+def package_calls(fn, *args):
+    """(fn(*args), the calls into the package's own functions it made under
+    cProfile)."""
     import cProfile
     import os
     import pstats
@@ -359,16 +370,34 @@ def test_an_sl2c_junction_stays_within_its_call_count():
     import matchdyn
 
     package = os.path.dirname(os.path.abspath(matchdyn.__file__)) + os.sep
+    profile = cProfile.Profile()
+    out = profile.runcall(fn, *args)
+    return out, sum(stat[1] for (path, _, _), stat
+                    in pstats.Stats(profile).stats.items()
+                    if os.path.abspath(path).startswith(package))
+
+
+def test_an_sl2c_junction_stays_within_its_call_count():
     mp = Su2K()
     L = sl2c_lagrangian(mp, ScenarioConfig("sl2c"))
     first = mp.exp(INITIAL["sl2c"][1])
-    profile = cProfile.Profile()
-    arrows, _ = profile.runcall(march, mp, L, first, 20)
+    (arrows, _), calls = package_calls(march, mp, L, first, 20)
     assert len(arrows) == 20
-    calls = sum(stat[1] for (path, _, _), stat
-                in pstats.Stats(profile).stats.items()
-                if os.path.abspath(path).startswith(package))
     assert calls / 19 <= SL2C_CALLS_PER_JUNCTION * (1.0 + CALLS_MARGIN)
+
+
+def test_a_trivial_groupoid_junction_stays_within_its_call_count(tmp_path):
+    config = ScenarioConfig("trivial_groupoid", steps=20)
+    (report, header, rows), calls = package_calls(run_trivial_groupoid,
+                                                  config)
+    assert len(rows) == 20 and report.oracle_max <= 1e-6
+    assert calls / 19 <= TRIVIAL_RUN_CALLS_PER_JUNCTION * (1.0 + CALLS_MARGIN)
+    path = str(tmp_path / "trivial_groupoid.csv")
+    write_trajectory_csv(path, config, header, rows)
+    (failures, _), calls = package_calls(check_residual_file, path)
+    assert failures == []
+    assert calls / 19 <= TRIVIAL_CHECK_CALLS_PER_JUNCTION * (
+        1.0 + CALLS_MARGIN)
 
 
 def test_an_sl2c_junction_builds_one_su2_lift_per_evaluation(monkeypatch):
@@ -887,6 +916,73 @@ def test_oracle_takes_one_stencil_per_junction(monkeypatch):
     monkeypatch.setattr(matchdyn.numerics, "fd_columns", counted)
     variational_oracle(desc, L, traj)
     assert calls == [(desc.fiber_dim, desc.fiber_dim)] * 4
+
+
+def stacking_lagrangian(name, k_pos, k_rot):
+    """A descriptor of the trivial decomposition and an L that both take
+    stacks: the spring on the trivial groupoid and its matched form, and on
+    the rotated plane a smooth L of elementwise arithmetic."""
+    config = ScenarioConfig("trivial_groupoid",
+                            params=dict(k_pos=k_pos, k_rot=k_rot))
+    spring = trivial_groupoid_lagrangian(DEC, config)
+    if name == "trivial":
+        return DEC.trivial, spring
+    if name == "matched":
+        return DEC.matched, matched_lagrangian(DEC, spring)
+    return DEC.actiond, DiscreteLagrangian(
+        lambda x: (0.5 * k_pos * np.sum(x ** 2, axis=-1)
+                   + k_rot * np.sin(x[..., 0] * x[..., 2])), stacks=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["trivial", "matched", "action"]),
+       k_pos=st.floats(0.5, 2.0), k_rot=st.floats(0.5, 2.0),
+       amplitude=st.floats(0.5, 2.0), junctions=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_the_stacked_oracle_is_the_per_junction_oracle_bit_for_bit(
+        name, k_pos, k_rot, amplitude, junctions, seed):
+    desc, L = stacking_lagrangian(name, k_pos, k_rot)
+    assert desc.stacks and L.stacks
+    rng = np.random.default_rng(seed)
+    arrows = [desc.random_arrow(rng, amplitude)]
+    for _ in range(junctions):
+        arrows.append(desc.random_with_source(desc.beta(arrows[-1]), rng,
+                                              amplitude))
+    reference = np.array([oracle_gradient(desc, L, gk, gk1)
+                          for gk, gk1 in zip(arrows, arrows[1:])])
+    assert (stacked_oracle_gradients(desc, L, arrows) == reference).all()
+    assert variational_oracle(desc, L, Trajectory(desc, arrows)) == float(
+        np.max(np.abs(reference)))
+
+
+@pytest.mark.parametrize("name", ["trivial", "matched", "action"])
+def test_the_stacked_oracle_of_one_arrow_is_zero(name):
+    desc, L = stacking_lagrangian(name, 1.0, 1.0)
+    traj = Trajectory(desc, [desc.random_arrow(np.random.default_rng(3))])
+    assert variational_oracle(desc, L, traj) == 0.0
+
+
+def test_the_oracle_takes_one_stencil_per_stacked_trajectory(monkeypatch):
+    # the whole trajectory in one call of fd_stencil, where a descriptor
+    # or an L that does not take stacks takes one per junction
+    import matchdyn.dynamics as dynamics
+
+    calls = []
+    inner = dynamics.fd_stencil
+
+    def counted(F, x, V):
+        calls.append(V.shape)
+        return inner(F, x, V)
+
+    monkeypatch.setattr(dynamics, "fd_stencil", counted)
+    desc, L = stacking_lagrangian("matched", 1.0, 1.0)
+    traj = solve_trajectory(desc, L, DEC.phi(INITIAL["trivial_groupoid"][1]),
+                            6)
+    assert calls == [(desc.fiber_dim, desc.fiber_dim)]
+    del calls[:]
+    scalar = DiscreteLagrangian(L.evaluate, name=L.name)
+    assert variational_oracle(desc, scalar, traj) == traj.oracle
+    assert calls == []
 
 
 def test_momentum_evolution_takes_one_gradient_per_arrow():

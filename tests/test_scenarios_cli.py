@@ -482,6 +482,51 @@ def test_the_default_sl2c_run_writes_its_committed_file_byte_for_byte(
     assert "stored-vs-recomputed gap: 0.000e+00" in capsys.readouterr().out
 
 
+def test_the_default_trivial_groupoid_run_writes_its_committed_file(
+        tmp_path, capsys):
+    # trivial_groupoid_exact.csv is the file `matchdyn run trivial_groupoid
+    # --steps 20` wrote before the oracle took stacks: the maps that take
+    # stacks keep every digit of each point alone, and both oracles print
+    # the digits they printed then
+    golden = os.path.join(DATA, "trivial_groupoid_exact.csv")
+    out = tmp_path / "trivial_groupoid.csv"
+    capsys.readouterr()
+    assert main(["run", "trivial_groupoid", "--steps", "20", "--out",
+                 str(out)]) == 0
+    assert "variational oracle max: 5.500e-11" in capsys.readouterr().out
+    with open(golden, "rb") as fh:
+        assert out.read_bytes() == fh.read()
+    assert main(["check", "residual", golden]) == 0
+    printed = capsys.readouterr().out
+    assert "stored-vs-recomputed gap: 0.000e+00" in printed
+    assert "variational oracle max: 1.833e-11" in printed
+
+
+def test_check_residual_fails_an_overflowing_angle_with_no_warning(tmp_path,
+                                                                  capsys):
+    # one angle at 1e200 keeps the gluing and the residuals finite; the
+    # stacked oracle's k_rot theta^2 overflows: exit 1 with a FAIL line, no
+    # traceback and no RuntimeWarning, recorded or raised
+    import warnings
+
+    out = str(tmp_path / "fresh.csv")
+    assert main(["run", "trivial_groupoid", "--steps", "5", "--out",
+                 out]) == 0
+    cfg, header, rows = read_trajectory_csv(out)
+    rows[2][header.index("theta")] = 1e200
+    tampered = str(tmp_path / "tampered.csv")
+    write_trajectory_csv(tampered, cfg, header, rows)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["check", "residual", tampered]) == 1
+    assert caught == []
+    err = capsys.readouterr().err
+    assert "FAIL: invalid arrow data: trivial_groupoid re-check failed: " \
+           "overflow" in err
+    assert "Traceback" not in err
+
+
 def test_a_legacy_sl2c_recheck_needs_the_finite_difference_factor_lifts(
         monkeypatch):
     # negative control: with the closed SU(2) and K lifts in the records'
