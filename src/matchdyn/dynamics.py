@@ -98,12 +98,12 @@ class Trajectory:
 # junction residuals
 # ---------------------------------------------------------------------------
 
-def del_residuals(desc: Groupoid, L: DiscreteLagrangian, arrows):
+def del_residuals(desc: Groupoid, L: DiscreteLagrangian, traj: Trajectory):
     """<dL, left E_i at g_k> - <dL, right E_i at g_{k+1}> over the fiber-chart
-    basis at every junction of the chain ``arrows``, which ``Trajectory``
-    checks, from one L.gradient per arrow; zero iff the discrete
+    basis at every junction of the trajectory, whose arrows ``Trajectory``
+    has checked, from one L.gradient per arrow; zero iff the discrete
     Euler-Lagrange condition holds there."""
-    arrows = Trajectory(desc, arrows).arrows
+    arrows = traj.arrows
     grads = [L.gradient(g) for g in arrows]
     return [desc.left_lift(gk).T @ d - desc.right_lift(gk1).T @ e
             for gk, gk1, d, e in zip(arrows, arrows[1:], grads, grads[1:])]
@@ -111,7 +111,7 @@ def del_residuals(desc: Groupoid, L: DiscreteLagrangian, arrows):
 
 def del_residual(desc: Groupoid, L: DiscreteLagrangian, gk, gk1):
     """``del_residuals`` at the one junction of g_k and g_{k+1}."""
-    return del_residuals(desc, L, [gk, gk1])[0]
+    return del_residuals(desc, L, Trajectory(desc, [gk, gk1]))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,21 @@ their ``log`` together with its Jacobian in chart coordinates
 (``log_dlog``), from one conversion of the point, and the built-in
 Lagrangians take their closed gradients from it.
 
+Each group has one log.  ``log_values`` is the log on Python floats: the
+list of a point's chart entries to the list of its algebra coordinates.
+SO(3) and R^n define it there, and their ``log`` reads the point once and
+makes one array of it, so a matched pair can join its factors' logs as
+lists.  SU(2) and K define ``log`` on arrays, whose numpy scalars fix their
+bits and K's overflow, and take ``log_values`` from the ``Group`` default,
+which goes through ``log`` with no change of bits.
+
 Every map that takes a point reads it once, through ``_vec``: TagError if it
 has the wrong size, DomainError if it is not a vector (its ``tolist`` would
 be a list of lists) and, for the maps that do Python-float arithmetic on its
 entries (SU(2)'s ``exp``, ``log`` and ``log_dlog``, K's ``check``, SO(3)'s
-``check``, ``exp`` and ``log``), DomainError if it is not finite.
+``check`` and ``exp``), DomainError if it is not finite.  SO(3)'s
+``log_values`` tests its own entries: their sum, and each entry only when
+that sum is not finite.
 Python-float arithmetic ignores ``np.errstate``: ``*`` and ``+`` overflow
 silently to inf, and ``**`` raises OverflowError, which a solve treats as a
 FloatingPointError.  The per-point maps on the solver's hot path (``check``,
@@ -124,6 +134,14 @@ class Group:
         raise NotImplementedError
 
     # -- overridable ---------------------------------------------------------
+
+    def log_values(self, values):
+        """The log of the chart point whose entries are the floats
+        ``values``, as a list of floats.  A group whose log is Python-float
+        arithmetic defines it here, and its ``log`` reads the point once
+        and calls this; this default reads it through ``log``, with no
+        change of bits."""
+        return self.log(np.array(values)).tolist()
 
     def check(self, g):
         """g as an array; DomainError if it is not a valid chart point."""
@@ -429,8 +447,15 @@ class SO3(Group):
         return (I3 + A * K + B * K @ K).ravel()
 
     def log(self, g):
-        _, (m00, m01, m02, m10, m11, m12, m20, m21, m22) = _vec(
-            g, 9, finite=True)
+        return np.array(self.log_values(_vec(g, 9).tolist()))
+
+    def log_values(self, values):
+        m00, m01, m02, m10, m11, m12, m20, m21, m22 = values
+        # a sum of finite entries is finite unless it overflows, so only
+        # then are the entries tested one by one
+        if not (math.isfinite(sum(values))
+                or all(map(math.isfinite, values))):
+            raise DomainError("chart point is not finite: %s" % values)
         cos_t = min(max(0.5 * ((m00 + m11) + m22 - 1.0), -1.0), 1.0)
         # w = sin(theta) u, for the rotation by theta about the unit axis u
         w = [0.5 * (m21 - m12), 0.5 * (m02 - m20), 0.5 * (m10 - m01)]
@@ -449,12 +474,12 @@ class SO3(Group):
             if sin_t < 0.0:
                 n, sin_t = -n, -sin_t
             f = float(np.arctan2(sin_t, cos_t)) / n
-            return np.array([f * u[0], f * u[1], f * u[2]])
+            return [f * u[0], f * u[1], f * u[2]]
         theta = float(np.arccos(cos_t))
         if theta < 1e-8:
-            return np.array(w)
+            return w
         f = theta / float(np.sin(theta))
-        return np.array([f * w[0], f * w[1], f * w[2]])
+        return [f * w[0], f * w[1], f * w[2]]
 
     def bracket(self, x, y):
         return np.cross(_vec(x, 3), _vec(y, 3))
@@ -498,7 +523,10 @@ class Abelian(Group):
         return _vec(xi, self.dim, stack=True).copy()
 
     def log(self, g):
-        return _vec(g, self.dim).copy()
+        return np.array(self.log_values(_vec(g, self.dim).tolist()))
+
+    def log_values(self, values):
+        return values
 
     def bracket(self, x, y):
         return np.zeros(self.dim)

@@ -18,8 +18,10 @@ the groupoid's.  It closes the fiber chart as (exp_G, exp_H).  Concrete
 pairs (``Su2K`` and the degenerate pairs) override the two pairs with closed
 forms; the algebra bracket is derived from them too.  ``Su2K`` works in
 chart coordinates only: the SL(2, C) matrices of its factors are test
-references (``tests/reference.py``).  The adjoint matrix is
-the finite-difference ``Group.Ad_matrix`` on the product, read through the
+references (``tests/reference.py``).  The log, which is also the
+groupoid's ``arrow_coords``, reads a point once and makes one array of its
+factors' ``log_values``, split at the G chart's size.  The adjoint matrix is
+the finite-difference ``Group.Ad_matrix`` on the product, read through that
 componentwise ``log``; no command reads it.  ``generic()`` returns the same
 pair as a plain ``MatchedPairGroup``, so closed forms can be checked against
 it.
@@ -46,7 +48,8 @@ class MatchedPairGroup(MatchedPairGroupoid, Group):
     chart point.  The exp/log pair is the fiber chart, the componentwise
     retraction (exp_G, exp_H); it is a chart around the identity with the
     correct derivative, which is all the downstream finite differencing
-    needs.
+    needs.  The log reads the point once and joins the factors'
+    ``log_values`` into one array, with no factor array in between.
     """
 
     def __init__(self, G: Group, H: Group, actions=None, name=None):
@@ -80,7 +83,14 @@ class MatchedPairGroup(MatchedPairGroupoid, Group):
         return self.fiber_elem(POINT_BASE, _vec(w, self.dim))
 
     def log(self, u):
-        return self.arrow_coords(u)
+        return np.array(self.log_values(_vec(u, self.coord_dim).tolist()))
+
+    def log_values(self, values):
+        n = self.G.coord_dim
+        return self.G.log_values(values[:n]) + self.H.log_values(values[n:])
+
+    # the groupoid's fiber-chart inverse is the group's log
+    arrow_coords = log
 
     def random(self, rng, sigma=0.5):
         return self.join(self.G.random(rng, sigma), self.H.random(rng, sigma))

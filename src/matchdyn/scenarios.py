@@ -459,8 +459,9 @@ def _recheck_rows(config, rows):
     if config.scenario == "trivial_groupoid":
         # an overflow is a typed failure, as in sl2c's momentum re-check
         with solver_failure("trivial_groupoid re-check"):
-            residuals = del_residuals(desc, L, arrows)
-            oracle = variational_oracle(desc, L, Trajectory(desc, arrows))
+            traj = Trajectory(desc, arrows)
+            residuals = del_residuals(desc, L, traj)
+            oracle = variational_oracle(desc, L, traj)
         # res_matched and phi_gap would need the matched solve
         records = [()] * len(arrows)
     else:

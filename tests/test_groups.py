@@ -20,7 +20,8 @@ from matchdyn.groups import (
     hat3,
     rot2,
 )
-from matchdyn.matched_group import Su2K
+from matchdyn.matched_group import (Su2K, both_trivial_pair,
+                                    left_trivial_pair, right_trivial_pair)
 from reference import (k_alg_from_mat3, k_alg_mat2, k_alg_mat3, k_from_mat2,
                        k_from_mat3, k_mat2, k_mat3, su2_alg_from_mat2,
                        su2_alg_mat2, su2_from_mat2, su2_mat2)
@@ -414,6 +415,91 @@ def test_chart_maps_convert_a_point_once(monkeypatch):
                                                    "Ad_matrix"):
                 read = []  # constant matrices: the point is never read
             assert calls == read, (G.name, name)
+
+
+PAIRS = [right_trivial_pair(), left_trivial_pair(), both_trivial_pair(),
+         Su2K()]
+# generic angles and three in the near-pi branch
+so3_angles = st.one_of(st.floats(0.0, np.pi),
+                       st.sampled_from([np.pi - 1e-4, np.pi - 1e-7, np.pi]))
+
+
+def factor_point(G, draw):
+    """A point of G, or one up to 1e-6 off it in every entry."""
+    if isinstance(G, SO3):
+        g = G.exp(draw(so3_angles) * draw(unit_axes))
+    else:
+        g = G.exp(draw(st.lists(st.floats(-3.0, 3.0), min_size=G.dim,
+                                max_size=G.dim)))
+    return g + np.array(draw(st.lists(st.floats(-1e-6, 1e-6),
+                                      min_size=g.size, max_size=g.size)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(mp=st.sampled_from(PAIRS), data=st.data())
+def test_a_pair_log_is_its_factor_logs_bit_for_bit(mp, data):
+    # the float-level log of a pair against the factor logs read as arrays,
+    # and SO(3)'s against its matrix form below the near-pi branch
+    g, h = factor_point(mp.G, data.draw), factor_point(mp.H, data.draw)
+    out = mp.log(np.concatenate([g, h]))
+    ref = np.concatenate([mp.G.log(g), mp.H.log(h)])
+    assert np.array_equal(out, ref)
+    assert np.array_equal(np.signbit(out), np.signbit(ref))
+    for G, x in ((mp.G, g), (mp.H, h)):
+        if isinstance(G, SO3) and (0.5 * (np.trace(x.reshape(3, 3)) - 1.0)
+                                   >= NEAR_PI_COS):
+            assert np.array_equal(G.log(x), so3_log_reference(x))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("G", [SO3()] + PAIRS, ids=lambda g: g.name)
+def test_a_log_rejects_a_non_finite_chart_entry(G, value):
+    # an SO(3), SU(2) or K entry raises; an R^3 entry is carried through
+    factors = [G.G, G.H] if G in PAIRS else [G]
+    owners = [F for F in factors for _ in range(F.coord_dim)]
+    for i, F in enumerate(owners):
+        x = G.identity()
+        x[i] = value
+        if isinstance(F, Abelian):
+            assert not np.isfinite(G.log(x)).all()
+            continue
+        with pytest.raises(DomainError, match="chart point is not finite"):
+            G.log(x)
+
+
+def test_an_so3_log_whose_entry_sum_overflows_is_finite():
+    # finite entries whose sum is inf are tested one by one and pass
+    g = np.eye(3).ravel()
+    g[0] = g[4] = 1e308
+    assert sum(g.tolist()) == math.inf
+    assert np.array_equal(SO3().log(g), np.zeros(3))
+    u = np.concatenate([g, np.eye(3).ravel()])
+    assert np.array_equal(both_trivial_pair().log(u), np.zeros(6))
+
+
+@pytest.mark.parametrize("mp", PAIRS, ids=lambda g: g.name)
+def test_a_pair_log_reads_its_point_once(mp, monkeypatch):
+    import matchdyn.groups as groups
+    import matchdyn.matched_group as matched_group
+
+    calls = []
+
+    def counted(x, n, **kw):
+        calls.append(n)
+        return _vec(x, n, **kw)
+
+    monkeypatch.setattr(groups, "_vec", counted)
+    monkeypatch.setattr(matched_group, "_vec", counted)
+    u = mp.random(RNG)
+    assert np.array_equal(mp.log(u), mp.arrow_coords(u))
+    del calls[:]
+    mp.log(u)
+    # SO(3) and R^3 take their factor's floats; SU(2) and K read their
+    # factor array through their own log
+    read = [mp.coord_dim]
+    if isinstance(mp, Su2K):
+        read += [4, 3]
+    assert calls == read
 
 
 @pytest.mark.parametrize("gap", [4e-4, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9,
