@@ -1,5 +1,7 @@
-"""Built-in scenarios: the rotating-frame trivial groupoid on the plane and
-the SL(2, C) matched-pair group, plus config parsing and trajectory I/O.
+"""Built-in scenarios, one record each in SCENARIOS: the rotating-frame
+trivial groupoid on the plane and the SL(2, C) matched-pair group; plus
+config parsing and trajectory I/O.  A command knows of a scenario only what
+its record holds, and branches on no scenario's name.
 
 Config files are INI; trajectory files are CSV whose leading '#' comment
 lines embed the full config, so a trajectory can be re-verified without the
@@ -46,26 +48,6 @@ REPRODUCE_TOL = 1e-12
 # first; a file without the derivatives= line took the second
 DERIVATIVES = ("exact", "fd")
 
-# trajectory-file columns of each scenario
-HEADERS = {
-    "trivial_groupoid": "k m1 m2 theta n1 n2 res_direct res_matched phi_gap"
-                        .split(),
-    "sl2c": ("k A_w A_x A_y A_z B_a B_b B_c Phi_1 Phi_2 Phi_3 Psi_1 Psi_2 "
-             "Psi_3 res_norm").split(),
-}
-# older layouts that ``check residual`` still reads: sl2c rows once ended in
-# the gap of a finite-difference cross-check, which nothing re-derives
-OLD_HEADERS = {"sl2c": HEADERS["sl2c"] + ["formula_gap"]}
-# each scenario's one built-in Lagrangian: its name and parameter defaults
-LAGRANGIANS = {"trivial_groupoid": ("spring", dict(k_pos=1.0, k_rot=1.0)),
-               "sl2c": ("quadratic", dict(coupling=0.0, ig1=1.0, ig2=1.0,
-                                          ig3=1.0, ih1=1.0, ih2=1.0, ih3=1.0))}
-# each scenario's initial data: what its coordinates are, and their defaults
-INITIAL = {"trivial_groupoid": ("arrow coords (m, theta, n)",
-                                (0.0, 0.0, 0.3, 1.0, 0.0)),
-           "sl2c": ("algebra coords (su(2) then K)",
-                    (0.2, -0.1, 0.15, 0.1, 0.05, -0.1))}
-SCENARIOS = tuple(INITIAL)
 # the blocks of Su2K's closed induced-action pairs, (A_g, D_h) on the
 # G-fiber and (D_g, A_h) on the H-fiber, by the names check axioms gives them
 CLOSED_ACTIONS = ("act_on_fiber_g", "dagger_on_h", "dagger_on_g",
@@ -89,11 +71,11 @@ class ScenarioConfig:
     """Flat scenario description: which system, which built-in Lagrangian
     with which parameters, initial data, step count, tolerance.  Validated on
     construction, ``dataclasses.replace`` included: a whole number of steps,
-    a positive tolerance, a Lagrangian and parameters named in LAGRANGIANS,
-    finite real values and as many initial coordinates as INITIAL has, so a
-    bad value is a config error that names its field, not a solver failure.
-    The INI and trajectory header readers share one converter of header
-    fields."""
+    a positive tolerance, the Lagrangian (None for its own, not "") and
+    parameters that its SCENARIOS record names, finite real values and as
+    many initial coordinates as the record has, so a bad value is a config
+    error that names its field, not a solver failure.  The INI and
+    trajectory header readers share one converter of header fields."""
 
     scenario: str
     steps: int = 10
@@ -106,7 +88,7 @@ class ScenarioConfig:
     derivatives: str = field(default=DERIVATIVES[0], init=False)
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
+        if self.scenario not in list(SCENARIOS):  # unhashable values too
             raise DomainError("unknown scenario %r (expected one of %s)"
                               % (self.scenario, ", ".join(SCENARIOS)))
         steps, self.steps = self.steps, _converted("steps", self.steps, int)
@@ -115,8 +97,8 @@ class ScenarioConfig:
         self.tol = _converted("tol", self.tol)
         if not self.tol > 0.0:
             raise DomainError("tol must be positive, got %r" % self.tol)
-        name, defaults = LAGRANGIANS[self.scenario]
-        self.lagrangian = self.lagrangian or name
+        name, defaults = SCENARIOS[self.scenario].lagrangian
+        self.lagrangian = name if self.lagrangian is None else self.lagrangian
         self.params = dict(self.params or {})
         if self.lagrangian != name or not set(self.params) <= set(defaults):
             raise DomainError("%s knows the Lagrangian %r with the parameters "
@@ -128,7 +110,7 @@ class ScenarioConfig:
         if self.initial is not None:
             self.initial = _converted(
                 "initial", self.initial, lambda v: np.asarray(v, dtype=float))
-            what, default = INITIAL[self.scenario]
+            what, default = SCENARIOS[self.scenario].initial
             if self.initial.size != len(default):
                 raise DomainError("%s initial data needs %d %s, got %d" % (
                     self.scenario, len(default), what, self.initial.size))
@@ -239,12 +221,9 @@ class RunReport:
         return ["%s %.3e above %g" % bound for bound in bounds
                 if bound[1] is not None and not bound[1] <= bound[2]]
 
-    def as_dict(self):
-        return {key: val for key, val in asdict(self).items()
-                if val is not None}
-
     def to_json(self):
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
+        return json.dumps({key: val for key, val in asdict(self).items()
+                           if val is not None}, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +233,7 @@ class RunReport:
 def trivial_groupoid_lagrangian(dec, config: ScenarioConfig):
     """L(m, g, n) = k_pos/2 |n - m|^2 + k_rot/2 theta(g)^2 on M x G x M, of
     an arrow or of a stack of them."""
-    p = dict(LAGRANGIANS["trivial_groupoid"][1], **config.params)
+    p = dict(TrivialGroupoidScenario.lagrangian[1], **config.params)
     k_pos, k_rot = p["k_pos"], p["k_rot"]
 
     def evaluate(x):
@@ -281,7 +260,7 @@ def matched_lagrangian(dec, L: DiscreteLagrangian):
 def sl2c_lagrangian(mp: Su2K, config: ScenarioConfig):
     """Quadratic form in the logarithmic coordinates of SU(2) x K with a
     bilinear coupling between the two factors."""
-    p = dict(LAGRANGIANS["sl2c"][1], **config.params)
+    p = dict(Sl2cScenario.lagrangian[1], **config.params)
     ig = np.array([p["ig1"], p["ig2"], p["ig3"]])
     ih = np.array([p["ih1"], p["ih2"], p["ih3"]])
     coupling = p["coupling"]
@@ -308,20 +287,13 @@ def sl2c_lagrangian(mp: Su2K, config: ScenarioConfig):
 # ---------------------------------------------------------------------------
 
 def _system(config: ScenarioConfig):
-    """(system, desc, L, first) of ``config``: the trivial decomposition or
-    Su2K, the descriptor of its arrows, its built-in Lagrangian, taken with
+    """(system, desc, L, first) of ``config`` as its record builds them: the
+    system, the descriptor of its arrows, its built-in Lagrangian, taken with
     the file's derivatives, and the first arrow that the initial data name."""
-    x0 = np.asarray(INITIAL[config.scenario][1] if config.initial is None
-                    else config.initial, dtype=float)
-    if config.scenario == "trivial_groupoid":
-        system = default_trivial_decomposition()
-        desc, first = system.trivial, x0
-        L = trivial_groupoid_lagrangian(system, config)
-    else:
-        system = desc = Su2K()
-        L = sl2c_lagrangian(system, config)
-        with solver_failure("sl2c initial data"):
-            first = system.exp(x0)
+    record = SCENARIOS[config.scenario]
+    system, desc, L, first = record.build(config, np.asarray(
+        record.initial[1] if config.initial is None else config.initial,
+        dtype=float))
     if config.derivatives == "fd":
         L = DiscreteLagrangian(L.evaluate, name=L.name, stacks=L.stacks)
     return system, desc, L, first
@@ -336,58 +308,107 @@ def _rederived_rows(arrows, records, residual_norms):
                 zip(arrows, records, residual_norms + [0.0]))]
 
 
-def run_trivial_groupoid(config: ScenarioConfig):
-    """Solve the plane-with-rotations system in both presentations, direct
-    on M x G x M and matched-pair, with ``solve_trajectory``, and
-    cross-check them.
+class TrivialGroupoidScenario:
+    """The plane with rotations, solved with ``solve_trajectory`` directly on
+    M x G x M and in its matched presentation, whose residuals and oracles
+    its run reports, and cross-checked: phi_gap is the largest gap between
+    the matched trajectory and the image of the direct one."""
 
-    Returns (report, header, rows); each row holds the direct arrow
-    (m, theta, n), the junction residual norms of both presentations, and
-    the gap between the matched trajectory and the image of the direct one.
-    """
-    dec, desc, L, x0 = _system(config)
-    direct = solve_trajectory(desc, L, x0, config.steps, config.tol)
-    matched = solve_trajectory(dec.matched, matched_lagrangian(dec, L),
-                               dec.phi(x0), config.steps, config.tol)
-    res_direct = direct.residual_norms
-    res_matched = matched.residual_norms
-    phi_gap = max(float(np.max(np.abs(m - dec.phi(x))))
-                  for x, m in zip(direct, matched))
+    columns = "k m1 m2 theta n1 n2 res_direct res_matched phi_gap".split()
+    old_columns = None
+    lagrangian = "spring", dict(k_pos=1.0, k_rot=1.0)
+    initial = "arrow coords (m, theta, n)", (0.0, 0.0, 0.3, 1.0, 0.0)
 
-    rows = [row + [rm, phi_gap] for row, rm in zip(
-        _rederived_rows(direct, [()] * len(direct), res_direct),
-        res_matched + [0.0])]
+    def build(self, config, x0):
+        dec = default_trivial_decomposition()
+        return dec, dec.trivial, trivial_groupoid_lagrangian(dec, config), x0
 
-    report = RunReport("trivial_groupoid", res_direct,
-                       oracle_max=max(direct.oracle, matched.oracle),
-                       correspondence_gap=max(
-                           phi_gap,
-                           max(abs(a - b) for a, b in
-                               zip(res_direct, res_matched))))
-    return report, HEADERS["trivial_groupoid"], rows
+    def run(self, config):
+        dec, desc, L, x0 = _system(config)
+        direct = solve_trajectory(desc, L, x0, config.steps, config.tol)
+        matched = solve_trajectory(dec.matched, matched_lagrangian(dec, L),
+                                   dec.phi(x0), config.steps, config.tol)
+        res_direct = direct.residual_norms
+        res_matched = matched.residual_norms
+        phi_gap = max(float(np.max(np.abs(m - dec.phi(x))))
+                      for x, m in zip(direct, matched))
+        rows = [row + [rm, phi_gap] for row, rm in zip(
+            _rederived_rows(direct, [()] * len(direct), res_direct),
+            res_matched + [0.0])]
+        report = RunReport(config.scenario, res_direct,
+                           oracle_max=max(direct.oracle, matched.oracle),
+                           correspondence_gap=max(
+                               phi_gap,
+                               max(abs(a - b) for a, b in
+                                   zip(res_direct, res_matched))))
+        return report, rows
+
+    def rederive(self, config, desc, L, arrows):
+        # res_matched and phi_gap would need the matched solve; an overflow
+        # is a typed failure, as in sl2c's momentum re-check
+        with solver_failure("trivial_groupoid re-check"):
+            traj = Trajectory(desc, arrows)
+            residuals = del_residuals(desc, L, traj)
+            oracle = variational_oracle(desc, L, traj)
+        return ([float(np.linalg.norm(r, np.inf)) for r in residuals],
+                oracle, [()] * len(arrows))
 
 
-def run_sl2c(config: ScenarioConfig):
-    """Solve the SL(2, C) matched-group recursion through the closed-form
-    lift matrices, and store the norms of the closed momentum form at every
-    solved junction."""
-    mp, _, L, u1 = _system(config)
-    arrows, _ = march(mp, L, u1, config.steps, config.tol)
-    momenta = arrow_momenta(mp, L, arrows)
-    res_norms = [float(np.linalg.norm(r, np.inf))
-                 for r in momentum_residuals(mp, arrows, momenta)]
-    # the records' mu and nu are the Phi and Psi columns
-    rows = _rederived_rows(arrows, [m[1:] for m in momenta], res_norms)
-    return RunReport("sl2c", res_norms), HEADERS["sl2c"], rows
+class Sl2cScenario:
+    """The SL(2, C) matched-pair group SU(2) x K, marched through its closed
+    lift matrices; its run re-derives, as the re-check does, the momenta mu
+    and nu (Phi, Psi) and the closed momentum form, which has no independent
+    oracle: its norms take the oracle's bound."""
+
+    columns = ("k A_w A_x A_y A_z B_a B_b B_c Phi_1 Phi_2 Phi_3 Psi_1 Psi_2 "
+               "Psi_3 res_norm").split()
+    # older rows end in the gap of a finite-difference cross-check, which
+    # nothing re-derives
+    old_columns = columns + ["formula_gap"]
+    lagrangian = "quadratic", dict(coupling=0.0, ig1=1.0, ig2=1.0, ig3=1.0,
+                                   ih1=1.0, ih2=1.0, ih3=1.0)
+    initial = ("algebra coords (su(2) then K)",
+               (0.2, -0.1, 0.15, 0.1, 0.05, -0.1))
+
+    def build(self, config, x0):
+        mp = Su2K()
+        with solver_failure("sl2c initial data"):
+            first = mp.exp(x0)
+        return mp, mp, sl2c_lagrangian(mp, config), first
+
+    def run(self, config):
+        mp, _, L, first = _system(config)
+        arrows, _ = march(mp, L, first, config.steps, config.tol)
+        res_norms, _, records = self.rederive(config, mp, L, arrows)
+        return (RunReport(config.scenario, res_norms),
+                _rederived_rows(arrows, records, res_norms))
+
+    def rederive(self, config, mp, L, arrows):
+        # a legacy file's mu and nu went through finite-difference factor
+        # lifts, which its stored digits keep
+        momenta = arrow_momenta(mp, L, arrows, lift=(
+            Group.lift_matrix if config.derivatives == "fd" else None))
+        return ([float(np.linalg.norm(r, np.inf))
+                 for r in momentum_residuals(mp, arrows, momenta)],
+                None, [m[1:] for m in momenta])
+
+
+# the built-in scenarios by name, in the order commands list them.  A record
+# holds its files' columns (and an older layout, or None), its Lagrangian's
+# name and defaults, its initial data's meaning and defaults, and build(config,
+# x0) -> (system, desc, L, first), run(config) -> (report, rows) and
+# rederive(config, desc, L, arrows) -> (residual norms, oracle, records)
+SCENARIOS = {"trivial_groupoid": TrivialGroupoidScenario(),
+             "sl2c": Sl2cScenario()}
 
 
 def run_scenario(config: ScenarioConfig):
     """``config``'s run, its report stamped with the wall clock it took."""
+    record = SCENARIOS[config.scenario]
     t0 = time.perf_counter()
-    report, header, rows = (run_sl2c if config.scenario == "sl2c"
-                            else run_trivial_groupoid)(config)
+    report, rows = record.run(config)
     report.wall_clock = time.perf_counter() - t0
-    return report, header, rows
+    return report, record.columns, rows
 
 
 # ---------------------------------------------------------------------------
@@ -426,62 +447,41 @@ def read_trajectory_csv(path):
 
 
 def check_residual_file(path):
-    """Re-read an emitted trajectory laid out as HEADERS or OLD_HEADERS
-    says, recompute every residual norm, and for sl2c every momentum, from
-    the arrows alone, rebuild the rows' leading columns from them as ``run``
-    does, the first arrow from the header's initial data, and take the
-    largest gap to the stored values.  Returns (failures, report) as
-    ``RunReport.failures``."""
+    """Re-read an emitted trajectory laid out as its record's columns or
+    old_columns, re-derive every residual norm and record, for sl2c every
+    momentum, from the arrows alone with the record's ``rederive``, rebuild
+    the rows' leading columns from them as ``run`` does, the first arrow
+    from the header's initial data, and take the largest gap to the stored
+    values.  Returns (failures, report) as ``RunReport.failures``."""
     config, header, rows = read_trajectory_csv(path)
-    columns = HEADERS[config.scenario]
-    if (header not in (columns, OLD_HEADERS.get(config.scenario))
+    record = SCENARIOS[config.scenario]
+    if (header not in (record.columns, record.old_columns)
             or any(len(row) != len(header) for row in rows)):
         raise DomainError("trajectory file %s: a %s file has the header %s "
                           "and one field per column in every row"
-                          % (path, config.scenario, ",".join(columns)))
+                          % (path, config.scenario, ",".join(record.columns)))
     if len(rows) != config.steps:
         raise DomainError("trajectory file %s: steps=%d but %d rows"
                           % (path, config.steps, len(rows)))
     try:
-        report = _recheck_rows(config, rows)
+        _, desc, L, first = _system(config)
+        arrows = [np.array(row[1:1 + desc.arrow_dim]) for row in rows]
+        if not np.all(np.isfinite(arrows)):
+            raise DomainError("an arrow coordinate is not finite")
+        recomputed, oracle, records = record.rederive(config, desc, L, arrows)
     except MatchdynError as exc:
         # e.g. a corrupted quaternion
         return (["invalid arrow data: %s" % exc],
                 RunReport(config.scenario, []))
-    return report.failures(config.tol), report
-
-
-def _recheck_rows(config, rows):
-    _, desc, L, first = _system(config)
-    arrows = [np.array(row[1:1 + desc.arrow_dim]) for row in rows]
-    if not np.all(np.isfinite(arrows)):
-        raise DomainError("an arrow coordinate is not finite")
-    if config.scenario == "trivial_groupoid":
-        # an overflow is a typed failure, as in sl2c's momentum re-check
-        with solver_failure("trivial_groupoid re-check"):
-            traj = Trajectory(desc, arrows)
-            residuals = del_residuals(desc, L, traj)
-            oracle = variational_oracle(desc, L, traj)
-        # res_matched and phi_gap would need the matched solve
-        records = [()] * len(arrows)
-    else:
-        # a legacy file's mu and nu went through finite-difference factor
-        # lifts, which its stored digits keep
-        momenta = arrow_momenta(desc, L, arrows, lift=(
-            Group.lift_matrix if config.derivatives == "fd" else None))
-        residuals = momentum_residuals(desc, arrows, momenta)
-        records = [m[1:] for m in momenta]
-        # no independent oracle: the residuals themselves take its bound
-        oracle = None
-    recomputed = [float(np.linalg.norm(r, np.inf)) for r in residuals]
     # the first row's arrow is the one the header's initial data name
     rebuilt = np.array(_rederived_rows([first, *arrows[1:]], records,
                                        recomputed))
     # np.max, not max: a NaN anywhere is the gap
     gap = float(np.max(np.abs(
         rebuilt - np.array(rows)[:, :rebuilt.shape[1]])))
-    return RunReport(config.scenario, recomputed, oracle_max=oracle,
-                     reproduce_gap=gap)
+    report = RunReport(config.scenario, recomputed, oracle_max=oracle,
+                       reproduce_gap=gap)
+    return report.failures(config.tol), report
 
 
 def run_axiom_suites(seed=0, n_samples=200, tol=1e-9):

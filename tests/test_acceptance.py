@@ -35,8 +35,7 @@ from matchdyn.matched_group import (
 )
 from matchdyn.scenarios import (
     ScenarioConfig,
-    run_sl2c,
-    run_trivial_groupoid,
+    run_scenario,
     sl2c_lagrangian,
 )
 from reference import (k_mat2, reduced_momentum_residual, sl2c_compose,
@@ -183,7 +182,7 @@ def test_07_reduction_chain():
 
 def test_08_phi_correspondence():
     cfg = ScenarioConfig("trivial_groupoid", steps=10)
-    rep, _, _ = run_trivial_groupoid(cfg)
+    rep, _, _ = run_scenario(cfg)
     ok = (max(rep.residual_norms) <= 1e-9
           and rep.correspondence_gap <= 1e-6)
     report(8, "phi-correspondence", ok,
@@ -195,7 +194,7 @@ def test_09_sl2c_closed_vs_generic():
     t0 = time.perf_counter()
     cfg = ScenarioConfig("sl2c", steps=10,
                          params={"coupling": 0.25, "ig1": 2.0, "ih3": 0.5})
-    _, _, rows = run_sl2c(cfg)
+    _, _, rows = run_scenario(cfg)
     # the momentum form at the solved arrows, closed and finite-difference
     mp = Su2K()
     arrows = [np.array(row[1:8]) for row in rows]

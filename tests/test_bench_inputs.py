@@ -10,14 +10,16 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "bench"))
 
 import workloads  # noqa: E402
-from matchdyn.scenarios import INITIAL, LAGRANGIANS  # noqa: E402
+from matchdyn.scenarios import SCENARIOS  # noqa: E402
 
 
 def test_bench_default_initial_data_are_the_scenarios():
-    assert np.array_equal(workloads.SL2C_DIRECTION, INITIAL["sl2c"][1])
-    assert np.array_equal(workloads.TG_ARROW, INITIAL["trivial_groupoid"][1])
+    for scenario, direction in (("sl2c", workloads.SL2C_DIRECTION),
+                                ("trivial_groupoid", workloads.TG_ARROW)):
+        assert np.array_equal(direction, SCENARIOS[scenario].initial[1])
 
 
 def test_bench_parameters_are_the_scenarios_lagrangian_parameters():
     for scenario, (_, _, _, ranges) in workloads.SCENARIO_INPUTS.items():
-        assert set(ranges) <= set(LAGRANGIANS[scenario][1]), scenario
+        defaults = SCENARIOS[scenario].lagrangian[1]
+        assert set(ranges) <= set(defaults), scenario

@@ -41,12 +41,11 @@ from matchdyn.matched_group import (
 )
 from matchdyn.numerics import fd_columns
 from matchdyn.scenarios import (
-    INITIAL,
+    SCENARIOS,
     ScenarioConfig,
     check_residual_file,
     matched_lagrangian,
-    run_sl2c,
-    run_trivial_groupoid,
+    run_scenario,
     sl2c_lagrangian,
     trivial_groupoid_lagrangian,
     write_trajectory_csv,
@@ -390,7 +389,7 @@ def package_calls(fn, *args):
 def test_an_sl2c_junction_stays_within_its_call_count():
     mp = Su2K()
     L = sl2c_lagrangian(mp, ScenarioConfig("sl2c"))
-    first = mp.exp(INITIAL["sl2c"][1])
+    first = mp.exp(SCENARIOS["sl2c"].initial[1])
     (arrows, _), calls = package_calls(march, mp, L, first, 20)
     assert len(arrows) == 20
     assert calls / 19 <= SL2C_CALLS_PER_JUNCTION * (1.0 + CALLS_MARGIN)
@@ -398,8 +397,7 @@ def test_an_sl2c_junction_stays_within_its_call_count():
 
 def test_a_trivial_groupoid_junction_stays_within_its_call_count(tmp_path):
     config = ScenarioConfig("trivial_groupoid", steps=20)
-    (report, header, rows), calls = package_calls(run_trivial_groupoid,
-                                                  config)
+    (report, header, rows), calls = package_calls(run_scenario, config)
     assert len(rows) == 20 and report.oracle_max <= 1e-6
     assert calls / 19 <= TRIVIAL_RUN_CALLS_PER_JUNCTION * (1.0 + CALLS_MARGIN)
     path = str(tmp_path / "trivial_groupoid.csv")
@@ -444,7 +442,7 @@ def test_an_sl2c_junction_builds_one_su2_lift_per_evaluation(monkeypatch):
     monkeypatch.setattr(DiscreteLagrangian, "pullback", pullback)
     mp = Su2K()
     L = sl2c_lagrangian(mp, ScenarioConfig("sl2c"))
-    arrows, _ = march(mp, L, mp.exp(INITIAL["sl2c"][1]), 20)
+    arrows, _ = march(mp, L, mp.exp(SCENARIOS["sl2c"].initial[1]), 20)
     assert len(arrows) == 20
     assert len(built) == len(pulled)
     assert round(len(built) / 19, 1) <= 13.6
@@ -663,7 +661,7 @@ def test_each_junction_jacobian_costs_one_residual_per_fiber_direction(
         return J
 
     monkeypatch.setattr(matchdyn.numerics, "fd_jacobian", counted)
-    run_sl2c(ScenarioConfig("sl2c", steps=10))
+    run_scenario(ScenarioConfig("sl2c", steps=10))
     assert costs == [Su2K().fiber_dim] * 9
     costs.clear()
     desc = GroupGroupoid(SO3())
@@ -737,9 +735,9 @@ def test_trajectories_march_once_and_never_recompute_the_residual(
     arrows, _ = solve_matched_group_trajectory(mp, L, mp.exp(0.1 * np.ones(6)),
                                                4)
     assert len(arrows) == 4 and marched == [so3.name, mp.name]
-    run_trivial_groupoid(ScenarioConfig("trivial_groupoid", steps=4))
+    run_scenario(ScenarioConfig("trivial_groupoid", steps=4))
     assert marched[2:] == [DEC.trivial.name, DEC.matched.name]
-    run_sl2c(ScenarioConfig("sl2c", steps=4))
+    run_scenario(ScenarioConfig("sl2c", steps=4))
     assert marched[4:] == [Su2K().name]
 
 
@@ -1000,8 +998,8 @@ def test_the_oracle_takes_one_stencil_per_stacked_trajectory(monkeypatch):
 
     monkeypatch.setattr(dynamics, "fd_stencil", counted)
     desc, L = stacking_lagrangian("matched", 1.0, 1.0)
-    traj = solve_trajectory(desc, L, DEC.phi(INITIAL["trivial_groupoid"][1]),
-                            6)
+    x0 = SCENARIOS["trivial_groupoid"].initial[1]
+    traj = solve_trajectory(desc, L, DEC.phi(x0), 6)
     assert calls == [(desc.fiber_dim, desc.fiber_dim)]
     del calls[:]
     scalar = DiscreteLagrangian(L.evaluate, name=L.name)

@@ -20,6 +20,7 @@ import pytest
 
 import matchdyn
 import matchdyn.cli
+from matchdyn.scenarios import SCENARIOS
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "bench"))
@@ -274,16 +275,22 @@ def _assigned_attributes(tree):
                 yield target.value, target.attr, target.lineno
 
 
-def test_no_statement_rebinds_a_method_of_another_object():
-    # an object's methods are fixed by its class when it is built; an
-    # instance may bind its own (self.check = G.check), but nothing else
-    # patches them afterwards
+def package_trees():
+    """{file name: parsed module} of the package's source."""
     src = os.path.dirname(os.path.abspath(matchdyn.__file__))
     trees = {}
     for name in sorted(os.listdir(src)):
         if name.endswith(".py"):
             with open(os.path.join(src, name)) as fh:
                 trees[name] = ast.parse(fh.read())
+    return trees
+
+
+def test_no_statement_rebinds_a_method_of_another_object():
+    # an object's methods are fixed by its class when it is built; an
+    # instance may bind its own (self.check = G.check), but nothing else
+    # patches them afterwards
+    trees = package_trees()
     methods = {item.name for tree in trees.values() for node in ast.walk(tree)
                if isinstance(node, ast.ClassDef) for item in node.body
                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
@@ -294,3 +301,61 @@ def test_no_statement_rebinds_a_method_of_another_object():
                if attr in methods
                and not (isinstance(obj, ast.Name) and obj.id == "self")]
     assert rebound == []
+
+
+def scenario_branches(tree, names):
+    """(line, source) of every comparison of a ``scenario`` name or
+    attribute with a string constant, and of every module-level dict but
+    SCENARIOS keyed by one of ``names``."""
+    def is_scenario(node):
+        return getattr(node, "id", getattr(node, "attr", None)) == "scenario"
+
+    def is_text(node):
+        elts = getattr(node, "elts", [node])
+        return any(isinstance(e, ast.Constant) and isinstance(e.value, str)
+                   for e in elts)
+
+    for node in ast.walk(tree):
+        operands = [getattr(node, "left", None),
+                    *getattr(node, "comparators", [])]
+        if (isinstance(node, ast.Compare) and any(map(is_scenario, operands))
+                and any(is_text(o) for o in operands if not is_scenario(o))):
+            yield node.lineno, ast.unparse(node)
+    for node in tree.body:
+        value = getattr(node, "value", None)
+        targets = getattr(node, "targets", [getattr(node, "target", None)])
+        if isinstance(value, ast.Dict):
+            keys = [getattr(k, "value", None) for k in value.keys]
+        elif isinstance(value, ast.Call) and getattr(value.func, "id",
+                                                     None) == "dict":
+            keys = [kw.arg for kw in value.keywords]
+        else:
+            continue
+        if (set(keys) & set(names)
+                and [getattr(t, "id", None) for t in targets] != [
+                    "SCENARIOS"]):
+            yield node.lineno, ast.unparse(node).splitlines()[0]
+
+
+def test_no_command_branches_on_a_scenario_name():
+    # what a scenario is lives in its SCENARIOS record; a test of its name,
+    # or a table of its own, would make a new scenario edit every command
+    branches = ["%s:%d %s" % (name, line, text)
+                for name, tree in package_trees().items()
+                for line, text in scenario_branches(tree, list(SCENARIOS))]
+    assert branches == []
+
+
+def test_the_scenario_guard_sees_a_branch_and_a_table():
+    tree = ast.parse(textwrap.dedent("""
+        HEADERS = {"sl2c": 1}
+        LAGRANGIANS = dict(trivial_groupoid=2)
+        SCENARIOS = {"sl2c": 3}
+        OTHER = {"key": 4}
+        if config.scenario == "sl2c" or scenario in ("a", "b"):
+            pass
+        if config.scenario in SCENARIOS or config.derivatives == "fd":
+            pass
+        """))
+    assert [line for line, _ in scenario_branches(
+        tree, ["sl2c", "trivial_groupoid"])] == [6, 6, 2, 3]

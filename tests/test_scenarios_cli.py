@@ -22,8 +22,8 @@ from matchdyn.matched_group import Su2K
 from matchdyn.numerics import fd_gradient
 from matchdyn.scenarios import (
     CLOSED_ACTIONS,
-    HEADERS,
     REPRODUCE_TOL,
+    SCENARIOS,
     RunReport,
     ScenarioConfig,
     check_residual_file,
@@ -31,8 +31,6 @@ from matchdyn.scenarios import (
     read_trajectory_csv,
     run_axiom_suites,
     run_scenario,
-    run_sl2c,
-    run_trivial_groupoid,
     sl2c_lagrangian,
     trivial_groupoid_lagrangian,
     write_trajectory_csv,
@@ -60,8 +58,9 @@ def test_config_from_ini(tmp_path):
 
 
 def test_config_validation():
-    with pytest.raises(DomainError):
-        ScenarioConfig("nope")
+    for scenario in ("nope", ["sl2c"]):
+        with pytest.raises(DomainError, match="^unknown scenario "):
+            ScenarioConfig(scenario)
     with pytest.raises(DomainError):
         ScenarioConfig("sl2c", steps=1)
     with pytest.raises(DomainError):
@@ -121,7 +120,7 @@ def test_ini_non_finite_value_is_a_config_error(tmp_path, text):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("scenario", sorted(HEADERS))
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
 def test_check_residual_non_finite_header_tol_is_a_config_error(
         tmp_path, scenario):
     out = tmp_path / "run.csv"
@@ -226,7 +225,7 @@ def test_spring_gradients_match_finite_differences(k_pos, k_rot, y):
 
 def test_run_trivial_groupoid_solves_and_corresponds():
     cfg = ScenarioConfig("trivial_groupoid", steps=10)
-    report, header, rows = run_trivial_groupoid(cfg)
+    report, header, rows = run_scenario(cfg)
     assert len(rows) == 10
     assert max(report.residual_norms) < 1e-9
     assert report.oracle_max < 1e-7
@@ -243,7 +242,7 @@ def test_run_trivial_groupoid_solves_and_corresponds():
 def test_run_trivial_groupoid_solves_the_bench_inputs(amplitude, noise, k_pos,
                                                       k_rot, steps):
     initial = amplitude * np.array([0.0, 0.0, 0.3, 1.0, 0.0]) + noise
-    report, _, _ = run_trivial_groupoid(ScenarioConfig(
+    report, _, _ = run_scenario(ScenarioConfig(
         "trivial_groupoid", steps=steps, initial=initial,
         params={"k_pos": k_pos, "k_rot": k_rot}))
     assert max(report.residual_norms) < 1e-9
@@ -254,7 +253,7 @@ def test_run_trivial_groupoid_solves_the_bench_inputs(amplitude, noise, k_pos,
 def test_run_trivial_groupoid_stationary_at_unit():
     cfg = ScenarioConfig("trivial_groupoid", steps=4,
                          initial=[0.2, -0.4, 0.0, 0.2, -0.4])
-    report, _, rows = run_trivial_groupoid(cfg)
+    report, _, rows = run_scenario(cfg)
     assert max(report.residual_norms) < 1e-10
     for row in rows:
         assert np.allclose(row[1:6], [0.2, -0.4, 0.0, 0.2, -0.4], atol=1e-9)
@@ -264,13 +263,12 @@ def test_run_trivial_groupoid_degenerate_lagrangian():
     cfg = ScenarioConfig("trivial_groupoid", steps=3,
                          params={"k_pos": 0.0, "k_rot": 0.0})
     with pytest.raises(SingularJacobian):
-        run_trivial_groupoid(cfg)
+        run_scenario(cfg)
 
 
 def test_run_trivial_groupoid_bad_initial():
     with pytest.raises(DomainError):
-        run_trivial_groupoid(ScenarioConfig("trivial_groupoid",
-                                            initial=[1.0, 2.0]))
+        run_scenario(ScenarioConfig("trivial_groupoid", initial=[1.0, 2.0]))
 
 
 # -- sl2c scenario ----------------------------------------------------------
@@ -278,7 +276,7 @@ def test_run_trivial_groupoid_bad_initial():
 def test_run_sl2c_closed_matches_generic():
     cfg = ScenarioConfig("sl2c", steps=10, params={"coupling": 0.3,
                                                    "ig1": 2.0, "ih2": 0.5})
-    report, header, rows = run_sl2c(cfg)
+    report, header, rows = run_scenario(cfg)
     assert len(rows) == 10
     assert max(report.residual_norms) < 1e-9
     # the momentum form at the solved arrows, closed and finite-difference
@@ -292,7 +290,7 @@ def test_run_sl2c_closed_matches_generic():
 
 def test_run_sl2c_stationary_at_identity():
     cfg = ScenarioConfig("sl2c", steps=4, initial=[0.0] * 6)
-    report, _, rows = run_sl2c(cfg)
+    report, _, rows = run_scenario(cfg)
     assert max(report.residual_norms) < 1e-10
     e = Su2K().identity()
     for row in rows:
@@ -305,7 +303,7 @@ def test_run_sl2c_zero_coupling_momentum_recursion():
     cfg = ScenarioConfig("sl2c", steps=8, params={"coupling": 0.0})
     mp = Su2K()
     L = sl2c_lagrangian(mp, cfg)
-    _, _, rows = run_sl2c(cfg)
+    _, _, rows = run_scenario(cfg)
     arrows = [np.array(row[1:8]) for row in rows]
     defect = 0.0
     for uk, uk1 in zip(arrows, arrows[1:]):
@@ -333,7 +331,7 @@ def test_run_sl2c_builds_at_most_one_jacobian_per_junction(monkeypatch):
 
     for module in (matchdyn.numerics, matchdyn.dynamics, matchdyn.groups):
         monkeypatch.setattr(module, "fd_jacobian", counted)
-    report, _, _ = run_sl2c(ScenarioConfig("sl2c", steps=10))
+    report, _, _ = run_scenario(ScenarioConfig("sl2c", steps=10))
     assert max(report.residual_norms) <= 1e-10
     assert len(calls) <= len(report.residual_norms) == 9
 
@@ -354,7 +352,7 @@ def test_run_sl2c_runs_no_matrix_inverse_or_stacked_ad(monkeypatch):
     monkeypatch.setattr(MatchedPairGroup, "generic", reference)
     for name in ("g_fiber_actions", "h_fiber_actions"):
         monkeypatch.setattr(MatchedPairGroupoid, name, reference)
-    report, _, _ = run_sl2c(ScenarioConfig("sl2c", steps=4))
+    report, _, _ = run_scenario(ScenarioConfig("sl2c", steps=4))
     assert max(report.residual_norms) <= 1e-10
 
 
@@ -400,7 +398,7 @@ def test_check_axioms_fails_a_nan_closed_su2k_action(monkeypatch, name):
 
 def test_csv_roundtrip(tmp_path):
     cfg = ScenarioConfig("sl2c", steps=4)
-    report, header, rows = run_sl2c(cfg)
+    report, header, rows = run_scenario(cfg)
     p = tmp_path / "t.csv"
     write_trajectory_csv(str(p), cfg, header, rows)
     # files written before the seed field was dropped still load
@@ -417,7 +415,7 @@ def test_csv_roundtrip(tmp_path):
 
 def test_check_residual_file_detects_corruption(tmp_path):
     cfg = ScenarioConfig("sl2c", steps=4)
-    _, header, rows = run_sl2c(cfg)
+    _, header, rows = run_scenario(cfg)
     p = tmp_path / "t.csv"
     write_trajectory_csv(str(p), cfg, header, rows)
     failures, _ = check_residual_file(str(p))
@@ -631,7 +629,7 @@ def test_read_trajectory_csv_rejects_a_missing_scenario_line(tmp_path):
 @pytest.mark.parametrize("scenario,width", [("sl2c", 15),
                                             ("trivial_groupoid", 9)])
 def test_check_residual_rejects_short_rows(tmp_path, scenario, width):
-    assert len(HEADERS[scenario]) == width
+    assert len(SCENARIOS[scenario].columns) == width
     p = tmp_path / "t.csv"
     write_trajectory_csv(str(p), ScenarioConfig(scenario, steps=2), ["k", "x"],
                          [[0.0, 1.0], [1.0, 2.0]])
@@ -649,7 +647,7 @@ LAYOUT_EDITS = {
     "extra_field": ("trivial_groupoid", lambda header, rows: (
         header, [row + [0.0] for row in rows])),
     "foreign_header": ("sl2c", lambda header, rows: (
-        HEADERS["trivial_groupoid"], rows)),
+        SCENARIOS["trivial_groupoid"].columns, rows)),
 }
 
 
@@ -659,7 +657,7 @@ def test_check_residual_reads_the_file_by_its_layout(tmp_path, edit):
     p = str(tmp_path / "t.csv")
     assert main(["run", scenario, "--steps", "3", "--out", p]) == 0
     cfg, header, rows = read_trajectory_csv(p)
-    assert header == HEADERS[scenario]
+    assert header == SCENARIOS[scenario].columns
     write_trajectory_csv(p, cfg, *change(header, rows))
     with pytest.raises(DomainError):
         check_residual_file(p)
@@ -743,10 +741,11 @@ def test_check_residual_fails_every_tampered_rederived_cell(tmp_path,
 
 
 def test_run_scenario_dispatch():
-    report, _, _ = run_scenario(ScenarioConfig("sl2c", steps=3))
-    assert report.scenario == "sl2c"
-    report, _, _ = run_scenario(ScenarioConfig("trivial_groupoid", steps=3))
-    assert report.scenario == "trivial_groupoid"
+    for scenario, record in SCENARIOS.items():
+        report, header, rows = run_scenario(ScenarioConfig(scenario, steps=3))
+        assert report.scenario == scenario and report.wall_clock > 0.0
+        assert header == record.columns and len(rows) == 3
+        assert all(len(row) == len(header) for row in rows)
 
 
 def test_axiom_suites_pass():
@@ -1095,6 +1094,25 @@ def test_config_and_file_errors_exit_2(tmp_path, capsys, command, text,
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
+def test_an_empty_lagrangian_name_is_a_config_error(tmp_path, capsys,
+                                                    scenario):
+    # only an absent name means the scenario's own Lagrangian; an empty one,
+    # in an INI file or a trajectory header, names another
+    message = {"sl2c": KNOWN_SL2C,
+               "trivial_groupoid": KNOWN_SPRING}[scenario] + "'' with []"
+    ini, out = tmp_path / "cfg.ini", tmp_path / "t.csv"
+    ini.write_text("[scenario]\nid = %s\n\n[lagrangian]\nname =\n" % scenario)
+    assert main(["run", "--config", str(ini), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert main(["run", scenario, "--steps", "3", "--out", str(out)]) == 0
+    line = "# lagrangian=%s\n" % SCENARIOS[scenario].lagrangian[0]
+    assert line in out.read_text()
+    out.write_text(out.read_text().replace(line, "# lagrangian=\n"))
+    assert main(["check", "residual", str(out)]) == 2
+    assert capsys.readouterr().err.count("error: " + message) == 2
+
+
 @pytest.mark.parametrize("command", ["run", "check residual"])
 def test_a_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys,
                                                    command):
@@ -1203,7 +1221,7 @@ def test_every_run_report_field_is_set_by_some_command(tmp_path):
     # run and export build their report with run_scenario; check residual
     # re-reads a fresh file of each scenario
     reports = []
-    for scenario in sorted(HEADERS):
+    for scenario in SCENARIOS:
         config = ScenarioConfig(scenario, steps=4)
         report, header, rows = run_scenario(config)
         path = str(tmp_path / (scenario + ".csv"))
