@@ -10,7 +10,7 @@ same ``del_step``; its momentum form (the paper's transported-and-forced
 momenta, which a pair with a trivial action reduces through its own identity
 and zero blocks) is a reference at solved junctions that pairs the records
 (dL, mu, nu) of adjacent arrows: each arrow's discrete Legendre transform,
-from one ``L.gradient`` call by ``arrow_momenta``.
+from one row of L's gradient by ``arrow_momenta``.
 Trajectories are solved in one loop, ``march``, which keeps the residual each
 ``del_step`` stopped at; ``solve_trajectory`` checks it against the
 variational oracle, the finite-difference gradient of each junction's action.
@@ -18,6 +18,17 @@ Where the descriptor's maps and L take stacks (the trivial groupoid and
 ``OrbitPair`` over the rotated plane, with the spring and its matched form)
 the oracle is one stacked pass over the whole trajectory; otherwise it takes
 one junction at a time, with the same bits.
+
+The re-derivations of a solved or re-read trajectory are one stacked pass
+too where their maps take stacks, with the bits of the per-arrow pass: for
+``Su2K`` and the sl2c L, ``arrow_momenta`` takes every arrow's record and
+``momentum_residuals`` every junction's row at once, through the pair's
+stacked twins; on the trivial groupoid with the spring, ``del_residuals``
+takes every junction's residual and ``Trajectory`` every junction's glue at
+once.  A stacked pass that leaves a chart or meets a floating-point error
+gives way to the per-arrow pass, which names the arrow or junction that
+fails.  The solve keeps the per-point maps: a Newton step's stencils are too
+narrow for a stack to pay.
 
 The halves pair dL with the lift columns only
 (``DiscreteLagrangian.pullback``): through a closed gradient, bit for bit as
@@ -35,7 +46,7 @@ from .errors import (DomainError, EvaluationError, NoConvergence,
 from .groupoids import COMPOSE_TOL, ActionGroupoid, GroupGroupoid, Groupoid
 from .matched_group import MatchedPairGroup
 from .numerics import (DEFAULT_TOL, fd_columns, fd_gradient, fd_stencil,
-                       newton_solve)
+                       newton_solve, transposed_matvec)
 # unused; bench/test_bench.py::test_install_and_uninstall_wrappers wraps it
 from .numerics import fd_jacobian  # noqa: F401
 
@@ -47,13 +58,17 @@ class DiscreteLagrangian:
     """Real function on the arrows of a groupoid, with an optional closed
     gradient; falls back to finite differences.  With ``stacks``,
     ``evaluate`` also takes a stack of arrows, leading axes first, and
-    returns their values at once, as it would one at a time."""
+    returns their values at once, as it would one at a time; with
+    ``gradient_stacks``, so does the closed gradient, with the bits of each
+    arrow alone."""
 
-    def __init__(self, evaluate, gradient=None, name="L", stacks=False):
+    def __init__(self, evaluate, gradient=None, name="L", stacks=False,
+                 gradient_stacks=False):
         self.evaluate = evaluate
         self._gradient = gradient
         self.name = name
         self.stacks = stacks
+        self.gradient_stacks = gradient is not None and gradient_stacks
 
     def __call__(self, x):
         return float(self.evaluate(np.asarray(x, dtype=float)))
@@ -75,14 +90,22 @@ class DiscreteLagrangian:
 
 
 class Trajectory:
-    """Ordered arrows with adjacent sources and targets glued to 1e-9."""
+    """Ordered arrows with adjacent sources and targets glued to 1e-9, at
+    every junction in one array pass where the descriptor takes stacks."""
 
     def __init__(self, desc: Groupoid, arrows, residual_norms=None):
         self.desc = desc
-        self.arrows = [desc.check(a) for a in arrows]
-        for a, b in zip(self.arrows, self.arrows[1:]):
-            if desc.composability_gap(a, b) > COMPOSE_TOL:
-                raise NotComposable(desc.beta(a), desc.alpha(b))
+        self.arrows = x = [desc.check(a) for a in arrows]
+        if desc.stacks and len(x) > 1:
+            stack = np.array(x)
+            gaps = desc.composability_gap(stack[:-1], stack[1:])
+        else:
+            gaps = [desc.composability_gap(a, b) for a, b in zip(x, x[1:])]
+        # not >: a NaN gap is no glue
+        glued = np.asarray(gaps) <= COMPOSE_TOL
+        if not glued.all():
+            k = int(np.argmin(glued))
+            raise NotComposable(desc.beta(x[k]), desc.alpha(x[k + 1]))
         self.residual_norms = residual_norms
         # the variational oracle's maximum, set by solve_trajectory
         self.oracle = None
@@ -102,8 +125,15 @@ def del_residuals(desc: Groupoid, L: DiscreteLagrangian, traj: Trajectory):
     """<dL, left E_i at g_k> - <dL, right E_i at g_{k+1}> over the fiber-chart
     basis at every junction of the trajectory, whose arrows ``Trajectory``
     has checked, from one L.gradient per arrow; zero iff the discrete
-    Euler-Lagrange condition holds there."""
+    Euler-Lagrange condition holds there.  Where the descriptor's lifts and
+    L's gradient take stacks (the trivial groupoid over the circle, the
+    spring) it is one stacked pass, with the same bits."""
     arrows = traj.arrows
+    if desc.lift_stacks and L.gradient_stacks and len(arrows) > 1:
+        x = np.array(arrows)
+        d = L.gradient(x)
+        return (transposed_matvec(desc.left_lift(x[:-1]), d[:-1])
+                - transposed_matvec(desc.right_lift(x[1:]), d[1:]))
     grads = [L.gradient(g) for g in arrows]
     return [desc.left_lift(gk).T @ d - desc.right_lift(gk1).T @ e
             for gk, gk1, d, e in zip(arrows, arrows[1:], grads, grads[1:])]
@@ -151,24 +181,35 @@ def del_residual_matched_group(mp: MatchedPairGroup, L: DiscreteLagrangian,
     ``mp.generic()`` is the same residual through the finite-difference
     induced actions.  It is ``momentum_residuals`` at one junction.
     """
-    momenta = [matched_group_momenta(mp, L, u) for u in (uk, uk1)]
-    return momentum_residuals(mp, [uk, uk1], momenta)[0]
+    records = [matched_group_momenta(mp, L, u) for u in (uk, uk1)]
+    return momentum_residuals(mp, [uk, uk1],
+                              [np.array(m) for m in zip(*records)])[0]
 
 
-def _momentum_half(mp, u, momenta, side):
-    """The u_k ("left") or u_{k+1} ("right") half of the momentum residual,
-    from the arrow's record ``momenta`` = (d, mu, nu)."""
+def _momentum_form(mp, fiber_actions, u, v, left, right):
+    """The momentum residual of the junction from the arrow u to the arrow
+    v, or of every junction of two stacks of them, leading axes first, from
+    their records ``left`` and ``right`` = (d, mu, nu) and
+    ``fiber_actions``, the pair's (g_fiber_actions, h_fiber_actions) or
+    their stacked twins.  Each A^T w is a ``transposed_matvec``, so a stack
+    has the bits of each junction alone."""
+    g_fiber_actions, h_fiber_actions = fiber_actions
+    n = mp.G.coord_dim
     # h |> g enters via A_g and D_g, h <| g via D_h and A_h: the blocks of
-    # the induced-action pair on the fiber of this half
+    # the induced-action pair on the fiber of each half
     g, h = mp.split(u)
-    d, mu, nu = momenta
-    if side == "left":
-        A_g, D_h = mp.g_fiber_actions(h)
-        xi = A_g.T @ mp.G.coAd(g, mu) + D_h.T @ d[mp.G.coord_dim:]
-        return np.concatenate([xi, mp.H.coAd(h, nu)])
-    D_g, A_h = mp.h_fiber_actions(g)
+    d, mu, nu = left
+    A_g, D_h = g_fiber_actions(h)
+    xi = (transposed_matvec(A_g, transposed_matvec(mp.G.Ad_matrix(g), mu))
+          + transposed_matvec(D_h, d[..., n:]))
+    incoming = np.concatenate([xi, transposed_matvec(mp.H.Ad_matrix(h), nu)],
+                              axis=-1)
+    d, mu, nu = right
+    D_g, A_h = h_fiber_actions(mp.split(v)[0])
     # the groupoid's dagger on g flows y_t^{-1} |> g, hence the sign
-    return np.concatenate([mu, A_h.T @ nu - D_g.T @ d[: mp.G.coord_dim]])
+    return incoming - np.concatenate(
+        [mu, transposed_matvec(A_h, nu) - transposed_matvec(D_g, d[..., :n])],
+        axis=-1)
 
 
 # second names of del_residual, kept because bench/tracer.py TARGETS names
@@ -182,6 +223,11 @@ del_residual_matched = del_residual
 # implicit stepping
 # ---------------------------------------------------------------------------
 
+# what leaving a chart or overflowing raises
+CHART_FAILURES = (DomainError, EvaluationError, FloatingPointError,
+                  OverflowError)
+
+
 @contextmanager
 def solver_failure(what):
     """Run a block in which leaving a chart or overflowing anywhere is a
@@ -189,9 +235,19 @@ def solver_failure(what):
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
-    except (DomainError, EvaluationError, FloatingPointError,
-            OverflowError) as exc:
+    except CHART_FAILURES as exc:
         raise NoConvergence("%s failed: %s" % (what, exc))
+
+
+def _stacked(stacked_pass, *args):
+    """stacked_pass(*args), or None if it leaves a chart or meets a
+    floating-point error (underflow aside): the per-arrow pass that then
+    runs names the arrow or junction that fails, as ``at_step`` does."""
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            return stacked_pass(*args)
+    except CHART_FAILURES:
+        return None
 
 
 @contextmanager
@@ -261,27 +317,56 @@ del_step_matched_group = del_step
 
 
 def arrow_momenta(mp, L, arrows, lift=None):
-    """``matched_group_momenta`` of every arrow, once each, through ``lift``;
-    a solver failure names its arrow."""
-    out = []
+    """The records (d, mu, nu) of every arrow, ``matched_group_momenta``'s,
+    once each, as three stacks of rows.  One stacked pass where the pair has
+    stacked twins (``stacked_maps``), L's gradient takes stacks and the
+    factor lifts are the groups' own; otherwise, or where that pass fails,
+    one arrow at a time through ``lift``, where a solver failure names its
+    arrow."""
+    if lift is None and mp.stacked_maps and L.gradient_stacks:
+        momenta = _stacked(_stacked_momenta, mp, L, np.array(arrows))
+        if momenta is not None:
+            return momenta
+    records = []
     for k, u in enumerate(arrows):
         with at_step(k), solver_failure("reference momenta"):
-            out.append(matched_group_momenta(mp, L, u, lift))
-    return out
+            records.append(matched_group_momenta(mp, L, u, lift))
+    return tuple(np.array(m) for m in zip(*records))
+
+
+def _stacked_momenta(mp, L, u):
+    """``matched_group_momenta`` of the stack of arrows u at once."""
+    u = mp.check_stack(u)
+    d = L.gradient(u)
+    g, h = mp.split(u)
+    n = mp.G.coord_dim
+    return (d, transposed_matvec(mp.G.right_lift_stack(g), d[..., :n]),
+            transposed_matvec(mp.H.right_lift_stack(h), d[..., n:]))
 
 
 def momentum_residuals(mp, arrows, momenta):
-    """The momentum form at every junction of the solved ``arrows``, from
-    the records ``momenta`` of adjacent arrows; a pair with a trivial action
-    reduces it through its own identity and zero blocks.  A solver failure
-    names the junction's later arrow."""
-    out = []
+    """The momentum form at every junction of the solved ``arrows``, one row
+    each, from the stacked records ``momenta`` of adjacent arrows; a pair
+    with a trivial action reduces it through its own identity and zero
+    blocks.  One stacked pass where the pair has stacked twins; otherwise,
+    or where that pass fails, one junction at a time, where a solver
+    failure names the junction's later arrow."""
+    if mp.stacked_maps and len(arrows) > 1:
+        u = np.array(arrows)
+        rows = _stacked(_momentum_form, mp, (
+            mp.g_fiber_actions_stack, mp.h_fiber_actions_stack),
+            u[:-1], u[1:], [m[:-1] for m in momenta],
+            [m[1:] for m in momenta])
+        if rows is not None:
+            return rows
+    fiber_actions = (mp.g_fiber_actions, mp.h_fiber_actions)
+    rows = []
     for k in range(1, len(arrows)):
         with at_step(k), solver_failure("reference residual"):
-            out.append(
-                _momentum_half(mp, arrows[k - 1], momenta[k - 1], "left")
-                - _momentum_half(mp, arrows[k], momenta[k], "right"))
-    return out
+            rows.append(_momentum_form(
+                mp, fiber_actions, arrows[k - 1], arrows[k],
+                [m[k - 1] for m in momenta], [m[k] for m in momenta]))
+    return np.reshape(rows, (len(rows), mp.dim))
 
 
 # form is a bench pin, like the tracer's, for ROADMAP item 1 to drop

@@ -82,9 +82,12 @@ class Groupoid:
     base: Chart
     arrow_dim = 0
     fiber_dim = 0
-    # whether fiber_elem, mul and inv also take stacks of arrows and fiber
-    # coordinates, leading axes first, and map them at once, as each alone
+    # whether fiber_elem, mul, inv, alpha and beta also take stacks of
+    # arrows and fiber coordinates, leading axes first, and map them at
+    # once, as each alone
     stacks = False
+    # whether left_lift and right_lift do too
+    lift_stacks = False
 
     # -- required structure maps ---------------------------------------------
 
@@ -131,9 +134,11 @@ class Groupoid:
     # -- derived -------------------------------------------------------------
 
     def composability_gap(self, x, y):
+        """max |beta(x) - alpha(y)|, or that of each pair of two stacks of
+        arrows where the descriptor takes stacks."""
         if self.base.dim == 0:
             return 0.0
-        return float(np.max(np.abs(self.beta(x) - self.alpha(y))))
+        return np.max(np.abs(self.beta(x) - self.alpha(y)), axis=-1)
 
     def fiber_tangent_matrix(self, b):
         """arrow_dim x fiber_dim matrix spanning A_b = ker T alpha at eps(b)."""
@@ -231,10 +236,10 @@ class PairGroupoid(Groupoid):
         self.name = "pair_%s" % M.name
 
     def alpha(self, x):
-        return np.asarray(x, dtype=float)[: self.M.dim]
+        return np.asarray(x, dtype=float)[..., :self.M.dim]
 
     def beta(self, x):
-        return np.asarray(x, dtype=float)[self.M.dim:]
+        return np.asarray(x, dtype=float)[..., self.M.dim:]
 
     def eps(self, b):
         b = self.M.check(b)
@@ -358,7 +363,7 @@ class TrivialGroupoid(Groupoid):
         self.arrow_dim = 2 * M.dim + G.coord_dim
         self.fiber_dim = G.dim + M.dim
         self.name = "trivial_%s_%s" % (M.name, G.name)
-        self.stacks = G.stacks
+        self.stacks = self.lift_stacks = G.stacks
 
     def split(self, x):
         x = np.asarray(x, dtype=float)
@@ -396,19 +401,19 @@ class TrivialGroupoid(Groupoid):
         return np.concatenate([self.G.log(g), n - m])
 
     def left_lift(self, g):
+        m, g, _ = self.split(g)
         n, k = self.M.dim, self.G.dim
-        out = np.zeros((self.arrow_dim, self.fiber_dim))
-        out[n:n + self.G.coord_dim, :k] = self.G.lift_matrix(
-            "left", self.split(g)[1])
-        out[n + self.G.coord_dim:, k:] = np.eye(n)
+        out = np.zeros(m.shape[:-1] + (self.arrow_dim, self.fiber_dim))
+        out[..., n:n + self.G.coord_dim, :k] = self.G.lift_matrix("left", g)
+        out[..., n + self.G.coord_dim:, k:] = np.eye(n)
         return out
 
     def right_lift(self, g):
+        m, g, _ = self.split(g)
         n, k = self.M.dim, self.G.dim
-        out = np.zeros((self.arrow_dim, self.fiber_dim))
-        out[n:n + self.G.coord_dim, :k] = self.G.lift_matrix(
-            "right", self.split(g)[1])
-        out[:n, k:] = -np.eye(n)
+        out = np.zeros(m.shape[:-1] + (self.arrow_dim, self.fiber_dim))
+        out[..., n:n + self.G.coord_dim, :k] = self.G.lift_matrix("right", g)
+        out[..., :n, k:] = -np.eye(n)
         return out
 
 
@@ -437,7 +442,7 @@ class MatchedPairGroupoid(Groupoid):
 
     def split(self, x):
         x = np.asarray(x, dtype=float)
-        return x[: self.Gd.arrow_dim], x[self.Gd.arrow_dim:]
+        return x[..., :self.Gd.arrow_dim], x[..., self.Gd.arrow_dim:]
 
     def join(self, g, h):
         return np.concatenate([np.atleast_1d(g), np.atleast_1d(h)])

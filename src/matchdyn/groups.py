@@ -61,6 +61,16 @@ Abelian groups and the circle map a stack of points at once: their ``exp``,
 ``mul`` and ``inv`` read any leading axes before the point's own (``_vec``
 with ``stack``), and ``rot2`` turns an array of angles into a stack of
 rotations, so the descriptors built on them can too (``Group.stacks``).
+
+SU(2) and K carry stacked twins of the maps that re-deriving an sl2c
+trajectory reads: ``check_stack``, ``log_dlog_stack`` and
+``right_lift_stack``, and SU(2)'s ``rot_of_stack``.  Each takes a stack of
+points, leading axes first, that the caller has already made one array, and
+gives each point the bits of its per-point map: the same floating-point
+operations in the same order, K's Taylor branches taken point by point, and
+no quotient computed where a branch does not take it.  Their ``Ad_matrix``,
+which no solve reads, takes a point or a stack.  The solve keeps the
+per-point maps, whose Python floats are faster on one point.
 """
 from __future__ import annotations
 
@@ -110,7 +120,8 @@ class Group:
     dim = 0        # algebra dimension
     coord_dim = 0  # chart dimension of the group manifold
     # whether exp, mul and inv also take a stack of points, leading axes
-    # first, and map it at once, as each point alone
+    # first, and map it at once, as each point alone, and lift_matrix
+    # returns what broadcasts against it
     stacks = False
 
     # -- required operations -------------------------------------------------
@@ -200,6 +211,20 @@ def quat_mul(a, b):
 
 def quat_conj(q):
     return np.array([q[0], -q[1], -q[2], -q[3]])
+
+
+# the entries of SU2's right lift, (-x, -y, -z), (w, z, -y), (-z, w, x) and
+# (y, -x, w), as indices into (w, x, y, z) and signs
+_SU2_RIGHT = np.array([[1, 2, 3], [0, 3, 2], [3, 0, 1], [2, 1, 0]])
+_SU2_RIGHT_SIGN = np.array([[-1.0, -1.0, -1.0], [1.0, 1.0, -1.0],
+                            [-1.0, 1.0, 1.0], [1.0, -1.0, 1.0]])
+# rotation_matrix_of_quaternion's entry (i, j) is 2 (p_a + sign p_b), or 1
+# minus that on the diagonal, p = q q^T flattened over (w, x, y, z)^2
+_ROT_A = np.array([[10, 6, 7], [6, 5, 11], [7, 11, 5]])
+_ROT_B = np.array([[15, 3, 2], [3, 15, 1], [2, 1, 10]])
+_ROT_SIGN = np.array([[1.0, -1.0, 1.0], [1.0, 1.0, -1.0],
+                      [-1.0, 1.0, 1.0]])
+_DIAG = np.eye(3, dtype=bool)
 
 
 def rotation_matrix_of_quaternion(q):
@@ -307,10 +332,65 @@ class SU2(Group):
                                [y, -x, w]])
 
     def Ad_matrix(self, g):
-        return self.rot_of(g)
+        """``rot_of`` of a point, or of each point of a stack."""
+        return self.rot_of_stack(_vec(g, 4, stack=True))
 
     def rot_of(self, g):
         return rotation_matrix_of_quaternion(_vec(g, 4))
+
+    # -- stacked twins, for the re-check --------------------------------------
+
+    def check_stack(self, g):
+        """``check`` of a stack of points."""
+        if not (np.abs(np.sqrt(np.vecdot(g, g)) - 1.0) <= UNIT_TOL).all():
+            raise DomainError("a quaternion norm is not 1")
+        return g
+
+    def log_dlog_stack(self, g):
+        """``log_dlog`` of a stack of points."""
+        if not np.isfinite(g).all():
+            raise DomainError("a chart point is not finite")
+        w, v = g[..., :1], g[..., 1:]
+        vn = np.sqrt(np.vecdot(v, v))[..., None]
+        small = vn[..., 0] < 1e-14
+        any_small = small.any()
+        if any_small:  # filled in below; a safe |v| meanwhile
+            vn = np.where(small[..., None], 1.0, vn)
+        theta = 2.0 * np.arctan2(vn, w)
+        log = theta * v / vn
+        r2 = w * w + vn * vn
+        s = theta / vn
+        k = 2.0 * w / r2 - s
+        u = v / vn
+        # s I + k u u^T, its zeros added as in log_dlog
+        jac = np.concatenate([(-2.0 * v / r2)[..., None], s[..., None] * I3
+                              + k[..., None] * (u[..., :, None]
+                                                * u[..., None, :])], axis=-1)
+        if any_small:
+            d = w[small]
+            if not (d != 0.0).all():
+                raise DomainError("SU2.log_dlog has no limit at w = 0")
+            d = 2.0 / d
+            if not np.isfinite(d).all():
+                raise DomainError("SU2.log_dlog has no limit at a tiny w")
+            limit = np.zeros((len(d), 3, 4))
+            limit[..., 1:] = (d * 0.0)[..., None]
+            limit[:, [0, 1, 2], [1, 2, 3]] = d
+            log[small] = 0.0
+            jac[small] = limit
+        return log, jac
+
+    def right_lift_stack(self, g):
+        """``lift_matrix("right", .)`` of a stack of points."""
+        return 0.5 * (g.take(_SU2_RIGHT, axis=-1) * _SU2_RIGHT_SIGN)
+
+    def rot_of_stack(self, g):
+        """``rot_of`` of a stack of points: the products q_i q_j once, each
+        entry their sum or difference as rotation_matrix_of_quaternion
+        takes it."""
+        p = (g[..., :, None] * g[..., None, :]).reshape(g.shape[:-1] + (16,))
+        t = 2 * (p.take(_ROT_A, axis=-1) + p.take(_ROT_B, axis=-1) * _ROT_SIGN)
+        return np.where(_DIAG, 1 - t, t)
 
 
 class KGroup(Group):
@@ -385,11 +465,49 @@ class KGroup(Group):
         return np.array([[f, 0.0, 0.0], [0.0, f, 0.0], [0.0, 0.0, f]])
 
     def Ad_matrix(self, g):
-        # M X M^-1 for the 3x3 matrix view M of g and the 3x3 algebra matrix
-        # X of xi, read as a matrix on (a, b, c)
-        a, b, c = _vec(g, 3)
-        f = 1.0 / (1.0 + c)
-        return np.array([[f, 0.0, a * f], [0.0, f, b * f], [0.0, 0.0, 1.0]])
+        """M X M^-1 for the 3x3 matrix view M of g and the 3x3 algebra matrix
+        X of xi, read as a matrix on (a, b, c); of a point, or of each point
+        of a stack."""
+        g = _vec(g, 3, stack=True)
+        f = 1.0 / (1.0 + g[..., 2])
+        out = np.zeros(g.shape + (3,))
+        out[..., 0, 0] = out[..., 1, 1] = f
+        out[..., :2, 2] = g[..., :2] * f[..., None]
+        out[..., 2, 2] = 1.0
+        return out
+
+    # -- stacked twins, for the re-check --------------------------------------
+
+    def check_stack(self, g):
+        """``check`` of a stack of points."""
+        if not (np.isfinite(g).all() and (g[..., 2] > -1.0).all()):
+            raise DomainError("a K point is not finite or has c <= -1")
+        return g
+
+    def log_dlog_stack(self, g):
+        """``log_dlog`` of a stack of points, each Taylor branch where its
+        point takes it, and no quotient where it does not."""
+        C = g[..., 2]
+        c = np.log1p(C)
+        big = np.abs(c) > 1e-8
+        t = 1.0 + 0.5 * c
+        f = np.divide(C, c, out=t.copy(), where=big)
+        phi = np.divide(c, C, where=big,
+                        out=np.divide(1.0, t, out=np.ones_like(t), where=~big))
+        C1 = 1.0 + C
+        dphi = np.divide(C / C1 - c, np.float_power(C, 2.0),
+                         out=-0.5 + C * (2.0 / 3.0 - 0.75 * C),
+                         where=np.abs(C) > 1e-4)
+        jac = np.zeros(g.shape + (3,))
+        jac[..., 0, 0] = jac[..., 1, 1] = phi
+        jac[..., :2, 2] = g[..., :2] * dphi[..., None]
+        jac[..., 2, 2] = 1.0 / C1
+        return np.concatenate([g[..., :2] / f[..., None], c[..., None]],
+                              axis=-1), jac
+
+    def right_lift_stack(self, g):
+        """``lift_matrix("right", .)`` of a stack of points."""
+        return I3 * (1.0 + g[..., 2])[..., None, None]
 
 
 def hat3(xi):
@@ -399,6 +517,17 @@ def hat3(xi):
         [z, 0.0, -x],
         [-y, x, 0.0],
     ])
+
+
+# hat3's entries as indices into (0, x, y, z) and signs
+_HAT = np.array([[0, 3, 2], [3, 0, 1], [2, 1, 0]])
+_HAT_SIGN = np.array([[1.0, -1.0, 1.0], [1.0, 1.0, -1.0], [-1.0, 1.0, 1.0]])
+
+
+def hat3_stack(xi):
+    """``hat3`` of a stack of vectors."""
+    xi0 = np.concatenate([np.zeros(xi.shape[:-1] + (1,)), xi], axis=-1)
+    return xi0.take(_HAT, axis=-1) * _HAT_SIGN
 
 
 I3 = np.eye(3)
@@ -501,7 +630,8 @@ class SO3(Group):
 
 
 class Abelian(Group):
-    """Additive R^n; exp, mul and inv take stacks."""
+    """Additive R^n; exp, mul and inv take stacks, and its one lift matrix
+    broadcasts against them."""
 
     stacks = True
 

@@ -25,6 +25,13 @@ the finite-difference ``Group.Ad_matrix`` on the product, read through that
 componentwise ``log``; no command reads it.  ``generic()`` returns the same
 pair as a plain ``MatchedPairGroup``, so closed forms can be checked against
 it.
+
+``Su2K`` also has stacked twins of the maps that re-deriving a trajectory
+reads (``stacked_maps``): its chart check and its two closed induced-action
+pairs take a stack of arrows or factor points, leading axes first, with the
+bits of each alone, so ``check residual`` and ``run sl2c`` re-derive every
+arrow's momenta and every junction's momentum form in one array pass.  The
+solve keeps the per-point maps.
 """
 from __future__ import annotations
 
@@ -33,7 +40,7 @@ import numpy as np
 from .groupoids import (GroupGroupoid, Groupoid, MatchedPairGroupoid,
                         record_deviation)
 from .groups import (SO3, SU2, Abelian, Group, KGroup, _vec, hat3,
-                     rotation_matrix_of_quaternion)
+                     hat3_stack, rotation_matrix_of_quaternion)
 from .numerics import fd_curve
 
 POINT_BASE = np.zeros(0)  # the base point of a group seen as a groupoid
@@ -51,6 +58,13 @@ class MatchedPairGroup(MatchedPairGroupoid, Group):
     needs.  The log reads the point once and joins the factors'
     ``log_values`` into one array, with no factor array in between.
     """
+
+    # whether the pair has stacked twins (``check_stack``, the factors'
+    # ``log_dlog_stack`` and ``right_lift_stack``, and
+    # ``g_fiber_actions_stack`` / ``h_fiber_actions_stack``) of the maps
+    # that the momentum records and form read, and its factors' Ad_matrix
+    # takes stacks
+    stacked_maps = False
 
     def __init__(self, G: Group, H: Group, actions=None, name=None):
         self.G = G
@@ -171,6 +185,8 @@ class Su2K(MatchedPairGroup):
     ``MatchedPairGroupoid`` one.
     """
 
+    stacked_maps = True
+
     def __init__(self):
         super().__init__(SU2(), KGroup(), name="su2_bowtie_k")
 
@@ -230,6 +246,34 @@ class Su2K(MatchedPairGroup):
         out[:4, 3:] = -(T @ hat3(R[:, 2] - E3))
         out[4:, 3:] = self.H.lift_matrix("right", h) @ R.T
         return out
+
+    # -- stacked twins, for the re-check --------------------------------------
+
+    def check_stack(self, u):
+        """``check`` of a stack of arrows."""
+        g, h = self.split(u)
+        self.G.check_stack(g)
+        self.H.check_stack(h)
+        return u
+
+    def g_fiber_actions_stack(self, h):
+        """``g_fiber_actions`` of a stack of K points."""
+        c1 = 1.0 + h[..., 2]
+        M = np.zeros(h.shape + (3,))
+        M[..., 0, 0] = M[..., 1, 1] = c1
+        M[..., 2, :2] = -h[..., :2]
+        M[..., 2, 2] = 1.0
+        b_tilde = (h / c1[..., None]
+                   - (np.vecdot(h, h) / (2.0 * np.float_power(c1, 2.0)))[
+                       ..., None] * E3)
+        return M, np.matmul(c1[..., None, None] * hat3_stack(b_tilde), M)
+
+    def h_fiber_actions_stack(self, g):
+        """``h_fiber_actions`` of a stack of SU(2) points."""
+        R = self.G.rot_of_stack(g)
+        return (np.matmul(self.G.right_lift_stack(g),
+                          hat3_stack(np.matmul(R, E3) - E3)),
+                R.swapaxes(-1, -2))
 
 
 # ---------------------------------------------------------------------------

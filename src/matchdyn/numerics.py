@@ -39,6 +39,13 @@ def _as_vec(x):
     return np.atleast_1d(np.asarray(x, dtype=float))
 
 
+def transposed_matvec(A, v):
+    """A^T v, or that of each matrix and vector of two stacks, leading axes
+    first, in one ``np.vecmat``: each item has the bits of ``A.T @ v``
+    alone, which np.einsum or a sum over the rows would not keep."""
+    return np.vecmat(v, A)
+
+
 def fd_stencil(F, x, V):
     """Central differences (F(x + h v) - F(x - h v)) / 2h for each column v
     of V, with one step h scaled by 1 + ||x||, from one call of F on the

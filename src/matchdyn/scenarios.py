@@ -39,7 +39,7 @@ from .errors import DomainError, MatchdynError
 from .groupoids import default_trivial_decomposition, record_deviation
 from .groups import Group
 from .matched_group import Su2K
-from .numerics import DEFAULT_TOL
+from .numerics import DEFAULT_TOL, transposed_matvec
 
 FMT = "%.17g"
 REPRODUCE_TOL = 1e-12
@@ -243,9 +243,11 @@ def trivial_groupoid_lagrangian(dec, config: ScenarioConfig):
 
     def gradient(x):
         m, g, n = dec.trivial.split(x)
-        return np.concatenate([k_pos * (m - n), k_rot * g, k_pos * (n - m)])
+        return np.concatenate([k_pos * (m - n), k_rot * g, k_pos * (n - m)],
+                              axis=-1)
 
-    return DiscreteLagrangian(evaluate, gradient, name="spring", stacks=True)
+    return DiscreteLagrangian(evaluate, gradient, name="spring", stacks=True,
+                              gradient_stacks=True)
 
 
 def matched_lagrangian(dec, L: DiscreteLagrangian):
@@ -274,12 +276,20 @@ def sl2c_lagrangian(mp: Su2K, config: ScenarioConfig):
 
     def gradient(u):
         g, h = mp.split(u)
+        if u.ndim > 1:
+            # the re-check's stack of arrows, through the stacked twins
+            x, dx = mp.G.log_dlog_stack(g)
+            y, dy = mp.H.log_dlog_stack(h)
+            return np.concatenate(
+                [transposed_matvec(dx, ig * x + coupling * y),
+                 transposed_matvec(dy, ih * y + coupling * x)], axis=-1)
         x, dx = mp.G.log_dlog(g)
         y, dy = mp.H.log_dlog(h)
         return np.concatenate([dx.T @ (ig * x + coupling * y),
                                dy.T @ (ih * y + coupling * x)])
 
-    return DiscreteLagrangian(evaluate, gradient, name="quadratic")
+    return DiscreteLagrangian(evaluate, gradient, name="quadratic",
+                              gradient_stacks=True)
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +311,12 @@ def _system(config: ScenarioConfig):
 
 def _rederived_rows(arrows, records, residual_norms):
     """The columns ``check residual`` re-derives, which lead every row of a
-    trajectory file: [k, *arrow, *record, residual], a record being a tuple
-    of vectors and the last row's residual 0."""
-    return [[float(k), *np.concatenate([a, *rec]).tolist(), r]
-            for k, (a, rec, r) in enumerate(
-                zip(arrows, records, residual_norms + [0.0]))]
+    trajectory file, as one array: [k, *arrow, *record, residual], the
+    records being stacks with one row per arrow and the last row's
+    residual 0."""
+    return np.column_stack([np.arange(len(arrows), dtype=float),
+                            np.array(arrows), *records,
+                            residual_norms + [0.0]])
 
 
 class TrivialGroupoidScenario:
@@ -333,7 +344,7 @@ class TrivialGroupoidScenario:
         phi_gap = max(float(np.max(np.abs(m - dec.phi(x))))
                       for x, m in zip(direct, matched))
         rows = [row + [rm, phi_gap] for row, rm in zip(
-            _rederived_rows(direct, [()] * len(direct), res_direct),
+            _rederived_rows(direct.arrows, (), res_direct).tolist(),
             res_matched + [0.0])]
         report = RunReport(config.scenario, res_direct,
                            oracle_max=max(direct.oracle, matched.oracle),
@@ -351,7 +362,7 @@ class TrivialGroupoidScenario:
             residuals = del_residuals(desc, L, traj)
             oracle = variational_oracle(desc, L, traj)
         return ([float(np.linalg.norm(r, np.inf)) for r in residuals],
-                oracle, [()] * len(arrows))
+                oracle, ())
 
 
 class Sl2cScenario:
@@ -381,16 +392,15 @@ class Sl2cScenario:
         arrows, _ = march(mp, L, first, config.steps, config.tol)
         res_norms, _, records = self.rederive(config, mp, L, arrows)
         return (RunReport(config.scenario, res_norms),
-                _rederived_rows(arrows, records, res_norms))
+                _rederived_rows(arrows, records, res_norms).tolist())
 
     def rederive(self, config, mp, L, arrows):
         # a legacy file's mu and nu went through finite-difference factor
         # lifts, which its stored digits keep
         momenta = arrow_momenta(mp, L, arrows, lift=(
             Group.lift_matrix if config.derivatives == "fd" else None))
-        return ([float(np.linalg.norm(r, np.inf))
-                 for r in momentum_residuals(mp, arrows, momenta)],
-                None, [m[1:] for m in momenta])
+        residuals = momentum_residuals(mp, arrows, momenta)
+        return np.max(np.abs(residuals), axis=-1).tolist(), None, momenta[1:]
 
 
 # the built-in scenarios by name, in the order commands list them.  A record
@@ -474,8 +484,7 @@ def check_residual_file(path):
         return (["invalid arrow data: %s" % exc],
                 RunReport(config.scenario, []))
     # the first row's arrow is the one the header's initial data name
-    rebuilt = np.array(_rederived_rows([first, *arrows[1:]], records,
-                                       recomputed))
+    rebuilt = _rederived_rows([first, *arrows[1:]], records, recomputed)
     # np.max, not max: a NaN anywhere is the gap
     gap = float(np.max(np.abs(
         rebuilt - np.array(rows)[:, :rebuilt.shape[1]])))

@@ -253,24 +253,29 @@ def test_matched_group_residual_one_gradient_per_arrow():
 
 def test_su2k_outgoing_half_builds_two_lift_matrices(monkeypatch):
     # mu and nu need the SU(2) and K right lifts at u, once in the arrow's
-    # record; the momentum form reads the record, and only the closed b*
+    # record; the momentum form reads the records, and only the closed b*
     # builds a third lift: the SU(2) right lift of its dagger block at the
-    # later arrow
+    # later arrows, one stacked lift for all of them
     built = []
     for cls in (SU2, KGroup):
         def counted(self, side, g, lift_matrix=cls.lift_matrix):
             built.append((self.name, side))
             return lift_matrix(self, side, g)
 
+        def counted_stack(self, g, right_lift_stack=cls.right_lift_stack):
+            built.append((self.name, "right"))
+            return right_lift_stack(self, g)
+
         monkeypatch.setattr(cls, "lift_matrix", counted)
+        monkeypatch.setattr(cls, "right_lift_stack", counted_stack)
     rng = np.random.default_rng(33)
     mp = Su2K()
     L = smooth_lagrangian(mp.coord_dim, rng)
-    arrows = [mp.random(rng), mp.random(rng)]
-    momenta = [matched_group_momenta(mp, L, u) for u in arrows]
-    assert built == [("su2", "right"), ("k", "right")] * 2
+    arrows = [mp.random(rng), mp.random(rng), mp.random(rng)]
+    records = [matched_group_momenta(mp, L, u) for u in arrows]
+    assert built == [("su2", "right"), ("k", "right")] * 3
     built.clear()
-    momentum_residuals(mp, arrows, momenta)
+    momentum_residuals(mp, arrows, [np.array(m) for m in zip(*records)])
     assert built == [("su2", "right")]
 
 
@@ -292,6 +297,102 @@ def test_momentum_residuals_over_shared_records_equal_the_junction_form(
     for k, r in enumerate(momentum_residuals(pair, arrows, momenta), 1):
         assert np.array_equal(r, del_residual_matched_group(
             pair, L, arrows[k - 1], arrows[k]))
+
+
+def same_bits(a, b):
+    """Equal arrays down to the sign of every zero, which %.17g prints."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# K chart coordinates c of the arrows' algebra points: generic, and inside
+# log_dlog's Taylor branches for |C| <= 1e-4 and for |log1p(C)| <= 1e-8
+K_C = st.one_of(st.floats(-2.0, 2.0), st.floats(-1e-5, 1e-5),
+                st.floats(-1e-9, 1e-9), st.just(-2.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(coupling=st.floats(-0.5, 0.5),
+       inertias=st.lists(st.floats(0.1, 3.0), min_size=6, max_size=6),
+       amplitude=st.floats(0.0, 3.0), cs=st.lists(K_C, min_size=2,
+                                                   max_size=5),
+       identity_at=st.integers(-1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_the_stacked_sl2c_rederivation_has_the_per_arrow_bits(
+        coupling, inertias, amplitude, cs, identity_at, seed):
+    # every stacked twin, the records and the momentum rows of one stacked
+    # pass, against the per-point maps and the per-arrow and per-junction
+    # passes of a pair that has no twins
+    mp, per_arrow = Su2K(), Su2K()
+    per_arrow.stacked_maps = False
+    params = dict(zip(["ig1", "ig2", "ig3", "ih1", "ih2", "ih3"], inertias),
+                  coupling=coupling)
+    L = sl2c_lagrangian(mp, ScenarioConfig("sl2c", params=params))
+    rng = np.random.default_rng(seed)
+    arrows = []
+    for k, c in enumerate(cs):
+        x = amplitude * rng.standard_normal(6)
+        x[5] = c
+        arrows.append(mp.identity() if k == identity_at else mp.exp(x))
+    u = np.array(arrows)
+    g, h = mp.split(u)
+    G, H = mp.G, mp.H
+    pairs = [(G.log_dlog_stack(g), [G.log_dlog(p) for p in g]),
+             (H.log_dlog_stack(h), [H.log_dlog(p) for p in h]),
+             (mp.g_fiber_actions_stack(h), [mp.g_fiber_actions(p) for p in h]),
+             (mp.h_fiber_actions_stack(g), [mp.h_fiber_actions(p) for p in g])]
+    for stacked, points in pairs:
+        for j, twin in enumerate(stacked):
+            assert same_bits(twin, [p[j] for p in points])
+    for stacked, points in (
+            (G.right_lift_stack(g), [G.lift_matrix("right", p) for p in g]),
+            (H.right_lift_stack(h), [H.lift_matrix("right", p) for p in h]),
+            (G.rot_of_stack(g), [G.rot_of(p) for p in g]),
+            (G.Ad_matrix(g), [G.Ad_matrix(p) for p in g]),
+            (H.Ad_matrix(h), [H.Ad_matrix(p) for p in h]),
+            (mp.check_stack(u), [mp.check(p) for p in u]),
+            (L.gradient(u), [L.gradient(p) for p in u])):
+        assert same_bits(stacked, points)
+    momenta = arrow_momenta(mp, L, arrows)
+    reference = arrow_momenta(per_arrow, L, arrows)
+    assert all(same_bits(m, r) for m, r in zip(momenta, reference))
+    assert same_bits(momentum_residuals(mp, arrows, momenta),
+                     momentum_residuals(per_arrow, arrows, reference))
+
+
+@settings(max_examples=40, deadline=None)
+@given(k_pos=st.floats(0.5, 2.0), k_rot=st.floats(0.5, 2.0),
+       amplitude=st.floats(0.0, 2.0), n_arrows=st.integers(2, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_trivial_groupoid_residuals_have_the_per_junction_bits(
+        k_pos, k_rot, amplitude, n_arrows, seed):
+    config = ScenarioConfig("trivial_groupoid",
+                            params=dict(k_pos=k_pos, k_rot=k_rot))
+    L = trivial_groupoid_lagrangian(DEC, config)
+    per_junction = trivial_groupoid_lagrangian(DEC, config)
+    per_junction.gradient_stacks = False
+    rng = np.random.default_rng(seed)
+    desc = DEC.trivial
+    arrows = [desc.random_arrow(rng, amplitude)]
+    while len(arrows) < n_arrows:
+        arrows.append(desc.random_with_source(desc.beta(arrows[-1]), rng,
+                                              amplitude))
+    traj = Trajectory(desc, arrows)
+    assert desc.lift_stacks and L.gradient_stacks
+    assert same_bits(del_residuals(desc, L, traj),
+                     del_residuals(desc, per_junction, traj))
+
+
+@pytest.mark.parametrize("stacks", [True, False])
+def test_a_nan_glue_gap_is_not_composable(monkeypatch, stacks):
+    # gap > COMPOSE_TOL is False for a NaN gap: the glue is tested as
+    # not gap <= COMPOSE_TOL, at every junction at once or one at a time
+    monkeypatch.setattr(DEC.trivial, "stacks", stacks)
+    arrows = [[0.0, 0.0, 0.3, 1.0, 0.0], [np.nan, 0.0, 0.1, 2.0, 0.0]]
+    with pytest.raises(NotComposable):
+        Trajectory(DEC.trivial, arrows)
+    with pytest.raises(NotComposable):
+        Trajectory(DEC.trivial, [arrows[0], [1.0, 0.0, 0.1, 2.0, 0.0],
+                                 [2.0, 0.0, 0.1, 3.0, 0.0], arrows[1]])
 
 
 def test_default_junction_solves_take_no_finite_difference_derivatives(
@@ -358,9 +459,15 @@ CALLS_MARGIN = 0.05
 # both presentations with their oracles (737.9 when the oracle evaluated
 # one stencil point at a time; it reads 312.0 since the circle's log goes
 # through log_values, and the bound is kept), and of `check residual` on its
-# file (29.3 when it checked the file's trajectory twice, 195.6 before that)
+# file (23.1 when it took one gradient, two lifts and one glue test per
+# junction, 29.3 when it checked the file's trajectory twice, 195.6 before
+# that)
 TRIVIAL_RUN_CALLS_PER_JUNCTION = 310.0
-TRIVIAL_CHECK_CALLS_PER_JUNCTION = 23.1
+TRIVIAL_CHECK_CALLS_PER_JUNCTION = 9.7
+# the same count per junction of `check residual` on the default 20-step
+# sl2c file, whose records and momentum rows are one stacked pass (56.5 when
+# it took them one arrow and one junction at a time)
+SL2C_CHECK_CALLS_PER_JUNCTION = 6.3
 # the same count per junction of a 10-step solve of each degenerate pair
 # with a log-quadratic Lagrangian, which calls the pair's log twice per
 # evaluation (2,677.3, 2,901.0 and 2,835.0 when a pair's log split its point
@@ -393,6 +500,16 @@ def test_an_sl2c_junction_stays_within_its_call_count():
     (arrows, _), calls = package_calls(march, mp, L, first, 20)
     assert len(arrows) == 20
     assert calls / 19 <= SL2C_CALLS_PER_JUNCTION * (1.0 + CALLS_MARGIN)
+
+
+def test_an_sl2c_recheck_stays_within_its_call_count(tmp_path):
+    config = ScenarioConfig("sl2c", steps=20)
+    _, header, rows = run_scenario(config)
+    path = str(tmp_path / "sl2c.csv")
+    write_trajectory_csv(path, config, header, rows)
+    (failures, _), calls = package_calls(check_residual_file, path)
+    assert failures == []
+    assert calls / 19 <= SL2C_CHECK_CALLS_PER_JUNCTION * (1.0 + CALLS_MARGIN)
 
 
 def test_a_trivial_groupoid_junction_stays_within_its_call_count(tmp_path):

@@ -854,8 +854,9 @@ def test_sl2c_momenta_take_one_gradient_per_arrow(tmp_path, monkeypatch):
     gradient = DiscreteLagrangian.gradient
 
     def counted_gradient(self, x):
+        # rows, not calls: a stacked pass takes every arrow's in one call
         if not solving:
-            gradients.append(x)
+            gradients.extend(np.atleast_2d(x))
         return gradient(self, x)
 
     def solve(*args, **kwargs):
@@ -893,7 +894,8 @@ def test_trivial_groupoid_recheck_takes_one_gradient_per_arrow(
     gradient = DiscreteLagrangian.gradient
 
     def counted_gradient(self, x):
-        gradients.append(x)
+        # rows, not calls: a stacked pass takes every arrow's in one call
+        gradients.extend(np.atleast_2d(x))
         return gradient(self, x)
 
     out = str(tmp_path / "trivial.csv")
